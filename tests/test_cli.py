@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import combinlab
 from combinlab.cli import main
 
 K5 = "p 5 10\n" + "\n".join(
@@ -222,3 +228,293 @@ def test_size_limit_exit_code(tmp_path, capsys):
         capsys, ["reduce", "sat-clique", str(big), "--oracle", "--format", "json"]
     )
     assert code == 3
+
+
+# --- golden outputs for every problem kind and reduction -------------------
+
+GOLDEN_FILES = {
+    "f.cnf": "p cnf 3 3\n1 0\n-1 2 0\n-2 3 1 -3 0\n",
+    "f3.cnf": "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n",
+    "unsat.cnf": "p cnf 1 2\n1 0\n-1 0\n",
+    "tri.g": "p 4 4\ne 1 2\ne 1 3\ne 2 3\ne 3 4\n",
+    "path.g": "p 3 2\ne 1 2\ne 2 3\n",
+    "sq.g": "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n",
+    "cyc.d": "pd 3 3\na 1 2\na 2 3\na 3 1\n",
+    "ec.json": '{"universe": [1, 2, 3], "family": [[1], [2, 3], [1, 2], [3]]}',
+    "sc.json": '{"universe": [1, 2, 3], "family": [[1, 2], [3], [1]], "k": 2}',
+    "rep.json": '{"universe": [1, 2, 3], "family": [[1, 2], [2, 3]]}',
+    "k01.json": '{"numbers": [1, 2, 3], "target": 4}',
+    "kd.json": '{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5, "goal": 7}',
+    "nums.txt": "1 2 3\n",
+    "m.txt": "0 1 2\n1 0 1\n2 1 0\n",
+    "ilp.json": '{"rows": [[1, 1]], "relations": ["=="], "rhs": [2], "bounds": [[0, 2], [0, 2]]}',
+}
+
+
+def golden_argv(tmp_path, call):
+    """Names in GOLDEN_FILES become paths; an inline JSON witness ([...] or
+    {...}) is written to a file of its own."""
+    argv = []
+    for i, tok in enumerate(call.split()):
+        if tok in GOLDEN_FILES:
+            (tmp_path / tok).write_text(GOLDEN_FILES[tok])
+            tok = str(tmp_path / tok)
+        elif tok[0] in "[{":
+            (tmp_path / f"w{i}.json").write_text(tok)
+            tok = str(tmp_path / f"w{i}.json")
+        argv.append(tok)
+    return argv
+
+
+# One source instance and one witness per reduction; both verify verdicts
+# per problem kind; the missing-parameter errors.  Each call runs with
+# --format json and --format text.
+GOLDEN_CALLS = [
+    *(
+        f"reduce {kind} {src} --{mode}"
+        for kind, src, witness in (
+            ("sat-3sat", "f.cnf", "[1,1,0]"),
+            ("sat-clique", "f.cnf", "[1,1,0]"),
+            ("3sat-coloring", "f3.cnf", "[1,1,0]"),
+            ("exactcover-knapsack", "ec.json", "[1,2]"),
+            ("vc-hamcircuit", "path.g --k 1", "[2]"),
+            ("clique-is", "tri.g --k 3", "[1,2,3]"),
+            ("is-vc", "tri.g --k 2", "[1,4]"),
+            ("coloring-exactcover", "path.g --k 2", '{"1":1,"2":2,"3":1}'),
+            ("exactcover-representatives", "ec.json", "[1,2]"),
+            ("knapsack-partition", "k01.json", "[1,0,1]"),
+            ("vc-setcover", "path.g --k 1", "[2]"),
+            ("hamcircuit-hamcycle", "cyc.d", "[1,2,3]"),
+            ("hamcycle-tsp", "sq.g", "[1,2,3,4]"),
+            ("knapsack-ilp", "k01.json", "[1,0,1]"),
+            ("setcover-ilp", "sc.json", "[1,2]"),
+            ("tsp-ilp", "m.txt --limit 4", "[1,2,3]"),
+        )
+        for mode in ("oracle", f"witness {witness}")
+    ),
+    "reduce sat-clique unsat.cnf --oracle",
+    "reduce clique-is tri.g --k 4 --oracle",
+    "reduce is-vc tri.g --k 2 --witness [1,2,3]",
+    *(
+        f"verify {kind} {src} {witness}"
+        for kind, src, accepted, rejected in (
+            ("sat", "f.cnf", "[1,1,0]", "[0,0,0]"),
+            ("3sat", "f3.cnf", "[1,1,0]", "[1,0,0]"),
+            ("clique", "tri.g --k 3", "[1,2,3]", "[2,3,4]"),
+            ("independent-set", "tri.g --k 2", "[1,4]", "[1,2]"),
+            ("vertex-cover", "path.g --k 1", "[2]", "[1]"),
+            ("coloring", "path.g --k 2", '{"1":1,"2":2,"3":1}', '{"1":1,"2":1,"3":1}'),
+            ("exact-cover", "ec.json", "[1,2]", "[1,3]"),
+            ("set-cover", "sc.json", "[1,2]", "[1]"),
+            ("representatives", "rep.json", "[2]", "[1,2]"),
+            ("knapsack01", "k01.json", "[1,0,1]", "[1,1,1]"),
+            ("knapsack-decision", "kd.json", "[1,1,0]", "[0,0,1]"),
+            ("partition", "nums.txt", "[3]", "[1]"),
+            ("ham-circuit", "cyc.d", "[1,2,3]", "[1,3,2]"),
+            ("ham-cycle", "sq.g", "[1,2,3,4]", "[1,3,2,4]"),
+            ("tsp", "m.txt --limit 4", "[1,2,3]", "[1,3,2,1]"),
+            ("ilp", "ilp.json", "[1,1]", "[0,1]"),
+        )
+        for witness in (accepted, rejected)
+    ),
+    "verify set-cover sc.json [1,2] --k 1",
+    "verify tsp m.txt [1,2,3] --limit 3",
+    "verify sat f.cnf [1]",
+    "verify clique tri.g [1,2,3]",
+    "reduce clique-is tri.g --oracle",
+    "verify tsp m.txt [1,2,3]",
+    "reduce tsp-ilp m.txt --oracle",
+    "verify ham-circuit sq.g [1,2,3,4]",
+    "reduce hamcircuit-hamcycle sq.g --oracle",
+    "verify set-cover ec.json [1,2]",
+    "verify no-such-kind tri.g [1]",
+]
+
+
+# (exit code, sha256 of stdout) per call and format.
+GOLDEN = {
+    "reduce sat-3sat f.cnf --oracle --format json": (0, "c5abb86d7e1a913ad0fa0d40f6c19d1e61b31e2e49bdd2a4603c7cb47b362c1a"),
+    "reduce sat-3sat f.cnf --oracle --format text": (0, "ff6b1ea91a6e3dc9eb7a904896a9e7a24d9fb56d84a3140ccf4aefae31489e11"),
+    "reduce sat-3sat f.cnf --witness [1,1,0] --format json": (0, "3bcc7a49d3210374e9fc0d973df377f7f7d6a9a4f55f65e981a7f598444ad75f"),
+    "reduce sat-3sat f.cnf --witness [1,1,0] --format text": (0, "2113a44979c57fa69fd2fb7d6907263f5a9923cc44763a6fcf5cd2aa4b8e6f14"),
+    "reduce sat-clique f.cnf --oracle --format json": (0, "bdc9cd1e561378c054db23f27056002b9cd83fd7c55639fe411b4f5038221d09"),
+    "reduce sat-clique f.cnf --oracle --format text": (0, "bb0708519622d3ff463b8f5bb5f32cadffc746ab7bd942952249bff0623f4491"),
+    "reduce sat-clique f.cnf --witness [1,1,0] --format json": (0, "75b0b89b76c58a4ba05833a74f4e1bf829b033e3c76aa22eba0682015cfaedb3"),
+    "reduce sat-clique f.cnf --witness [1,1,0] --format text": (0, "788005d12e4e060cd96e15efd95fe61ef5c2dca2d09c5364b85c9a5e9479450b"),
+    "reduce 3sat-coloring f3.cnf --oracle --format json": (0, "0f1e27c5d1aba94c138edb7f86ea09a0cfa4533cd23453cd4c956b5c62afab53"),
+    "reduce 3sat-coloring f3.cnf --oracle --format text": (0, "a9bf6752eba6b1813f514579c2d821f3b4195f4ec61500c68f3b1878c73cb4cc"),
+    "reduce 3sat-coloring f3.cnf --witness [1,1,0] --format json": (0, "bed18867160fe051d6479ee06043748571a14356ebb58b6ae27c618a050f3a21"),
+    "reduce 3sat-coloring f3.cnf --witness [1,1,0] --format text": (0, "a9273d0f50d757b8890ec796ce5cd97296e2f7319ca4f2570fad7fce19be9563"),
+    "reduce exactcover-knapsack ec.json --oracle --format json": (0, "599b878d3a224fe3699ee58e633245c31ca66f06be896e4f13c3eab18653eee5"),
+    "reduce exactcover-knapsack ec.json --oracle --format text": (0, "cac682b9d62aa63a0a9e9b48b24e38a986718f36a5e92ad3dee105fbbc28c1da"),
+    "reduce exactcover-knapsack ec.json --witness [1,2] --format json": (0, "876b26406b7998b5c9beaae51904e3d2e4fe02f2f21ea7ffe9529b90cd5d137f"),
+    "reduce exactcover-knapsack ec.json --witness [1,2] --format text": (0, "9fb6cfaed6eb4d6c28a6f6a2c6facd7abc98a5d19e50b380b0ba2f6290ef3f18"),
+    "reduce vc-hamcircuit path.g --k 1 --oracle --format json": (0, "6e2ba1b2cb213781ca3f4da496a0916a415c4fd839d1a1f5c4b17881b7f1e5c3"),
+    "reduce vc-hamcircuit path.g --k 1 --oracle --format text": (0, "619f688abf84ba800cf427caea3062c0c3a9713d1c282f956486f54e7981604d"),
+    "reduce vc-hamcircuit path.g --k 1 --witness [2] --format json": (0, "59419a992b053e01455f0ce04378f3b68fcbc75deedbd3d81677a6fbbe757a2b"),
+    "reduce vc-hamcircuit path.g --k 1 --witness [2] --format text": (0, "464b5adb20603da365c24a6ff112ed8531834ed093f462a8c8f1ab7b7e2227a5"),
+    "reduce clique-is tri.g --k 3 --oracle --format json": (0, "2c93d0fcdfbf9ccb056210fc0b13b4bef08a1f608d84b3222bab70f0abc6726b"),
+    "reduce clique-is tri.g --k 3 --oracle --format text": (0, "66b42d5a8a86986ab2e1dc8ae2b7a7ad4a631d0079733b9c0f5e4d3e657bf365"),
+    "reduce clique-is tri.g --k 3 --witness [1,2,3] --format json": (0, "da69659f36ff5b138841ad372cd7be9f1e40397e4b5f8d29abc9dd4bf4e51fe1"),
+    "reduce clique-is tri.g --k 3 --witness [1,2,3] --format text": (0, "14457be8a167e9909480850335a94f8b6d4c591cd4e7f88b104668e31df17e57"),
+    "reduce is-vc tri.g --k 2 --oracle --format json": (0, "e6fb005323fc2c329672e1fa752b3a06d1685a13b086b59af48d4271d873c1f4"),
+    "reduce is-vc tri.g --k 2 --oracle --format text": (0, "74eecc07dae8dd0928618eaff701a41fdcf9c7e764a500baca77fca8c7ed0c93"),
+    "reduce is-vc tri.g --k 2 --witness [1,4] --format json": (0, "f7b29be41a738b033e22f0dfc19e3b2fb78525b6ef5c7a8a46c634a4ecc65bae"),
+    "reduce is-vc tri.g --k 2 --witness [1,4] --format text": (0, "1352d31f1d2c7823a427a36c2c34366362ef8525bb917ffb9b6121a02f6bf24a"),
+    "reduce coloring-exactcover path.g --k 2 --oracle --format json": (0, "d89d4161da5ab622c1253ae30a71ca9efea66de9a063da1325d3e6dfe45d02cd"),
+    "reduce coloring-exactcover path.g --k 2 --oracle --format text": (0, "987c78f1bddefb566b4b4dfab182f2cbc709b07922ff6c7b966fc586678284ef"),
+    'reduce coloring-exactcover path.g --k 2 --witness {"1":1,"2":2,"3":1} --format json': (0, '0fa674c317bf7c048c7e457fb47f102819a72b03b05c2f4ba849e5a4918a6181'),
+    'reduce coloring-exactcover path.g --k 2 --witness {"1":1,"2":2,"3":1} --format text': (0, '3e072412489a4f84edd1aff64ed551fb3eabc861f07fc0e711e9ca6c4fe05ddf'),
+    "reduce exactcover-representatives ec.json --oracle --format json": (0, "7ad51fabfbc355c6db092b3b73b97d1bfc1588d4a4b05a78d9906e4978164bee"),
+    "reduce exactcover-representatives ec.json --oracle --format text": (0, "15cd2778a9721a75b66e9c6ae1e01a88c5fa15206498821eba8778d24ef5bbfb"),
+    "reduce exactcover-representatives ec.json --witness [1,2] --format json": (0, "01e95a318d1cd05d6dfd4ce3cf64a17e03a1d150d0f6b1aa0890709c84242fea"),
+    "reduce exactcover-representatives ec.json --witness [1,2] --format text": (0, "a8eec65aa3e3f22b4843d80be111cc8b7bfd775adf9d41eb52fb089963712c38"),
+    "reduce knapsack-partition k01.json --oracle --format json": (0, "b537fd6ecb0a6e620d6609161e781a50d2c667e9876308902e496d2e0694ff45"),
+    "reduce knapsack-partition k01.json --oracle --format text": (0, "f37ca2484face4871b3af4be965c71cdeaf637230759045272b31006620adbaa"),
+    "reduce knapsack-partition k01.json --witness [1,0,1] --format json": (0, "74e6783d70495ab95d90228b999b7bd474ae4dfd1d4d9f7e2d56e096cc4d5298"),
+    "reduce knapsack-partition k01.json --witness [1,0,1] --format text": (0, "9d49a1399a5878839c30f36b7a445c7065522b474288f0d3bc02f98ab964c278"),
+    "reduce vc-setcover path.g --k 1 --oracle --format json": (0, "9e738b38d64de2f379ba84d9f4f935e74a467eee1706bc3dafc24dae343b0ddf"),
+    "reduce vc-setcover path.g --k 1 --oracle --format text": (0, "d98a0a8c074a0c4a926bc83a35471465942d6d69e43b82d617160e0edd39031d"),
+    "reduce vc-setcover path.g --k 1 --witness [2] --format json": (0, "2ac87e59877a32e7baa71236b15e8d38bf36418e6babdfae8378151ea0a1d9a4"),
+    "reduce vc-setcover path.g --k 1 --witness [2] --format text": (0, "3d82395aa6881b14b5d828571af1918e2e38acf92b2f6c72a4ce4596dd6aabfc"),
+    "reduce hamcircuit-hamcycle cyc.d --oracle --format json": (0, "6238b689c0603496dc8fc9d46b29eb2f875f42580a17a0a8e0f2baee377f3ee9"),
+    "reduce hamcircuit-hamcycle cyc.d --oracle --format text": (0, "30d06bea31af5c006694a5d823cfdaf7346f3660b61d9d136b77447754cc400c"),
+    "reduce hamcircuit-hamcycle cyc.d --witness [1,2,3] --format json": (0, "c486cf0bc7f90f99ce4765af09fee935a92fdc966dea419ff14b07b097bb303e"),
+    "reduce hamcircuit-hamcycle cyc.d --witness [1,2,3] --format text": (0, "393cf63b89043ad2023e38fe485aa8f0f411cfb37ade0d77d41ff48764b454bc"),
+    "reduce hamcycle-tsp sq.g --oracle --format json": (0, "f0b651955f433f36089c2261bcfb1eb4990405ff40e82bf2792b52bcead52d0f"),
+    "reduce hamcycle-tsp sq.g --oracle --format text": (0, "ea100d30ed761395929936e5901d51cfca82d1242f9cb64daca13ddebf6f792e"),
+    "reduce hamcycle-tsp sq.g --witness [1,2,3,4] --format json": (0, "75333340eb0089772a6df892988087a1e077e8b4424afe88c66d5467fd70c7a5"),
+    "reduce hamcycle-tsp sq.g --witness [1,2,3,4] --format text": (0, "b0422caa1db584d8fe8d6525914f547fe4ad58ffc19360ece35c04a3b3a73922"),
+    "reduce knapsack-ilp k01.json --oracle --format json": (0, "0dee3b878f3e833e9cc4d7471bd6e1d5b178db5ea5ad1c38c833f51f82fd495e"),
+    "reduce knapsack-ilp k01.json --oracle --format text": (0, "ae9d508588c18d848bfcf1912ee5c7d12b7c14edbecfbd270b4e76d932559aa5"),
+    "reduce knapsack-ilp k01.json --witness [1,0,1] --format json": (0, "ba017170522b9d0d54036533f46fd6b04de077ee433623864a7d8571ef1d61a6"),
+    "reduce knapsack-ilp k01.json --witness [1,0,1] --format text": (0, "e2db08edb2f257c3896cd4eb102cd5152c53462d1d9e83c83b7c78ea31d492d2"),
+    "reduce setcover-ilp sc.json --oracle --format json": (0, "24598f85c7a513b6d2d715daf690315d59bdf70f2c3932b198a16997d11db5cd"),
+    "reduce setcover-ilp sc.json --oracle --format text": (0, "6469b840c8b4c4792ad5507033c3e895bf03a9b7928b30bb0287a0f5a92579af"),
+    "reduce setcover-ilp sc.json --witness [1,2] --format json": (0, "1d723f0753a33adaee6adf8066fed3cba95c5c68c6292b95a5748359e0203216"),
+    "reduce setcover-ilp sc.json --witness [1,2] --format text": (0, "62ec4b4076ced9fae30a41215ab0c64f043597e0bddbf341af04c624b2b58056"),
+    "reduce tsp-ilp m.txt --limit 4 --oracle --format json": (0, "0c5fbbd4fc3c6ecf6280a2edc4ae5c5c43627f0fc23122f07d7cd57e41334657"),
+    "reduce tsp-ilp m.txt --limit 4 --oracle --format text": (0, "8b5e4d09aa33c69cbf05c1be76bda3a624165501955b3b383d9e9c2ac945c415"),
+    "reduce tsp-ilp m.txt --limit 4 --witness [1,2,3] --format json": (0, "43f0bc814e54590a9105bde69787b26f2b27d87ed59af0028ee03ad13763a4f0"),
+    "reduce tsp-ilp m.txt --limit 4 --witness [1,2,3] --format text": (0, "7fe13d5dc21fa1dd57ecf3cc4468ed3234b8ba19f7902ad671c2b4e1c7a015c9"),
+    "reduce sat-clique unsat.cnf --oracle --format json": (0, "db7ad0ecafcd714866e214ced0202fcb095a34a18d213a5a291840def0b9a3d6"),
+    "reduce sat-clique unsat.cnf --oracle --format text": (0, "78bcc6e2b25dea3156d556233dce66ac939066b6f5ee7e44ecde6007985a8660"),
+    "reduce clique-is tri.g --k 4 --oracle --format json": (0, "887f249df60feef8a380f4637c8f218cc84c2180fb3e252f6223fe8440764f81"),
+    "reduce clique-is tri.g --k 4 --oracle --format text": (0, "e2bea55debb825d78b844147731996a711b6684174c668dd3dedcd3dd3cdbb51"),
+    "reduce is-vc tri.g --k 2 --witness [1,2,3] --format json": (0, "6da3e26e02d17ac72d6c6f430f375ee04b013218d8fa68e900d0ab9424f237c7"),
+    "reduce is-vc tri.g --k 2 --witness [1,2,3] --format text": (0, "772f34d66e926bf6082f9293cd86cb56b091a236da66a26f1437735981cbfbc2"),
+    "verify sat f.cnf [1,1,0] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify sat f.cnf [1,1,0] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify sat f.cnf [0,0,0] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify sat f.cnf [0,0,0] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify 3sat f3.cnf [1,1,0] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify 3sat f3.cnf [1,1,0] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify 3sat f3.cnf [1,0,0] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify 3sat f3.cnf [1,0,0] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify clique tri.g --k 3 [1,2,3] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify clique tri.g --k 3 [1,2,3] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify clique tri.g --k 3 [2,3,4] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify clique tri.g --k 3 [2,3,4] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify independent-set tri.g --k 2 [1,4] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify independent-set tri.g --k 2 [1,4] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify independent-set tri.g --k 2 [1,2] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify independent-set tri.g --k 2 [1,2] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify vertex-cover path.g --k 1 [2] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify vertex-cover path.g --k 1 [2] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify vertex-cover path.g --k 1 [1] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify vertex-cover path.g --k 1 [1] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    'verify coloring path.g --k 2 {"1":1,"2":2,"3":1} --format json': (0, 'ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee'),
+    'verify coloring path.g --k 2 {"1":1,"2":2,"3":1} --format text': (0, 'ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc'),
+    'verify coloring path.g --k 2 {"1":1,"2":1,"3":1} --format json': (1, '3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3'),
+    'verify coloring path.g --k 2 {"1":1,"2":1,"3":1} --format text': (1, '1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39'),
+    "verify exact-cover ec.json [1,2] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify exact-cover ec.json [1,2] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify exact-cover ec.json [1,3] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify exact-cover ec.json [1,3] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify set-cover sc.json [1,2] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify set-cover sc.json [1,2] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify set-cover sc.json [1] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify set-cover sc.json [1] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify representatives rep.json [2] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify representatives rep.json [2] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify representatives rep.json [1,2] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify representatives rep.json [1,2] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify knapsack01 k01.json [1,0,1] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify knapsack01 k01.json [1,0,1] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify knapsack01 k01.json [1,1,1] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify knapsack01 k01.json [1,1,1] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify knapsack-decision kd.json [1,1,0] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify knapsack-decision kd.json [1,1,0] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify knapsack-decision kd.json [0,0,1] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify knapsack-decision kd.json [0,0,1] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify partition nums.txt [3] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify partition nums.txt [3] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify partition nums.txt [1] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify partition nums.txt [1] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify ham-circuit cyc.d [1,2,3] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify ham-circuit cyc.d [1,2,3] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify ham-circuit cyc.d [1,3,2] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify ham-circuit cyc.d [1,3,2] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify ham-cycle sq.g [1,2,3,4] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify ham-cycle sq.g [1,2,3,4] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify ham-cycle sq.g [1,3,2,4] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify ham-cycle sq.g [1,3,2,4] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify tsp m.txt --limit 4 [1,2,3] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify tsp m.txt --limit 4 [1,2,3] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify tsp m.txt --limit 4 [1,3,2,1] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify tsp m.txt --limit 4 [1,3,2,1] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify ilp ilp.json [1,1] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify ilp ilp.json [1,1] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
+    "verify ilp ilp.json [0,1] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify ilp ilp.json [0,1] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify set-cover sc.json [1,2] --k 1 --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify set-cover sc.json [1,2] --k 1 --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify tsp m.txt [1,2,3] --limit 3 --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
+    "verify tsp m.txt [1,2,3] --limit 3 --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify sat f.cnf [1] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify sat f.cnf [1] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify clique tri.g [1,2,3] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify clique tri.g [1,2,3] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reduce clique-is tri.g --oracle --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reduce clique-is tri.g --oracle --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify tsp m.txt [1,2,3] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify tsp m.txt [1,2,3] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reduce tsp-ilp m.txt --oracle --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reduce tsp-ilp m.txt --oracle --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify ham-circuit sq.g [1,2,3,4] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify ham-circuit sq.g [1,2,3,4] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reduce hamcircuit-hamcycle sq.g --oracle --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reduce hamcircuit-hamcycle sq.g --oracle --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify set-cover ec.json [1,2] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify set-cover ec.json [1,2] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify no-such-kind tri.g [1] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify no-such-kind tri.g [1] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+# Exact-cover search breaks ties in set iteration order, and the coloring
+# gadget's elements are string-tagged tuples, whose order follows the hash
+# seed; this call is pinned under PYTHONHASHSEED=0 in a child process.
+HASH_SEEDED = "reduce coloring-exactcover path.g --k 2 --oracle"
+
+
+@pytest.mark.parametrize("call", sorted(GOLDEN))
+def test_golden_outputs(tmp_path, capsys, call):
+    argv = golden_argv(tmp_path, call)
+    if call.startswith(HASH_SEEDED):
+        src = str(Path(combinlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "combinlab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, out = proc.returncode, proc.stdout
+    else:
+        code, out, _ = run(capsys, argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[call]
+
+
+def test_golden_covers_each_call_in_both_formats():
+    assert sorted(GOLDEN) == sorted(
+        f"{call} --format {fmt}" for call in GOLDEN_CALLS for fmt in ("json", "text")
+    )

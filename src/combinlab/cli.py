@@ -65,24 +65,6 @@ def _json_default(x):
     raise TypeError(f"cannot encode {type(x)!r}")
 
 
-def _numbers_from_text(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise CliInputError(f"bad number list: {exc}") from exc
-
-
-def _matrix_from_text(text: str):
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    try:
-        matrix = [[int(tok) if "/" not in tok else Fraction(tok) for tok in row] for row in rows]
-    except ValueError as exc:
-        raise CliInputError(f"bad matrix: {exc}") from exc
-    if any(len(r) != len(matrix) for r in matrix):
-        raise CliInputError("matrix must be square")
-    return matrix
-
-
 def _graph(path: str):
     try:
         return gc.parse_graph_text(_read(path))
@@ -210,7 +192,7 @@ def cmd_solve(args) -> int:
         _emit({"value": value, "plan": plan}, fmt)
         return OK
     if problem == "chain":
-        dims = _numbers_from_text(_read(args.file))
+        dims = cx.parse_numbers(_read(args.file))
         cost, expr, _ = dp.matrix_chain(dims)
         _emit({"cost": cost, "parenthesization": expr}, fmt)
         return OK
@@ -235,7 +217,7 @@ _SORTERS = {
 
 
 def cmd_sort(args) -> int:
-    items = _numbers_from_text(_read(args.file))
+    items = cx.parse_numbers(_read(args.file))
     if len(items) != len(set(items)):
         raise CliInputError("sort input keys must be pairwise distinct")
     cmp = counting_comparator(items)
@@ -255,7 +237,7 @@ def cmd_sort(args) -> int:
 
 
 def cmd_select(args) -> int:
-    items = _numbers_from_text(_read(args.file))
+    items = cx.parse_numbers(_read(args.file))
     if len(items) != len(set(items)):
         raise CliInputError("select input keys must be pairwise distinct")
     if not 1 <= args.t <= len(items):
@@ -273,171 +255,12 @@ def cmd_select(args) -> int:
 # --- reduce / verify ------------------------------------------------------------
 
 
-def _set_system_from_json(text: str):
-    data = json.loads(text)
-    universe = tuple(data["universe"])
-    family = tuple(frozenset(s) for s in data["family"])
-    return universe, family, data.get("k")
-
-
-def _load_problem(kind: str, path: str, args):
-    if kind in ("sat", "3sat"):
-        f = cx.parse_dimacs(_read(path))
-        return cx.Sat(f) if kind == "sat" else cx.ThreeSat(f)
-    if kind in ("clique", "independent-set", "vertex-cover", "coloring"):
-        g = _graph(path)
-        if args.k is None:
-            raise CliInputError(f"{kind} needs --k")
-        cls = {
-            "clique": cx.Clique,
-            "independent-set": cx.IndependentSet,
-            "vertex-cover": cx.VertexCover,
-            "coloring": cx.Coloring,
-        }[kind]
-        return cls(g, args.k)
-    if kind in ("exact-cover", "set-cover", "representatives"):
-        universe, family, k = _set_system_from_json(_read(path))
-        if kind == "exact-cover":
-            return cx.ExactCover(universe, family)
-        if kind == "representatives":
-            return cx.Representatives(universe, family)
-        if k is None and args.k is None:
-            raise CliInputError("set-cover needs k")
-        return cx.SetCover(universe, family, args.k if args.k is not None else k)
-    if kind == "knapsack01":
-        data = json.loads(_read(path))
-        return cx.Knapsack01(tuple(data["numbers"]), int(data["target"]))
-    if kind == "knapsack-decision":
-        data = json.loads(_read(path))
-        return cx.KnapsackDecision(
-            tuple(data["values"]),
-            tuple(data["volumes"]),
-            int(data["capacity"]),
-            int(data["goal"]),
-        )
-    if kind == "partition":
-        return cx.Partition(tuple(_numbers_from_text(_read(path))))
-    if kind in ("ham-circuit", "ham-cycle"):
-        g = _graph(path)
-        if kind == "ham-circuit":
-            if not isinstance(g, gc.Digraph):
-                raise CliInputError("ham-circuit needs a digraph")
-            return cx.HamCircuit(g)
-        return cx.HamCycle(g)
-    if kind == "tsp":
-        matrix = _matrix_from_text(_read(path))
-        if args.limit is None:
-            raise CliInputError("tsp needs --limit")
-        return cx.Tsp(tuple(tuple(r) for r in matrix), args.limit)
-    if kind == "ilp":
-        data = json.loads(_read(path))
-        return cx.Ilp(
-            tuple(tuple(r) for r in data["rows"]),
-            tuple(data["relations"]),
-            tuple(data["rhs"]),
-            tuple(tuple(b) for b in data["bounds"]),
-        )
-    raise CliInputError(f"unknown problem kind {kind!r}")
-
-
-def _describe_instance(problem):
-    if isinstance(problem, (cx.Sat, cx.ThreeSat)):
-        return {"dimacs": cx.format_dimacs(problem.formula)}
-    if isinstance(problem, (cx.Clique, cx.IndependentSet, cx.VertexCover, cx.Coloring)):
-        return {"graph": gc.format_graph_text(problem.graph), "k": problem.k}
-    if isinstance(problem, cx.ExactCover):
-        return {
-            "universe": [str(a) for a in problem.universe],
-            "family": [sorted(str(a) for a in s) for s in problem.family],
-        }
-    if isinstance(problem, cx.Representatives):
-        return {
-            "universe": [str(a) for a in problem.universe],
-            "family": [sorted(str(a) for a in s) for s in problem.family],
-        }
-    if isinstance(problem, cx.SetCover):
-        return {
-            "universe": [str(a) for a in problem.universe],
-            "family": [sorted(str(a) for a in s) for s in problem.family],
-            "k": problem.k,
-        }
-    if isinstance(problem, cx.Knapsack01):
-        return {"numbers": list(problem.numbers), "target": problem.target}
-    if isinstance(problem, cx.Partition):
-        return {"numbers": list(problem.numbers)}
-    if isinstance(problem, cx.HamCircuit):
-        return {"digraph": gc.format_graph_text(problem.digraph)}
-    if isinstance(problem, cx.HamCycle):
-        return {"graph": gc.format_graph_text(problem.graph)}
-    if isinstance(problem, cx.Tsp):
-        return {"matrix": [list(r) for r in problem.matrix], "limit": problem.limit}
-    if isinstance(problem, cx.Ilp):
-        return {
-            "rows": [list(r) for r in problem.rows],
-            "relations": list(problem.relations),
-            "rhs": list(problem.rhs),
-            "bounds": [list(b) for b in problem.bounds],
-        }
-    return {"repr": repr(problem)}
-
-
-_REDUCTIONS = {
-    "sat-3sat": ("sat", lambda p: cx.sat_to_3sat(p.formula)),
-    "sat-clique": ("sat", lambda p: cx.sat_to_clique(p.formula)),
-    "3sat-coloring": ("3sat", lambda p: cx.threesat_to_coloring(p.formula)),
-    "exactcover-knapsack": ("exact-cover", cx.exact_cover_to_knapsack01),
-    "vc-hamcircuit": ("vertex-cover", cx.vc_to_ham_circuit),
-    "clique-is": ("clique", lambda p: cx.apply_simple_reduction("CliqueToIS", p)),
-    "is-vc": (
-        "independent-set",
-        lambda p: cx.apply_simple_reduction("ISToVC", p),
-    ),
-    "coloring-exactcover": (
-        "coloring",
-        lambda p: cx.apply_simple_reduction("ColoringToExactCover", p),
-    ),
-    "exactcover-representatives": (
-        "exact-cover",
-        lambda p: cx.apply_simple_reduction("ExactCoverToRepresentatives", p),
-    ),
-    "knapsack-partition": (
-        "knapsack01",
-        lambda p: cx.apply_simple_reduction("Knapsack01ToPartition", p),
-    ),
-    "vc-setcover": (
-        "vertex-cover",
-        lambda p: cx.apply_simple_reduction("VCToSetCover", p),
-    ),
-    "hamcircuit-hamcycle": (
-        "ham-circuit",
-        lambda p: cx.apply_simple_reduction("HamCircuitToHamCycle", p),
-    ),
-    "hamcycle-tsp": (
-        "ham-cycle",
-        lambda p: cx.apply_simple_reduction("HamCycleToTsp", p),
-    ),
-    "knapsack-ilp": (
-        "knapsack01",
-        lambda p: cx.apply_simple_reduction("Knapsack01ToIlp", p),
-    ),
-    "setcover-ilp": (
-        "set-cover",
-        lambda p: cx.apply_simple_reduction("SetCoverToIlp", p),
-    ),
-    "tsp-ilp": ("tsp", lambda p: cx.apply_simple_reduction("TspToIlp", p)),
-}
-
-
 def cmd_reduce(args) -> int:
-    if args.kind not in _REDUCTIONS:
-        raise CliInputError(f"unknown reduction kind {args.kind!r}")
-    source_kind, run = _REDUCTIONS[args.kind]
-    problem = _load_problem(source_kind, args.file, args)
-    red = run(problem)
-    payload = {"kind": args.kind, "target": _describe_instance(red.target)}
+    _, source, run = cx.REDUCTIONS[args.kind]
+    red = run(source.load(_read(args.file), args.k, args.limit))
+    payload = {"kind": args.kind, "target": red.target.describe()}
     if args.witness:
-        w = json.loads(_read(args.witness))
-        w = _coerce_witness(red.source, w)
+        w = red.source.witness(json.loads(_read(args.witness)))
         moved = red.forward(w)
         payload["witness"] = {
             "source": _encode_witness(w),
@@ -470,26 +293,6 @@ def cmd_reduce(args) -> int:
     return OK
 
 
-def _coerce_witness(problem, w):
-    if isinstance(problem, cx.Coloring):
-        return {int(k): v for k, v in w.items()} if isinstance(w, dict) else w
-    if isinstance(
-        problem,
-        (
-            cx.Clique,
-            cx.IndependentSet,
-            cx.VertexCover,
-            cx.ExactCover,
-            cx.SetCover,
-            cx.Partition,
-        ),
-    ):
-        return set(w) if isinstance(w, list) else w
-    if isinstance(problem, cx.Representatives):
-        return set(w) if isinstance(w, list) else w
-    return w
-
-
 def _encode_witness(w):
     if isinstance(w, (set, frozenset)):
         return sorted(w)
@@ -499,8 +302,10 @@ def _encode_witness(w):
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args.problem, args.instance, args)
-    w = _coerce_witness(problem, json.loads(_read(args.witness)))
+    if args.problem not in cx.PROBLEMS:
+        raise CliInputError(f"unknown problem kind {args.problem!r}")
+    problem = cx.PROBLEMS[args.problem].load(_read(args.instance), args.k, args.limit)
+    w = problem.witness(json.loads(_read(args.witness)))
     try:
         accepted = cx.verify_witness(problem, w)
     except cx.WitnessFormatError as exc:
@@ -564,7 +369,7 @@ def cmd_approx(args) -> int:
         _emit(payload, fmt)
         return OK
     if algo == "setcover":
-        universe, family, k = _set_system_from_json(_read(args.file))
+        universe, family, k = cx.parse_set_system(_read(args.file))
         chosen = ax.set_cover_greedy(universe, family)
         opt = ax.set_cover_optimum(universe, family) if args.oracle else None
         biggest = max((len(s) for s in family), default=0)
@@ -583,7 +388,7 @@ def cmd_approx(args) -> int:
         _emit(payload, fmt)
         return OK
     if algo in ("tsp-doubletree", "tsp-christofides"):
-        matrix = _matrix_from_text(_read(args.file))
+        matrix = cx.parse_matrix(_read(args.file))
         inst = ax.MetricTspInstance(matrix)
         fn = ax.tsp_double_tree if algo == "tsp-doubletree" else ax.tsp_christofides
         tour = fn(inst)
@@ -862,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("reduce", help="compile an instance into another problem")
-    p.add_argument("kind", choices=sorted(_REDUCTIONS))
+    p.add_argument("kind", choices=sorted(cx.REDUCTIONS))
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--limit", type=int, default=None)

@@ -14,9 +14,16 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
-from .graph_core import Digraph, Graph, scc_kosaraju
+from .graph_core import (
+    Digraph,
+    Graph,
+    format_graph_text,
+    parse_graph_text,
+    scc_kosaraju,
+)
 
 
 class WitnessFormatError(ValueError):
@@ -93,17 +100,92 @@ def format_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- problem instances ----------------------------------------------------
+def parse_numbers(text: str) -> list[int]:
+    """Whitespace-separated integers."""
+    try:
+        return [int(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"bad number list: {exc}") from None
+
+
+def parse_matrix(text: str) -> list[list]:
+    """Square whitespace grid of integers and p/q rationals."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    try:
+        matrix = [[int(tok) if "/" not in tok else Fraction(tok) for tok in row] for row in rows]
+    except ValueError as exc:
+        raise ValueError(f"bad matrix: {exc}") from None
+    if any(len(r) != len(matrix) for r in matrix):
+        raise ValueError("matrix must be square")
+    return matrix
+
+
+def parse_set_system(text: str):
+    """(universe, family, k or None) from {"universe", "family", "k"} JSON."""
+    data = json.loads(text)
+    universe = tuple(data["universe"])
+    family = tuple(frozenset(s) for s in data["family"])
+    return universe, family, data.get("k")
+
+
+# --- problems ---------------------------------------------------------------
+
+
+PROBLEMS: dict[str, type] = {}  # CLI kind -> problem class
+
+
+class Problem:
+    """One NP decision problem.  A subclass holds all of its problem's facts:
+    `kind`, its CLI name; load(text, k, limit), from an instance file and
+    the CLI's --k / --limit; describe(); witness(json_value), the decoder;
+    verify(w), which raises WitnessFormatError on a malformed witness; and
+    search(), the first verifying witness or None."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            PROBLEMS[cls.kind] = cls
+
+    def witness(self, w):
+        return w
+
+
+class _SetWitness(Problem):
+    def witness(self, w):  # JSON lists arrive as sets
+        return set(w) if isinstance(w, list) else w
 
 
 @dataclass(frozen=True)
-class Sat:
+class _Cnf(Problem):
     formula: CnfFormula
+
+    @classmethod
+    def load(cls, text, k, limit):
+        return cls(parse_dimacs(text))
+
+    def describe(self):
+        return {"dimacs": format_dimacs(self.formula)}
+
+    def verify(self, w):
+        return self.formula.evaluate(_as_assignment(w, self.formula.num_vars))
+
+    def search(self):
+        f = self.formula
+        _within_cap(f.num_vars, "bool_vars")
+        for bits in itertools.product([False, True], repeat=f.num_vars):
+            if f.evaluate(list(bits)):
+                return list(bits)
+        return None
 
 
 @dataclass(frozen=True)
-class ThreeSat:
-    formula: CnfFormula
+class Sat(_Cnf):
+    kind = "sat"
+
+
+@dataclass(frozen=True)
+class ThreeSat(_Cnf):
+    kind = "3sat"
 
     def __post_init__(self):
         if not self.formula.is_three_cnf:
@@ -111,88 +193,332 @@ class ThreeSat:
 
 
 @dataclass(frozen=True)
-class Clique:
+class _GraphK(_SetWitness):
     graph: Graph
     k: int
 
+    @classmethod
+    def load(cls, text, k, limit):
+        if k is None:
+            raise ValueError(f"{cls.kind} needs --k")
+        return cls(parse_graph_text(text), k)
 
-@dataclass(frozen=True)
-class IndependentSet:
-    graph: Graph
-    k: int
+    def describe(self):
+        return {"graph": format_graph_text(self.graph), "k": self.k}
 
-
-@dataclass(frozen=True)
-class VertexCover:
-    graph: Graph
-    k: int
-
-
-@dataclass(frozen=True)
-class Coloring:
-    graph: Graph
-    k: int
+    def search(self):
+        """Clique and independent set: the k-vertex subsets in order."""
+        _within_cap(self.graph.n, "vertices")
+        return _first_verified(self, range(1, self.graph.n + 1), [self.k])
 
 
 @dataclass(frozen=True)
-class ExactCover:
+class Clique(_GraphK):
+    kind = "clique"
+
+    def verify(self, w):
+        vs = _as_vertex_set(w, self.graph.n)
+        if len(vs) < self.k:
+            return False
+        return all(
+            self.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
+        )
+
+
+@dataclass(frozen=True)
+class IndependentSet(_GraphK):
+    kind = "independent-set"
+
+    def verify(self, w):
+        vs = _as_vertex_set(w, self.graph.n)
+        if len(vs) < self.k:
+            return False
+        return not any(
+            self.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
+        )
+
+
+@dataclass(frozen=True)
+class VertexCover(_GraphK):
+    kind = "vertex-cover"
+
+    def verify(self, w):
+        vs = _as_vertex_set(w, self.graph.n)
+        if len(vs) > self.k:
+            return False
+        return all(u in vs or v in vs for u, v in self.graph.edges)
+
+    def search(self):
+        n = self.graph.n
+        _within_cap(n, "vertices")
+        return _first_verified(self, range(1, n + 1), range(min(self.k, n) + 1))
+
+
+@dataclass(frozen=True)
+class Coloring(_GraphK):
+    kind = "coloring"
+
+    def witness(self, w):
+        return {int(k): v for k, v in w.items()} if isinstance(w, dict) else w
+
+    def verify(self, w):
+        g, k = self.graph, self.k
+        if not isinstance(w, dict) or set(w) != set(range(1, g.n + 1)):
+            raise WitnessFormatError("coloring must map every vertex")
+        if not all(isinstance(c, int) and 1 <= c <= k for c in w.values()):
+            return False
+        return all(w[u] != w[v] for u, v in g.edges)
+
+    def search(self):
+        g, k = self.graph, self.k
+        _within_cap(g.n, "coloring_vertices")
+        if k < 1:
+            return None if g.n else {}
+        # Colour high-degree vertices first: prunes dramatically better.
+        order = sorted(range(1, g.n + 1), key=lambda v: (-g.degree(v), v))
+        coloring: dict[int, int] = {}
+
+        def extend(pos: int):
+            if pos == len(order):
+                return dict(coloring)
+            v = order[pos]
+            used = {coloring[w] for w in g.neighbors(v) if w in coloring}
+            for c in range(1, k + 1):
+                if c not in used:
+                    coloring[v] = c
+                    found = extend(pos + 1)
+                    if found:
+                        return found
+                    del coloring[v]
+            return None
+
+        return extend(0)
+
+
+@dataclass(frozen=True)
+class _SetFamily(_SetWitness):
     universe: tuple
     family: tuple[frozenset, ...]
+
+    @classmethod
+    def load(cls, text, k, limit):
+        universe, family, _ = parse_set_system(text)
+        return cls(universe, family)
+
+    def describe(self):
+        return {
+            "universe": [str(a) for a in self.universe],
+            "family": [sorted(str(a) for a in s) for s in self.family],
+        }
+
+
+@dataclass(frozen=True)
+class ExactCover(_SetFamily):
+    kind = "exact-cover"
 
     def __post_init__(self):
         cover = set().union(*self.family) if self.family else set()
         if set(self.universe) != cover:
             raise ValueError("family must cover the universe exactly")
 
+    def verify(self, w):
+        covered: list = []
+        for i in _indices(w, len(self.family)):
+            covered.extend(self.family[i - 1])
+        return len(covered) == len(set(covered)) and set(covered) == set(self.universe)
+
+    def search(self):
+        _within_cap(len(self.family), "exact_cover_sets")
+        containing: dict = {}
+        for idx, s in enumerate(self.family, start=1):
+            for a in s:
+                containing.setdefault(a, []).append(idx)
+        chosen: list[int] = []
+
+        def extend(uncovered: frozenset):
+            if not uncovered:
+                return set(chosen)
+            a = min(uncovered, key=lambda x: len(containing.get(x, ())))
+            for idx in containing.get(a, ()):
+                s = self.family[idx - 1]
+                if s <= uncovered:
+                    chosen.append(idx)
+                    found = extend(uncovered - s)
+                    if found is not None:
+                        return found
+                    chosen.pop()
+            return None
+
+        return extend(frozenset(self.universe))
+
 
 @dataclass(frozen=True)
-class Representatives:
-    universe: tuple
-    family: tuple[frozenset, ...]
+class Representatives(_SetFamily):
+    kind = "representatives"
+
+    def verify(self, w):
+        if not isinstance(w, (set, frozenset, list, tuple)):
+            raise WitnessFormatError("expected an element collection")
+        ws = set(w)
+        if ws - set(self.universe):
+            raise WitnessFormatError("representative outside the universe")
+        return all(len(ws & s) == 1 for s in self.family)
+
+    def search(self):
+        _within_cap(len(self.universe), "elements")
+        return _first_verified(self, self.universe, range(len(self.universe) + 1))
 
 
 @dataclass(frozen=True)
-class SetCover:
-    universe: tuple
-    family: tuple[frozenset, ...]
+class SetCover(_SetFamily):
+    kind = "set-cover"
     k: int
 
     def __post_init__(self):
         if set(self.universe) - (set().union(*self.family) if self.family else set()):
             raise ValueError("family does not cover the universe")
 
+    @classmethod
+    def load(cls, text, k, limit):
+        universe, family, file_k = parse_set_system(text)
+        if k is None and file_k is None:
+            raise ValueError("set-cover needs k")
+        return cls(universe, family, k if k is not None else file_k)
+
+    def describe(self):
+        return {**super().describe(), "k": self.k}
+
+    def verify(self, w):
+        idxs = _indices(w, len(self.family))
+        if len(idxs) > self.k:
+            return False
+        covered = set().union(*(self.family[i - 1] for i in idxs)) if idxs else set()
+        return covered == set(self.universe)
+
+    def search(self):
+        m = len(self.family)
+        _within_cap(max(m, len(self.universe)), "elements")
+        return _first_verified(self, range(1, m + 1), range(min(self.k, m) + 1))
+
 
 @dataclass(frozen=True)
-class Knapsack01:
+class Knapsack01(Problem):
+    kind = "knapsack01"
     numbers: tuple[int, ...]
     target: int
 
+    @classmethod
+    def load(cls, text, k, limit):
+        data = json.loads(text)
+        return cls(tuple(data["numbers"]), int(data["target"]))
+
+    def describe(self):
+        return {"numbers": list(self.numbers), "target": self.target}
+
+    def verify(self, w):
+        x = _as_assignment(w, len(self.numbers))
+        return sum(a for a, xi in zip(self.numbers, x) if xi) == self.target
+
+    def search(self):
+        return _first_bits(self, len(self.numbers))
+
 
 @dataclass(frozen=True)
-class KnapsackDecision:
+class KnapsackDecision(Problem):
+    kind = "knapsack-decision"
     values: tuple[int, ...]
     volumes: tuple[int, ...]
     capacity: int
     goal: int
 
+    @classmethod
+    def load(cls, text, k, limit):
+        data = json.loads(text)
+        return cls(
+            tuple(data["values"]),
+            tuple(data["volumes"]),
+            int(data["capacity"]),
+            int(data["goal"]),
+        )
+
+    def verify(self, w):
+        x = _as_assignment(w, len(self.values))
+        vol = sum(v for v, xi in zip(self.volumes, x) if xi)
+        val = sum(c for c, xi in zip(self.values, x) if xi)
+        return vol <= self.capacity and val >= self.goal
+
+    def search(self):
+        return _first_bits(self, len(self.values))
+
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(_SetWitness):
+    kind = "partition"
     numbers: tuple[int, ...]
 
+    @classmethod
+    def load(cls, text, k, limit):
+        return cls(tuple(parse_numbers(text)))
+
+    def describe(self):
+        return {"numbers": list(self.numbers)}
+
+    def verify(self, w):
+        inside = sum(self.numbers[i - 1] for i in _indices(w, len(self.numbers)))
+        return 2 * inside == sum(self.numbers)
+
+    def search(self):
+        n = len(self.numbers)
+        _within_cap(n, "bool_vars")
+        return _first_verified(self, range(1, n + 1), range(n + 1))
+
 
 @dataclass(frozen=True)
-class HamCircuit:
+class HamCircuit(Problem):
+    kind = "ham-circuit"
     digraph: Digraph
 
+    @classmethod
+    def load(cls, text, k, limit):
+        g = parse_graph_text(text)
+        if not isinstance(g, Digraph):
+            raise ValueError("ham-circuit needs a digraph")
+        return cls(g)
+
+    def describe(self):
+        return {"digraph": format_graph_text(self.digraph)}
+
+    def verify(self, w):
+        return _check_ham_sequence(w, self.digraph)
+
+    def search(self):
+        _within_cap(self.digraph.n, "ham_vertices")
+        return _ham_backtrack(self.digraph)
+
 
 @dataclass(frozen=True)
-class HamCycle:
+class HamCycle(Problem):
+    kind = "ham-cycle"
     graph: Graph
 
+    @classmethod
+    def load(cls, text, k, limit):
+        return cls(parse_graph_text(text))
+
+    def describe(self):
+        return {"graph": format_graph_text(self.graph)}
+
+    def verify(self, w):
+        return _check_ham_sequence(w, self.graph)
+
+    def search(self):
+        _within_cap(self.graph.n, "ham_vertices")
+        return _ham_backtrack(self.graph)
+
 
 @dataclass(frozen=True)
-class Tsp:
+class Tsp(Problem):
+    kind = "tsp"
     matrix: tuple[tuple[object, ...], ...]
     limit: object
 
@@ -204,12 +530,63 @@ class Tsp:
             if row[i] != 0:
                 raise ValueError("diagonal must be zero")
 
+    @classmethod
+    def load(cls, text, k, limit):
+        if limit is None:
+            raise ValueError("tsp needs --limit")
+        return cls(tuple(tuple(r) for r in parse_matrix(text)), limit)
+
+    def describe(self):
+        return {"matrix": [list(r) for r in self.matrix], "limit": self.limit}
+
+    def verify(self, w):
+        n = len(self.matrix)
+        if not isinstance(w, (list, tuple)) or sorted(w) != list(range(1, n + 1)):
+            raise WitnessFormatError("tour must be a permutation of 1..n")
+        length = sum(
+            self.matrix[w[i] - 1][w[(i + 1) % n] - 1] for i in range(n)
+        )
+        return length <= self.limit
+
+    def search(self):
+        n = len(self.matrix)
+        _within_cap(n, "tsp_cities")
+        if n == 1:
+            return [1] if 0 <= self.limit else None
+        off_diag = [
+            self.matrix[i][j] for i in range(n) for j in range(n) if i != j
+        ]
+        cheapest = min(off_diag)
+        optimistic = cheapest >= 0  # completion bound only valid then
+        tour = [1]
+        seen = {1}
+
+        def extend(partial):
+            remaining_arcs = n - len(tour) + 1
+            if optimistic and partial + remaining_arcs * cheapest > self.limit:
+                return False
+            if len(tour) == n:
+                return partial + self.matrix[tour[-1] - 1][0] <= self.limit
+            for v in range(2, n + 1):
+                if v in seen:
+                    continue
+                seen.add(v)
+                tour.append(v)
+                if extend(partial + self.matrix[tour[-2] - 1][v - 1]):
+                    return True
+                tour.pop()
+                seen.remove(v)
+            return False
+
+        return list(tour) if extend(0) else None
+
 
 @dataclass(frozen=True)
-class Ilp:
+class Ilp(Problem):
     """Rows a_i x (rel_i) b_i over non-negative integer vectors; the
     brute-force oracle only searches the supplied box bounds."""
 
+    kind = "ilp"
     rows: tuple[tuple[int, ...], ...]
     relations: tuple[str, ...]  # '<=' / '==' / '>='
     rhs: tuple[int, ...]
@@ -226,8 +603,103 @@ class Ilp:
             if rel not in ("<=", "==", ">="):
                 raise ValueError(f"bad relation {rel}")
 
+    @classmethod
+    def load(cls, text, k, limit):
+        data = json.loads(text)
+        return cls(
+            tuple(tuple(r) for r in data["rows"]),
+            tuple(data["relations"]),
+            tuple(data["rhs"]),
+            tuple(tuple(b) for b in data["bounds"]),
+        )
 
-# --- witness verification ---------------------------------------------------
+    def describe(self):
+        return {
+            "rows": [list(r) for r in self.rows],
+            "relations": list(self.relations),
+            "rhs": list(self.rhs),
+            "bounds": [list(b) for b in self.bounds],
+        }
+
+    def verify(self, w):
+        if not isinstance(w, (list, tuple)) or len(w) != len(self.bounds):
+            raise WitnessFormatError("solution width mismatch")
+        if not all(isinstance(x, int) and x >= 0 for x in w):
+            raise WitnessFormatError("solution must be non-negative integers")
+        for row, rel, b in zip(self.rows, self.relations, self.rhs):
+            lhs = sum(a * x for a, x in zip(row, w))
+            if rel == "<=" and not lhs <= b:
+                return False
+            if rel == "==" and not lhs == b:
+                return False
+            if rel == ">=" and not lhs >= b:
+                return False
+        return True
+
+    def search(self):
+        if any(hi - lo > 3 for lo, hi in self.bounds):
+            raise InstanceTooLargeError("instance too large for oracle")
+        space = 1
+        for lo, hi in self.bounds:
+            space *= hi - lo + 1
+            if space > 4_000_000:
+                raise InstanceTooLargeError("instance too large for oracle")
+        width = len(self.bounds)
+        rows = [list(r) for r in self.rows]
+        nrows = len(rows)
+        # suffix_lo[r][p] / suffix_hi[r][p]: extreme contribution of columns
+        # p.. given the box bounds, precomputed once.
+        suffix_lo = [[0] * (width + 1) for _ in range(nrows)]
+        suffix_hi = [[0] * (width + 1) for _ in range(nrows)]
+        for r in range(nrows):
+            for p in range(width - 1, -1, -1):
+                a = rows[r][p]
+                blo, bhi = self.bounds[p]
+                lo_term = min(a * blo, a * bhi)
+                hi_term = max(a * blo, a * bhi)
+                suffix_lo[r][p] = suffix_lo[r][p + 1] + lo_term
+                suffix_hi[r][p] = suffix_hi[r][p + 1] + hi_term
+
+        partial = [0] * nrows
+        x = [0] * width
+
+        def feasible(pos: int) -> bool:
+            for r in range(nrows):
+                lo = partial[r] + suffix_lo[r][pos]
+                hi = partial[r] + suffix_hi[r][pos]
+                rel, b = self.relations[r], self.rhs[r]
+                if rel == "<=" and lo > b:
+                    return False
+                if rel == ">=" and hi < b:
+                    return False
+                if rel == "==" and not (lo <= b <= hi):
+                    return False
+            return True
+
+        def extend(pos: int):
+            if pos == width:
+                return list(x)
+            blo, bhi = self.bounds[pos]
+            for val in range(blo, bhi + 1):
+                x[pos] = val
+                for r in range(nrows):
+                    partial[r] += rows[r][pos] * val
+                if feasible(pos + 1):
+                    found = extend(pos + 1)
+                    if found:
+                        return found
+                for r in range(nrows):
+                    partial[r] -= rows[r][pos] * val
+            x[pos] = 0
+            return None
+
+        found = extend(0)
+        if found is not None:
+            assert self.verify(found)
+        return found
+
+
+# --- witness checks and the brute-force oracle ---------------------------------
 
 
 def _as_assignment(w, num_vars: int) -> list[bool]:
@@ -250,123 +722,29 @@ def _as_vertex_set(w, n: int) -> set[int]:
 def verify_witness(problem, w) -> bool:
     """Polynomial witness check per problem; malformed witnesses raise
     WitnessFormatError rather than answering False."""
-    if isinstance(problem, (Sat, ThreeSat)):
-        return problem.formula.evaluate(_as_assignment(w, problem.formula.num_vars))
-    if isinstance(problem, Clique):
-        vs = _as_vertex_set(w, problem.graph.n)
-        if len(vs) < problem.k:
-            return False
-        return all(
-            problem.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
-        )
-    if isinstance(problem, IndependentSet):
-        vs = _as_vertex_set(w, problem.graph.n)
-        if len(vs) < problem.k:
-            return False
-        return not any(
-            problem.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
-        )
-    if isinstance(problem, VertexCover):
-        vs = _as_vertex_set(w, problem.graph.n)
-        if len(vs) > problem.k:
-            return False
-        return all(u in vs or v in vs for u, v in problem.graph.edges)
-    if isinstance(problem, Coloring):
-        g, k = problem.graph, problem.k
-        if not isinstance(w, dict) or set(w) != set(range(1, g.n + 1)):
-            raise WitnessFormatError("coloring must map every vertex")
-        if not all(isinstance(c, int) and 1 <= c <= k for c in w.values()):
-            return False
-        return all(w[u] != w[v] for u, v in g.edges)
-    if isinstance(problem, ExactCover):
-        idxs = _family_indices(w, len(problem.family))
-        covered: list = []
-        for i in idxs:
-            covered.extend(problem.family[i - 1])
-        return len(covered) == len(set(covered)) and set(covered) == set(
-            problem.universe
-        )
-    if isinstance(problem, Representatives):
-        if not isinstance(w, (set, frozenset, list, tuple)):
-            raise WitnessFormatError("expected an element collection")
-        ws = set(w)
-        if ws - set(problem.universe):
-            raise WitnessFormatError("representative outside the universe")
-        return all(len(ws & s) == 1 for s in problem.family)
-    if isinstance(problem, SetCover):
-        idxs = _family_indices(w, len(problem.family))
-        if len(idxs) > problem.k:
-            return False
-        covered = set().union(*(problem.family[i - 1] for i in idxs)) if idxs else set()
-        return covered == set(problem.universe)
-    if isinstance(problem, Knapsack01):
-        x = _as_assignment(w, len(problem.numbers))
-        return sum(a for a, xi in zip(problem.numbers, x) if xi) == problem.target
-    if isinstance(problem, KnapsackDecision):
-        x = _as_assignment(w, len(problem.values))
-        vol = sum(v for v, xi in zip(problem.volumes, x) if xi)
-        val = sum(c for c, xi in zip(problem.values, x) if xi)
-        return vol <= problem.capacity and val >= problem.goal
-    if isinstance(problem, Partition):
-        if not isinstance(w, (set, frozenset, list, tuple)):
-            raise WitnessFormatError("expected an index collection")
-        idx = set(w)
-        n = len(problem.numbers)
-        if not all(isinstance(i, int) and 1 <= i <= n for i in idx):
-            raise WitnessFormatError("index out of range")
-        inside = sum(problem.numbers[i - 1] for i in idx)
-        return 2 * inside == sum(problem.numbers)
-    if isinstance(problem, HamCircuit):
-        return _check_ham_sequence(w, problem.digraph, directed=True)
-    if isinstance(problem, HamCycle):
-        return _check_ham_sequence(w, problem.graph, directed=False)
-    if isinstance(problem, Tsp):
-        n = len(problem.matrix)
-        if not isinstance(w, (list, tuple)) or sorted(w) != list(range(1, n + 1)):
-            raise WitnessFormatError("tour must be a permutation of 1..n")
-        length = sum(
-            problem.matrix[w[i] - 1][w[(i + 1) % n] - 1] for i in range(n)
-        )
-        return length <= problem.limit
-    if isinstance(problem, Ilp):
-        if not isinstance(w, (list, tuple)) or len(w) != len(problem.bounds):
-            raise WitnessFormatError("solution width mismatch")
-        if not all(isinstance(x, int) and x >= 0 for x in w):
-            raise WitnessFormatError("solution must be non-negative integers")
-        for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
-            lhs = sum(a * x for a, x in zip(row, w))
-            if rel == "<=" and not lhs <= b:
-                return False
-            if rel == "==" and not lhs == b:
-                return False
-            if rel == ">=" and not lhs >= b:
-                return False
-        return True
-    raise TypeError(f"unknown problem type {type(problem)!r}")
+    if not isinstance(problem, Problem):
+        raise TypeError(f"unknown problem type {type(problem)!r}")
+    return problem.verify(w)
 
 
-def _family_indices(w, m: int) -> set[int]:
+def _indices(w, m: int) -> set[int]:
     if not isinstance(w, (set, frozenset, list, tuple)):
-        raise WitnessFormatError("expected a collection of family indices")
+        raise WitnessFormatError("expected a collection of indices")
     idxs = set(w)
     if not all(isinstance(i, int) and 1 <= i <= m for i in idxs):
-        raise WitnessFormatError("family index out of range")
+        raise WitnessFormatError("index out of range")
     return idxs
 
 
-def _check_ham_sequence(w, g, directed: bool) -> bool:
+def _check_ham_sequence(w, g) -> bool:
     n = g.n
     if not isinstance(w, (list, tuple)) or sorted(w) != list(range(1, n + 1)):
         raise WitnessFormatError("expected a permutation of 1..n")
     seq = list(w)
     for u, v in zip(seq, seq[1:] + seq[:1]):
-        ok = v in g.adj[u] if directed else g.has_edge(u, v)
-        if not ok:
+        if v not in g.adj[u]:
             return False
     return True
-
-
-# --- brute-force oracle ------------------------------------------------------
 
 
 # Subset-enumeration problems keep the tight 12-vertex / 20-element caps;
@@ -383,11 +761,10 @@ _DEFAULT_CAPS = {
 }
 
 
-def _cap(name: str) -> int:
+def _within_cap(size: int, cap_key: str) -> None:
     override = os.environ.get("COMBINLAB_ORACLE_LIMIT")
-    if override:
-        return int(override)
-    return _DEFAULT_CAPS[name]
+    if size > (int(override) if override else _DEFAULT_CAPS[cap_key]):
+        raise InstanceTooLargeError("instance too large for oracle")
 
 
 def brute_force_decide(problem):
@@ -397,131 +774,40 @@ def brute_force_decide(problem):
     InstanceTooLargeError.  The env var COMBINLAB_ORACLE_LIMIT overrides
     every cap with a single integer.
     """
-    if isinstance(problem, (Sat, ThreeSat)):
-        f = problem.formula
-        if f.num_vars > _cap("bool_vars"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        for bits in itertools.product([False, True], repeat=f.num_vars):
-            if f.evaluate(list(bits)):
-                return list(bits)
-        return None
-    if isinstance(problem, (Clique, IndependentSet, VertexCover)):
-        g, k = problem.graph, problem.k
-        if g.n > _cap("vertices"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        size = min(k, g.n) if isinstance(problem, VertexCover) else k
-        if isinstance(problem, VertexCover):
-            for r in range(0, size + 1):
-                for vs in itertools.combinations(range(1, g.n + 1), r):
-                    if verify_witness(problem, set(vs)):
-                        return set(vs)
-            return None
-        if k > g.n:
-            return None
-        for vs in itertools.combinations(range(1, g.n + 1), k):
-            if verify_witness(problem, set(vs)):
-                return set(vs)
-        return None
-    if isinstance(problem, Coloring):
-        g, k = problem.graph, problem.k
-        if g.n > _cap("coloring_vertices"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        if k < 1:
-            return None if g.n else {}
-        # Colour high-degree vertices first: prunes dramatically better.
-        order = sorted(range(1, g.n + 1), key=lambda v: (-g.degree(v), v))
-        coloring: dict[int, int] = {}
-
-        def extend(pos: int):
-            if pos == len(order):
-                return dict(coloring)
-            v = order[pos]
-            used = {coloring[w] for w in g.neighbors(v) if w in coloring}
-            for c in range(1, k + 1):
-                if c not in used:
-                    coloring[v] = c
-                    found = extend(pos + 1)
-                    if found:
-                        return found
-                    del coloring[v]
-            return None
-
-        return extend(0)
-    if isinstance(problem, ExactCover):
-        if len(problem.family) > _cap("exact_cover_sets"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        return _exact_cover_backtrack(problem)
-    if isinstance(problem, SetCover):
-        m = len(problem.family)
-        if m > _cap("elements") or len(problem.universe) > _cap("elements"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        for r in range(0, min(problem.k, m) + 1):
-            for combo in itertools.combinations(range(1, m + 1), r):
-                if verify_witness(problem, set(combo)):
-                    return set(combo)
-        return None
-    if isinstance(problem, Representatives):
-        universe = list(problem.universe)
-        if len(universe) > _cap("elements"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        for r in range(0, len(universe) + 1):
-            for combo in itertools.combinations(universe, r):
-                if verify_witness(problem, set(combo)):
-                    return set(combo)
-        return None
-    if isinstance(problem, (Knapsack01, KnapsackDecision)):
-        n = len(problem.numbers if isinstance(problem, Knapsack01) else problem.values)
-        if n > _cap("bool_vars"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        for bits in itertools.product([0, 1], repeat=n):
-            if verify_witness(problem, list(bits)):
-                return list(bits)
-        return None
-    if isinstance(problem, Partition):
-        n = len(problem.numbers)
-        if n > _cap("bool_vars"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        for r in range(0, n + 1):
-            for combo in itertools.combinations(range(1, n + 1), r):
-                if verify_witness(problem, set(combo)):
-                    return set(combo)
-        return None
-    if isinstance(problem, (HamCircuit, HamCycle)):
-        g = problem.digraph if isinstance(problem, HamCircuit) else problem.graph
-        if g.n > _cap("ham_vertices"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        return _ham_backtrack(g, directed=isinstance(problem, HamCircuit))
-    if isinstance(problem, Tsp):
-        n = len(problem.matrix)
-        if n > _cap("tsp_cities"):
-            raise InstanceTooLargeError("instance too large for oracle")
-        return _tsp_backtrack(problem)
-    if isinstance(problem, Ilp):
-        if any(hi - lo > 3 for lo, hi in problem.bounds):
-            raise InstanceTooLargeError("instance too large for oracle")
-        space = 1
-        for lo, hi in problem.bounds:
-            space *= hi - lo + 1
-            if space > 4_000_000:
-                raise InstanceTooLargeError("instance too large for oracle")
-        return _ilp_backtrack(problem)
-    raise TypeError(f"unknown problem type {type(problem)!r}")
+    if not isinstance(problem, Problem):
+        raise TypeError(f"unknown problem type {type(problem)!r}")
+    return problem.search()
 
 
-def _ham_backtrack(g, directed: bool):
+def _first_verified(problem, items, sizes):
+    """First subset of items, by size in the order given and then in
+    combinations order, that the problem accepts."""
+    for r in sizes:
+        for combo in itertools.combinations(items, r):
+            if problem.verify(set(combo)):
+                return set(combo)
+    return None
+
+
+def _first_bits(problem, n: int):
+    _within_cap(n, "bool_vars")
+    for bits in itertools.product([0, 1], repeat=n):
+        if problem.verify(list(bits)):
+            return list(bits)
+    return None
+
+
+def _ham_backtrack(g):
     n = g.n
     if n == 0:
         return None
     path = [1]
     seen = {1}
 
-    def ok(u, v):
-        return v in g.adj[u] if directed else g.has_edge(u, v)
-
     def extend():
         if len(path) == n:
-            return ok(path[-1], path[0])
-        for v in g.neighbors(path[-1]) if directed else g.neighbors(path[-1]):
+            return path[0] in g.adj[path[-1]]
+        for v in g.neighbors(path[-1]):
             if v not in seen:
                 seen.add(v)
                 path.append(v)
@@ -532,118 +818,6 @@ def _ham_backtrack(g, directed: bool):
         return False
 
     return list(path) if extend() else None
-
-
-def _exact_cover_backtrack(problem: ExactCover):
-    containing: dict = {}
-    for idx, s in enumerate(problem.family, start=1):
-        for a in s:
-            containing.setdefault(a, []).append(idx)
-    chosen: list[int] = []
-
-    def extend(uncovered: frozenset):
-        if not uncovered:
-            return set(chosen)
-        a = min(uncovered, key=lambda x: len(containing.get(x, ())))
-        for idx in containing.get(a, ()):
-            s = problem.family[idx - 1]
-            if s <= uncovered:
-                chosen.append(idx)
-                found = extend(uncovered - s)
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
-
-    return extend(frozenset(problem.universe))
-
-
-def _tsp_backtrack(problem: Tsp):
-    n = len(problem.matrix)
-    if n == 1:
-        return [1] if 0 <= problem.limit else None
-    off_diag = [
-        problem.matrix[i][j] for i in range(n) for j in range(n) if i != j
-    ]
-    cheapest = min(off_diag)
-    optimistic = cheapest >= 0  # completion bound only valid then
-    tour = [1]
-    seen = {1}
-
-    def extend(partial):
-        remaining_arcs = n - len(tour) + 1
-        if optimistic and partial + remaining_arcs * cheapest > problem.limit:
-            return False
-        if len(tour) == n:
-            return partial + problem.matrix[tour[-1] - 1][0] <= problem.limit
-        for v in range(2, n + 1):
-            if v in seen:
-                continue
-            seen.add(v)
-            tour.append(v)
-            if extend(partial + problem.matrix[tour[-2] - 1][v - 1]):
-                return True
-            tour.pop()
-            seen.remove(v)
-        return False
-
-    return list(tour) if extend(0) else None
-
-
-def _ilp_backtrack(problem: Ilp):
-    width = len(problem.bounds)
-    rows = [list(r) for r in problem.rows]
-    nrows = len(rows)
-    # suffix_lo[r][p] / suffix_hi[r][p]: extreme contribution of columns
-    # p.. given the box bounds, precomputed once.
-    suffix_lo = [[0] * (width + 1) for _ in range(nrows)]
-    suffix_hi = [[0] * (width + 1) for _ in range(nrows)]
-    for r in range(nrows):
-        for p in range(width - 1, -1, -1):
-            a = rows[r][p]
-            blo, bhi = problem.bounds[p]
-            lo_term = min(a * blo, a * bhi)
-            hi_term = max(a * blo, a * bhi)
-            suffix_lo[r][p] = suffix_lo[r][p + 1] + lo_term
-            suffix_hi[r][p] = suffix_hi[r][p + 1] + hi_term
-
-    partial = [0] * nrows
-    x = [0] * width
-
-    def feasible(pos: int) -> bool:
-        for r in range(nrows):
-            lo = partial[r] + suffix_lo[r][pos]
-            hi = partial[r] + suffix_hi[r][pos]
-            rel, b = problem.relations[r], problem.rhs[r]
-            if rel == "<=" and lo > b:
-                return False
-            if rel == ">=" and hi < b:
-                return False
-            if rel == "==" and not (lo <= b <= hi):
-                return False
-        return True
-
-    def extend(pos: int):
-        if pos == width:
-            return list(x)
-        blo, bhi = problem.bounds[pos]
-        for val in range(blo, bhi + 1):
-            x[pos] = val
-            for r in range(nrows):
-                partial[r] += rows[r][pos] * val
-            if feasible(pos + 1):
-                found = extend(pos + 1)
-                if found:
-                    return found
-            for r in range(nrows):
-                partial[r] -= rows[r][pos] * val
-        x[pos] = 0
-        return None
-
-    found = extend(0)
-    if found is not None:
-        assert verify_witness(problem, found)
-    return found
 
 
 # --- reductions --------------------------------------------------------------
@@ -834,7 +1008,7 @@ def exact_cover_to_knapsack01(problem: ExactCover) -> ReductionOutput:
     target = Knapsack01(numbers, total)
 
     def forward(subfamily):
-        idxs = _family_indices(subfamily, m)
+        idxs = _indices(subfamily, m)
         return [1 if i in idxs else 0 for i in range(1, m + 1)]
 
     def backward(x):
@@ -940,41 +1114,13 @@ def vc_to_ham_circuit(problem: VertexCover) -> ReductionOutput:
     )
 
 
-REDUCTION_KINDS = (
-    "CliqueToIS",
-    "ISToVC",
-    "ColoringToExactCover",
-    "ExactCoverToRepresentatives",
-    "Knapsack01ToPartition",
-    "VCToSetCover",
-    "HamCircuitToHamCycle",
-    "HamCycleToTsp",
-    "Knapsack01ToIlp",
-    "SetCoverToIlp",
-    "TspToIlp",
-)
-
-
-def apply_simple_reduction(kind: str, problem) -> ReductionOutput:
-    """Dispatch table for the one-step reductions; raises on tag mismatch."""
-    try:
-        fn = _SIMPLE[kind]
-    except KeyError:
-        raise ValueError(f"unknown reduction kind {kind!r}") from None
-    return fn(problem)
-
-
 def _clique_to_is(problem: Clique) -> ReductionOutput:
-    if not isinstance(problem, Clique):
-        raise TypeError("CliqueToIS expects a Clique instance")
     target = IndependentSet(problem.graph.complement(), problem.k)
     identity = lambda w: set(w)
     return ReductionOutput(problem, target, identity, identity)
 
 
 def _is_to_vc(problem: IndependentSet) -> ReductionOutput:
-    if not isinstance(problem, IndependentSet):
-        raise TypeError("ISToVC expects an IndependentSet instance")
     g, k = problem.graph, problem.k
     target = VertexCover(g, g.n - k)
 
@@ -988,8 +1134,6 @@ def _is_to_vc(problem: IndependentSet) -> ReductionOutput:
 
 
 def _coloring_to_exact_cover(problem: Coloring) -> ReductionOutput:
-    if not isinstance(problem, Coloring):
-        raise TypeError("ColoringToExactCover expects a Coloring instance")
     g, k = problem.graph, problem.k
     universe = tuple(
         [("v", v) for v in range(1, g.n + 1)]
@@ -1023,7 +1167,7 @@ def _coloring_to_exact_cover(problem: Coloring) -> ReductionOutput:
         return chosen
 
     def backward(subfamily):
-        idxs = _family_indices(subfamily, len(family))
+        idxs = _indices(subfamily, len(family))
         colors = {}
         for idx in idxs:
             lab = labels[idx - 1]
@@ -1036,8 +1180,6 @@ def _coloring_to_exact_cover(problem: Coloring) -> ReductionOutput:
 
 
 def _exact_cover_to_representatives(problem: ExactCover) -> ReductionOutput:
-    if not isinstance(problem, ExactCover):
-        raise TypeError("ExactCoverToRepresentatives expects ExactCover")
     m = len(problem.family)
     universe = tuple(range(1, m + 1))
     family = tuple(
@@ -1047,7 +1189,7 @@ def _exact_cover_to_representatives(problem: ExactCover) -> ReductionOutput:
     target = Representatives(universe, family)
 
     def forward(subfamily):
-        return set(_family_indices(subfamily, m))
+        return set(_indices(subfamily, m))
 
     def backward(w):
         return set(w)
@@ -1056,8 +1198,6 @@ def _exact_cover_to_representatives(problem: ExactCover) -> ReductionOutput:
 
 
 def _knapsack01_to_partition(problem: Knapsack01) -> ReductionOutput:
-    if not isinstance(problem, Knapsack01):
-        raise TypeError("Knapsack01ToPartition expects Knapsack01")
     a, b = list(problem.numbers), problem.target
     numbers = tuple(a + [2 * b, sum(a)])
     target = Partition(numbers)
@@ -1078,8 +1218,6 @@ def _knapsack01_to_partition(problem: Knapsack01) -> ReductionOutput:
 
 
 def _vc_to_set_cover(problem: VertexCover) -> ReductionOutput:
-    if not isinstance(problem, VertexCover):
-        raise TypeError("VCToSetCover expects VertexCover")
     g, k = problem.graph, problem.k
     universe = tuple(g.edges)
     family = tuple(
@@ -1091,14 +1229,12 @@ def _vc_to_set_cover(problem: VertexCover) -> ReductionOutput:
         return set(_as_vertex_set(cover, g.n))
 
     def backward(idxs):
-        return set(_family_indices(idxs, g.n))
+        return set(_indices(idxs, g.n))
 
     return ReductionOutput(problem, target, forward, backward)
 
 
 def _ham_circuit_to_ham_cycle(problem: HamCircuit) -> ReductionOutput:
-    if not isinstance(problem, HamCircuit):
-        raise TypeError("HamCircuitToHamCycle expects HamCircuit")
     d = problem.digraph
     p = d.n
 
@@ -1136,8 +1272,6 @@ def _ham_circuit_to_ham_cycle(problem: HamCircuit) -> ReductionOutput:
 
 
 def _ham_cycle_to_tsp(problem: HamCycle) -> ReductionOutput:
-    if not isinstance(problem, HamCycle):
-        raise TypeError("HamCycleToTsp expects HamCycle")
     g = problem.graph
     p = g.n
     matrix = tuple(
@@ -1161,8 +1295,6 @@ def _ham_cycle_to_tsp(problem: HamCycle) -> ReductionOutput:
 
 
 def _knapsack01_to_ilp(problem: Knapsack01) -> ReductionOutput:
-    if not isinstance(problem, Knapsack01):
-        raise TypeError("Knapsack01ToIlp expects Knapsack01")
     n = len(problem.numbers)
     rows = [tuple(problem.numbers)]
     relations = ["=="]
@@ -1185,8 +1317,6 @@ def _knapsack01_to_ilp(problem: Knapsack01) -> ReductionOutput:
 
 
 def _set_cover_to_ilp(problem: SetCover) -> ReductionOutput:
-    if not isinstance(problem, SetCover):
-        raise TypeError("SetCoverToIlp expects SetCover")
     m = len(problem.family)
     k_eff = min(problem.k, m)
     rows = []
@@ -1208,7 +1338,7 @@ def _set_cover_to_ilp(problem: SetCover) -> ReductionOutput:
     target = Ilp(tuple(rows), tuple(relations), tuple(rhs), tuple((0, 1) for _ in range(m)))
 
     def forward(idxs):
-        chosen = set(_family_indices(idxs, m))
+        chosen = set(_indices(idxs, m))
         for i in range(1, m + 1):
             if len(chosen) >= k_eff:
                 break
@@ -1222,8 +1352,6 @@ def _set_cover_to_ilp(problem: SetCover) -> ReductionOutput:
 
 
 def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
-    if not isinstance(problem, Tsp):
-        raise TypeError("TspToIlp expects Tsp")
     n = len(problem.matrix)
     arc_vars = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     u_vars = list(range(2, n + 1))
@@ -1299,19 +1427,48 @@ def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
     )
 
 
-_SIMPLE = {
-    "CliqueToIS": _clique_to_is,
-    "ISToVC": _is_to_vc,
-    "ColoringToExactCover": _coloring_to_exact_cover,
-    "ExactCoverToRepresentatives": _exact_cover_to_representatives,
-    "Knapsack01ToPartition": _knapsack01_to_partition,
-    "VCToSetCover": _vc_to_set_cover,
-    "HamCircuitToHamCycle": _ham_circuit_to_ham_cycle,
-    "HamCycleToTsp": _ham_cycle_to_tsp,
-    "Knapsack01ToIlp": _knapsack01_to_ilp,
-    "SetCoverToIlp": _set_cover_to_ilp,
-    "TspToIlp": _tsp_to_ilp,
+# CLI name -> (registry name, source problem, reduction of a source instance).
+REDUCTIONS = {
+    "sat-3sat": ("SatToThreeSat", Sat, lambda p: sat_to_3sat(p.formula)),
+    "sat-clique": ("SatToClique", Sat, lambda p: sat_to_clique(p.formula)),
+    "3sat-coloring": (
+        "ThreeSatToColoring", ThreeSat, lambda p: threesat_to_coloring(p.formula)
+    ),
+    "exactcover-knapsack": (
+        "ExactCoverToKnapsack01", ExactCover, exact_cover_to_knapsack01
+    ),
+    "vc-hamcircuit": ("VCToHamCircuit", VertexCover, vc_to_ham_circuit),
+    "clique-is": ("CliqueToIS", Clique, _clique_to_is),
+    "is-vc": ("ISToVC", IndependentSet, _is_to_vc),
+    "coloring-exactcover": (
+        "ColoringToExactCover", Coloring, _coloring_to_exact_cover
+    ),
+    "exactcover-representatives": (
+        "ExactCoverToRepresentatives", ExactCover, _exact_cover_to_representatives
+    ),
+    "knapsack-partition": (
+        "Knapsack01ToPartition", Knapsack01, _knapsack01_to_partition
+    ),
+    "vc-setcover": ("VCToSetCover", VertexCover, _vc_to_set_cover),
+    "hamcircuit-hamcycle": (
+        "HamCircuitToHamCycle", HamCircuit, _ham_circuit_to_ham_cycle
+    ),
+    "hamcycle-tsp": ("HamCycleToTsp", HamCycle, _ham_cycle_to_tsp),
+    "knapsack-ilp": ("Knapsack01ToIlp", Knapsack01, _knapsack01_to_ilp),
+    "setcover-ilp": ("SetCoverToIlp", SetCover, _set_cover_to_ilp),
+    "tsp-ilp": ("TspToIlp", Tsp, _tsp_to_ilp),
 }
+
+
+def apply_simple_reduction(kind: str, problem) -> ReductionOutput:
+    """Run the reduction whose registry name is `kind`; raises TypeError
+    when the problem is not of the reduction's source type."""
+    for name, source, fn in REDUCTIONS.values():
+        if name == kind:
+            if not isinstance(problem, source):
+                raise TypeError(f"{name} expects a {source.__name__} instance")
+            return fn(problem)
+    raise ValueError(f"unknown reduction kind {kind!r}")
 
 
 # --- 2-SAT -------------------------------------------------------------------

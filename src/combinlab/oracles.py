@@ -143,7 +143,11 @@ class AdversarySetEquality(CostedOracle):
         self.no_cells: set[tuple[int, int]] = set()
         self.yes_cells: set[tuple[int, int]] = set()
 
-    def _has_perfect_matching(self, extra_no: tuple[int, int] | None) -> bool:
+    def _matching(
+        self, extra_no: tuple[int, int] | None = None
+    ) -> dict[int, int] | None:
+        """A perfect row -> column matching avoiding every "no" cell (and
+        extra_no), found by Kuhn's augmenting paths; None when none exists."""
         n = self.n
         blocked = self.no_cells if extra_no is None else self.no_cells | {extra_no}
         match_of_col: dict[int, int] = {}
@@ -160,8 +164,8 @@ class AdversarySetEquality(CostedOracle):
 
         for i in range(1, n + 1):
             if not try_row(i, set()):
-                return False
-        return True
+                return None
+        return {i: j for j, i in match_of_col.items()}
 
     def probe(self, i: int, j: int) -> bool:
         """Answer "is a_i equal to b_j?"; True means yes."""
@@ -172,30 +176,11 @@ class AdversarySetEquality(CostedOracle):
         if (i, j) in self.yes_cells:
             return True
         self.counter.tick()
-        if self._has_perfect_matching((i, j)):
+        if self._matching((i, j)) is not None:
             self.no_cells.add((i, j))
             return False
         self.yes_cells.add((i, j))
         return True
-
-    def _matching(self) -> dict[int, int]:
-        n = self.n
-        match_of_col: dict[int, int] = {}
-
-        def try_row(i: int, seen: set[int]) -> bool:
-            for j in range(1, n + 1):
-                if (i, j) in self.no_cells or j in seen:
-                    continue
-                seen.add(j)
-                if j not in match_of_col or try_row(match_of_col[j], seen):
-                    match_of_col[j] = i
-                    return True
-            return False
-
-        for i in range(1, n + 1):
-            if not try_row(i, set()):
-                raise AdversarySoundnessError("adversary broke soundness")
-        return {i: j for j, i in match_of_col.items()}
 
     def certify(self):
         """A pairing row -> column realizing A = B under all answers.
@@ -204,6 +189,8 @@ class AdversarySetEquality(CostedOracle):
         transcript against it reproduces every recorded answer.
         """
         pairing = self._matching()
+        if pairing is None:
+            raise AdversarySoundnessError("adversary broke soundness")
         for (i, j) in self.yes_cells:
             if pairing[i] != j:
                 raise AdversarySoundnessError("adversary broke soundness")
@@ -238,7 +225,8 @@ class AdversaryWhoIsWho(CostedOracle):
         self.transcript: list[tuple[int, int, bool]] = []
         self._components: list[set[int]] | None = None
 
-    def _component_of(self, v: int) -> set[int] | None:
+    def _phase1_components(self) -> list[set[int]]:
+        """Connected components of the phase-1 graph, cached until it grows."""
         if self._components is None:
             comps: list[set[int]] = []
             for (i, j) in self.phase1_pairs:
@@ -249,10 +237,7 @@ class AdversaryWhoIsWho(CostedOracle):
                     comps.remove(c)
                 comps.append(merged)
             self._components = comps
-        for c in self._components:
-            if v in c:
-                return c
-        return None
+        return self._components
 
     def ask(self, asker: int, subject: int) -> bool:
         if asker == subject:
@@ -270,7 +255,7 @@ class AdversaryWhoIsWho(CostedOracle):
         return answer
 
     def _phase2_answer(self, subject: int) -> bool:
-        comp = self._component_of(subject)
+        comp = next((c for c in self._phase1_components() if subject in c), None)
         if comp is None:
             return True
         if subject in self.resolved:
@@ -284,15 +269,7 @@ class AdversaryWhoIsWho(CostedOracle):
 
     def _honest_set(self) -> set[int]:
         honest = set(range(1, self.n + 1))
-        comps = []
-        for (i, j) in self.phase1_pairs:
-            hits = [c for c in comps if i in c or j in c]
-            merged = {i, j}
-            for c in hits:
-                merged |= c
-                comps.remove(c)
-            comps.append(merged)
-        for comp in comps:
+        for comp in self._phase1_components():
             honest -= comp
             vouched = [v for v in comp if self.resolved.get(v) is True]
             if vouched:

@@ -261,6 +261,7 @@ def cmd_reduce(args) -> int:
     payload = {"kind": args.kind, "target": red.target.describe()}
     if args.witness:
         w = red.source.witness(json.loads(_read(args.witness)))
+        cx.verify_witness(red.source, w)  # a malformed witness raises here
         moved = red.forward(w)
         payload["witness"] = {
             "source": _encode_witness(w),
@@ -305,9 +306,9 @@ def cmd_verify(args) -> int:
     if args.problem not in cx.PROBLEMS:
         raise CliInputError(f"unknown problem kind {args.problem!r}")
     problem = cx.PROBLEMS[args.problem].load(_read(args.instance), args.k, args.limit)
-    w = problem.witness(json.loads(_read(args.witness)))
+    w = json.loads(_read(args.witness))
     try:
-        accepted = cx.verify_witness(problem, w)
+        accepted = cx.verify_witness(problem, problem.witness(w))
     except cx.WitnessFormatError as exc:
         raise CliInputError(f"malformed witness: {exc}") from exc
     _emit({"accepted": accepted}, args.format)

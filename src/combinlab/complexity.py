@@ -11,7 +11,6 @@ JSON, graphs in the shared text format.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .graph_core import (
     parse_graph_text,
     scc_kosaraju,
 )
+from .intmath import exact_int, exact_int_rows, exact_ints, json_object
 
 
 class WitnessFormatError(ValueError):
@@ -113,7 +113,7 @@ def parse_matrix(text: str) -> list[list]:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     try:
         matrix = [[int(tok) if "/" not in tok else Fraction(tok) for tok in row] for row in rows]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad matrix: {exc}") from None
     if any(len(r) != len(matrix) for r in matrix):
         raise ValueError("matrix must be square")
@@ -122,10 +122,16 @@ def parse_matrix(text: str) -> list[list]:
 
 def parse_set_system(text: str):
     """(universe, family, k or None) from {"universe", "family", "k"} JSON."""
-    data = json.loads(text)
-    universe = tuple(data["universe"])
-    family = tuple(frozenset(s) for s in data["family"])
-    return universe, family, data.get("k")
+    data = json_object(text)
+    universe, family, k = data["universe"], data["family"], data.get("k")
+    sets = [universe, *family] if isinstance(family, list) else [family]
+    if not all(isinstance(s, list) for s in sets):
+        raise ValueError("universe and family sets must be JSON lists")
+    if any(isinstance(a, (list, dict)) for s in sets for a in s):
+        raise ValueError("set elements must be numbers or strings")
+    if k is not None:
+        exact_int(k, "k")
+    return tuple(universe), tuple(frozenset(s) for s in family), k
 
 
 # --- problems ---------------------------------------------------------------
@@ -152,7 +158,11 @@ class Problem:
 
 class _SetWitness(Problem):
     def witness(self, w):  # JSON lists arrive as sets
-        return set(w) if isinstance(w, list) else w
+        if not isinstance(w, list):
+            return w
+        if any(isinstance(x, (list, dict)) for x in w):
+            raise WitnessFormatError("set members must be numbers or strings")
+        return set(w)
 
 
 @dataclass(frozen=True)
@@ -409,8 +419,11 @@ class Knapsack01(Problem):
 
     @classmethod
     def load(cls, text, k, limit):
-        data = json.loads(text)
-        return cls(tuple(data["numbers"]), int(data["target"]))
+        data = json_object(text)
+        return cls(
+            exact_ints(data["numbers"], "numbers"),
+            exact_int(data["target"], "target"),
+        )
 
     def describe(self):
         return {"numbers": list(self.numbers), "target": self.target}
@@ -433,12 +446,12 @@ class KnapsackDecision(Problem):
 
     @classmethod
     def load(cls, text, k, limit):
-        data = json.loads(text)
+        data = json_object(text)
         return cls(
-            tuple(data["values"]),
-            tuple(data["volumes"]),
-            int(data["capacity"]),
-            int(data["goal"]),
+            exact_ints(data["values"], "values"),
+            exact_ints(data["volumes"], "volumes"),
+            exact_int(data["capacity"], "capacity"),
+            exact_int(data["goal"], "goal"),
         )
 
     def verify(self, w):
@@ -541,8 +554,7 @@ class Tsp(Problem):
 
     def verify(self, w):
         n = len(self.matrix)
-        if not isinstance(w, (list, tuple)) or sorted(w) != list(range(1, n + 1)):
-            raise WitnessFormatError("tour must be a permutation of 1..n")
+        _as_permutation(w, n)
         length = sum(
             self.matrix[w[i] - 1][w[(i + 1) % n] - 1] for i in range(n)
         )
@@ -605,12 +617,17 @@ class Ilp(Problem):
 
     @classmethod
     def load(cls, text, k, limit):
-        data = json.loads(text)
+        data = json_object(text)
+        bounds = exact_int_rows(data["bounds"], "bounds")
+        if any(len(b) != 2 for b in bounds):
+            raise ValueError("bounds must be [lo, hi] pairs")
+        if not isinstance(data["relations"], list):
+            raise ValueError("relations must be a list")
         return cls(
-            tuple(tuple(r) for r in data["rows"]),
+            exact_int_rows(data["rows"], "rows"),
             tuple(data["relations"]),
-            tuple(data["rhs"]),
-            tuple(tuple(b) for b in data["bounds"]),
+            exact_ints(data["rhs"], "rhs"),
+            bounds,
         )
 
     def describe(self):
@@ -637,9 +654,8 @@ class Ilp(Problem):
         return True
 
     def search(self):
-        if any(hi - lo > 3 for lo, hi in self.bounds):
-            raise InstanceTooLargeError("instance too large for oracle")
-        space = 1
+        _within_cap(max((hi - lo for lo, hi in self.bounds), default=0), "box_width")
+        space = 1  # COMBINLAB_ORACLE_LIMIT does not lift this guard
         for lo, hi in self.bounds:
             space *= hi - lo + 1
             if space > 4_000_000:
@@ -736,11 +752,16 @@ def _indices(w, m: int) -> set[int]:
     return idxs
 
 
-def _check_ham_sequence(w, g) -> bool:
-    n = g.n
-    if not isinstance(w, (list, tuple)) or sorted(w) != list(range(1, n + 1)):
+def _as_permutation(w, n: int) -> list[int]:
+    if not isinstance(w, (list, tuple)) or not all(isinstance(v, int) for v in w):
+        raise WitnessFormatError("expected a list of integers")
+    if sorted(w) != list(range(1, n + 1)):
         raise WitnessFormatError("expected a permutation of 1..n")
-    seq = list(w)
+    return list(w)
+
+
+def _check_ham_sequence(w, g) -> bool:
+    seq = _as_permutation(w, g.n)
     for u, v in zip(seq, seq[1:] + seq[:1]):
         if v not in g.adj[u]:
             return False
@@ -758,6 +779,7 @@ _DEFAULT_CAPS = {
     "tsp_cities": 16,
     "elements": 20,
     "exact_cover_sets": 40,
+    "box_width": 3,  # ILP: hi - lo per variable
 }
 
 
@@ -919,7 +941,9 @@ def sat_to_clique(f: CnfFormula) -> ReductionOutput:
         alpha = _as_assignment(assignment, f.num_vars)
         chosen = set()
         for ci, clause in enumerate(f.clauses):
-            lit = next(l for l in clause if alpha[abs(l) - 1] == (l > 0))
+            lit = next((l for l in clause if alpha[abs(l) - 1] == (l > 0)), None)
+            if lit is None:
+                raise ValueError("witness does not satisfy the formula")
             chosen.add(index[(ci, lit)])
         return chosen
 
@@ -980,7 +1004,9 @@ def threesat_to_coloring(f: CnfFormula) -> ReductionOutput:
             colors[pos(i)] = i if alpha[i - 1] else n + 1
             colors[neg(i)] = n + 1 if alpha[i - 1] else i
         for j, clause in enumerate(f.clauses, start=1):
-            lit = next(l for l in clause if alpha[abs(l) - 1] == (l > 0))
+            lit = next((l for l in clause if alpha[abs(l) - 1] == (l > 0)), None)
+            if lit is None:
+                raise ValueError("witness does not satisfy the formula")
             colors[cl(j)] = abs(lit)
         return colors
 

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .intmath import exact_int, exact_int_rows, exact_ints, json_object
+
 DIAG, UP, LEFT = "Diag", "Up", "Left"
 
 
@@ -30,7 +32,7 @@ class AllocationInstance:
         for table in (*self.costs, *self.profits):
             if len(table) != width:
                 raise ValueError("all tables must cover the same 0..b range")
-            if table[0] != 0:
+            if not table or table[0] != 0:
                 raise ValueError("tables must start at 0")
             if any(a > b for a, b in zip(table, table[1:])):
                 raise ValueError("tables must be monotone non-decreasing")
@@ -322,8 +324,12 @@ def dimension_product_weight(dims):
 
 
 def load_knapsack_json(text: str) -> tuple[list[int], list[int], int]:
-    data = json.loads(text)
-    return list(data["values"]), list(data["volumes"]), int(data["capacity"])
+    data = json_object(text)
+    return (
+        list(exact_ints(data["values"], "values")),
+        list(exact_ints(data["volumes"], "volumes")),
+        exact_int(data["capacity"], "capacity"),
+    )
 
 
 def dump_knapsack_json(values, volumes, capacity) -> str:
@@ -334,9 +340,11 @@ def dump_knapsack_json(values, volumes, capacity) -> str:
 
 
 def load_allocation_json(text: str) -> AllocationInstance:
-    data = json.loads(text)
-    return AllocationInstance.from_lists(
-        data["costs"], data["profits"], int(data["budget"])
+    data = json_object(text)
+    return AllocationInstance(
+        exact_int_rows(data["costs"], "costs"),
+        exact_int_rows(data["profits"], "profits"),
+        exact_int(data["budget"], "budget"),
     )
 
 

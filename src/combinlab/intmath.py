@@ -2,11 +2,13 @@
 
 Every bound asserted by the test suite is an exact integer, so all
 logarithm-style quantities are computed with integer comparisons and big
-integers, never floating point.
+integers, never floating point.  The JSON instance loaders use the checks
+at the end to admit only integers, never floats.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 
@@ -106,3 +108,32 @@ def harmonic(n: int) -> Fraction:
     for k in range(1, n + 1):
         total += Fraction(1, k)
     return total
+
+
+# --- JSON instance checks ------------------------------------------------------
+
+
+def json_object(text: str) -> dict:
+    """Parse an instance file that must hold a JSON object."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("instance must be a JSON object")
+    return data
+
+
+def exact_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer")
+    return value
+
+
+def exact_ints(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
+def exact_int_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integer lists")
+    return tuple(exact_ints(row, f"each entry of {what}") for row in value)

@@ -251,13 +251,13 @@ GOLDEN_FILES = {
 }
 
 
-def golden_argv(tmp_path, call):
-    """Names in GOLDEN_FILES become paths; an inline JSON witness ([...] or
+def golden_argv(tmp_path, call, files=GOLDEN_FILES):
+    """Names in `files` become paths; an inline JSON witness ([...] or
     {...}) is written to a file of its own."""
     argv = []
     for i, tok in enumerate(call.split()):
-        if tok in GOLDEN_FILES:
-            (tmp_path / tok).write_text(GOLDEN_FILES[tok])
+        if tok in files:
+            (tmp_path / tok).write_text(files[tok])
             tok = str(tmp_path / tok)
         elif tok[0] in "[{":
             (tmp_path / f"w{i}.json").write_text(tok)
@@ -518,3 +518,65 @@ def test_golden_covers_each_call_in_both_formats():
     assert sorted(GOLDEN) == sorted(
         f"{call} --format {fmt}" for call in GOLDEN_CALLS for fmt in ("json", "text")
     )
+
+
+MALFORMED_FILES = {
+    **GOLDEN_FILES,
+    "list.json": "[1, 2]",
+    "str-values.json": '{"values": ["a"], "volumes": [1], "capacity": 3}',
+    "float-values.json": '{"values": [1.5], "volumes": [1], "capacity": 3}',
+    "str-numbers.json": '{"numbers": "abc", "target": 1}',
+    "int-family.json": '{"universe": [1], "family": 5}',
+    "int-rows.json": '{"rows": 5, "relations": [], "rhs": [], "bounds": []}',
+    "list-elements.json": '{"universe": [[1], [2]], "family": [[[1]], [[2]]]}',
+}
+
+
+def assert_input_error(tmp_path, capsys, call):
+    code, out, err = run(capsys, golden_argv(tmp_path, call, MALFORMED_FILES))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "solve knapsack list.json",
+        "approx knapsack-fptas list.json",
+        "solve allocate list.json",
+        "solve knapsack str-values.json",
+        "solve knapsack float-values.json",
+        "reduce knapsack-partition str-numbers.json",
+        "reduce exactcover-knapsack int-family.json",
+        "verify knapsack01 list.json [1]",
+        "verify ilp int-rows.json [1]",
+        "verify exact-cover list-elements.json [1]",
+    ],
+)
+def test_malformed_instance_exits_2(tmp_path, capsys, call):
+    assert_input_error(tmp_path, capsys, call)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "verify partition nums.txt [[1]]",
+        "verify set-cover sc.json [[1]] --k 1",
+        "reduce vc-setcover path.g --k 1 --witness [[1]]",
+        "verify ham-cycle sq.g [1,2,3,\"a\"]",
+        "reduce hamcircuit-hamcycle cyc.d --witness [1,2,\"a\"]",
+    ],
+)
+def test_malformed_witness_exits_2(tmp_path, capsys, call):
+    assert_input_error(tmp_path, capsys, call)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "reduce sat-clique f.cnf --witness [1,0,0]",
+        "reduce 3sat-coloring f3.cnf --witness [1,0,0]",
+    ],
+)
+def test_unsatisfying_witness_is_not_transported(tmp_path, capsys, call):
+    assert_input_error(tmp_path, capsys, call)

@@ -87,8 +87,14 @@ def test_brute_force_caps():
 
 
 def test_oracle_cap_env_override(monkeypatch):
+    wide_box = Ilp(((1,),), ("==",), (4,), ((0, 4),))
+    with pytest.raises(InstanceTooLargeError):
+        brute_force_decide(wide_box)
     monkeypatch.setenv("COMBINLAB_ORACLE_LIMIT", "25")
     assert brute_force_decide(Sat(cnf(21, [(1,)]))) is not None
+    assert brute_force_decide(wide_box) == [4]
+    with pytest.raises(InstanceTooLargeError):  # 5**10 points: the fixed space guard
+        brute_force_decide(Ilp((), (), (), ((0, 4),) * 10))
 
 
 def all_small_formulas(num_vars, max_clauses, max_width=3):

@@ -1,5 +1,6 @@
-"""NP problem instances, witness verifiers, desk-scale brute-force
-oracles, a reduction compiler with bidirectional witness maps, and the
+"""NP problems, one `Problem` class each (loader, description, witness
+decoder, verifier and desk-scale brute-force oracle), a reduction compiler
+with bidirectional witness maps registered in `REDUCTIONS`, and the
 polynomial 2-SAT solver.
 
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple

@@ -248,6 +248,14 @@ GOLDEN_FILES = {
     "nums.txt": "1 2 3\n",
     "m.txt": "0 1 2\n1 0 1\n2 1 0\n",
     "ilp.json": '{"rows": [[1, 1]], "relations": ["=="], "rhs": [2], "bounds": [[0, 2], [0, 2]]}',
+    # four strong components; 7 is reachable from both DFS roots, 1 and 5
+    "scc.d": "pd 7 10\na 1 2\na 2 1\na 2 3\na 3 4\na 4 3\na 4 7\na 5 6\na 6 5\na 6 7\na 5 3\n",
+    # two components with edges, and the isolated vertex 7
+    "two.g": "p 7 5\ne 1 2\ne 1 3\ne 2 4\ne 3 4\ne 5 6\n",
+    # triangle 1-2-3 with triangles 2-4-5 and 3-6-7 hung on it
+    "euler.g": "p 7 9\ne 1 2\ne 2 3\ne 1 3\ne 2 4\ne 4 5\ne 2 5\ne 3 6\ne 6 7\ne 3 7\n",
+    "w.g": "p 5 7\ne 1 2 1\ne 1 3 1\ne 2 3 1\ne 2 4 2\ne 3 4 2\ne 4 5 1/2\ne 3 5 2\n",
+    "dims.txt": "9 8 7 6 5 4 3 2\n",
 }
 
 
@@ -268,8 +276,9 @@ def golden_argv(tmp_path, call, files=GOLDEN_FILES):
 
 # (exit code, sha256 of stdout) per call: reduce --oracle and reduce
 # --witness for one source instance of each reduction, verify with an
-# accepted and a rejected witness for each problem kind, and the
-# missing-parameter errors, each in JSON and text format.
+# accepted and a rejected witness for each problem kind, the
+# missing-parameter errors, and the graph traversals, spanning trees and
+# matrix chain of `solve`, each in JSON and text format.
 GOLDEN = {
     "reduce sat-3sat f.cnf --oracle --format json": (0, "c5abb86d7e1a913ad0fa0d40f6c19d1e61b31e2e49bdd2a4603c7cb47b362c1a"),
     "reduce sat-3sat f.cnf --oracle --format text": (0, "ff6b1ea91a6e3dc9eb7a904896a9e7a24d9fb56d84a3140ccf4aefae31489e11"),
@@ -427,6 +436,24 @@ GOLDEN = {
     "verify set-cover ec.json [1,2] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify no-such-kind tri.g [1] --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify no-such-kind tri.g [1] --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "solve dfs scc.d --format json": (0, "f9246823778e96c5be0bff43a3403886444e1f52d5d04c8d62e7e7f9a7f4f0e2"),
+    "solve dfs scc.d --format text": (0, "6aa8f1831d18074ae35fe8b4a7bba17fe7e91d740ec7a45e4d7a3b35688b8842"),
+    "solve dfs two.g --format json": (0, "e62c2414d4e8c827ebf5591f33e27307a471a344174cacf5d6d08263171aefbc"),
+    "solve dfs two.g --format text": (0, "ab0c4d727e17a240ebfb2cf0ec5a4d5f4b4c06544e3f42d83c58121546e54cec"),
+    "solve scc scc.d --format json": (0, "69044cecb5048469b0bbb58fc1e13b61bed232d5fc3c93e0f9069dee90db0ab0"),
+    "solve scc scc.d --format text": (0, "8666302e19d1b2e88e661e5d002fae75348e2251f10ddd2a2da7f121057eafdc"),
+    "solve bfs two.g --format json": (0, "1cc74a4680166bc47ead37ebdbf929c9a762d965623dd20af193f634620cfecf"),
+    "solve bfs two.g --format text": (0, "f93a90959f56c6cfe8f8ab2d008d5cb21622199715c241e7960218ee78285044"),
+    "solve components two.g --format json": (0, "080d682fb752508d0dc09d145c4e4ede60e5a11668d715306294741c9ade12ef"),
+    "solve components two.g --format text": (0, "b4844fef9fe6b1ff8776e44b683ed1962c14dd9cbdcc64bca105c6388e8e2908"),
+    "solve euler euler.g --format json": (0, "9973bd7f60559d67dfc870112ffb9b6563fb2c134839d5be072f7e88ad6ad856"),
+    "solve euler euler.g --format text": (0, "8df06a0910976978ae4c8c27e619d29caf27fee65ab216d67ee1744e8163c7b5"),
+    "solve kruskal w.g --format json": (0, "d03c2f187d7fbd7820640deecda3ab0a071ed7b7ba85e3fbe393d7700d356303"),
+    "solve kruskal w.g --format text": (0, "5b67c5af0b534c1c09ae1442e8fa0b912529a4aa2fc97d47ccf37c297d859f03"),
+    "solve maxst w.g --format json": (0, "b1df6e696a7167996e897615566affeb4b4d161f00e4e55cd798e99a63656988"),
+    "solve maxst w.g --format text": (0, "fe4035311be756c5705db1558a978877b5fbef743f217c154adc9640b1b15422"),
+    "solve chain dims.txt --format json": (0, "93abc55942a84025a9b5f6e2a0bc138acd5d456dea428ea3883878273c2d361e"),
+    "solve chain dims.txt --format text": (0, "05359e427f7e3c76a6edb38d5d87d7d7673bca089f3cdced67952a1d40ffcc26"),
 }
 
 

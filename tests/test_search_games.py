@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
 from combinlab.intmath import ceil_log2, ceil_log3, fib_upto
-from combinlab.oracles import CostedOracle
+from combinlab.oracles import CostedOracle, adversary_whoiswho
 from combinlab.search_games import (
     ALL_GENUINE,
     HEAVIER,
@@ -270,3 +273,40 @@ def test_classify_group_exhaustive_worlds():
                 assert labels == honest, (n, honest, strategy)
                 assert world.count <= bound
                 assert 2 * sum(labels.values()) > n
+
+
+def classify_digest(worlds) -> str:
+    """sha256 over the (asker, subject, answer) transcript and the labels of
+    classify_group on each (n, ask) in `worlds`."""
+    h = hashlib.sha256()
+    for n, ask in worlds:
+        transcript = []
+
+        def logged(asker, subject):
+            answer = ask(asker, subject)
+            transcript.append((asker, subject, answer))
+            return answer
+
+        labels = classify_group(n, logged)
+        h.update(json.dumps([n, transcript, sorted(labels.items())]).encode())
+    return h.hexdigest()
+
+
+def random_liars(n, rng):
+    """A random honest majority whose liars answer by coin flip."""
+    liars = set(rng.sample(range(1, n + 1), rng.randint(0, (n - 1) // 2)))
+
+    def ask(asker, subject):
+        return subject not in liars if asker not in liars else rng.random() < 0.5
+
+    return ask
+
+
+def test_classify_group_transcripts_pinned():
+    adversary = classify_digest((n, adversary_whoiswho(n).ask) for n in range(3, 41))
+    rng = random.Random(2024)
+    liars = classify_digest((n, random_liars(n, rng)) for n in range(3, 41))
+    assert (adversary, liars) == (
+        "26836b0781d498601350bd9683c58d99e08d7839670de9554e597dba0c8826ca",
+        "fd158eb1d3812769a0fa432d0e6227efa550545fa44b8aba2efd3eab80bd1f27",
+    )

@@ -237,13 +237,21 @@ def matrix_chain(dims) -> tuple[int, str, ChainTables]:
                 if m[i][j] is None or q < m[i][j]:
                     m[i][j] = q
                     s[i][j] = k
-    def render(i, j):
-        if i == j:
-            return f"A{i}"
-        k = s[i][j]
-        return "(" + render(i, k) + render(k + 1, j) + ")"
-
-    return m[1][n], render(1, n), ChainTables(m, s)
+    # Render the split tree with an explicit stack; None closes a product.
+    out: list[str] = []
+    stack: list[tuple[int, int] | None] = [(1, n)]
+    while stack:
+        span = stack.pop()
+        if span is None:
+            out.append(")")
+        elif span[0] == span[1]:
+            out.append(f"A{span[0]}")
+        else:
+            i, j = span
+            k = s[i][j]
+            out.append("(")
+            stack += [None, (k + 1, j), (i, k)]
+    return m[1][n], "".join(out), ChainTables(m, s)
 
 
 def count_parenthesizations(n: int) -> int:
@@ -280,23 +288,20 @@ def polygon_triangulation(weight, vertex_count: int) -> tuple[object, list[tuple
                     m[i][j] = q
                     s[i][j] = k
 
-    diagonals: list[tuple[int, int]] = []
-
-    def is_side(a: int, b: int) -> bool:
-        a, b = min(a, b), max(a, b)
-        return b - a == 1 or (a == 0 and b == n)
-
-    def collect(i, j):
+    # Walk the split tree with an explicit stack.  The split k of the
+    # sub-polygon v_{i-1}..v_j has i - 1 < k < j, so both new sides
+    # (a, b) have a < b; each is a diagonal unless it is a polygon side.
+    diagonals: set[tuple[int, int]] = set()
+    stack = [(1, n)]
+    while stack:
+        i, j = stack.pop()
         if i >= j:
-            return
+            continue
         k = s[i][j]
         for a, b in ((i - 1, k), (k, j)):
-            if a != b and not is_side(a, b) and tuple(sorted((a, b))) not in diagonals:
-                diagonals.append(tuple(sorted((a, b))))
-        collect(i, k)
-        collect(k + 1, j)
-
-    collect(1, n)
+            if b - a > 1 and (a, b) != (0, n):
+                diagonals.add((a, b))
+        stack += [(i, k), (k + 1, j)]
     return m[1][n], sorted(diagonals)
 
 

@@ -307,7 +307,9 @@ def dfs(g, order=None) -> DfsRecord:
     """Depth-first search over a Graph or Digraph.
 
     `order` is the outer-loop vertex permutation (default ascending).
-    Timestamps are 1..2n with the usual nesting property.
+    Timestamps are 1..2n with the usual nesting property.  The walk keeps
+    an explicit stack of (vertex, neighbour iterator) pairs, so its
+    Python recursion depth does not grow with the graph.
     """
     n = g.n
     if order is None:
@@ -315,36 +317,30 @@ def dfs(g, order=None) -> DfsRecord:
     order = list(order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in range(1, n + 1)}
     rec = DfsRecord({}, {}, {v: None for v in range(1, n + 1)}, [], [])
+    discovery, finish, parent = rec.discovery, rec.finish, rec.parent
     time = 0
-
-    def visit(u: int) -> None:
-        nonlocal time
-        color[u] = GRAY
+    for root in order:
+        if root in discovery:
+            continue
+        rec.roots.append(root)
         time += 1
-        rec.discovery[u] = time
-        for v in g.neighbors(u):
-            if color[v] == WHITE:
-                rec.parent[v] = u
-                rec.forest_edges.append((u, v))
-                visit(v)
-        color[u] = BLACK
-        time += 1
-        rec.finish[u] = time
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 100))
-    try:
-        for u in order:
-            if color[u] == WHITE:
-                rec.roots.append(u)
-                visit(u)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        discovery[root] = time
+        stack = [(root, iter(g.neighbors(root)))]
+        while stack:
+            u, pending = stack[-1]
+            for v in pending:
+                if v not in discovery:
+                    parent[v] = u
+                    rec.forest_edges.append((u, v))
+                    time += 1
+                    discovery[v] = time
+                    stack.append((v, iter(g.neighbors(v))))
+                    break
+            else:
+                stack.pop()
+                time += 1
+                finish[u] = time
     return rec
 
 
@@ -352,22 +348,18 @@ def scc_kosaraju(g: Digraph) -> list[list[int]]:
     """Strongly connected components via two DFS passes.
 
     The second pass scans vertices by decreasing first-pass finish time on
-    the transposed graph; components come out in condensation order
-    (sources of the condensation first).
+    the transposed graph, and each of its trees is one component;
+    components come out in condensation order (sources of the
+    condensation first).
     """
-    first = dfs(g)
-    by_finish = sorted(range(1, g.n + 1), key=lambda v: -first.finish[v])
+    by_finish = list(reversed(dfs(g).finish))
     second = dfs(g.transpose(), order=by_finish)
-    comp_members: dict[int, list[int]] = {}
-    root_of: dict[int, int] = {}
-    for v in by_finish:
-        u = v
-        while second.parent[u] is not None:
-            u = second.parent[u]
-        root_of[v] = u
-        comp_members.setdefault(u, []).append(v)
-    ordered_roots = [r for r in second.roots]
-    return [sorted(comp_members[r]) for r in ordered_roots]
+    blocks: list[list[int]] = []
+    for v in second.discovery:
+        if second.parent[v] is None:
+            blocks.append([])
+        blocks[-1].append(v)
+    return [sorted(block) for block in blocks]
 
 
 # --- shared text format -------------------------------------------------

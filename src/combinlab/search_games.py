@@ -288,62 +288,59 @@ def classify_group(n: int, ask) -> dict[int, bool]:
     """
     if n < 3:
         raise ValueError("needs n >= 3")
-    labels = _classify(list(range(1, n + 1)), ask)
-    return {v: labels[v] for v in range(1, n + 1)}
-
-
-def _classify(group: list[int], ask) -> dict[int, bool]:
-    m = len(group)
-    if m == 1:
-        return {group[0]: True}
-    if m == 2:
-        return {group[0]: True, group[1]: True}
-    chosen = group[0]
-    yes_limit = (m - 1) // 2
-    yes_sayers: list[int] = []
-    no_sayers: list[int] = []
-    for asker in group[1:]:
-        if ask(asker, chosen):
-            yes_sayers.append(asker)
-        else:
-            no_sayers.append(asker)
-        if len(no_sayers) > len(yes_sayers) or len(yes_sayers) == yes_limit:
-            break
-
+    # Descend: each round questions about one chosen member.  A round
+    # that cannot settle its asked members yet leaves a frame, and the
+    # rest of the group (which keeps its honest majority) goes down one
+    # level.  Frames are then settled innermost first, as the nested
+    # rounds would be, so the questions come in the same order.
     labels: dict[int, bool] = {}
-    if len(yes_sayers) == yes_limit and len(no_sayers) <= len(yes_sayers):
-        # The chosen member is necessarily honest; its answers settle
-        # everyone not already exposed as a liar.
-        labels[chosen] = True
-        for v in no_sayers:
-            labels[v] = False
-        for v in group[1:]:
-            if v not in labels:
-                labels[v] = ask(chosen, v)
-        return labels
-
-    # Stopped with one more "no" than "yes": among the asked members plus
-    # the chosen one, at least j+1 are dishonest, so the rest of the group
-    # keeps its honest majority.
-    j = len(yes_sayers)
-    asked = set(yes_sayers) | set(no_sayers) | {chosen}
-    remaining = [v for v in group if v not in asked]
-    if j == (m - 1) // 2 - 1:
-        for v in remaining:
-            labels[v] = True
-    else:
-        labels.update(_classify(remaining, ask))
-    helper = min(v for v in remaining if labels[v])
-    chosen_honest = ask(helper, chosen)
-    labels[chosen] = chosen_honest
-    if chosen_honest:
-        for v in no_sayers:
-            labels[v] = False
-        for v in yes_sayers:
+    frames = []
+    group = list(range(1, n + 1))
+    while True:
+        m = len(group)
+        if m <= 2:
+            labels.update((v, True) for v in group)
+            break
+        chosen = group[0]
+        yes_limit = (m - 1) // 2
+        yes_sayers: list[int] = []
+        no_sayers: list[int] = []
+        for asker in group[1:]:
+            if ask(asker, chosen):
+                yes_sayers.append(asker)
+            else:
+                no_sayers.append(asker)
+            if len(no_sayers) > len(yes_sayers) or len(yes_sayers) == yes_limit:
+                break
+        if len(yes_sayers) == yes_limit and len(no_sayers) <= len(yes_sayers):
+            # The chosen member is necessarily honest; its answers settle
+            # everyone not already exposed as a liar.
+            labels[chosen] = True
+            for v in no_sayers:
+                labels[v] = False
+            for v in group[1:]:
+                if v not in labels:
+                    labels[v] = ask(chosen, v)
+            break
+        # Stopped with j yes-sayers and j + 1 no-sayers: among them and
+        # the chosen member at least j + 1 are dishonest, so the rest of
+        # the group keeps its honest majority.
+        remaining = group[1 + len(yes_sayers) + len(no_sayers) :]
+        frames.append((chosen, yes_sayers, no_sayers, remaining))
+        if len(yes_sayers) == yes_limit - 1:
+            labels.update((v, True) for v in remaining)
+            break
+        group = remaining
+    while frames:
+        chosen, yes_sayers, no_sayers, remaining = frames.pop()
+        helper = min(v for v in remaining if labels[v])
+        labels[chosen] = ask(helper, chosen)
+        # An honest chosen member exposes its no-sayers, a dishonest one
+        # its yes-sayers; the helper settles the other side.
+        exposed, unsure = yes_sayers, no_sayers
+        if labels[chosen]:
+            exposed, unsure = no_sayers, yes_sayers
+        labels.update((v, False) for v in exposed)
+        for v in unsure:
             labels[v] = ask(helper, v)
-    else:
-        for v in yes_sayers:
-            labels[v] = False
-        for v in no_sayers:
-            labels[v] = ask(helper, v)
-    return labels
+    return {v: labels[v] for v in range(1, n + 1)}

@@ -1,6 +1,9 @@
+import inspect
 import itertools
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -239,3 +242,26 @@ def test_json_roundtrip():
     inst = AllocationInstance.simple_split([[0, 1], [0, 2]], 1)
     again = load_allocation_json(dump_allocation_json(inst))
     assert again == inst
+
+
+def test_chain_and_triangulation_recursion_stays_shallow():
+    # Decreasing dimensions make the optimal product nest to the right,
+    # (A1(A2(...(A248A249)...))), a split tree 248 levels deep.
+    dims = list(range(250, 0, -1))
+    n = len(dims) - 1
+    cost = dims[n] * sum(dims[k - 1] * dims[k] for k in range(1, n))
+    expr = "".join(f"(A{i}" for i in range(1, n)) + f"A{n}" + ")" * (n - 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        start = time.process_time()
+        chain_cost, chain_expr, _ = matrix_chain(dims)
+        chain_s = time.process_time() - start
+        start = time.process_time()
+        poly_cost, diagonals = polygon_triangulation(dimension_product_weight(dims), len(dims))
+        poly_s = time.process_time() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (chain_cost, chain_expr) == (cost, expr)
+    assert poly_cost == cost and len(diagonals) == len(dims) - 3
+    assert chain_s < 1 and poly_s < 1

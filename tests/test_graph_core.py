@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -219,6 +220,25 @@ def test_scc_condensation_acyclic_and_matches_bruteforce():
                 index[v] = ci
         for u, v in d.arcs:
             assert index[u] <= index[v]
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_dfs_and_scc_on_100k_vertices_leave_recursion_limit_alone(monkeypatch, closed):
+    n = 100_000
+    limit = sys.getrecursionlimit()
+
+    def refuse(_):
+        raise AssertionError("sys.setrecursionlimit called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    d = Digraph(n, [(v, v + 1) for v in range(1, n)] + ([(n, 1)] if closed else []))
+    rec = dfs(d)
+    assert rec.roots == [1]
+    assert rec.discovery[n] == n and rec.finish[n] == n + 1 and rec.finish[1] == 2 * n
+    assert rec.parent[n] == n - 1
+    blocks = [list(range(1, n + 1))] if closed else [[v] for v in range(1, n + 1)]
+    assert scc_kosaraju(d) == blocks
+    assert sys.getrecursionlimit() == limit
 
 
 def test_text_format_roundtrip():

@@ -310,3 +310,11 @@ def test_classify_group_transcripts_pinned():
         "26836b0781d498601350bd9683c58d99e08d7839670de9554e597dba0c8826ca",
         "fd158eb1d3812769a0fa432d0e6227efa550545fa44b8aba2efd3eab80bd1f27",
     )
+
+
+def test_classify_group_adversary_n2001():
+    n = 2001
+    adversary = adversary_whoiswho(n)
+    labels = classify_group(n, adversary.ask)
+    assert labels == adversary.certify()
+    assert adversary.count <= -((-3 * (n - 1)) // 2)

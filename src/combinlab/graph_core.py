@@ -147,8 +147,7 @@ def bfs_forest(g: Graph) -> BfsForest:
         order.append(s)
         queue = [s]
         tree_edges = []
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             for w in g.neighbors(v):
                 if w not in visited:
                     visited.add(w)
@@ -216,12 +215,15 @@ def euler_cycle(g: Graph) -> list[int]:
 
     start = min(v for v in range(1, g.n + 1) if g.degree(v) > 0)
     cycle = walk_cycle(start)
+    at = 0
     while len(used) < len(g.edges):
         # Find a cycle vertex with an unused incident edge and splice in
-        # the cycle through it.
+        # the cycle through it.  Vertices before the last splice point
+        # had none left then and cannot regain one, so the scan resumes
+        # there.
         at = next(
             i
-            for i, v in enumerate(cycle)
+            for i, v in enumerate(cycle[at:], at)
             if any((min(v, w), max(v, w)) not in used for w in g.neighbors(v))
         )
         side = walk_cycle(cycle[at])
@@ -367,7 +369,10 @@ def scc_kosaraju(g: Digraph) -> list[list[int]]:
 
 def _parse_weight(tok: str):
     if "/" in tok:
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"bad weight {tok!r}: zero denominator") from None
     return int(tok)
 
 

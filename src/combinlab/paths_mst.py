@@ -261,20 +261,25 @@ def prim(g: WeightedGraph) -> MstResult:
 
 def kruskal(g: WeightedGraph) -> MstResult:
     """Minimum spanning tree by edges in stable (weight, u, v) order with
-    component labels for the cycle test."""
+    union-find (path halving) for the cycle test."""
     if g.n == 0:
         raise ValueError("graph not connected")
-    label = {v: v for v in range(1, g.n + 1)}
+    parent = list(range(g.n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     ordered = sorted(g.edges, key=lambda e: (g.weight[e], e))
     edges = []
     total = 0
     for u, v in ordered:
-        if label[u] == label[v]:
+        ru, rv = find(u), find(v)
+        if ru == rv:
             continue
-        keep, drop = min(label[u], label[v]), max(label[u], label[v])
-        for x in label:
-            if label[x] == drop:
-                label[x] = keep
+        parent[rv] = ru
         edges.append((u, v))
         total = total + g.weight[(u, v)]
     if len(edges) != g.n - 1:

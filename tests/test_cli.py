@@ -488,6 +488,8 @@ MALFORMED_FILES = {
     "int-family.json": '{"universe": [1], "family": 5}',
     "int-rows.json": '{"rows": 5, "relations": [], "rhs": [], "bounds": []}',
     "list-elements.json": '{"universe": [[1], [2]], "family": [[[1]], [[2]]]}',
+    "zero-den.g": "p 3 2\ne 1 2 1\ne 2 3 1/0\n",
+    "zero-den.d": "pd 3 2\na 1 2 1\na 2 3 1/0\n",
 }
 
 
@@ -510,6 +512,9 @@ def assert_input_error(tmp_path, capsys, call):
         "verify knapsack01 list.json [1]",
         "verify ilp int-rows.json [1]",
         "verify exact-cover list-elements.json [1]",
+        "solve euler zero-den.g",
+        "solve kruskal zero-den.g",
+        "solve dijkstra zero-den.d",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):

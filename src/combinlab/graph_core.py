@@ -147,7 +147,7 @@ def bfs_forest(g: Graph) -> BfsForest:
         order.append(s)
         queue = [s]
         tree_edges = []
-        for v in queue:
+        for v in queue:  # also visits what the loop appends
             for w in g.neighbors(v):
                 if w not in visited:
                     visited.add(w)

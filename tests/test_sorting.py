@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import random
+
+import pytest
 
 from combinlab.intmath import ceil_log2, insertion_batch_bound
 from combinlab.oracles import counting_comparator
@@ -178,3 +181,115 @@ def test_all_sorts_agree_with_reference():
         assert insertion_sort(items) == sorted(items)
         assert merge_sort_grouped(items) == sorted(items)
         assert merge_insertion_sort(items) == sorted(items)
+
+
+class RecordingComparator:
+    """Counting comparator that also logs every less(i, j) call in order."""
+
+    def __init__(self, items):
+        self.inner = counting_comparator(items)
+        self.calls = []
+
+    def less(self, i, j):
+        self.calls.append((i, j))
+        return self.inner.less(i, j)
+
+
+def transcript_digest(calls, output) -> str:
+    return hashlib.sha256(repr((calls, output)).encode()).hexdigest()
+
+
+def sort_transcript(fn, n: int) -> str:
+    items = random.Random(n).sample(range(10 * n), n)
+    cmp = RecordingComparator(items)
+    out = fn(items, cmp)
+    assert out == sorted(items)
+    return transcript_digest(cmp.calls, out)
+
+
+def binary_insert_transcript(m: int) -> str:
+    """Insert a fresh key into a sorted run of m handles, at 20 seeded ranks."""
+    calls, outs = [], []
+    for seed in range(20):
+        items = random.Random(1000 * m + seed).sample(range(10 * (m + 1)), m + 1)
+        run = sorted(range(m), key=items.__getitem__)
+        before = list(run)
+        cmp = RecordingComparator(items)
+        out = binary_insert(run, m, cmp)
+        assert run == before and out is not run
+        assert [items[h] for h in out] == sorted(items)
+        calls.append(cmp.calls)
+        outs.append(out)
+    return transcript_digest(calls, outs)
+
+
+# sha256 of the full less(i, j) sequence plus the output, recorded before the
+# sorting layer's bookkeeping was rewritten; the rewrite must not move them.
+SORT_TRANSCRIPTS = {
+    ("insertion_sort", 0): "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    ("insertion_sort", 1): "bd49bb493686ca13d128fb108ab6e36e7c8a1f8d600a2571d625fa664cd272b8",
+    ("insertion_sort", 2): "d64f11446370a06ede5545dcf9ece5fb88e57330432c2e6028bf52cb12344269",
+    ("insertion_sort", 3): "e780cd38a5badd536a1d32dbc90c05a6bd704966c436cf1d9d8d4c186a50bc83",
+    ("insertion_sort", 4): "e639aec24bfd4d4b5cd844bdb813ee6c8c43e532d7b2e3858a0b4429581b4bcd",
+    ("insertion_sort", 5): "5ed0051fd7b31969c6ce889ae2778f043bb0cfd3af068d4261309c22bea4ecb3",
+    ("insertion_sort", 10): "e604cd639d7d61bb503a480eaba7af0eb46ba3a7539e8e6b2647558b90489f14",
+    ("insertion_sort", 21): "7cdad9a5bbec065f0bfa7bf3004ff55107eca88093fb6e42c844f887d0220825",
+    ("insertion_sort", 64): "ed5e19677b8ebc3b40023fe01d5ec2d7869fc6896d6e03028774e35d2ba145be",
+    ("insertion_sort", 255): "2906e60fb6046364ef782b39d52e5ee15fb18d16dd5da5f198893589be32792c",
+    ("insertion_sort", 1000): "fda395edfd95ca91e59758fc8a2b79724bf50c6712e2ba4c868a521f5ec0238d",
+    ("insertion_sort", 2999): "8b9f0d33fe9ee7eb85f087d0ffea7751d82819599f2a2893965a623f6be77b3a",
+    ("insertion_sort", 3000): "32c6bef617c33caf4972e72b9e0bc53a021025e7cbc380c97b464bdfc430bc29",
+    ("merge_sort_grouped", 0): "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    ("merge_sort_grouped", 1): "bd49bb493686ca13d128fb108ab6e36e7c8a1f8d600a2571d625fa664cd272b8",
+    ("merge_sort_grouped", 2): "6ed0be6f08de41ba03e3674fa98129d6942f70ae961ead223db25f2a8e1bd569",
+    ("merge_sort_grouped", 3): "dad85e7c2cf9f5190b4c1aa30558ea9d42a5350a5728eb6fc338eae8c6cb0815",
+    ("merge_sort_grouped", 4): "c50fc784be5e4fd778aba715dc2f82d09a6bf1bd013780b59efe1ba3cd3b2fe3",
+    ("merge_sort_grouped", 5): "d82ce783c4299899646e63810b6b50b6c8dac8733ae9980f14f08299154501f7",
+    ("merge_sort_grouped", 10): "edd936c40b09a05848d0a04741be1af74becfb1896ac8bba67bbea9788f5acb7",
+    ("merge_sort_grouped", 21): "f415d28cb74a64450cc828c0e78983b1f623d17e014964a28564f0fb522aa00b",
+    ("merge_sort_grouped", 64): "f7523de3ad8008d7eab95dddd6a75dffd1d8fa9fba4377dfc4955277c1ead540",
+    ("merge_sort_grouped", 255): "b671ca739021e671f6d66b5faa59de3cf32d55a65425146d594120d6d550cd9c",
+    ("merge_sort_grouped", 1000): "5aca19d2757ec616cbdf9050ca4ef687157eba3ea1d3bba9666b24846c56b593",
+    ("merge_sort_grouped", 2999): "550c917f633f68ca47a7ee8cb41e8fbf696f541ce265af50afec4d3eb577f66f",
+    ("merge_sort_grouped", 3000): "bc38d002ddb8c488fd05ec4190206ad91d629efa7121d73f3c51831d06aed89b",
+    ("merge_insertion_sort", 0): "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    ("merge_insertion_sort", 1): "bd49bb493686ca13d128fb108ab6e36e7c8a1f8d600a2571d625fa664cd272b8",
+    ("merge_insertion_sort", 2): "6ed0be6f08de41ba03e3674fa98129d6942f70ae961ead223db25f2a8e1bd569",
+    ("merge_insertion_sort", 3): "98e1db26ae7c8e5ffefaeaf7968d4f7385a0860f7e967c796842f58f56bb25a7",
+    ("merge_insertion_sort", 4): "50d4ffbb159d51b1df4bfa2b4c4fea1a1c2e7ea923754ddb65bb38ad1b7fd70f",
+    ("merge_insertion_sort", 5): "f03e0a2f4f186152cfaa674e30da2aecb4e4c48eb1f892086dcab168ba532672",
+    ("merge_insertion_sort", 10): "0d770b5df0742fb22196d9e6e36410d446775e4918e0ca2673f8509a1bef51dd",
+    ("merge_insertion_sort", 21): "0909fc900eaeee08c49f44c938c33976afccdb1b82f78ca2d45f0215e790fe3f",
+    ("merge_insertion_sort", 64): "511b24346be968472b7eb28ba343a3f3e9a4786566dbc42d1cecd4d343794028",
+    ("merge_insertion_sort", 255): "3d5fa74386eae2f4f5c715c20c29d4530f07ba528ae2bcbb49fad0e84e22b291",
+    ("merge_insertion_sort", 1000): "5f56cd248d0512ea9c5d46b01b6f880ff3fec2ad4b8a2f52e21ccd04a4464be3",
+    ("merge_insertion_sort", 2999): "62355d8f8011f93f93fa4580595152052755bc75f95c8e474c4199e1ba1eb0a2",
+    ("merge_insertion_sort", 3000): "5fac1f33259eb3a1e7ceed8f7a4ed5ea597cfc4f6b80ccf0d0bb205c4e46cf2c",
+    ("binary_insert", 0): "9cc0be6364de81729c54f9193817a2aacfd739c3679e948db4a614c55eea8ae1",
+    ("binary_insert", 1): "848cb93ae24cf1c2b8b79aca042de517c5f682cdf8738b10c6e28f9df81d6825",
+    ("binary_insert", 2): "6adc616e0735d43a62ee28bf01ba8888a64e441ebbd24005faac31218184ca46",
+    ("binary_insert", 3): "75459b2fc0447487d47b80ac2009b1bc05ca1ffb262aa03baf7191476c3e038a",
+    ("binary_insert", 4): "fd64a1293ff12775d5388cc6054a80f1854d72ea3fee0124ec538bca7b86ee96",
+    ("binary_insert", 7): "5fb8fe56c009a924d69fcece755ae8da36c8351806f84ee7c4566e226c1e4928",
+    ("binary_insert", 8): "f95da94c7c297c34f184de3b754a10703143c2f7e9ee8e16fb73ba6187064f72",
+    ("binary_insert", 100): "559ad5b28300846fb5b48cc4c1a77d8c5f1cd1a405e7ac1e89c143abb608a8de",
+    ("binary_insert", 1023): "357d730733b280b74709358e65d9e371a509a858b1149ba21123002f24a092e6",
+    ("binary_insert", 1024): "bad75f864cd72b1a09fb7c23383676315cba8077e175f7f2e47a5a14c9c1e824",
+    ("binary_insert", 2999): "b6b1968b66a0938c08a133e74026a243936589a6ad5dd662e398ca7c2e3988ac",
+}
+
+SORTERS = {
+    "insertion_sort": insertion_sort,
+    "merge_sort_grouped": merge_sort_grouped,
+    "merge_insertion_sort": merge_insertion_sort,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SORT_TRANSCRIPTS))
+def test_comparison_transcripts_pinned(case):
+    name, n = case
+    if name == "binary_insert":
+        digest = binary_insert_transcript(n)
+    else:
+        digest = sort_transcript(SORTERS[name], n)
+    assert digest == SORT_TRANSCRIPTS[case]

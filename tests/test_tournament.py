@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -159,3 +160,63 @@ def test_select_t_linear_exhaustive_tiny():
             for t in range(1, n + 1):
                 idx = select_t_linear(items, t)
                 assert items[idx] == n - t + 1
+
+
+class RecordingComparator:
+    """Counting comparator that also logs every less(i, j) call in order."""
+
+    def __init__(self, items):
+        self.inner = counting_comparator(items)
+        self.calls = []
+
+    def less(self, i, j):
+        self.calls.append((i, j))
+        return self.inner.less(i, j)
+
+
+def select_transcript(fn, n: int) -> str:
+    """Select the largest, the median and the smallest of n seeded keys."""
+    items = random.Random(n).sample(range(10 * n), n)
+    calls, outs = [], []
+    for t in sorted({1, (n + 1) // 2, n}):
+        cmp = RecordingComparator(items)
+        idx = fn(items, t, cmp)
+        assert items[idx] == sorted(items, reverse=True)[t - 1]
+        calls.append(cmp.calls)
+        outs.append(idx)
+    return hashlib.sha256(repr((calls, outs)).encode()).hexdigest()
+
+
+# sha256 of the full less(i, j) sequence plus the output, recorded before the
+# selection layer's bookkeeping was rewritten; the rewrite must not move them.
+SELECT_TRANSCRIPTS = {
+    ("select_t_linear", 1): "0fb8bbaa0641d107464afa9f2a2dc36271d4538b659f00eabf290b342748d8f0",
+    ("select_t_linear", 2): "d6c5126054b5adf3b04d87e34291989b13c3dc4a5ab35d85a4b1c4e087857517",
+    ("select_t_linear", 3): "8686b7f1ea200758876707e0fc0b7ee453bc8e622af1465e500facbf457c3598",
+    ("select_t_linear", 7): "06cde3eac45bb62e4a1905f7eb9ae6a2b6ad3b6a2eb994b63271317ca971ee6a",
+    ("select_t_linear", 8): "adba079c986c296799238ace29028d37dacd2182ec8759d49f957151d3d83d1e",
+    ("select_t_linear", 100): "7b1974616f7feecdef8b3b42bdd0adb3bc0a9c2a9f9d8b87ee93de790b131daa",
+    ("select_t_linear", 1023): "13b6b41820b48705c9fb4aa88cee08f385b714445fe477b0876a35be0b6fdafe",
+    ("select_t_linear", 1024): "12ade10cd4ab76be4adee31178e9f880e0197123e7a3d636ab10a34607b5fa7e",
+    ("select_t_linear", 1025): "e6c20abb5d24abae01147749fc18dfe93ef8d2a97618fb25b7a563299360c2bf",
+    ("select_t_linear", 2999): "cdf36f9b9067cb9fa9faf27b9d2528d8fbe73a3dc981553cb69bd005ff8da082",
+    ("select_t_linear", 3000): "b8ae7a376bf7285460b107d8fdb3edd0cd931198e929aacbfaa036631a74bf65",
+    ("select_t_linear", 20000): "030fbcd40d55e251f78d691037ef2f79eca86031de55ab554068bbf5598e90ee",
+    ("select_t_tournament", 1): "0fb8bbaa0641d107464afa9f2a2dc36271d4538b659f00eabf290b342748d8f0",
+    ("select_t_tournament", 2): "d6c5126054b5adf3b04d87e34291989b13c3dc4a5ab35d85a4b1c4e087857517",
+    ("select_t_tournament", 3): "09e0aadc2f897b344e24921d2be9c716705187f539a7c68fb5719bc27596b18f",
+    ("select_t_tournament", 4): "a6516bf59597993286c2ec7d88b7b376161775813bb6e88d188d54913a968dfe",
+    ("select_t_tournament", 5): "40019f9c9ea3559031d4d6729c7c3c02063d00d335e4269afcfc1a6b4ad4a17e",
+    ("select_t_tournament", 100): "d01a562995c0323071ce32f0dff17ac056d942c33b01ec043b49c21d7e53fad2",
+    ("select_t_tournament", 1001): "1dd923c1211e43d8f5b943ff52734d55c911f4293f41533798b92e4d4c34df32",
+    ("select_t_tournament", 2999): "28dec27caa7ccf93b027377509495f2544d8ce06dda9b7c77d6a1b1c6c3d60e0",
+    ("select_t_tournament", 3000): "863070eb1d7d982150f18a72e8b1d197cd3ad21278dae8eb778391ce61dd776a",
+}
+
+SELECTORS = {"select_t_linear": select_t_linear, "select_t_tournament": select_t_tournament}
+
+
+@pytest.mark.parametrize("case", sorted(SELECT_TRANSCRIPTS))
+def test_selection_transcripts_pinned(case):
+    name, n = case
+    assert select_transcript(SELECTORS[name], n) == SELECT_TRANSCRIPTS[case]

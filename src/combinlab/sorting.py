@@ -13,6 +13,7 @@ A(n) and F(n) bookkeeping input-independent.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .intmath import (
@@ -46,22 +47,31 @@ def binary_insert(run: list, x, cmp) -> list:
 
     Elements are whatever handles `cmp.less` understands.  Searches that
     finish early re-spend the leftover budget on already-decided
-    comparisons so the count is the same on every path.
+    comparisons so the count is the same on every path.  Returns a new
+    list and leaves `run` unchanged.
     """
-    k = len(run) + 1
-    budget = ceil_log2(k)
-    lo, hi = 0, len(run)
+    out = list(run)
+    _insert_below(out, len(out), x, cmp)
+    return out
+
+
+def _insert_below(chain: list, hi: int, x, cmp) -> None:
+    """Insert x in place into the sorted prefix chain[:hi] with exactly
+    ceil(log2(hi + 1)) comparisons, padding early finishes with x vs
+    chain[0]."""
+    budget = ceil_log2(hi + 1)
+    lo = 0
     used = 0
     while lo < hi:
         mid = (lo + hi) // 2
         used += 1
-        if cmp.less(x, run[mid]):
+        if cmp.less(x, chain[mid]):
             hi = mid
         else:
             lo = mid + 1
     for _ in range(budget - used):
-        cmp.less(x, run[0])
-    return run[:lo] + [x] + run[lo:]
+        cmp.less(x, chain[0])
+    chain.insert(lo, x)
 
 
 def insertion_sort(items, cmp=None) -> list:
@@ -73,7 +83,7 @@ def insertion_sort(items, cmp=None) -> list:
         handles = list(range(len(items)))
     run: list[int] = []
     for h in handles:
-        run = binary_insert(run, h, cmp)
+        _insert_below(run, len(run), h, cmp)
     return [items[h] for h in run]
 
 
@@ -124,15 +134,23 @@ def merge_schedule(n: int) -> list[tuple[int, int]]:
     id; the returned pairs list the run ids merged at each step.  Ties are
     broken toward the earliest-created run.
     """
-    sizes = {i: 1 for i in range(n)}
-    plan: list[tuple[int, int]] = []
+    return [(a, b) for a, b, _ in _shortest_merges(n)]
+
+
+def _shortest_merges(n: int):
+    """Yield (run a, run b, merged size) for each step of merge_schedule.
+
+    A heap keyed on the unique (size, run id) pops the same two runs that
+    sorting every run by that key would put first.
+    """
+    heap = [(1, i) for i in range(n)]  # sorted, hence already a heap
     next_id = n
-    while len(sizes) > 1:
-        a, b = sorted(sizes, key=lambda r: (sizes[r], r))[:2]
-        plan.append((a, b))
-        sizes[next_id] = sizes.pop(a) + sizes.pop(b)
+    while len(heap) > 1:
+        p, a = heapq.heappop(heap)
+        q, b = heapq.heappop(heap)
+        yield a, b, p + q
+        heapq.heappush(heap, (p + q, next_id))
         next_id += 1
-    return plan
 
 
 def merge_sort_grouped(items, cmp=None) -> list:
@@ -161,17 +179,7 @@ def merge_sort_grouped(items, cmp=None) -> list:
 def grouped_merge_budget(n: int) -> int:
     """Worst-case comparisons of merge_sort_grouped: every scheduled merge
     of runs sized p and q costs p + q - 1."""
-    if n <= 1:
-        return 0
-    sizes = {i: 1 for i in range(n)}
-    next_id = n
-    total = 0
-    for a, b in merge_schedule(n):
-        merged = sizes.pop(a) + sizes.pop(b)
-        total += merged - 1
-        sizes[next_id] = merged
-        next_id += 1
-    return total
+    return sum(size - 1 for _, _, size in _shortest_merges(n))
 
 
 def merge_insertion_sort(items, cmp=None) -> list:
@@ -222,9 +230,7 @@ def _merge_insertion(handles: list, cmp) -> list:
         for idx in range(min(high, total + 1), low, -1):
             b = pending[idx - 2]
             cap = ceiling.get(b)
-            zone = chain if cap is None else chain[: chain.index(cap)]
-            inserted = binary_insert(zone, b, cmp)
-            chain = inserted + chain[len(zone):]
+            _insert_below(chain, len(chain) if cap is None else chain.index(cap), b, cmp)
         low = high
         k += 1
     return chain

@@ -218,12 +218,9 @@ class _PadComparator:
     def __init__(self, cmp):
         self.cmp = cmp
 
-    @staticmethod
-    def _is_pad(h) -> bool:
-        return isinstance(h, tuple) and h and h[0] == "pad"
-
     def less(self, a, b) -> bool:
-        pa, pb = self._is_pad(a), self._is_pad(b)
+        # Items are int positions; pads are the only tuple handles.
+        pa, pb = type(a) is tuple, type(b) is tuple
         if pa and pb:
             return a[1] < b[1]
         if pa:
@@ -263,7 +260,7 @@ def _select_partition(handles: list, t: int, cmp) -> tuple:
     while len(padded) % 7 or (len(padded) // 7) % 2 == 0:
         padded.append(("pad", pad_id))
         pad_id += 1
-    groups = [_sort_desc(padded[i : i + 7], cmp) for i in range(0, len(padded), 7)]
+    groups = [_sort_handles(padded[i : i + 7], cmp)[::-1] for i in range(0, len(padded), 7)]
     medians = [g[3] for g in groups]
     q = (len(medians) - 1) // 2
     x, med_above, med_below = _select_partition(medians, q + 1, cmp)
@@ -303,27 +300,19 @@ def _select_partition(handles: list, t: int, cmp) -> tuple:
     return y, g2 + [x] + greater, s2
 
 
+class _PositionComparator:
+    """Compares positions in a handle list by the handles they hold, so that
+    merge-insertion sort keys its bookkeeping on positions: a pad handle can
+    occur twice in one list, since each level numbers its pads from 0."""
+
+    def __init__(self, handles: list, cmp):
+        self.handles = handles
+        self.cmp = cmp
+
+    def less(self, i: int, j: int) -> bool:
+        return self.cmp.less(self.handles[i], self.handles[j])
+
+
 def _sort_handles(handles: list, cmp) -> list:
     """Ascending merge-insertion sort over arbitrary handles."""
-    if len(handles) <= 1:
-        return list(handles)
-    order = _mi_sort(handles, cmp)
-    return order
-
-
-def _mi_sort(handles: list, cmp) -> list:
-    # merge_insertion_sort over positional items needs value handles; wrap
-    # the handle list through an index comparator adapter.
-    class _Adapter:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def less(self, i, j):
-            return self.inner.less(handles[i], handles[j])
-
-    idx_order = merge_insertion_sort(list(range(len(handles))), _Adapter(cmp))
-    return [handles[i] for i in idx_order]
-
-
-def _sort_desc(handles: list, cmp) -> list:
-    return list(reversed(_sort_handles(handles, cmp)))
+    return merge_insertion_sort(handles, _PositionComparator(handles, cmp))

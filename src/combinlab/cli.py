@@ -220,6 +220,8 @@ def cmd_sort(args) -> int:
     items = cx.parse_numbers(_read(args.file))
     if len(items) != len(set(items)):
         raise CliInputError("sort input keys must be pairwise distinct")
+    if args.count and len(items) > srt.BUDGET_CAP:
+        raise CliInputError(f"--count takes at most {srt.BUDGET_CAP} keys, got {len(items)}")
     cmp = counting_comparator(items)
     out = _SORTERS[args.algorithm](items, cmp)
     payload = {"sorted": out}

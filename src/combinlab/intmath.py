@@ -9,6 +9,7 @@ at the end to admit only integers, never floats.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 
@@ -53,18 +54,11 @@ def ceil_log3(n: int) -> int:
     return c
 
 
-def factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def ceil_log2_factorial(n: int) -> int:
     """ceil(log2 n!) computed on the exact big integer."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    return ceil_log2(factorial(n))
+    return ceil_log2(math.factorial(n))
 
 
 def fib_upto(limit: int) -> list[int]:

@@ -84,6 +84,8 @@ def dijkstra(g: WeightedDigraph, source: int, target: int | None = None) -> Dijk
         raise ValueError("Dijkstra requires non-negative weights")
     if not 1 <= source <= g.n:
         raise ValueError("source out of range")
+    if target is not None and not 1 <= target <= g.n:
+        raise ValueError("target out of range")
     dist = {v: INF for v in range(1, g.n + 1)}
     pred: dict[int, int | None] = {v: None for v in range(1, g.n + 1)}
     dist[source] = 0

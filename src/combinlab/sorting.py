@@ -236,9 +236,12 @@ def _merge_insertion(handles: list, cmp) -> list:
     return chain
 
 
+BUDGET_CAP = 10**4  # largest n sort_budgets accepts
+
+
 def sort_budgets(n: int) -> SortBudget:
     """Exact values of ceil(log2 n!), A(n), B(n) and F(n)."""
-    if not (1 <= n <= 10**4):
+    if not (1 <= n <= BUDGET_CAP):
         raise ValueError("needs 1 <= n <= 10**4")
     if n == 1:
         return SortBudget(1, 0, 0, 0, 0)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import combinlab
+from combinlab import cli
 from combinlab.cli import main
 
 K5 = "p 5 10\n" + "\n".join(
@@ -60,6 +61,17 @@ def test_sort_with_count(tmp_path, capsys):
     data = json.loads(out)
     assert data["sorted"] == [1, 2, 3, 4, 5, 8, 9]
     assert data["comparisons"] <= data["budget"]
+
+
+def test_sort_count_refuses_over_cap_before_sorting(tmp_path, capsys, monkeypatch):
+    def must_not_sort(items, cmp):
+        raise AssertionError("sorted before checking the --count cap")
+
+    monkeypatch.setitem(cli._SORTERS, "insertion", must_not_sort)
+    path = tmp_path / "nums.txt"
+    path.write_text(" ".join(str(x) for x in range(12000)))
+    code, out, err = run(capsys, ["sort", "insertion", str(path), "--count"])
+    assert (code, out, err) == (2, "", "error: --count takes at most 10000 keys, got 12000\n")
 
 
 def test_select_linear(tmp_path, capsys):
@@ -490,7 +502,16 @@ MALFORMED_FILES = {
     "list-elements.json": '{"universe": [[1], [2]], "family": [[[1]], [[2]]]}',
     "zero-den.g": "p 3 2\ne 1 2 1\ne 2 3 1/0\n",
     "zero-den.d": "pd 3 2\na 1 2 1\na 2 3 1/0\n",
+    "w.d": "pd 3 2\na 1 2 1\na 2 3 2\n",
 }
+
+
+TARGET_OUT_OF_RANGE = [
+    "solve dijkstra w.d --target 9",
+    "solve dijkstra w.d --target 0",
+    "solve shortest w.g --target 9",
+    "solve shortest w.g --target 0",
+]
 
 
 def assert_input_error(tmp_path, capsys, call):
@@ -515,10 +536,17 @@ def assert_input_error(tmp_path, capsys, call):
         "solve euler zero-den.g",
         "solve kruskal zero-den.g",
         "solve dijkstra zero-den.d",
+        *TARGET_OUT_OF_RANGE,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     assert_input_error(tmp_path, capsys, call)
+
+
+@pytest.mark.parametrize("call", TARGET_OUT_OF_RANGE)
+def test_target_out_of_range_is_named(tmp_path, capsys, call):
+    code, out, err = run(capsys, golden_argv(tmp_path, call, MALFORMED_FILES))
+    assert (code, out, err) == (2, "", "error: target out of range\n")
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
-from combinlab.intmath import ceil_log2, insertion_batch_bound
+from combinlab.intmath import ceil_log2, ceil_log2_factorial, insertion_batch_bound
 from combinlab.oracles import counting_comparator
 from combinlab.sorting import (
     binary_insert,
@@ -130,6 +131,47 @@ def test_grouped_mergesort_random_within_budget():
         assert cmp.count <= grouped_merge_budget(n)
 
 
+def reference_merge_schedule(n: int) -> list[tuple[int, int]]:
+    """The schedule as first written: sort every run by (size, id) at each
+    merge and take the first two.  O(n^2 log n)."""
+    sizes = {i: 1 for i in range(n)}
+    plan: list[tuple[int, int]] = []
+    next_id = n
+    while len(sizes) > 1:
+        a, b = sorted(sizes, key=lambda r: (sizes[r], r))[:2]
+        plan.append((a, b))
+        sizes[next_id] = sizes.pop(a) + sizes.pop(b)
+        next_id += 1
+    return plan
+
+
+def reference_budget(n: int) -> int:
+    """Sum of p + q - 1 over the reference schedule."""
+    sizes = [1] * n  # indexed by run id
+    total = 0
+    for a, b in reference_merge_schedule(n):
+        sizes.append(sizes[a] + sizes[b])
+        total += sizes[-1] - 1
+    return total
+
+
+def test_merge_schedule_matches_reference():
+    for n in range(601):
+        assert merge_schedule(n) == reference_merge_schedule(n), n
+    assert grouped_merge_budget(10**4) == reference_budget(10**4)
+
+
+def test_schedule_and_budgets_scale():
+    # At the first schedule, merge_schedule(20000) alone took tens of
+    # seconds; process CPU time keeps other load on the host out of it.
+    start = time.process_time()
+    plan = merge_schedule(20000)
+    budgets = sort_budgets(10**4)
+    elapsed = time.process_time() - start
+    assert len(plan) == 19999 and budgets.b_n == grouped_merge_budget(10**4)
+    assert elapsed < 1
+
+
 def test_merge_insertion_pinned_f_values():
     assert sort_budgets(5).f_n == 7
     assert sort_budgets(10).f_n == 22
@@ -171,6 +213,13 @@ def test_budgets_info_lower_chain():
     for n in range(1, 65):
         b = sort_budgets(n)
         assert b.info_lower <= b.f_n <= b.a_n
+
+
+def test_ceil_log2_factorial_matches_loop_product():
+    product = 1
+    for n in range(1, 301):
+        product *= n
+        assert ceil_log2_factorial(n) == (product - 1).bit_length(), n
 
 
 def test_all_sorts_agree_with_reference():

@@ -230,7 +230,10 @@ def _merge_insertion(handles: list, cmp) -> list:
         for idx in range(min(high, total + 1), low, -1):
             b = pending[idx - 2]
             cap = ceiling.get(b)
-            _insert_below(chain, len(chain) if cap is None else chain.index(cap), b, cmp)
+            # b's cap a_idx stood at low + idx - 1 when this batch began, and
+            # inserts only move it right, so the scan for it starts there.
+            hi = len(chain) if cap is None else chain.index(cap, low + idx - 1)
+            _insert_below(chain, hi, b, cmp)
         low = high
         k += 1
     return chain

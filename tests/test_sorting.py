@@ -334,7 +334,7 @@ SORTERS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SORT_TRANSCRIPTS))
+@pytest.mark.parametrize("case", sorted(SORT_TRANSCRIPTS), ids="{0[0]}-{0[1]}".format)
 def test_comparison_transcripts_pinned(case):
     name, n = case
     if name == "binary_insert":

@@ -216,7 +216,7 @@ SELECT_TRANSCRIPTS = {
 SELECTORS = {"select_t_linear": select_t_linear, "select_t_tournament": select_t_tournament}
 
 
-@pytest.mark.parametrize("case", sorted(SELECT_TRANSCRIPTS))
+@pytest.mark.parametrize("case", sorted(SELECT_TRANSCRIPTS), ids="{0[0]}-{0[1]}".format)
 def test_selection_transcripts_pinned(case):
     name, n = case
     assert select_transcript(SELECTORS[name], n) == SELECT_TRANSCRIPTS[case]

@@ -162,8 +162,8 @@ def test_merge_schedule_matches_reference():
 
 
 def test_schedule_and_budgets_scale():
-    # At the first schedule, merge_schedule(20000) alone took tens of
-    # seconds; process CPU time keeps other load on the host out of it.
+    # With the sort-every-round schedule, merge_schedule(20000) alone takes
+    # tens of seconds; process CPU time keeps other load on the host out.
     start = time.process_time()
     plan = merge_schedule(20000)
     budgets = sort_budgets(10**4)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import json
@@ -265,3 +266,87 @@ def test_chain_and_triangulation_recursion_stays_shallow():
     assert (chain_cost, chain_expr) == (cost, expr)
     assert poly_cost == cost and len(diagonals) == len(dims) - 3
     assert chain_s < 1 and poly_s < 1
+
+
+def pin_digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def pin_dims(kind, n):
+    """Seeded dimension vector for n matrices; "ties" draws from 1..3 and
+    "equal" repeats one value, so many splits cost the same."""
+    rng = random.Random(f"chain-{kind}-{n}")
+    if kind == "equal":
+        return [5] * (n + 1)
+    return [rng.randint(1, 3 if kind == "ties" else 60) for _ in range(n + 1)]
+
+
+def pin_knapsacks(kind):
+    """Thirty seeded tie-heavy knapsack instances of 1..14 items: free
+    (many zero volumes and values), flat (one value for all items), twins
+    (one value and one volume for all items) and empty (capacity 0)."""
+    rng = random.Random(f"knapsack-{kind}")
+    out = []
+    for _ in range(30):
+        n = rng.randint(1, 14)
+        if kind == "free":
+            values = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+            volumes = [rng.choice((0, 0, 0, 1, 3)) for _ in range(n)]
+        elif kind == "flat":
+            values = [7] * n
+            volumes = [rng.randint(0, 4) for _ in range(n)]
+        elif kind == "twins":
+            values, volumes = [3] * n, [2] * n
+        else:
+            values = [rng.randint(0, 9) for _ in range(n)]
+            volumes = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+        capacity = 0 if kind == "empty" else rng.randint(0, sum(volumes) + 1)
+        out.append((values, volumes, capacity))
+    return out
+
+
+# sha256 of the full tables and of the chosen item sets, recorded before
+# the chain loop was hoisted and the Pareto sweep merged its lists; the
+# rewrite must not move them.
+CHAIN_TABLES = {
+    ("equal", 1): "0bca226368cdf64f77add4b21fef6b299c6c0058745a6c7dfb21b3684a230ce8",
+    ("equal", 2): "264149f2039457a989468744cf7b0f4e4334909cbc382360a52b068912959535",
+    ("equal", 3): "c72f8344d6ea7939e87eae7efd7b9aea843a446a963abc81777f8dc394e110d5",
+    ("equal", 10): "362f68cf6270c914ae1fb60e95ea0a96e114f9ea1908664374985bebfb82c4c3",
+    ("equal", 60): "aee8ec7b2fd4b30be09f5addfc8ee3c0643b7e25755f3e564d5a5cab7a8189a9",
+    ("equal", 150): "15e66ddacc92d5fc224fa1af345387029840bda01d496c8b5f052b512ea5ce2a",
+    ("random", 1): "0bca226368cdf64f77add4b21fef6b299c6c0058745a6c7dfb21b3684a230ce8",
+    ("random", 2): "51d691fe56bfacb910e0c56b5850e477bcadf00f1e320d23f55303598625179e",
+    ("random", 3): "4f06ab7066ba07693e6228be25b8fe3d26e245416537439aa8f56ad87ab9b81a",
+    ("random", 10): "4eb8c5288837a1e90e29e0bc3ec97cccc75b0074a08d08bd3b56730ceab9d07f",
+    ("random", 60): "11521d98cd155fe90c0f954c0a6c69f1afa7fd91237de9ba45b84d9e9270abfc",
+    ("random", 150): "c9900cf9ee2b0e13f168e23c7a62aa707ff7f94bb94307fc3429f8ed31976952",
+    ("ties", 1): "0bca226368cdf64f77add4b21fef6b299c6c0058745a6c7dfb21b3684a230ce8",
+    ("ties", 2): "fc61e69de82a466049fcd2445e3b713f983ab114f19e9a85769ab7e66b27ab59",
+    ("ties", 3): "97b1b721a8539a97e3099381c945766ec73738e4770f389b19ec2dcceee76faa",
+    ("ties", 10): "996a0b3de2b8f077cbdb35fe05b3a712c69377b29b707ea17c9f937227246019",
+    ("ties", 60): "cc914a7921d1191bafc1608045ac6f8fef0402450e9d7bea9825962ee263ca8a",
+    ("ties", 150): "fc5ed29fb2b3defb392809b02b5ac5e9f0ce81b8bc282e073980c7e502c6e20a",
+}
+
+KNAPSACK_CHOICES = {
+    "empty": "376f093fcb080860724afa8c169c96bc3d79c570dcc0e39eb05c77067c386c45",
+    "flat": "c8eca54f3a4fd41a8a59f906441db50d28bd025a7b00d5e11b28ec6dc0f67026",
+    "free": "17cdec752955ea450c11273ae1409f090aaa779bce81d25dd789bc6a2a07397e",
+    "twins": "4ad05355374767c2e3efd7a83ab3f335b94179a119fb6860b14577156e18ce51",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_TABLES), ids="{0[0]}-{0[1]}".format)
+def test_chain_tables_pinned(case):
+    cost, expr, tables = matrix_chain(pin_dims(*case))
+    assert pin_digest((cost, expr, tables.costs, tables.splits)) == CHAIN_TABLES[case]
+
+
+@pytest.mark.parametrize("kind", sorted(KNAPSACK_CHOICES))
+def test_knapsack_choices_pinned(kind):
+    choices = []
+    for values, volumes, capacity in pin_knapsacks(kind):
+        chosen, value = knapsack_pareto(values, volumes, capacity)
+        choices.append((sorted(chosen), value))
+    assert pin_digest(choices) == KNAPSACK_CHOICES[kind]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -227,3 +228,99 @@ def test_fraction_weights_supported():
 def test_float_weights_rejected():
     with pytest.raises(ValueError):
         WeightedGraph(2, {(1, 2): 0.5})
+
+
+def pin_digraph(n, kind):
+    """Seeded weighted digraph for the pins below.  `kind` picks the
+    weights: "zero" draws from 0..2, "negative" shifts non-negative
+    weights by vertex potentials (negative arcs, no negative cycle),
+    "fraction" draws p/q with negative arcs and cycles, "negcycle" draws
+    integers from -4..12."""
+    rng = random.Random(f"{kind}-{n}")
+    density = min(0.5, 4 / n)
+    potential = [rng.randint(0, 20) for _ in range(n + 1)]
+    arcs = {}
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u == v or rng.random() >= density:
+                continue
+            if kind == "zero":
+                arcs[(u, v)] = rng.randint(0, 2)
+            elif kind == "negative":
+                arcs[(u, v)] = rng.randint(0, 5) + potential[u] - potential[v]
+            elif kind == "fraction":
+                arcs[(u, v)] = Fraction(rng.randint(-3, 12), rng.randint(1, 4))
+            else:
+                arcs[(u, v)] = rng.randint(-4, 12)
+    return WeightedDigraph(n, arcs)
+
+
+def table_digest(*tables) -> str:
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+def floyd_digest(g) -> str:
+    t = floyd_warshall(g)
+    return table_digest(t.dist, t.succ, sorted(t.negative_cycle_vertices))
+
+
+# sha256 of (dist, succ, flagged vertices) and of the closure matrix,
+# recorded before Floyd-Warshall and the closure stopped copying matrices;
+# the row-k rewrite must not move them.  Fraction weights stop at n = 30:
+# their negative cycles make n = 120 take seconds.
+FLOYD_TABLES = {
+    ("fraction", 1): "bcb6aa4da0f4281fb6abd7c6118064ba2831ea735c246550880e9ac18f4bc7e0",
+    ("fraction", 2): "705f0e3ba7e24948b0482faf6b1ff1e9af884fde807102ab32c5ce69f8e01832",
+    ("fraction", 5): "c7247269cafba570f8f0ab14b0b596b01df3a2058770f41e7241956670a31c5a",
+    ("fraction", 30): "c0f67811d64fa9779fefb2430bada5b8be07c5aca6657292f01f4707c4fb451f",
+    ("negative", 1): "bcb6aa4da0f4281fb6abd7c6118064ba2831ea735c246550880e9ac18f4bc7e0",
+    ("negative", 2): "4583c7689797a813703389f03853ac14b0581204f0874f07b716c9c6d1c2228e",
+    ("negative", 5): "1c8a1d41180ee7ce5ba1fcd5c2b2e7b00db0e358550e13aa9494f5cb058464e1",
+    ("negative", 30): "a5e442728e4a0e7ed4815e59623f52c1fa56ddeacd5405c8d05d1368cd5b62b5",
+    ("negative", 120): "fae22e2bf6efa36a1795535c6991ee47dc8b60e49611f64d250ad3d919e894c2",
+    ("negcycle", 1): "bcb6aa4da0f4281fb6abd7c6118064ba2831ea735c246550880e9ac18f4bc7e0",
+    ("negcycle", 2): "0ff9ed33cc7d6191002abfbb0e2f89eb1b06ac81d8086dd2a5f83148bc9ef204",
+    ("negcycle", 5): "7d026b40deb6f1de7b31b8741e9ba8c8576aa7247d381461a5ee464788f331f7",
+    ("negcycle", 30): "a0ab015f08bdfc918b011c2d504c212f9fce875f6762927429c1243f56b2ae36",
+    ("negcycle", 120): "b591c13c985104f5b3bb3d7998c3dcd75dfb2514bc0cbc231447140d8d7e2ec2",
+    ("zero", 1): "bcb6aa4da0f4281fb6abd7c6118064ba2831ea735c246550880e9ac18f4bc7e0",
+    ("zero", 2): "f14d96d53209b78ce720da83619e41984e55018d58af890dc167c31eb38c28bd",
+    ("zero", 5): "62ab59a4b15d2fb83bb5ebb31e40feaf90bdb1a826a4e74bc8a51b842f79b9fc",
+    ("zero", 30): "324664a130352a0e450009686c61af1a853a5bdc5e4367051347ebd2fa04a149",
+    ("zero", 120): "570c95e6b8fddd2c448c9fea5e21c7497ff0103ef6041f49eadf104cbbe26b68",
+}
+
+CLOSURE_TABLES = {
+    ("fraction", 1): "70be5b38cd309b8b3ccf413b5d4dd0c1905a72cc914aabfeb1cfe5bfb4c5325a",
+    ("fraction", 2): "4acdd8cd2cfe4ba80fb756e3978169c345f3ceddcb1b7b49a3beeed45b68e900",
+    ("fraction", 5): "3596c88313f5411381b8ada7ca7c441c731783effa4d8814e7d892fefb7e6172",
+    ("fraction", 30): "a1aa97591188058b082a661f10910edd34691fe31f2f6645b800ce251790b4ba",
+    ("fraction", 120): "df66e5af35539a94148f155314ba4f1cfd2fdefbf5f8614daa9726b9856ec891",
+    ("negative", 1): "70be5b38cd309b8b3ccf413b5d4dd0c1905a72cc914aabfeb1cfe5bfb4c5325a",
+    ("negative", 2): "d964f638e9d7d568ada863319264658a619fe693fd8fa3d9336ff347e3031d79",
+    ("negative", 5): "9cde4105498f72417ebf90e80d4ca53cb79ea91af096ae556da4165b91d134e1",
+    ("negative", 30): "d1ddc5ba9668a540c890989cc5a3166a4859f516015b29c3fcbb6e6e188bc090",
+    ("negative", 120): "3e73d9f2d34427f8c229ebb80a4f852c2638f628298c0707589fc07d2e70082a",
+    ("negcycle", 1): "70be5b38cd309b8b3ccf413b5d4dd0c1905a72cc914aabfeb1cfe5bfb4c5325a",
+    ("negcycle", 2): "f07a3e7b8fbc4d280595b9aa68665c06ecc31982a519b9ad12bbae75378a0420",
+    ("negcycle", 5): "3596c88313f5411381b8ada7ca7c441c731783effa4d8814e7d892fefb7e6172",
+    ("negcycle", 30): "0b0db752b3c3c868ad83e43a2d4389278e5a41864e6966792d6166587129287d",
+    ("negcycle", 120): "785d262cb95dee2bcefcc91b46dffbff84f4f58048eefbe73390a08ef12b96c4",
+    ("zero", 1): "70be5b38cd309b8b3ccf413b5d4dd0c1905a72cc914aabfeb1cfe5bfb4c5325a",
+    ("zero", 2): "4acdd8cd2cfe4ba80fb756e3978169c345f3ceddcb1b7b49a3beeed45b68e900",
+    ("zero", 5): "a3b95770e0125f997a4e888bd64b841e15a9f86400771fdd3248b9863286c031",
+    ("zero", 30): "10119282d529a067696989712300be7e322b51b121cdea5d04d85ae8fca0fb22",
+    ("zero", 120): "4100b1f05a658df9a19aec9ad2987accc1f6f7a76332b8155ce324e7c7bb0c47",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOYD_TABLES), ids="{0[0]}-{0[1]}".format)
+def test_floyd_tables_pinned(case):
+    kind, n = case
+    assert floyd_digest(pin_digraph(n, kind)) == FLOYD_TABLES[case]
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_TABLES), ids="{0[0]}-{0[1]}".format)
+def test_closure_tables_pinned(case):
+    kind, n = case
+    assert table_digest(transitive_closure(pin_digraph(n, kind))) == CLOSURE_TABLES[case]

@@ -104,13 +104,30 @@ class ParetoEntry:
     volume: int
 
 
-def _prune(entries: list[ParetoEntry]) -> list[ParetoEntry]:
-    ordered = sorted(
-        entries, key=lambda e: (e.volume, -e.value, sorted(e.items))
-    )
+def _prune(states: list[ParetoEntry], extended: list[ParetoEntry]) -> list[ParetoEntry]:
+    """Merge two lists sorted by (volume, -value) and keep each entry whose
+    value beats every entry before it.  An exact (volume, value) tie goes to
+    the smaller sorted item list, the order a full sort by (volume, -value,
+    sorted(items)) gives; the tied loser is then dropped."""
     kept: list[ParetoEntry] = []
     best_value = -1
-    for e in ordered:
+    a = b = 0
+    while a < len(states) and b < len(extended):
+        x, y = states[a], extended[b]
+        if x.volume != y.volume:
+            take_x = x.volume < y.volume
+        elif x.value != y.value:
+            take_x = x.value > y.value
+        else:
+            take_x = sorted(x.items) < sorted(y.items)
+        if take_x:
+            e, a = x, a + 1
+        else:
+            e, b = y, b + 1
+        if e.value > best_value:
+            kept.append(e)
+            best_value = e.value
+    for e in states[a:] + extended[b:]:  # one of the two is empty
         if e.value > best_value:
             kept.append(e)
             best_value = e.value
@@ -118,7 +135,7 @@ def _prune(entries: list[ParetoEntry]) -> list[ParetoEntry]:
 
 
 def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
-    """Exact 0/1 knapsack via Pareto-set sweep.
+    """Exact 0/1 knapsack via Pareto-set sweep (Nemhauser and Ullmann).
 
     Items are numbered from 1.  Among equal-value states the smaller
     volume survives; among fully equal states the lexicographically
@@ -129,6 +146,10 @@ def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
         raise ValueError("values and volumes must align")
     if any(c < 0 for c in values) or any(v < 0 for v in volumes):
         raise ValueError("inputs must be non-negative")
+    if capacity < 0:
+        raise ValueError("capacity must be >= 0")
+    # Volume and value both rise strictly along the frontier, so adding
+    # item k to every state that still fits keeps it sorted for _prune.
     states = [ParetoEntry(frozenset(), 0, 0)]
     for k in range(1, len(values) + 1):
         extended = [
@@ -136,18 +157,19 @@ def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
             for e in states
             if e.volume + volumes[k - 1] <= capacity
         ]
-        states = _prune(states + extended)
+        states = _prune(states, extended)
         assert not _has_dominated_pair(states)
-    best = max(states, key=lambda e: (e.value, -e.volume))
+    best = states[-1]  # the largest value, and the only entry with it
     return set(best.items), best.value
 
 
 def _has_dominated_pair(states) -> bool:
-    for a in states:
-        for b in states:
-            if a is not b and a.value >= b.value and a.volume <= b.volume:
-                return True
-    return False
+    """True unless volume and value both rise strictly along `states`.  On a
+    list sorted by volume that is exactly "some entry has no more volume
+    and no less value than another"; an unsorted list also fails."""
+    return any(
+        a.volume >= b.volume or a.value >= b.value for a, b in zip(states, states[1:])
+    )
 
 
 def greedy_knapsack_by_density(values, volumes, capacity) -> tuple[set[int], int]:
@@ -231,12 +253,15 @@ def matrix_chain(dims) -> tuple[int, str, ChainTables]:
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
-            m[i][j] = None
-            for k in range(i, j):
-                q = m[i][k] + m[k + 1][j] + p[i - 1] * p[k] * p[j]
-                if m[i][j] is None or q < m[i][j]:
-                    m[i][j] = q
-                    s[i][j] = k
+            row, outer = m[i], p[i - 1] * p[j]
+            # The first minimum wins ties, so only a strictly cheaper k moves it.
+            best, arg = row[i] + m[i + 1][j] + outer * p[i], i
+            for k in range(i + 1, j):
+                q = row[k] + m[k + 1][j] + outer * p[k]
+                if q < best:
+                    best, arg = q, k
+            row[j] = best
+            s[i][j] = arg
     # Render the split tree with an explicit stack; None closes a product.
     out: list[str] = []
     stack: list[tuple[int, int] | None] = [(1, n)]
@@ -330,10 +355,13 @@ def dimension_product_weight(dims):
 
 def load_knapsack_json(text: str) -> tuple[list[int], list[int], int]:
     data = json_object(text)
+    capacity = exact_int(data["capacity"], "capacity")
+    if capacity < 0:
+        raise ValueError("capacity must be >= 0")
     return (
         list(exact_ints(data["values"], "values")),
         list(exact_ints(data["volumes"], "volumes")),
-        exact_int(data["capacity"], "capacity"),
+        capacity,
     )
 
 

@@ -138,23 +138,22 @@ def floyd_warshall(g: WeightedDigraph) -> FloydTables:
         dist[u][v] = w
         succ[u][v] = v
     for k in range(1, n + 1):
-        # D^(k) is built from the D^(k-1) snapshot; with negative cycles
-        # the in-place variant would diverge from the recurrence.
-        prev = [row[:] for row in dist]
-        prev_succ = [row[:] for row in succ]
-        for i in range(1, n + 1):
-            dik = prev[i][k]
+        # D^(k) from D^(k-1), updated in place.  Row i reads only itself and
+        # row k, and reads d(i,k) and succ(i,k) before writing; so row k,
+        # the one row read after it may change, is the only snapshot taken.
+        # With a negative cycle through k, reading row k live would diverge
+        # from the recurrence.  Row 0 and column 0 are all INF and drop out.
+        row_k = [(j, d) for j, d in enumerate(dist[k]) if d != INF]
+        for di, si in zip(dist, succ):
+            dik = di[k]
             if dik == INF:
                 continue
-            row_k = prev[k]
-            for j in range(1, n + 1):
-                dkj = row_k[j]
-                if dkj == INF:
-                    continue
+            sik = si[k]
+            for j, dkj in row_k:
                 cand = dik + dkj
-                if cand < prev[i][j]:
-                    dist[i][j] = cand
-                    succ[i][j] = prev_succ[i][k]
+                if cand < di[j]:
+                    di[j] = cand
+                    si[j] = sik
     flagged = {i for i in range(1, n + 1) if dist[i][i] < 0}
     return FloydTables(n, dist, succ, flagged)
 
@@ -199,12 +198,13 @@ def transitive_closure(g: Digraph) -> list[list[int]]:
     for u, v in g.arcs:
         t[u][v] = 1
     for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            if t[i][k]:
-                row_i, row_k = t[i], t[k]
-                for j in range(1, n + 1):
-                    if row_k[j]:
-                        row_i[j] = 1
+        # Round k leaves row k as it is (t[k][k] = 1), so its set columns,
+        # taken once, serve every row; row 0 is all zeros.
+        cols = [j for j in range(1, n + 1) if t[k][j]]
+        for row in t:
+            if row[k]:
+                for j in cols:
+                    row[j] = 1
     return t
 
 

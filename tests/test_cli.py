@@ -496,6 +496,7 @@ MALFORMED_FILES = {
     "list.json": "[1, 2]",
     "str-values.json": '{"values": ["a"], "volumes": [1], "capacity": 3}',
     "float-values.json": '{"values": [1.5], "volumes": [1], "capacity": 3}',
+    "negative-capacity.json": '{"values": [1, 2], "volumes": [1, 1], "capacity": -1}',
     "str-numbers.json": '{"numbers": "abc", "target": 1}',
     "int-family.json": '{"universe": [1], "family": 5}',
     "int-rows.json": '{"rows": 5, "relations": [], "rhs": [], "bounds": []}',
@@ -528,6 +529,8 @@ def assert_input_error(tmp_path, capsys, call):
         "solve allocate list.json",
         "solve knapsack str-values.json",
         "solve knapsack float-values.json",
+        "solve knapsack negative-capacity.json",
+        "approx knapsack-fptas negative-capacity.json",
         "reduce knapsack-partition str-numbers.json",
         "reduce exactcover-knapsack int-family.json",
         "verify knapsack01 list.json [1]",

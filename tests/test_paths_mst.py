@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,75 @@ def test_fraction_weights_supported():
 def test_float_weights_rejected():
     with pytest.raises(ValueError):
         WeightedGraph(2, {(1, 2): 0.5})
+
+
+def reference_floyd_warshall(g):
+    """Floyd-Warshall as first written: D^(k) from full copies of both
+    D^(k-1) matrices, taken every round."""
+    n = g.n
+    dist = [[INF] * (n + 1) for _ in range(n + 1)]
+    succ = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][i] = 0
+    for (u, v), w in g.weight.items():
+        dist[u][v] = w
+        succ[u][v] = v
+    for k in range(1, n + 1):
+        prev = [row[:] for row in dist]
+        prev_succ = [row[:] for row in succ]
+        for i in range(1, n + 1):
+            dik = prev[i][k]
+            if dik == INF:
+                continue
+            for j in range(1, n + 1):
+                dkj = prev[k][j]
+                if dkj == INF:
+                    continue
+                cand = dik + dkj
+                if cand < prev[i][j]:
+                    dist[i][j] = cand
+                    succ[i][j] = prev_succ[i][k]
+    return dist, succ, {i for i in range(1, n + 1) if dist[i][i] < 0}
+
+
+def test_floyd_matches_full_snapshot_reference():
+    rng = random.Random(62)
+    with_cycles = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        arcs = {}
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                if u != v and rng.random() < 0.3:
+                    w = rng.randint(-4, 12)
+                    arcs[(u, v)] = w if rng.random() < 0.7 else Fraction(w, rng.randint(1, 3))
+        g = WeightedDigraph(n, arcs)
+        t = floyd_warshall(g)
+        want = reference_floyd_warshall(g)
+        assert repr((t.dist, t.succ, t.negative_cycle_vertices)) == repr(want)
+        with_cycles += bool(want[2])
+    assert 50 < with_cycles < 250  # digraphs with and without negative cycles
+
+
+def test_floyd_scales():
+    # A random n = 200 digraph with negative arcs and no negative cycle.
+    # Copying both matrices every round took about 0.45 s of process CPU on
+    # a 2-CPU Linux host under Python 3.11, the row-k update about 0.16 s.
+    rng = random.Random(200)
+    n = 200
+    potential = [rng.randint(0, 50) for _ in range(n + 1)]
+    arcs = {}
+    for u in range(1, n + 1):
+        for v in rng.sample(range(1, n + 1), 5):
+            if u != v:
+                arcs[(u, v)] = rng.randint(0, 60) + potential[u] - potential[v]
+    g = WeightedDigraph(n, arcs)
+    start = time.process_time()
+    t = floyd_warshall(g)
+    elapsed = time.process_time() - start
+    assert not t.negative_cycle_vertices
+    assert all(t.d(i, i) == 0 for i in range(1, n + 1))
+    assert elapsed < 0.4
 
 
 def pin_digraph(n, kind):

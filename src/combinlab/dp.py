@@ -112,7 +112,8 @@ def _prune(states: list[ParetoEntry], extended: list[ParetoEntry]) -> list[Paret
     kept: list[ParetoEntry] = []
     best_value = -1
     a = b = 0
-    while a < len(states) and b < len(extended):
+    na, nb = len(states), len(extended)
+    while a < na and b < nb:
         x, y = states[a], extended[b]
         if x.volume != y.volume:
             take_x = x.volume < y.volume

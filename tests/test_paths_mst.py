@@ -280,24 +280,26 @@ def test_floyd_matches_full_snapshot_reference():
 
 
 def test_floyd_scales():
-    # A random n = 200 digraph with negative arcs and no negative cycle.
-    # Copying both matrices every round took about 0.45 s of process CPU on
-    # a 2-CPU Linux host under Python 3.11, the row-k update about 0.16 s.
+    # An acyclic digraph on 200 vertices with negative arcs: row k reaches
+    # only later vertices, so most of each row stays INF.  Copying both
+    # matrices every round and scanning every column took about 0.24 s of
+    # process CPU on a 2-CPU Linux host under Python 3.11, the row-k
+    # update about 0.02 s.
     rng = random.Random(200)
     n = 200
-    potential = [rng.randint(0, 50) for _ in range(n + 1)]
-    arcs = {}
-    for u in range(1, n + 1):
-        for v in rng.sample(range(1, n + 1), 5):
-            if u != v:
-                arcs[(u, v)] = rng.randint(0, 60) + potential[u] - potential[v]
+    arcs = {
+        (u, v): rng.randint(-20, 60)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if rng.random() < 0.1
+    }
     g = WeightedDigraph(n, arcs)
     start = time.process_time()
     t = floyd_warshall(g)
     elapsed = time.process_time() - start
     assert not t.negative_cycle_vertices
-    assert all(t.d(i, i) == 0 for i in range(1, n + 1))
-    assert elapsed < 0.4
+    assert all(t.d(j, i) == INF for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    assert elapsed < 0.1
 
 
 def pin_digraph(n, kind):

@@ -268,6 +268,14 @@ GOLDEN_FILES = {
     "euler.g": "p 7 9\ne 1 2\ne 2 3\ne 1 3\ne 2 4\ne 4 5\ne 2 5\ne 3 6\ne 6 7\ne 3 7\n",
     "w.g": "p 5 7\ne 1 2 1\ne 1 3 1\ne 2 3 1\ne 2 4 2\ne 3 4 2\ne 4 5 1/2\ne 3 5 2\n",
     "dims.txt": "9 8 7 6 5 4 3 2\n",
+    # a metric matrix with p/q distances: a square of side 1/2 and its centre
+    "pq.txt": "0 1/2 1 1/2 3/4\n1/2 0 1/2 1 3/4\n1 1/2 0 1/2 3/4\n1/2 1 1/2 0 3/4\n3/4 3/4 3/4 3/4 0\n",
+    "nonmetric.txt": "0 1 5\n1 0 1\n5 1 0\n",
+    "ks.json": '{"values": [60, 100, 120, 30], "volumes": [10, 20, 30, 5], "capacity": 50}',
+    "sizes.txt": "1/2 1/3 0.25 2/3 1/6 0.5\n",
+    "big.txt": "1/2 2\n",
+    "one.json": '{"universe": [1, 2], "family": [[1, 2]]}',
+    "uncov.json": '{"universe": [1, 2, 3], "family": [[1], [2]]}',
 }
 
 
@@ -289,8 +297,11 @@ def golden_argv(tmp_path, call, files=GOLDEN_FILES):
 # (exit code, sha256 of stdout) per call: reduce --oracle and reduce
 # --witness for one source instance of each reduction, verify with an
 # accepted and a rejected witness for each problem kind, the
-# missing-parameter errors, and the graph traversals, spanning trees and
-# matrix chain of `solve`, each in JSON and text format.
+# missing-parameter errors, the graph traversals, spanning trees and
+# matrix chain of `solve`, every `approx` algorithm with and without
+# --oracle, and `bench approx`, each in JSON and text format.  An entry with
+# a third element also pins stderr: the approx input errors, and --eps on an
+# algorithm that does not read it.
 GOLDEN = {
     "reduce sat-3sat f.cnf --oracle --format json": (0, "c5abb86d7e1a913ad0fa0d40f6c19d1e61b31e2e49bdd2a4603c7cb47b362c1a"),
     "reduce sat-3sat f.cnf --oracle --format text": (0, "ff6b1ea91a6e3dc9eb7a904896a9e7a24d9fb56d84a3140ccf4aefae31489e11"),
@@ -466,6 +477,56 @@ GOLDEN = {
     "solve maxst w.g --format text": (0, "fe4035311be756c5705db1558a978877b5fbef743f217c154adc9640b1b15422"),
     "solve chain dims.txt --format json": (0, "93abc55942a84025a9b5f6e2a0bc138acd5d456dea428ea3883878273c2d361e"),
     "solve chain dims.txt --format text": (0, "05359e427f7e3c76a6edb38d5d87d7d7673bca089f3cdced67952a1d40ffcc26"),
+    "approx vc-matching tri.g --format json": (0, "550991f4c74c0c3ee70b1ff32eb6e373a7e835f1bccc09dfff91c21945ebf23d"),
+    "approx vc-matching tri.g --format text": (0, "3846c0a73c95cf949e416cc07dd768dbed06545a6f04a1635989475cdbb17eb5"),
+    "approx vc-matching tri.g --oracle --format json": (0, "79aca88071df2db3d040f808a8690f0c7ce6e52925e8c03e7cc9eb5eac4c7d23"),
+    "approx vc-matching tri.g --oracle --format text": (0, "a2fda576ad4e5cbba5d804d3a79eaeb697c3965fd7512a1f00a61660c3642cc0"),
+    "approx vc-greedy tri.g --format json": (0, "5c0bd04b84369776deb6ef187a2152084e08a97e695867ee4d69df75a1f89410"),
+    "approx vc-greedy tri.g --format text": (0, "c733a2d6717d85bcabf9030372685a05f02fd874ccc40144fab48554e9d5e21c"),
+    "approx vc-greedy tri.g --oracle --format json": (0, "3ded6c0d6c7dba2279d0eb6d12edac311052501cb04c2f8a14f9aec479d4b2b6"),
+    "approx vc-greedy tri.g --oracle --format text": (0, "47bc6075e241ce3908b699942f0e4d4e433677e6f4d3ae686b607e8a67339a68"),
+    "approx maxcut tri.g --format json": (0, "4c5e5e581e80327b8c6acacbbc4a3ee27ee0108b3f60381b5a53aadb3b860119"),
+    "approx maxcut tri.g --format text": (0, "32c12d6e96bfd8f8341f466277cff2c6b5fae21e0c6cc18f2ffec5f97d36cfb6"),
+    "approx maxcut tri.g --oracle --format json": (0, "2c997c746b30ad1d2ed8a61463890e5914e6a666a6164a4c3eb109171fcbbb0d"),
+    "approx maxcut tri.g --oracle --format text": (0, "ae0fcecafe27718abb4b9ee25af01dab80bdbf7c80dcf6adeae0dda03e28e3a7"),
+    "approx setcover sc.json --format json": (0, "85e9e0fab30f7c8c303a9c9854788b982dd106ac2537fdb2417bd2376b9922d4"),
+    "approx setcover sc.json --format text": (0, "a65ccc91dfe72dc8b8d8416664410f8c257f3446477912e949528695e70755dd"),
+    "approx setcover sc.json --oracle --format json": (0, "bae1194345607a20294c18737a40666c4030d624e36152068ef5270bde960b1d"),
+    "approx setcover sc.json --oracle --format text": (0, "537d80cbe2799648cc594fed4c8124fa3b3bf5008eabdb35112a4ed44cedf7d0"),
+    "approx setcover one.json --format json": (0, "7c86ef9b88029e64cdfbd538911c79e182b996f3b82a51600cdc4193ddf7f057"),
+    "approx setcover one.json --format text": (0, "6d25fb591d371e24bd16981a26ac1d6424e1a8d9a4fd5ddb08241aca20cadd59"),
+    "approx setcover one.json --oracle --format json": (0, "c1450824bee7464f1889f0a7b7333c371a0ad5a9f03a0dd9320a4a65ab5d9f40"),
+    "approx setcover one.json --oracle --format text": (0, "971db10034eec1e6d3fb3432fa2aefb1ad9c379538d85321778b3ace357e7e56"),
+    "approx tsp-doubletree pq.txt --format json": (0, "3a92d5e5bbd324e4062a65e639504c546042947ed9a68f51a5025b7877c1ba63"),
+    "approx tsp-doubletree pq.txt --format text": (0, "8655d61327b97b34c458adbf09b7dd6244142b8a50956abfd249e4ec4cec7366"),
+    "approx tsp-doubletree pq.txt --oracle --format json": (0, "0e12126e121fd736d6b0aea8a05d674d13c55c9dc8df33555e78287fbc159c6b"),
+    "approx tsp-doubletree pq.txt --oracle --format text": (0, "2620fe04f5239f556ece0fedd88b5d8b0a059cace57f1b3f9a59051fce26f0f7"),
+    "approx tsp-christofides pq.txt --format json": (0, "8b48d7d78145847d6b3bc96c0baed21b415a6d7bb61b4e9ae206f389463debc5"),
+    "approx tsp-christofides pq.txt --format text": (0, "cb8963394c933c80a0cfd976cd8b28e4d60bfdcf3e8a6d1fed4c6b799540eebf"),
+    "approx tsp-christofides pq.txt --oracle --format json": (0, "ad57a83c4caa239b4a676e50afe7ab927c5d08c8c1276c35393a378b613862f1"),
+    "approx tsp-christofides pq.txt --oracle --format text": (0, "d89d747cda32a2719a495b48f7170bd75467615f8e4ebdd99c89fcbc2b662791"),
+    "approx knapsack-fptas ks.json --format json": (0, "64c3916ba00503904c2bdefefdd231b59f5ba74a5c1b5b41387b68b5aac69809"),
+    "approx knapsack-fptas ks.json --format text": (0, "e3dcdda924c6db5661e8101f8959ca9d745be64fb023a4f27a64862802bf5a75"),
+    "approx knapsack-fptas ks.json --oracle --format json": (0, "a81091cf3661331a487cad34a5aae7d21a293569c178c5a662039c28e503e366"),
+    "approx knapsack-fptas ks.json --oracle --format text": (0, "e2cc084b0b0b95ad9d38090957563ff86b39d6dda88ebb5927cadfa6dae8d5ac"),
+    "approx binpack sizes.txt --format json": (0, "412444edf5035b6ef996040e7e14656283b42f017b110df7fa5bcb4e65c5e468"),
+    "approx binpack sizes.txt --format text": (0, "c3b6ca45b06225d6a6c80459bce2405f79a51eeeee43a975da617b880f542f5e"),
+    "approx binpack sizes.txt --oracle --format json": (0, "7e0f4553a21173f0454c1a368cfb32f461c7b7d5323d6972d0782e2390b9ae88"),
+    "approx binpack sizes.txt --oracle --format text": (0, "e0816077cbc51854def1dff3e02e1bb43c64529d0a5e5a449d5d410b7dcce10f"),
+    "approx knapsack-fptas ks.json --eps 1/10 --oracle --format json": (0, "38302e0916c651814b812e7124d4d2373e58d34c64ff40a13f3f6b16393e5d3b"),
+    "bench approx --seed 3 --format json": (0, "322432cde1895d3abf9b1ea652d2365c21a6fa0d1478d41b6565801a7a31ceaf"),
+    "approx knapsack-fptas ks.json --eps 1/10 --oracle --format text": (0, "d476d823c5205c26b468bd7cebe38b88bec570ba708ef2fc30e55c6879d91ba6"),
+    "bench approx --seed 3 --format text": (0, "7aee8b8225fea8efc4c6dcb89f4e7ac4398d0b8f7d766af76611202594380260"),
+    "approx vc-matching tri.g --eps abc --format json": (0, "550991f4c74c0c3ee70b1ff32eb6e373a7e835f1bccc09dfff91c21945ebf23d", ""),
+    "approx vc-matching tri.g --eps abc --format text": (0, "3846c0a73c95cf949e416cc07dd768dbed06545a6f04a1635989475cdbb17eb5", ""),
+    "approx setcover uncov.json --oracle --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: family does not cover the universe\n"),
+    "approx setcover uncov.json --oracle --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: family does not cover the universe\n"),
+    "approx tsp-christofides nonmetric.txt --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: triangle inequality violated\n"),
+    "approx tsp-christofides nonmetric.txt --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: triangle inequality violated\n"),
+    "approx knapsack-fptas ks.json --eps 0 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: needs eps > 0\n"),
+    "approx knapsack-fptas ks.json --eps 0 --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: needs eps > 0\n"),
+    "approx binpack big.txt --oracle --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sizes must lie in [0, 1]\n"),
+    "approx binpack big.txt --oracle --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sizes must lie in [0, 1]\n"),
 }
 
 
@@ -485,10 +546,12 @@ def test_golden_outputs(tmp_path, capsys, call):
             [sys.executable, "-m", "combinlab.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        code, out = proc.returncode, proc.stdout
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
-        code, out, _ = run(capsys, argv)
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[call]
+        code, out, err = run(capsys, argv)
+    expected = GOLDEN[call]
+    got = (code, hashlib.sha256(out.encode()).hexdigest(), err)
+    assert got[: len(expected)] == expected
 
 
 MALFORMED_FILES = {

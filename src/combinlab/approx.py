@@ -22,46 +22,10 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import Graph
-from .intmath import ceil_log2, harmonic
 from .paths_mst import WeightedGraph, prim
-
-
-@dataclass(frozen=True)
-class ApproxReport:
-    """Heuristic value against the (optional) brute-force optimum."""
-
-    algorithm: str
-    n: int
-    heuristic: object
-    optimal: object | None
-    ratio: object | None  # >= 1 when optimal present
-    bound: object
-    instance_digest: str
-    seed: int | None = None
-
-    def to_json(self) -> str:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            return x
-
-        return json.dumps(
-            {
-                "algorithm": self.algorithm,
-                "n": self.n,
-                "heuristic": enc(self.heuristic),
-                "optimal": enc(self.optimal),
-                "ratio": enc(self.ratio),
-                "bound": enc(self.bound),
-                "digest": self.instance_digest,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
 
 
 def digest_of(payload) -> str:
@@ -70,16 +34,30 @@ def digest_of(payload) -> str:
     ).hexdigest()[:16]
 
 
-def make_report(algorithm, n, heuristic, optimal, bound, payload, seed=None, maximize=False):
+def _encode(x):
+    return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x
+
+
+def make_report(algorithm, n, heuristic, optimal, bound, payload, seed=None, maximize=False) -> dict:
+    """Heuristic value against the (optional) brute-force optimum, as a
+    JSON-ready dict with Fractions written "p/q".  The ratio is >= 1 when
+    the optimum is given; `payload` is the instance, kept as its digest."""
     ratio = None
     if optimal is not None:
         if maximize:
             ratio = Fraction(optimal) / Fraction(heuristic) if heuristic else None
         else:
             ratio = Fraction(heuristic) / Fraction(optimal) if optimal else None
-    return ApproxReport(
-        algorithm, n, heuristic, optimal, ratio, bound, digest_of(payload), seed
-    )
+    return {
+        "algorithm": algorithm,
+        "n": n,
+        "heuristic": _encode(heuristic),
+        "optimal": _encode(optimal),
+        "ratio": _encode(ratio),
+        "bound": _encode(bound),
+        "digest": digest_of(payload),
+        "seed": seed,
+    }
 
 
 # --- vertex cover ---------------------------------------------------------
@@ -504,31 +482,52 @@ def knapsack_optimum(values, volumes, capacity) -> int:
 
 
 def bin_pack_optimum(sizes) -> int:
+    """Fewest unit bins, by depth-first search over the bin each item
+    joins: each open bin it fits, one bin per distinct room left, then a
+    new bin; a branch stops once it holds as many bins as the best found.
+    The search keeps its own stack, so its depth is not the interpreter's."""
     sizes = [Fraction(s) for s in sizes]
-    if not sizes:
-        return 0
-    bins: list[Fraction] = []
+    best = len(sizes)
+    bins: list[Fraction] = []  # room left in each open bin
+    placed: list[int | None] = []  # bin index per placed item, None: it opened one
+    stack: list[list[int | None]] = []  # per open node: choices still to try, last first
 
-    best = [len(sizes)]
+    def expand() -> bool:
+        """Open the node that places the next item; False if it is a leaf."""
+        nonlocal best
+        if len(bins) >= best:
+            return False
+        if len(placed) == len(sizes):
+            best = len(bins)
+            return False
+        s = sizes[len(placed)]
+        fits, seen = [], set()
+        for idx, room in enumerate(bins):
+            if s <= room and room not in seen:
+                seen.add(room)
+                fits.append(idx)
+        stack.append([None, *reversed(fits)])
+        return True
 
-    def place(i: int):
-        if len(bins) >= best[0]:
-            return
-        if i == len(sizes):
-            best[0] = min(best[0], len(bins))
-            return
-        s = sizes[i]
-        tried = set()
-        for idx in range(len(bins)):
-            room = bins[idx]
-            if s <= room and room not in tried:
-                tried.add(room)
-                bins[idx] = room - s
-                place(i + 1)
-                bins[idx] = room
-        bins.append(Fraction(1) - s)
-        place(i + 1)
-        bins.pop()
-
-    place(0)
-    return best[0]
+    expand()
+    while stack:
+        if stack[-1]:
+            idx = stack[-1].pop()
+            s = sizes[len(placed)]
+            if idx is None:
+                bins.append(1 - s)
+            else:
+                bins[idx] -= s
+            placed.append(idx)
+            if expand():
+                continue
+        else:
+            stack.pop()
+            if not stack:
+                break
+        idx = placed.pop()
+        if idx is None:
+            bins.pop()
+        else:
+            bins[idx] += sizes[len(placed)]
+    return best

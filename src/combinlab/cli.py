@@ -26,7 +26,7 @@ from . import paths_mst as pm
 from . import search_games as sg
 from . import sorting as srt
 from . import tournament as trn
-from .intmath import ceil_log2, ceil_log2_factorial, ceil_log3
+from .intmath import ceil_log2, ceil_log3, harmonic
 from .oracles import counting_comparator
 
 OK, NEGATIVE, INPUT_ERROR, TOO_LARGE = 0, 1, 2, 3
@@ -44,15 +44,12 @@ def _read(path: str) -> str:
         raise CliInputError(str(exc)) from exc
 
 
-def _emit(payload, fmt: str, text_renderer=None) -> None:
+def _emit(payload, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, default=_json_default))
     else:
-        if text_renderer is None:
-            for key in sorted(payload):
-                print(f"{key}: {payload[key]}")
-        else:
-            text_renderer(payload)
+        for key in sorted(payload):
+            print(f"{key}: {payload[key]}")
 
 
 def _json_default(x):
@@ -336,111 +333,80 @@ def cmd_twosat(args) -> int:
 # --- approx -----------------------------------------------------------------
 
 
-def cmd_approx(args) -> int:
-    fmt = args.format
-    algo = args.algorithm
-    if algo in ("vc-matching", "vc-greedy", "maxcut"):
-        g = _graph(args.file)
-        if algo == "maxcut":
-            chosen, cut = ax.max_cut_local_search(g)
-            opt = ax.max_cut_optimum(g) if args.oracle else None
-            report = ax.make_report(
-                "max_cut_local_search",
-                g.n,
-                cut,
-                opt,
-                2,
-                {"edges": sorted(g.edges)},
-                maximize=True,
-            )
-            payload = json.loads(report.to_json())
-            payload["cut_side"] = sorted(chosen)
-        else:
-            fn = ax.vc_matching_2approx if algo == "vc-matching" else ax.vc_degree_greedy
-            cover = fn(g)
-            opt = ax.vertex_cover_optimum(g) if args.oracle else None
-            report = ax.make_report(
-                algo.replace("-", "_"),
-                g.n,
-                len(cover),
-                opt,
-                2 if algo == "vc-matching" else None,
-                {"edges": sorted(g.edges)},
-            )
-            payload = json.loads(report.to_json())
-            payload["cover"] = sorted(cover)
-        _emit(payload, fmt)
-        return OK
-    if algo == "setcover":
-        universe, family, k = cx.parse_set_system(_read(args.file))
-        chosen = ax.set_cover_greedy(universe, family)
-        opt = ax.set_cover_optimum(universe, family) if args.oracle else None
-        biggest = max((len(s) for s in family), default=0)
-        from .intmath import harmonic
+def _vertex_cover(heuristic, bound):
+    def solve(text, eps):
+        g = gc.parse_graph_text(text)
+        cover = heuristic(g)
+        return (g.n, len(cover), lambda: ax.vertex_cover_optimum(g), bound,
+                {"edges": sorted(g.edges)}, {"cover": sorted(cover)})
 
-        report = ax.make_report(
-            "set_cover_greedy",
-            len(universe),
-            len(chosen),
-            opt,
-            harmonic(max(1, biggest)),
-            {"family": [sorted(map(str, s)) for s in family]},
-        )
-        payload = json.loads(report.to_json())
-        payload["chosen"] = chosen
-        _emit(payload, fmt)
-        return OK
-    if algo in ("tsp-doubletree", "tsp-christofides"):
-        matrix = cx.parse_matrix(_read(args.file))
-        inst = ax.MetricTspInstance(matrix)
-        fn = ax.tsp_double_tree if algo == "tsp-doubletree" else ax.tsp_christofides
-        tour = fn(inst)
-        length = inst.tour_length(tour)
-        opt = ax.tsp_optimum(inst.matrix) if args.oracle else None
-        report = ax.make_report(
-            algo.replace("-", "_"),
-            inst.n,
-            length,
-            opt,
-            2 if algo == "tsp-doubletree" else Fraction(3, 2),
-            {"matrix": [list(r) for r in inst.matrix]},
-        )
-        payload = json.loads(report.to_json())
-        payload["tour"] = tour
-        _emit(payload, fmt)
-        return OK
-    if algo == "knapsack-fptas":
-        values, volumes, cap = dp.load_knapsack_json(_read(args.file))
-        eps = Fraction(args.eps)
-        chosen, value = ax.knapsack_fptas(values, volumes, cap, eps)
-        opt = ax.knapsack_optimum(values, volumes, cap) if args.oracle else None
-        report = ax.make_report(
-            "knapsack_fptas",
-            len(values),
-            value,
-            opt,
-            1 + eps,
+    return solve
+
+
+def _set_cover(text, eps):
+    universe, family, _ = cx.parse_set_system(text)
+    chosen = ax.set_cover_greedy(universe, family)
+    biggest = max((len(s) for s in family), default=0)
+    return (len(universe), len(chosen), lambda: ax.set_cover_optimum(universe, family),
+            harmonic(max(1, biggest)), {"family": [sorted(map(str, s)) for s in family]},
+            {"chosen": chosen})
+
+
+def _tsp(heuristic, bound):
+    def solve(text, eps):
+        inst = ax.MetricTspInstance(cx.parse_matrix(text))
+        tour = heuristic(inst)
+        return (inst.n, inst.tour_length(tour), lambda: ax.tsp_optimum(inst.matrix), bound,
+                {"matrix": [list(r) for r in inst.matrix]}, {"tour": tour})
+
+    return solve
+
+
+def _max_cut(text, eps):
+    g = gc.parse_graph_text(text)
+    side, cut = ax.max_cut_local_search(g)
+    return (g.n, cut, lambda: ax.max_cut_optimum(g), 2,
+            {"edges": sorted(g.edges)}, {"cut_side": sorted(side)})
+
+
+def _knapsack_fptas(text, eps):
+    values, volumes, cap = dp.load_knapsack_json(text)
+    eps = Fraction(eps)  # only this algorithm reads --eps
+    chosen, value = ax.knapsack_fptas(values, volumes, cap, eps)
+    return (len(values), value, lambda: ax.knapsack_optimum(values, volumes, cap), 1 + eps,
             {"values": values, "volumes": volumes, "capacity": cap},
-            maximize=True,
-        )
-        payload = json.loads(report.to_json())
-        payload["items"] = sorted(chosen)
-        payload["eps"] = str(eps)
-        _emit(payload, fmt)
-        return OK
-    if algo == "binpack":
-        sizes = _read(args.file).split()
-        assignment = ax.bin_pack_first_fit(sizes)
-        bins = max(assignment, default=0)
-        opt = ax.bin_pack_optimum(sizes) if args.oracle else None
-        report = ax.make_report(
-            "bin_pack_first_fit", len(sizes), bins, opt, 2, {"sizes": sizes}
-        )
-        payload = json.loads(report.to_json())
-        payload["assignment"] = assignment
-        _emit(payload, fmt)
-        return OK
-    raise CliInputError(f"unknown approx algorithm {algo!r}")
+            {"items": sorted(chosen), "eps": str(eps)})
+
+
+def _bin_pack(text, eps):
+    sizes = text.split()
+    assignment = ax.bin_pack_first_fit(sizes)
+    return (len(sizes), max(assignment, default=0), lambda: ax.bin_pack_optimum(sizes), 2,
+            {"sizes": sizes}, {"assignment": assignment})
+
+
+# CLI name -> (report name, maximize, solve).  solve(text, eps) returns the
+# instance size, the heuristic's value, a thunk for the optimum, the ratio
+# bound, the instance for the digest, and the output keys of this algorithm.
+_APPROX = {
+    "vc-matching": ("vc_matching", False, _vertex_cover(ax.vc_matching_2approx, 2)),
+    "vc-greedy": ("vc_greedy", False, _vertex_cover(ax.vc_degree_greedy, None)),
+    "setcover": ("set_cover_greedy", False, _set_cover),
+    "tsp-doubletree": ("tsp_doubletree", False, _tsp(ax.tsp_double_tree, 2)),
+    "tsp-christofides": ("tsp_christofides", False, _tsp(ax.tsp_christofides, Fraction(3, 2))),
+    "maxcut": ("max_cut_local_search", True, _max_cut),
+    "knapsack-fptas": ("knapsack_fptas", True, _knapsack_fptas),
+    "binpack": ("bin_pack_first_fit", False, _bin_pack),
+}
+
+
+def cmd_approx(args) -> int:
+    name, maximize, solve = _APPROX[args.algorithm]
+    n, value, optimum, bound, instance, extra = solve(_read(args.file), args.eps)
+    opt = optimum() if args.oracle else None
+    report = ax.make_report(name, n, value, opt, bound, instance, maximize=maximize)
+    _emit({**report, **extra}, args.format)
+    return OK
 
 
 # --- bench -------------------------------------------------------------------
@@ -542,11 +508,10 @@ def _bench_approx(args):
             ("tsp_christofides", ax.tsp_christofides, Fraction(3, 2)),
         ):
             length = inst.tour_length(fn(inst))
-            report = ax.make_report(
+            rows.append(ax.make_report(
                 name, n, length, opt, bound,
                 {"matrix": [list(r) for r in inst.matrix]}, seed=seed,
-            )
-            rows.append(json.loads(report.to_json()))
+            ))
     rows.sort(key=lambda r: (r["algorithm"], r["seed"], r["n"]))
     return {"suite": "approx", "seed": args.seed, "rows": rows}
 
@@ -694,19 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_twosat)
 
     p = sub.add_parser("approx", help="run an approximation algorithm")
-    p.add_argument(
-        "algorithm",
-        choices=(
-            "vc-matching",
-            "vc-greedy",
-            "setcover",
-            "tsp-doubletree",
-            "tsp-christofides",
-            "maxcut",
-            "knapsack-fptas",
-            "binpack",
-        ),
-    )
+    p.add_argument("algorithm", choices=tuple(_APPROX))
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--eps", default="1/2")

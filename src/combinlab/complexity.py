@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -854,7 +854,6 @@ class ReductionOutput:
     target: object
     forward: Callable
     backward: Callable
-    notes: dict = field(default_factory=dict)
 
 
 def sat_to_3sat(f: CnfFormula) -> ReductionOutput:
@@ -955,7 +954,7 @@ def sat_to_clique(f: CnfFormula) -> ReductionOutput:
             alpha[abs(lit) - 1] = lit > 0
         return alpha
 
-    return ReductionOutput(Sat(f), target, forward, backward, {"vertices": occurrences})
+    return ReductionOutput(Sat(f), target, forward, backward)
 
 
 def threesat_to_coloring(f: CnfFormula) -> ReductionOutput:
@@ -1136,9 +1135,7 @@ def vc_to_ham_circuit(problem: VertexCover) -> ReductionOutput:
             cover.add(v)
         return cover
 
-    return ReductionOutput(
-        problem, target, forward, backward, {"edge_order": list(g.edges), "k_eff": k_eff}
-    )
+    return ReductionOutput(problem, target, forward, backward)
 
 
 def _clique_to_is(problem: Clique) -> ReductionOutput:
@@ -1449,9 +1446,7 @@ def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
             tour.append(succ[tour[-1]])
         return tour
 
-    return ReductionOutput(
-        problem, target, forward, backward, {"columns": col, "n": n}
-    )
+    return ReductionOutput(problem, target, forward, backward)
 
 
 # CLI name -> (registry name, source problem, reduction of a source instance).

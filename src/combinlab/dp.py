@@ -247,6 +247,8 @@ def matrix_chain(dims) -> tuple[int, str, ChainTables]:
     vector p_0..p_n; returns (cost, expression, tables)."""
     p = list(dims)
     n = len(p) - 1
+    if not all(isinstance(d, (int, Fraction)) for d in p):
+        raise ValueError("dimensions must be integers or fractions")
     if n < 1 or any(d < 1 for d in p):
         raise ValueError("need at least one matrix and positive dimensions")
     m = [[0] * (n + 1) for _ in range(n + 1)]

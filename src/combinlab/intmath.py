@@ -107,12 +107,19 @@ def harmonic(n: int) -> Fraction:
 # --- JSON instance checks ------------------------------------------------------
 
 
+class _JsonInstance(dict):
+    """A parsed instance object; indexing a key it lacks names the key."""
+
+    def __missing__(self, key):
+        raise ValueError(f"instance is missing the key {key!r}")
+
+
 def json_object(text: str) -> dict:
     """Parse an instance file that must hold a JSON object."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("instance must be a JSON object")
-    return data
+    return _JsonInstance(data)
 
 
 def exact_int(value, what: str) -> int:

@@ -193,6 +193,16 @@ def test_approx_binpack(tmp_path, capsys):
     assert data["heuristic"] == 2 and data["optimal"] == 2
 
 
+def test_approx_binpack_oracle_deeper_than_the_recursion_limit(tmp_path, capsys):
+    f = tmp_path / "units.txt"
+    f.write_text("1 " * 1200)
+    code, out, err = run(
+        capsys, ["approx", "binpack", str(f), "--oracle", "--format", "json"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["optimal"] == 1200
+
+
 def test_bench_deterministic(capsys):
     code1, out1, _ = run(
         capsys, ["bench", "sorting", "--n-max", "10", "--seed", "5", "--format", "json"]
@@ -582,6 +592,16 @@ def assert_input_error(tmp_path, capsys, call):
     code, out, err = run(capsys, golden_argv(tmp_path, call, MALFORMED_FILES))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+# kd.json is a knapsack-decision instance: it has no "numbers" key.
+MISSING_KEY = {
+    "verify knapsack01 kd.json [1]": "error: instance is missing the key 'numbers'\n",
+    "reduce knapsack-partition kd.json": "error: instance is missing the key 'numbers'\n",
+    "reduce knapsack-ilp kd.json": "error: instance is missing the key 'numbers'\n",
+    "solve knapsack k01.json": "error: instance is missing the key 'capacity'\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -603,10 +623,13 @@ def assert_input_error(tmp_path, capsys, call):
         "solve kruskal zero-den.g",
         "solve dijkstra zero-den.d",
         *TARGET_OUT_OF_RANGE,
+        *MISSING_KEY,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
-    assert_input_error(tmp_path, capsys, call)
+    err = assert_input_error(tmp_path, capsys, call)
+    if call in MISSING_KEY:
+        assert err == MISSING_KEY[call]
 
 
 @pytest.mark.parametrize("call", TARGET_OUT_OF_RANGE)

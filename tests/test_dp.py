@@ -259,6 +259,14 @@ def test_matrix_chain_single():
     assert cost == 0 and expr == "A1"
 
 
+def test_matrix_chain_refuses_floats():
+    for dims in ([1.5, 2], [1.5, 2.5, 3], [2, 3.0, 4]):
+        with pytest.raises(ValueError, match="integers or fractions"):
+            matrix_chain(dims)
+    cost, _, _ = matrix_chain([Fraction(3, 2), 2, Fraction(5, 2)])
+    assert cost == Fraction(15, 2)
+
+
 def test_matrix_chain_matches_enumeration():
     rng = random.Random(31)
     for _ in range(30):

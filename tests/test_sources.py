@@ -18,3 +18,47 @@ def test_no_module_sets_the_recursion_limit():
                 if name == "setrecursionlimit":
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# Functions that call themselves by name, as module.qualname.  The list only
+# shrinks: new code walks with an explicit stack, and a function that becomes
+# a loop leaves the list in the same change.
+RECURSIVE = {
+    "approx.min_perfect_matching_exact.solve",
+    "complexity.Coloring.search.extend",
+    "complexity.ExactCover.search.extend",
+    "complexity.Ilp.search.extend",
+    "complexity.Tsp.search.extend",
+    "complexity._ham_backtrack.extend",
+    "oracles.AdversarySetEquality._matching.try_row",
+    "search_games._solve_pool",
+    "search_games._solve_signed",
+    "sorting._merge_insertion",
+    "tournament._select_partition",
+}
+
+
+def self_calling_functions():
+    found = set()
+    for path in sorted(Path(combinlab.__file__).parent.rglob("*.py")):
+        stack = [(ast.parse(path.read_text(), str(path)), path.stem)]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    stack.append((child, prefix))
+                    continue
+                qualname = f"{prefix}.{child.name}"
+                stack.append((child, qualname))
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.add(qualname)
+    return found
+
+
+def test_recursion_only_in_listed_functions():
+    assert self_calling_functions() == RECURSIVE

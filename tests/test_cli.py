@@ -286,6 +286,19 @@ GOLDEN_FILES = {
     "big.txt": "1/2 2\n",
     "one.json": '{"universe": [1, 2], "family": [[1, 2]]}',
     "uncov.json": '{"universe": [1, 2, 3], "family": [[1], [2]]}',
+    # the cycle 1 -> 2 -> 3 -> 1 weighs -1
+    "negcyc.d": "pd 3 3\na 1 2 1\na 2 3 -3\na 3 1 1\n",
+    # from 1, vertex 3 is reachable and vertex 4 is not
+    "wd.d": "pd 4 3\na 1 2 1\na 2 3 2\na 4 1 1/2\n",
+    # two weighted components, {1, 2} and {3, 4}
+    "split.g": "p 4 2\ne 1 2 3\ne 3 4 1/2\n",
+    # every degree is even, but the two triangles are apart
+    "twotri.g": "p 6 6\ne 1 2\ne 2 3\ne 1 3\ne 4 5\ne 5 6\ne 4 6\n",
+    "alloc.json": '{"costs": [[0, 1, 2], [0, 2, 3]], "profits": [[0, 3, 4], [0, 4, 6]], "budget": 3}',
+    "lcs.txt": "ABCBDAB\nBDCABA\n",
+    "keys.txt": "5 3 9 1 4 8 2 7 6\n",
+    "dup.txt": "1 2 1\n",
+    "sat2.cnf": "p cnf 2 2\n1 2 0\n-1 2 0\n",
 }
 
 
@@ -307,10 +320,11 @@ def golden_argv(tmp_path, call, files=GOLDEN_FILES):
 # (exit code, sha256 of stdout) per call: reduce --oracle and reduce
 # --witness for one source instance of each reduction, verify with an
 # accepted and a rejected witness for each problem kind, the
-# missing-parameter errors, the graph traversals, spanning trees and
-# matrix chain of `solve`, every `approx` algorithm with and without
-# --oracle, and `bench approx`, each in JSON and text format.  An entry with
-# a third element also pins stderr: the approx input errors, and --eps on an
+# missing-parameter errors, every `solve` problem with its negative answers
+# and graph-type errors, `sort` and `select` with each algorithm, `twosat`,
+# every `approx` algorithm with and without --oracle, every `bench` suite
+# and every `gen` family, each in JSON and text format.  An entry with a
+# third element also pins stderr: the input errors, and --eps on an
 # algorithm that does not read it.
 GOLDEN = {
     "reduce sat-3sat f.cnf --oracle --format json": (0, "c5abb86d7e1a913ad0fa0d40f6c19d1e61b31e2e49bdd2a4603c7cb47b362c1a"),
@@ -537,6 +551,118 @@ GOLDEN = {
     "approx knapsack-fptas ks.json --eps 0 --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: needs eps > 0\n"),
     "approx binpack big.txt --oracle --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sizes must lie in [0, 1]\n"),
     "approx binpack big.txt --oracle --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sizes must lie in [0, 1]\n"),
+    "solve floyd negcyc.d --format json": (0, "14d3e39c1f1469a1922d0b45ba4904b16948d210a72a60302eda1cec60efe06d"),
+    "solve floyd negcyc.d --format text": (0, "7813ecf99f49d06f7c957d6dffa1e7773697d506ad30797e09f33d29e4b37aec"),
+    "solve floyd wd.d --format json": (0, "bb93f4ada86a8144560bae52938350a5b4459a3396bd4b7182232fde2b8a827f"),
+    "solve floyd wd.d --format text": (0, "4e598e6d4c65cb0baf1c3cce943c62d63f99d956f2647791e8fe83d9f0ed8fab"),
+    "solve closure scc.d --format json": (0, "ce56f06f75cdcc1cdf58e7f660a9a7443972c6728303010ec8c183ff9dcf82e8"),
+    "solve closure scc.d --format text": (0, "bb68dc33f705e52a3f4c633c66b8dd5a0c44b96ce168d467c7698c3c86573625"),
+    "solve dijkstra wd.d --format json": (0, "2c704aad393dbdbe767bf1d16c01b4e8e8907afbe081d5a49de6077d7fc5657d"),
+    "solve dijkstra wd.d --format text": (0, "6aaeb788c98d130fc19c848a3cc803f31e8a9ec59ef2fb40821f99bdb620605b"),
+    "solve dijkstra wd.d --target 3 --format json": (0, "aa89306497cef1f024160fbf72533f975f038469646e7bbc99a5b529b4052e6d"),
+    "solve dijkstra wd.d --target 3 --format text": (0, "f5d38350ebe7a4e23be03db1618a83e6fc366f70ec8f204968a9d97a95f8c475"),
+    "solve dijkstra wd.d --target 4 --format json": (1, "83be4be7f4c9788cdb200bef9981e6fd3c9895e13668c1e418c30e5a6c1519b7"),
+    "solve dijkstra wd.d --target 4 --format text": (1, "2ba713f20919031a43cd893f7d46271a880eb8dc0a39de0b4a8e058211fe6d3c"),
+    "solve shortest w.g --target 5 --format json": (0, "bfc2fb83475a1f220baf87354ad8cf6c685d7445deecba4b1bb3e5cb450b6793"),
+    "solve shortest w.g --target 5 --format text": (0, "f8128072dfdb2bf59ab7786296f7e8e08fe0346620c51632c672e51471ed3454"),
+    "solve shortest split.g --target 3 --format json": (1, "0021468c712e88d46a821f26497b857ba591c62baec6700567cacaaf1e8524d5"),
+    "solve shortest split.g --target 3 --format text": (1, "6300dc3b45065760a17a94801932b4a3fa50d7fd0e08f711da7282cb76738418"),
+    "solve shortest w.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: shortest needs --target\n'),
+    "solve shortest w.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: shortest needs --target\n'),
+    "solve prim w.g --format json": (0, "41c8f2fbab9483975c0615389c85e152d8368c115d54b99fecb92fe24a631cd6"),
+    "solve prim w.g --format text": (0, "fb191bbc2ec6564d59e75343c4e5aa746b645f0c6d979c8503e0b1006670ac37"),
+    "solve prim split.g --format json": (1, "bca731f9e1b952a6266a6c65c32441edc85dad7e54006a0e5cdf70eedd544500"),
+    "solve prim split.g --format text": (1, "a300f304e8284bd5a08c0a497dd15765f2e3258fdc4374aafa647a57fdd128bd"),
+    "solve kruskal split.g --format json": (1, "bca731f9e1b952a6266a6c65c32441edc85dad7e54006a0e5cdf70eedd544500"),
+    "solve kruskal split.g --format text": (1, "a300f304e8284bd5a08c0a497dd15765f2e3258fdc4374aafa647a57fdd128bd"),
+    "solve maxst split.g --format json": (1, "bca731f9e1b952a6266a6c65c32441edc85dad7e54006a0e5cdf70eedd544500"),
+    "solve maxst split.g --format text": (1, "a300f304e8284bd5a08c0a497dd15765f2e3258fdc4374aafa647a57fdd128bd"),
+    "solve knapsack ks.json --format json": (0, "d2dc601ba527fa9c63f56f6680b3caf2f456c54120f3b24c420a65a7ec8df01d"),
+    "solve knapsack ks.json --format text": (0, "6f43bb0414ebcb6d56f987e9574cb5824bec8296e033ba76e6b85d03c5627567"),
+    "solve allocate alloc.json --format json": (0, "b14c161b3e6515419b222cad098eff81f5c1b29bd1b490d714a7861641c8f8e3"),
+    "solve allocate alloc.json --format text": (0, "8160eb7aa997c1cd7d8875bc2fa64f1feb9587a92a599559e34404056fb5347b"),
+    "solve lcs lcs.txt --format json": (0, "c4a807c4761bcd5b2569617d3c95a31e29808eef5e2a258f5253191b5fcf2d3a"),
+    "solve lcs lcs.txt --format text": (0, "3ade544f2f893da5ee173540f8d0dbd058605962f49baec932d5cce3db0fe239"),
+    "solve lcs nums.txt --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: lcs input needs two lines\n'),
+    "solve lcs nums.txt --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: lcs input needs two lines\n'),
+    "solve euler path.g --format json": (1, "1e735a50c82040c01543ae2672dab34dccb6dd3788d580cc6c7a9759fdc263ee"),
+    "solve euler path.g --format text": (1, "4c199f1e588345f2528a52279ddc5b1ef4f985394246467c9599682a4d3fc046"),
+    "solve euler twotri.g --format json": (1, "c80f3e50da4b59d7f9327e40d283fb2896f57d28f52e2559d856a6a4fa8fcb6f"),
+    "solve euler twotri.g --format text": (1, "d51522d3880dca37f7e024799e2f6f80009ba3fe4cdd985c035f77876bbfb60a"),
+    "solve scc two.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: scc needs a directed graph (pd header)\n'),
+    "solve scc two.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: scc needs a directed graph (pd header)\n'),
+    "solve closure two.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: closure needs a directed graph\n'),
+    "solve closure two.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: closure needs a directed graph\n'),
+    "solve dijkstra w.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: dijkstra needs a weighted digraph\n'),
+    "solve dijkstra w.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: dijkstra needs a weighted digraph\n'),
+    "solve dijkstra cyc.d --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: dijkstra needs a weighted digraph\n'),
+    "solve dijkstra cyc.d --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: dijkstra needs a weighted digraph\n'),
+    "solve floyd w.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: floyd needs a weighted digraph\n'),
+    "solve floyd w.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: floyd needs a weighted digraph\n'),
+    "solve shortest wd.d --target 2 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: shortest needs a weighted undirected graph\n'),
+    "solve shortest wd.d --target 2 --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: shortest needs a weighted undirected graph\n'),
+    "solve shortest path.g --target 2 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: shortest needs a weighted undirected graph\n'),
+    "solve shortest path.g --target 2 --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: shortest needs a weighted undirected graph\n'),
+    "solve prim wd.d --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: prim needs a weighted undirected graph\n'),
+    "solve prim wd.d --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: prim needs a weighted undirected graph\n'),
+    "solve kruskal path.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: kruskal needs a weighted undirected graph\n'),
+    "solve kruskal path.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: kruskal needs a weighted undirected graph\n'),
+    "solve maxst wd.d --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: maxst needs a weighted undirected graph\n'),
+    "solve maxst wd.d --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: maxst needs a weighted undirected graph\n'),
+    "solve nosuch missing.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unknown solve problem 'nosuch'\n"),
+    "solve nosuch missing.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unknown solve problem 'nosuch'\n"),
+    "solve euler missing.g --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: [Errno 2] No such file or directory: 'missing.g'\n"),
+    "solve euler missing.g --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: [Errno 2] No such file or directory: 'missing.g'\n"),
+    "sort insertion keys.txt --format json": (0, "661ee30427fa9af4070d5d96f759dd5f98f82cba989c0eb1388758babb9a8e72"),
+    "sort insertion keys.txt --format text": (0, "ad2ea4b7dbe7c21bc3be040c7212265ec1fd88fe7ad151f2c07f9b3725a5cbac"),
+    "sort insertion keys.txt --count --format json": (0, "6b959c5078523b943f66c77d9a760f7786a4594bfd0709cfe96242db784c2036"),
+    "sort insertion keys.txt --count --format text": (0, "98f022e516ba51f8f474c1fc3e12d09fc500938677069a1a6755007b793f6dfb"),
+    "sort merge keys.txt --format json": (0, "661ee30427fa9af4070d5d96f759dd5f98f82cba989c0eb1388758babb9a8e72"),
+    "sort merge keys.txt --format text": (0, "ad2ea4b7dbe7c21bc3be040c7212265ec1fd88fe7ad151f2c07f9b3725a5cbac"),
+    "sort merge keys.txt --count --format json": (0, "1708b6cf0d60da6aed767286b30f54d42793369b7d11f39d5fcea0eeace55414"),
+    "sort merge keys.txt --count --format text": (0, "c3b4ecbf3ca8e09e12a6c0681bec96d9b3e2fd4654b73c900ed53c72a13c8ef1"),
+    "sort mergeinsertion keys.txt --format json": (0, "661ee30427fa9af4070d5d96f759dd5f98f82cba989c0eb1388758babb9a8e72"),
+    "sort mergeinsertion keys.txt --format text": (0, "ad2ea4b7dbe7c21bc3be040c7212265ec1fd88fe7ad151f2c07f9b3725a5cbac"),
+    "sort mergeinsertion keys.txt --count --format json": (0, "ad0ca43b67982d347db9f73f4d695b65ea2e5eb39416e8f6b335d3c299df99a6"),
+    "sort mergeinsertion keys.txt --count --format text": (0, "9fd92572e135a10d72fa2124d40db3e3a14d61045008013eeb43711e37618c9a"),
+    "sort merge dup.txt --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: sort input keys must be pairwise distinct\n'),
+    "sort merge dup.txt --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: sort input keys must be pairwise distinct\n'),
+    "select keys.txt --t 3 --format json": (0, "6c51772e800abaa0b69b6f49025ae9bfb2e4252f09b5da89f31e2d45de8001e1"),
+    "select keys.txt --t 3 --format text": (0, "1df11bf60dc00352887146f2325224ad7f7567e0b75d59abe2a9baa25059ce43"),
+    "select keys.txt --t 3 --count --format json": (0, "6a364a1c2335009f1e551bee4c898bafc3669f835b4ac0421954c1717f9b9d39"),
+    "select keys.txt --t 3 --count --format text": (0, "f7fd601f07ebce05e030a1449d0d3bae27592906ae584966c9d83bbeff04f6f0"),
+    "select keys.txt --t 3 --algorithm linear --format json": (0, "6c51772e800abaa0b69b6f49025ae9bfb2e4252f09b5da89f31e2d45de8001e1"),
+    "select keys.txt --t 3 --algorithm linear --format text": (0, "1df11bf60dc00352887146f2325224ad7f7567e0b75d59abe2a9baa25059ce43"),
+    "select keys.txt --t 3 --algorithm linear --count --format json": (0, "9cfe7fa05e1eac8556ab2bad0d2481995dbd86c1dec1966162b6137d865aa05d"),
+    "select keys.txt --t 3 --algorithm linear --count --format text": (0, "301625ae771b9c10585cb5ee5326449a9825b83b82662e6740eccaef40e5c034"),
+    "select keys.txt --t 10 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: t out of range\n'),
+    "select keys.txt --t 10 --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: t out of range\n'),
+    "select dup.txt --t 1 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: select input keys must be pairwise distinct\n'),
+    "select dup.txt --t 1 --format text": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: select input keys must be pairwise distinct\n'),
+    "twosat sat2.cnf --format json": (0, "22bbca7e086cb565f20443b105738ec3f03620e3d0c6ec8c0bf2847b6eae39ff"),
+    "twosat sat2.cnf --format text": (0, "f56224d8813b2ea1fc3dacc021e7d2e17936fdd99ca423bd51303f617a81d8d4"),
+    "twosat unsat.cnf --format json": (1, "5c701020f5e6023bab196c1cc59a3cc815529fc19147d31791879df3f0a9c080"),
+    "twosat unsat.cnf --format text": (1, "9260930c92e96a157651f9dc9e27db2278111a47a3841dd76e7f866d7d055639"),
+    "bench sorting --n-max 8 --trials 3 --seed 2 --format json": (0, "2fc98267a03249c08e6b1b2f1cc38b9ac0430e7b4e8a0ce502fc3eaec7f51eba"),
+    "bench sorting --n-max 8 --trials 3 --seed 2 --format text": (0, "ffd17f78da2310c9964e875bc030e7d4a2938bdca7f606b4abb584badbf408ed"),
+    "bench selection --n-max 20 --trials 3 --seed 2 --format json": (0, "cb125ad158454cc7c8008ca048ece858c10bd33829ebf1755801d9b7a1393c2f"),
+    "bench selection --n-max 20 --trials 3 --seed 2 --format text": (0, "ca6692ed24a817b86be5b2f02966d796ef2ff56f6c06052b6bc937814155c7fe"),
+    "bench search --n-max 5 --format json": (0, "ab659bfa9ce52034abbedee3a6e53de48e99257a952787958056db88c303ef32"),
+    "bench search --n-max 5 --format text": (0, "1393c69e53ea8375df01f336b34d04b6abbae9790b69e55da406b49af2667ef3"),
+    "gen graph --n 6 --seed 1 --format json": (0, "aaf696fe955c1588de618aa13c99c821ea7ffa21f2876975964370c35f8b83bb"),
+    "gen graph --n 6 --seed 1 --format text": (0, "aaf696fe955c1588de618aa13c99c821ea7ffa21f2876975964370c35f8b83bb"),
+    "gen digraph --n 5 --seed 1 --density 0.4 --format json": (0, "ce4b931985e9b8c41bf173e054de590ec9e04b8cb1fcfda0e1ee2d8848d325aa"),
+    "gen digraph --n 5 --seed 1 --density 0.4 --format text": (0, "ce4b931985e9b8c41bf173e054de590ec9e04b8cb1fcfda0e1ee2d8848d325aa"),
+    "gen metric --n 4 --seed 2 --format json": (0, "7d978ffb2b1dfd1577d07987c35ede8d78613137e2e39e86ee3553250429d564"),
+    "gen metric --n 4 --seed 2 --format text": (0, "7d978ffb2b1dfd1577d07987c35ede8d78613137e2e39e86ee3553250429d564"),
+    "gen gap --n 5 --seed 1 --eps 1/2 --format json": (0, "86c3e91e06169c4fa0f3b7adfc8aa4e342253b032c7446b11c48c1ac2d037258"),
+    "gen gap --n 5 --seed 1 --eps 1/2 --format text": (0, "86c3e91e06169c4fa0f3b7adfc8aa4e342253b032c7446b11c48c1ac2d037258"),
+    "gen knapsack --n 4 --seed 1 --format json": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
+    "gen knapsack --n 4 --seed 1 --format text": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
+    "gen numbers --n 6 --seed 1 --format json": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
+    "gen numbers --n 6 --seed 1 --format text": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
+    "gen counterexample --n 3 --format json": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
+    "gen counterexample --n 3 --format text": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
 }
 
 

@@ -32,20 +32,18 @@ from .oracles import counting_comparator
 OK, NEGATIVE, INPUT_ERROR, TOO_LARGE = 0, 1, 2, 3
 
 
-class CliInputError(Exception):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliInputError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
+    if isinstance(payload, str):
+        print(payload, end="")
+    elif fmt == "json":
         print(json.dumps(payload, sort_keys=True, default=_json_default))
     else:
         for key in sorted(payload):
@@ -57,150 +55,108 @@ def _json_default(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (set, frozenset)):
         return sorted(x)
-    if isinstance(x, float) and x == float("inf"):
-        return "inf"
     raise TypeError(f"cannot encode {type(x)!r}")
-
-
-def _graph(path: str):
-    try:
-        return gc.parse_graph_text(_read(path))
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
 
 
 # --- solve ------------------------------------------------------------------
 
+_ANY_GRAPH = ((gc.Graph, gc.Digraph), None)
+_WEIGHTED_DIGRAPH = (pm.WeightedDigraph, "a weighted digraph")
+_WEIGHTED_GRAPH = (pm.WeightedGraph, "a weighted undirected graph")
 
-def cmd_solve(args) -> int:
-    problem = args.problem
-    fmt = args.format
+# solve name -> (graph class the problem needs, how its error names that
+# class); (None, None) for the problems that read a file of their own.
+_SOLVE_INPUT = {
+    "euler": _ANY_GRAPH,
+    "components": _ANY_GRAPH,
+    "bfs": _ANY_GRAPH,
+    "dfs": _ANY_GRAPH,
+    "scc": (gc.Digraph, "a directed graph (pd header)"),
+    "closure": (gc.Digraph, "a directed graph"),
+    "dijkstra": _WEIGHTED_DIGRAPH,
+    "floyd": _WEIGHTED_DIGRAPH,
+    "shortest": _WEIGHTED_GRAPH,
+    "prim": _WEIGHTED_GRAPH,
+    "kruskal": _WEIGHTED_GRAPH,
+    "maxst": _WEIGHTED_GRAPH,
+    "knapsack": (None, None),
+    "allocate": (None, None),
+    "chain": (None, None),
+    "lcs": (None, None),
+}
+
+_SPANNING_TREES = {"prim": pm.prim, "kruskal": pm.kruskal, "maxst": pm.max_spanning_tree}
+
+
+def cmd_solve(args):
+    problem, target = args.problem, args.target
+    if problem not in _SOLVE_INPUT:
+        raise ValueError(f"unknown solve problem {problem!r}")
+    needs, description = _SOLVE_INPUT[problem]
+    text = _read(args.file)
+    if needs is not None:
+        g = gc.parse_graph_text(text)
+        if not isinstance(g, needs):
+            raise ValueError(f"{problem} needs {description}")
+    unreachable = {"reachable": False, "target": target}, NEGATIVE
     if problem == "euler":
-        g = _graph(args.file)
         try:
             walk = gc.euler_cycle(g)
         except gc.NotEulerianError as exc:
-            _emit({"eulerian": False, "reason": exc.reason, "vertex": exc.vertex}, fmt)
-            return NEGATIVE
-        _emit({"eulerian": True, "cycle": walk, "edges": len(g.edges)}, fmt)
-        return OK
-    if problem == "components":
-        g = _graph(args.file)
-        comps = gc.connected_components(g)
-        _emit({"count": len(comps), "components": comps}, fmt)
-        return OK
+            return {"eulerian": False, "reason": exc.reason, "vertex": exc.vertex}, NEGATIVE
+        return {"eulerian": True, "cycle": walk, "edges": len(g.edges)}, OK
+    if problem in ("components", "scc"):
+        comps = gc.connected_components(g) if problem == "components" else gc.scc_kosaraju(g)
+        return {"count": len(comps), "components": comps}, OK
     if problem == "bfs":
-        g = _graph(args.file)
         forest = gc.bfs_forest(g)
-        _emit(
-            {
-                "order": forest.order,
-                "trees": [{"root": r, "edges": e} for r, e in forest.trees],
-            },
-            fmt,
-        )
-        return OK
+        trees = [{"root": r, "edges": e} for r, e in forest.trees]
+        return {"order": forest.order, "trees": trees}, OK
     if problem == "dfs":
-        g = _graph(args.file)
         rec = gc.dfs(g)
-        _emit(
-            {
-                "discovery": rec.discovery,
-                "finish": rec.finish,
-                "roots": rec.roots,
-            },
-            fmt,
-        )
-        return OK
-    if problem == "scc":
-        g = _graph(args.file)
-        if not isinstance(g, gc.Digraph):
-            raise CliInputError("scc needs a directed graph (pd header)")
-        comps = gc.scc_kosaraju(g)
-        _emit({"count": len(comps), "components": comps}, fmt)
-        return OK
+        return {"discovery": rec.discovery, "finish": rec.finish, "roots": rec.roots}, OK
     if problem == "dijkstra":
-        g = _graph(args.file)
-        if not isinstance(g, pm.WeightedDigraph):
-            raise CliInputError("dijkstra needs a weighted digraph")
-        res = pm.dijkstra(g, args.source, target=args.target)
+        res = pm.dijkstra(g, args.source, target=target)
         out = {"source": args.source, "dist": {str(v): d for v, d in res.dist.items()}}
-        if args.target is not None:
-            if res.dist[args.target] == pm.INF:
-                _emit({"reachable": False, "target": args.target}, fmt)
-                return NEGATIVE
-            out["path"] = res.path_to(args.target)
-        _emit(out, fmt)
-        return OK
+        if target is not None:
+            if res.dist[target] == pm.INF:
+                return unreachable
+            out["path"] = res.path_to(target)
+        return out, OK
     if problem == "floyd":
-        g = _graph(args.file)
-        if not isinstance(g, pm.WeightedDigraph):
-            raise CliInputError("floyd needs a weighted digraph")
         t = pm.floyd_warshall(g)
-        _emit(
-            {
-                "dist": [row[1:] for row in t.dist[1:]],
-                "successor": [row[1:] for row in t.succ[1:]],
-                "negative_cycle_vertices": sorted(t.negative_cycle_vertices),
-            },
-            fmt,
-        )
-        return OK
+        return {
+            "dist": [row[1:] for row in t.dist[1:]],
+            "successor": [row[1:] for row in t.succ[1:]],
+            "negative_cycle_vertices": sorted(t.negative_cycle_vertices),
+        }, OK
     if problem == "closure":
-        g = _graph(args.file)
-        if not isinstance(g, gc.Digraph):
-            raise CliInputError("closure needs a directed graph")
-        t = pm.transitive_closure(g)
-        _emit({"closure": [row[1:] for row in t[1:]]}, fmt)
-        return OK
+        return {"closure": [row[1:] for row in pm.transitive_closure(g)[1:]]}, OK
     if problem == "shortest":
-        g = _graph(args.file)
-        if not isinstance(g, pm.WeightedGraph):
-            raise CliInputError("shortest needs a weighted undirected graph")
-        if args.target is None:
-            raise CliInputError("shortest needs --target")
-        dist, path = pm.undirected_shortest_path(g, args.source, args.target)
-        if path is None:
-            _emit({"reachable": False, "target": args.target}, fmt)
-            return NEGATIVE
-        _emit({"distance": dist, "path": path}, fmt)
-        return OK
-    if problem in ("prim", "kruskal", "maxst"):
-        g = _graph(args.file)
-        if not isinstance(g, pm.WeightedGraph):
-            raise CliInputError(f"{problem} needs a weighted undirected graph")
+        if target is None:
+            raise ValueError("shortest needs --target")
+        dist, path = pm.undirected_shortest_path(g, args.source, target)
+        return unreachable if path is None else ({"distance": dist, "path": path}, OK)
+    if problem in _SPANNING_TREES:
         try:
-            res = {"prim": pm.prim, "kruskal": pm.kruskal, "maxst": pm.max_spanning_tree}[
-                problem
-            ](g)
+            res = _SPANNING_TREES[problem](g)
         except ValueError as exc:
-            _emit({"connected": False, "error": str(exc)}, fmt)
-            return NEGATIVE
-        _emit({"edges": res.edges, "weight": res.total_weight}, fmt)
-        return OK
+            return {"connected": False, "error": str(exc)}, NEGATIVE
+        return {"edges": res.edges, "weight": res.total_weight}, OK
     if problem == "knapsack":
-        values, volumes, cap = dp.load_knapsack_json(_read(args.file))
-        chosen, value = dp.knapsack_pareto(values, volumes, cap)
-        _emit({"items": sorted(chosen), "value": value}, fmt)
-        return OK
+        chosen, value = dp.knapsack_pareto(*dp.load_knapsack_json(text))
+        return {"items": sorted(chosen), "value": value}, OK
     if problem == "allocate":
-        inst = dp.load_allocation_json(_read(args.file))
-        value, plan = dp.allocate(inst)
-        _emit({"value": value, "plan": plan}, fmt)
-        return OK
+        value, plan = dp.allocate(dp.load_allocation_json(text))
+        return {"value": value, "plan": plan}, OK
     if problem == "chain":
-        dims = cx.parse_numbers(_read(args.file))
-        cost, expr, _ = dp.matrix_chain(dims)
-        _emit({"cost": cost, "parenthesization": expr}, fmt)
-        return OK
-    if problem == "lcs":
-        lines = [ln for ln in _read(args.file).splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise CliInputError("lcs input needs two lines")
-        length, seq, _ = dp.lcs(lines[0].strip(), lines[1].strip())
-        _emit({"length": length, "subsequence": "".join(seq)}, fmt)
-        return OK
-    raise CliInputError(f"unknown solve problem {problem!r}")
+        cost, expr, _ = dp.matrix_chain(cx.parse_numbers(text))
+        return {"cost": cost, "parenthesization": expr}, OK
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]  # lcs
+    if len(lines) < 2:
+        raise ValueError("lcs input needs two lines")
+    length, seq, _ = dp.lcs(lines[0], lines[1])
+    return {"length": length, "subsequence": "".join(seq)}, OK
 
 
 # --- sort / select -------------------------------------------------------------
@@ -213,15 +169,19 @@ _SORTERS = {
 }
 
 
-def cmd_sort(args) -> int:
-    items = cx.parse_numbers(_read(args.file))
+def _distinct_keys(path: str, command: str) -> list[int]:
+    items = cx.parse_numbers(_read(path))
     if len(items) != len(set(items)):
-        raise CliInputError("sort input keys must be pairwise distinct")
+        raise ValueError(f"{command} input keys must be pairwise distinct")
+    return items
+
+
+def cmd_sort(args):
+    items = _distinct_keys(args.file, "sort")
     if args.count and len(items) > srt.BUDGET_CAP:
-        raise CliInputError(f"--count takes at most {srt.BUDGET_CAP} keys, got {len(items)}")
+        raise ValueError(f"--count takes at most {srt.BUDGET_CAP} keys, got {len(items)}")
     cmp = counting_comparator(items)
-    out = _SORTERS[args.algorithm](items, cmp)
-    payload = {"sorted": out}
+    payload = {"sorted": _SORTERS[args.algorithm](items, cmp)}
     if args.count:
         payload["comparisons"] = cmp.count
         if items:
@@ -231,30 +191,26 @@ def cmd_sort(args) -> int:
                 "merge": budgets.b_n,
                 "mergeinsertion": budgets.f_n,
             }[args.algorithm]
-    _emit(payload, args.format)
-    return OK
+    return payload, OK
 
 
-def cmd_select(args) -> int:
-    items = cx.parse_numbers(_read(args.file))
-    if len(items) != len(set(items)):
-        raise CliInputError("select input keys must be pairwise distinct")
+def cmd_select(args):
+    items = _distinct_keys(args.file, "select")
     if not 1 <= args.t <= len(items):
-        raise CliInputError("t out of range")
+        raise ValueError("t out of range")
     cmp = counting_comparator(items)
     fn = trn.select_t_linear if args.algorithm == "linear" else trn.select_t_tournament
     idx = fn(items, args.t, cmp)
     payload = {"t": args.t, "index": idx + 1, "value": items[idx]}
     if args.count:
         payload["comparisons"] = cmp.count
-    _emit(payload, args.format)
-    return OK
+    return payload, OK
 
 
 # --- reduce / verify ------------------------------------------------------------
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     _, source, run = cx.REDUCTIONS[args.kind]
     red = run(source.load(_read(args.file), args.k, args.limit))
     payload = {"kind": args.kind, "target": red.target.describe()}
@@ -289,8 +245,7 @@ def cmd_reduce(args) -> int:
                 "source_accepts": cx.verify_witness(red.source, back),
             }
         payload["oracle"] = table
-    _emit(payload, args.format)
-    return OK
+    return payload, OK
 
 
 def _encode_witness(w):
@@ -301,33 +256,23 @@ def _encode_witness(w):
     return w
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.problem not in cx.PROBLEMS:
-        raise CliInputError(f"unknown problem kind {args.problem!r}")
+        raise ValueError(f"unknown problem kind {args.problem!r}")
     problem = cx.PROBLEMS[args.problem].load(_read(args.instance), args.k, args.limit)
     w = json.loads(_read(args.witness))
     try:
         accepted = cx.verify_witness(problem, problem.witness(w))
     except cx.WitnessFormatError as exc:
-        raise CliInputError(f"malformed witness: {exc}") from exc
-    _emit({"accepted": accepted}, args.format)
-    return OK if accepted else NEGATIVE
+        raise ValueError(f"malformed witness: {exc}") from exc
+    return {"accepted": accepted}, OK if accepted else NEGATIVE
 
 
-def cmd_twosat(args) -> int:
-    f = cx.parse_dimacs(_read(args.file))
-    try:
-        res = cx.twosat_solve(f)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+def cmd_twosat(args):
+    res = cx.twosat_solve(cx.parse_dimacs(_read(args.file)))
     if res.satisfiable:
-        _emit(
-            {"satisfiable": True, "assignment": [int(b) for b in res.assignment]},
-            args.format,
-        )
-        return OK
-    _emit({"satisfiable": False, "conflict_variable": res.conflict_var}, args.format)
-    return NEGATIVE
+        return {"satisfiable": True, "assignment": [int(b) for b in res.assignment]}, OK
+    return {"satisfiable": False, "conflict_variable": res.conflict_var}, NEGATIVE
 
 
 # --- approx -----------------------------------------------------------------
@@ -400,13 +345,12 @@ _APPROX = {
 }
 
 
-def cmd_approx(args) -> int:
+def cmd_approx(args):
     name, maximize, solve = _APPROX[args.algorithm]
     n, value, optimum, bound, instance, extra = solve(_read(args.file), args.eps)
     opt = optimum() if args.oracle else None
     report = ax.make_report(name, n, value, opt, bound, instance, maximize=maximize)
-    _emit({**report, **extra}, args.format)
-    return OK
+    return {**report, **extra}, OK
 
 
 # --- bench -------------------------------------------------------------------
@@ -524,76 +468,56 @@ _BENCHES = {
 }
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
     payload = _BENCHES[args.suite](args)
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, default=_json_default))
-    else:
-        rows = payload["rows"]
-        if rows:
-            cols = sorted(rows[0])
-            print("\t".join(cols))
-            for row in rows:
-                print("\t".join(str(row[c]) for c in cols))
-    bad = [r for r in payload["rows"] if r.get("within_bound") is False]
-    return NEGATIVE if bad else OK
+    rows = payload["rows"]
+    code = NEGATIVE if any(r.get("within_bound") is False for r in rows) else OK
+    if args.format == "text":
+        cols = sorted(rows[0]) if rows else []
+        lines = [cols] + [[str(row[c]) for c in cols] for row in rows]
+        payload = "".join("\t".join(line) + "\n" for line in lines) if rows else ""
+    return payload, code
 
 
 # --- gen ---------------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
+def _random_edges(rng, n, density, directed=False):
+    """Each pair u < v (each ordered pair u != v if directed), kept with
+    probability `density`."""
+    return [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(1 if directed else u + 1, n + 1)
+        if u != v and rng.random() < density
+    ]
+
+
+def _matrix_text(matrix) -> str:
+    return "".join(" ".join(str(x) for x in row) + "\n" for row in matrix)
+
+
+def cmd_gen(args):
     rng = random.Random(args.seed)
-    fam = args.family
-    if fam in ("graph", "digraph"):
-        n = args.n
-        if fam == "graph":
-            edges = [
-                (u, v)
-                for u in range(1, n + 1)
-                for v in range(u + 1, n + 1)
-                if rng.random() < args.density
-            ]
-            print(gc.format_graph_text(gc.Graph(n, edges)), end="")
-        else:
-            arcs = [
-                (u, v)
-                for u in range(1, n + 1)
-                for v in range(1, n + 1)
-                if u != v and rng.random() < args.density
-            ]
-            print(gc.format_graph_text(gc.Digraph(n, arcs)), end="")
-        return OK
-    if fam == "metric":
-        inst = ax.random_metric_instance(args.n, args.seed)
-        for row in inst.matrix:
-            print(" ".join(str(x) for x in row))
-        return OK
-    if fam == "gap":
-        n = args.n
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if rng.random() < args.density
-        ]
-        matrix = ax.tsp_gap_instance(gc.Graph(n, edges), Fraction(args.eps))
-        for row in matrix:
-            print(" ".join(str(x) for x in row))
-        return OK
-    if fam == "knapsack":
-        values = [rng.randint(1, 300) for _ in range(args.n)]
-        volumes = [rng.randint(1, 50) for _ in range(args.n)]
-        cap = max(1, sum(volumes) // 2)
-        print(dp.dump_knapsack_json(values, volumes, cap))
-        return OK
-    if fam == "numbers":
-        print(" ".join(str(x) for x in rng.sample(range(10 * args.n), args.n)))
-        return OK
-    if fam == "counterexample":
-        print(gc.format_graph_text(ax.vc_greedy_counterexample(args.n)), end="")
-        return OK
-    raise CliInputError(f"unknown generator family {fam!r}")
+    fam, n = args.family, args.n
+    if fam == "graph":
+        text = gc.format_graph_text(gc.Graph(n, _random_edges(rng, n, args.density)))
+    elif fam == "digraph":
+        text = gc.format_graph_text(gc.Digraph(n, _random_edges(rng, n, args.density, True)))
+    elif fam == "metric":
+        text = _matrix_text(ax.random_metric_instance(n, args.seed).matrix)
+    elif fam == "gap":
+        g = gc.Graph(n, _random_edges(rng, n, args.density))
+        text = _matrix_text(ax.tsp_gap_instance(g, Fraction(args.eps)))
+    elif fam == "knapsack":
+        values = [rng.randint(1, 300) for _ in range(n)]
+        volumes = [rng.randint(1, 50) for _ in range(n)]
+        text = dp.dump_knapsack_json(values, volumes, max(1, sum(volumes) // 2)) + "\n"
+    elif fam == "numbers":
+        text = " ".join(str(x) for x in rng.sample(range(10 * n), n)) + "\n"
+    else:  # "counterexample", the last of the parser's choices
+        text = gc.format_graph_text(ax.vc_greedy_counterexample(n))
+    return text, OK
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -698,19 +622,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the only place that writes its result to stdout
+    and maps its errors to exit codes, with one `error:` line on stderr."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+        payload, code = args.fn(args)
+        _emit(payload, args.format)
     except cx.InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return TOO_LARGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,14 +61,15 @@ def _json_default(x):
 # --- solve ------------------------------------------------------------------
 
 _ANY_GRAPH = ((gc.Graph, gc.Digraph), None)
+_UNDIRECTED = (gc.Graph, "an undirected graph")
 _WEIGHTED_DIGRAPH = (pm.WeightedDigraph, "a weighted digraph")
 _WEIGHTED_GRAPH = (pm.WeightedGraph, "a weighted undirected graph")
 
 # solve name -> (graph class the problem needs, how its error names that
 # class); (None, None) for the problems that read a file of their own.
 _SOLVE_INPUT = {
-    "euler": _ANY_GRAPH,
-    "components": _ANY_GRAPH,
+    "euler": _UNDIRECTED,
+    "components": _UNDIRECTED,
     "bfs": _ANY_GRAPH,
     "dfs": _ANY_GRAPH,
     "scc": (gc.Digraph, "a directed graph (pd header)"),

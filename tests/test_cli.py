@@ -729,6 +729,12 @@ MISSING_KEY = {
     "solve knapsack k01.json": "error: instance is missing the key 'capacity'\n",
 }
 
+# Euler cycles and connected components are defined on undirected graphs.
+UNDIRECTED_ONLY = {
+    "solve euler cyc.d": "error: euler needs an undirected graph\n",
+    "solve components cyc.d": "error: components needs an undirected graph\n",
+}
+
 
 @pytest.mark.parametrize(
     "call",
@@ -750,12 +756,14 @@ MISSING_KEY = {
         "solve dijkstra zero-den.d",
         *TARGET_OUT_OF_RANGE,
         *MISSING_KEY,
+        *UNDIRECTED_ONLY,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     err = assert_input_error(tmp_path, capsys, call)
-    if call in MISSING_KEY:
-        assert err == MISSING_KEY[call]
+    expected = {**MISSING_KEY, **UNDIRECTED_ONLY}.get(call)
+    if expected is not None:
+        assert err == expected
 
 
 @pytest.mark.parametrize("call", TARGET_OUT_OF_RANGE)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -484,10 +485,13 @@ def knapsack_optimum(values, volumes, capacity) -> int:
 def bin_pack_optimum(sizes) -> int:
     """Fewest unit bins, by depth-first search over the bin each item
     joins: each open bin it fits, one bin per distinct room left, then a
-    new bin; a branch stops once it holds as many bins as the best found.
-    The search keeps its own stack, so its depth is not the interpreter's."""
+    new bin; a branch stops once it holds as many bins as the best found,
+    and the search ends once the best meets the lower bound ceil(sum of
+    sizes), at least one bin for any item.  The search keeps its own
+    stack, so its depth is not the interpreter's."""
     sizes = [Fraction(s) for s in sizes]
     best = len(sizes)
+    lower = max(1, math.ceil(sum(sizes))) if sizes else 0
     bins: list[Fraction] = []  # room left in each open bin
     placed: list[int | None] = []  # bin index per placed item, None: it opened one
     stack: list[list[int | None]] = []  # per open node: choices still to try, last first
@@ -510,7 +514,7 @@ def bin_pack_optimum(sizes) -> int:
         return True
 
     expand()
-    while stack:
+    while stack and best > lower:
         if stack[-1]:
             idx = stack[-1].pop()
             s = sizes[len(placed)]

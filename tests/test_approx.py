@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -387,6 +388,14 @@ def test_bin_pack_optimum_matches_recursive_reference():
 def test_bin_pack_optimum_deeper_than_the_recursion_limit():
     assert bin_pack_optimum([1] * 1200) == 1200
     assert bin_pack_optimum([0] * 1200) == 1
+
+
+def test_bin_pack_optimum_stops_at_its_lower_bound():
+    # The first leaf already holds ceil(sum of sizes) bins; a search that
+    # went on past it took about 4x longer for every two more halves.
+    start = time.process_time()
+    assert bin_pack_optimum(["1/2"] * 40) == 20
+    assert time.process_time() - start < 1.0
 
 
 def test_bin_pack_half_full_and_ratio():

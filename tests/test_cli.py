@@ -203,6 +203,16 @@ def test_approx_binpack_oracle_deeper_than_the_recursion_limit(tmp_path, capsys)
     assert json.loads(out)["optimal"] == 1200
 
 
+def test_approx_binpack_oracle_stops_at_the_lower_bound(tmp_path, capsys):
+    f = tmp_path / "halves.txt"
+    f.write_text("1/2 " * 40)
+    code, out, err = run(
+        capsys, ["approx", "binpack", str(f), "--oracle", "--format", "json"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["optimal"] == 20
+
+
 def test_bench_deterministic(capsys):
     code1, out1, _ = run(
         capsys, ["bench", "sorting", "--n-max", "10", "--seed", "5", "--format", "json"]

@@ -344,12 +344,15 @@ class ExactCover(_SetFamily):
         for idx, s in enumerate(self.family, start=1):
             for a in s:
                 containing.setdefault(a, []).append(idx)
+        position = {a: i for i, a in enumerate(self.universe)}
         chosen: list[int] = []
 
         def extend(uncovered: frozenset):
             if not uncovered:
                 return set(chosen)
-            a = min(uncovered, key=lambda x: len(containing.get(x, ())))
+            # the element in fewest sets; ties go to the first in the
+            # universe, not to set iteration order, which the hash seed sets
+            a = min(uncovered, key=lambda x: (len(containing.get(x, ())), position[x]))
             for idx in containing.get(a, ()):
                 s = self.family[idx - 1]
                 if s <= uncovered:

@@ -367,6 +367,8 @@ GOLDEN = {
     "reduce is-vc tri.g --k 2 --witness [1,4] --format text": (0, "1352d31f1d2c7823a427a36c2c34366362ef8525bb917ffb9b6121a02f6bf24a"),
     "reduce coloring-exactcover path.g --k 2 --oracle --format json": (0, "d89d4161da5ab622c1253ae30a71ca9efea66de9a063da1325d3e6dfe45d02cd"),
     "reduce coloring-exactcover path.g --k 2 --oracle --format text": (0, "987c78f1bddefb566b4b4dfab182f2cbc709b07922ff6c7b966fc586678284ef"),
+    "reduce coloring-exactcover path.g --k 3 --oracle --format json": (0, "6f36921e99b81c7ac2f298f81f6a644a818a8e15d392c0f2f7c6063d5d6e5465"),
+    "reduce coloring-exactcover path.g --k 3 --oracle --format text": (0, "4ed0b1f54ef37ab311f7df5cc8fcd19003a331283d0babe0396496a770017b2d"),
     'reduce coloring-exactcover path.g --k 2 --witness {"1":1,"2":2,"3":1} --format json': (0, '0fa674c317bf7c048c7e457fb47f102819a72b03b05c2f4ba849e5a4918a6181'),
     'reduce coloring-exactcover path.g --k 2 --witness {"1":1,"2":2,"3":1} --format text': (0, '3e072412489a4f84edd1aff64ed551fb3eabc861f07fc0e711e9ca6c4fe05ddf'),
     "reduce exactcover-representatives ec.json --oracle --format json": (0, "7ad51fabfbc355c6db092b3b73b97d1bfc1588d4a4b05a78d9906e4978164bee"),
@@ -676,28 +678,32 @@ GOLDEN = {
 }
 
 
-# Exact-cover search breaks ties in set iteration order, and the coloring
-# gadget's elements are string-tagged tuples, whose order follows the hash
-# seed; this call is pinned under PYTHONHASHSEED=0 in a child process.
-HASH_SEEDED = "reduce coloring-exactcover path.g --k 2 --oracle"
-
-
 @pytest.mark.parametrize("call", sorted(GOLDEN))
 def test_golden_outputs(tmp_path, capsys, call):
-    argv = golden_argv(tmp_path, call)
-    if call.startswith(HASH_SEEDED):
-        src = str(Path(combinlab.__file__).parents[1])
-        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    code, out, err = run(capsys, golden_argv(tmp_path, call))
+    expected = GOLDEN[call]
+    got = (code, hashlib.sha256(out.encode()).hexdigest(), err)
+    assert got[: len(expected)] == expected
+
+
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_exact_cover_ties_do_not_follow_the_hash_seed(tmp_path, k):
+    # The coloring gadget's elements are string-tagged tuples, whose set
+    # iteration order follows the hash seed; the exact-cover search breaks
+    # its ties by universe position instead.  Breaking them in set order,
+    # k = 3 gave five outputs over these six seeds.
+    argv = golden_argv(tmp_path, f"reduce coloring-exactcover path.g --k {k} --oracle --format json")
+    src = str(Path(combinlab.__file__).parents[1])
+    outs = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
         proc = subprocess.run(
             [sys.executable, "-m", "combinlab.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        code, out, err = proc.returncode, proc.stdout, proc.stderr
-    else:
-        code, out, err = run(capsys, argv)
-    expected = GOLDEN[call]
-    got = (code, hashlib.sha256(out.encode()).hexdigest(), err)
-    assert got[: len(expected)] == expected
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 MALFORMED_FILES = {

@@ -99,7 +99,7 @@ def cmd_solve(args):
         g = gc.parse_graph_text(text)
         if not isinstance(g, needs):
             raise ValueError(f"{problem} needs {description}")
-    unreachable = {"reachable": False, "target": target}, NEGATIVE
+    unreachable = {"reachable": False, "target": target}, NEGATIVE  # dijkstra, shortest
     if problem == "euler":
         try:
             walk = gc.euler_cycle(g)

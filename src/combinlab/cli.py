@@ -473,10 +473,10 @@ def cmd_bench(args):
     payload = _BENCHES[args.suite](args)
     rows = payload["rows"]
     code = NEGATIVE if any(r.get("within_bound") is False for r in rows) else OK
-    if args.format == "text":
-        cols = sorted(rows[0]) if rows else []
-        lines = [cols] + [[str(row[c]) for c in cols] for row in rows]
-        payload = "".join("\t".join(line) + "\n" for line in lines) if rows else ""
+    if args.format == "text":  # a header of column names, then one line per row
+        lines = [sorted(rows[0])] if rows else []
+        lines += [[str(row[c]) for c in lines[0]] for row in rows]
+        payload = "".join("\t".join(line) + "\n" for line in lines)
     return payload, code
 
 

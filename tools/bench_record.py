@@ -28,7 +28,8 @@ def record(path: Path, row: dict) -> None:
     rows = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
     rows.append(row)
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in rows)  # a row per line
+    tmp.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     os.replace(tmp, path)
 
 

@@ -421,3 +421,213 @@ def test_report_json_is_deterministic():
     r2 = make_report("vc", 5, 4, 2, 2, {"edges": [1, 2]}, seed=7)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["ratio"] == "2/1"
+
+
+# --- the enumerations the exact optima replaced, kept as references ---------
+
+
+def reference_vertex_cover_optimum(g) -> int:
+    for k in range(0, g.n + 1):
+        for combo in itertools.combinations(range(1, g.n + 1), k):
+            vs = set(combo)
+            if all(u in vs or v in vs for u, v in g.edges):
+                return k
+    return g.n
+
+
+def reference_tsp_optimum(matrix):
+    n = len(matrix)
+    best = None
+    for perm in itertools.permutations(range(2, n + 1)):
+        length = tour_length(matrix, [1, *perm])
+        if best is None or length < best:
+            best = length
+    return best
+
+
+def reference_max_cut_optimum(g) -> int:
+    best = 0
+    for mask in range(1 << (g.n - 1)) if g.n else [0]:
+        side = {v: bool(mask >> (v - 1) & 1) for v in range(1, g.n + 1)}
+        best = max(best, sum(1 for u, v in g.edges if side[u] != side[v]))
+    return best
+
+
+def reference_knapsack_optimum(values, volumes, capacity):
+    n = len(values)
+    best = 0
+    for mask in range(1 << n):
+        vol = val = 0
+        for i in range(n):
+            if mask >> i & 1:
+                vol += volumes[i]
+                val += values[i]
+        if vol <= capacity:
+            best = max(best, val)
+    return best
+
+
+def small_graphs(rng, sizes, per_size):
+    """Edgeless graphs and random ones of several densities per size."""
+    for n in sizes:
+        yield Graph(n, [])
+        for trial in range(per_size):
+            yield random_graph(rng, n, (0.15, 0.3, 0.5, 0.8)[trial % 4])
+
+
+def test_vertex_cover_optimum_matches_reference():
+    rng = random.Random(21)
+    graphs = [*small_graphs(rng, range(0, 12), 8), *small_graphs(rng, (12, 13, 14), 3)]
+    graphs.append(petersen())
+    for g in graphs:
+        assert vertex_cover_optimum(g) == reference_vertex_cover_optimum(g), (g.n, g.edges)
+
+
+def test_max_cut_optimum_matches_reference():
+    rng = random.Random(22)
+    for g in [*small_graphs(rng, range(0, 12), 8), *small_graphs(rng, (12, 13, 14), 3)]:
+        assert max_cut_optimum(g) == reference_max_cut_optimum(g), (g.n, g.edges)
+
+
+def tsp_matrices(rng):
+    """Asymmetric, non-metric, zero and Fraction-weighted matrices, and
+    gap instances, from 0 cities up to 9."""
+    yield []
+    yield [[0]]
+    yield [[Fraction(3, 2)]]
+    yield [[0, 3], [5, 0]]
+    yield [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for n in range(2, 10):
+        for trial in range(4 if n < 9 else 1):
+            kind = trial % 4
+            if kind == 0:  # asymmetric integers
+                m = [[0 if i == j else rng.randint(0, 20) for j in range(n)] for i in range(n)]
+            elif kind == 1:  # symmetric, far from metric
+                m = [[0] * n for _ in range(n)]
+                for i, j in itertools.combinations(range(n), 2):
+                    m[i][j] = m[j][i] = rng.choice((0, 1, 100, rng.randint(0, 9)))
+            elif kind == 2:  # asymmetric, Fractions among integers
+                m = [[0 if i == j else rng.choice((rng.randint(0, 5), Fraction(rng.randint(0, 9), rng.randint(1, 4))))
+                      for j in range(n)] for i in range(n)]
+            else:
+                m = [list(r) for r in random_metric_instance(n, seed=rng.randint(0, 10**6)).matrix]
+            yield m
+    for n in range(3, 9):
+        g = random_graph(rng, n, 0.6)
+        yield tsp_gap_instance(g, 1)
+        yield tsp_gap_instance(g, Fraction(1, 3))
+
+
+def test_tsp_optimum_matches_reference():
+    for m in tsp_matrices(random.Random(23)):
+        got, want = tsp_optimum(m), reference_tsp_optimum(m)
+        # the same value and the same type: "p/q" reports print the type
+        assert (got, type(got)) == (want, type(want)), m
+
+
+def knapsack_instances(rng):
+    yield [], [], 0
+    yield [], [], -1
+    yield [4], [2], 0
+    yield [4, 7], [2, 3], -1
+    yield [0, 0, 5], [0, 3, 0], 0
+    yield [Fraction(1, 2), 3, Fraction(7, 3)], [Fraction(2, 3), 1, 1], Fraction(5, 3)
+    for n in range(1, 15):
+        for trial in range(6 if n < 12 else 2):
+            values = [rng.randint(0, 300) for _ in range(n)]
+            volumes = [rng.randint(0, 50) for _ in range(n)]
+            if trial % 3 == 2:
+                values = [Fraction(v, rng.randint(1, 7)) for v in values]
+                volumes = [Fraction(v, rng.randint(1, 7)) for v in volumes]
+            cap = rng.choice((0, -1, sum(volumes) // 2, sum(volumes)))
+            yield values, volumes, cap
+
+
+def test_knapsack_optimum_matches_reference():
+    for values, volumes, cap in knapsack_instances(random.Random(24)):
+        assert knapsack_optimum(values, volumes, cap) == reference_knapsack_optimum(
+            values, volumes, cap), (values, volumes, cap)
+
+
+def test_knapsack_optimum_without_room_is_zero():
+    assert knapsack_optimum([5, 6], [1, 2], 0) == 0
+    assert knapsack_optimum([5, 6], [1, 2], -3) == 0
+    assert knapsack_optimum([5, 6], [0, 2], 0) == 5
+
+
+def cycle(n):
+    return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
+
+
+def complete(n):
+    return Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
+
+
+def petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    inner = [(5 + i, 5 + (i + 1) % 5 + 1) for i in range(1, 6)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(1, 6)])
+
+
+def test_vertex_cover_optimum_closed_forms():
+    for n in range(3, 15):
+        assert vertex_cover_optimum(cycle(n)) == -(-n // 2)
+        assert vertex_cover_optimum(complete(n)) == n - 1
+    for a, b in ((1, 1), (2, 5), (4, 4), (3, 9), (6, 8)):
+        assert vertex_cover_optimum(complete_bipartite(a, b)) == min(a, b)
+    assert vertex_cover_optimum(petersen()) == 6
+
+
+def recursive_min_perfect_matching(vertices, weight):
+    """The recursive subset DP that min_perfect_matching_exact replaced,
+    kept as the reference: same masks, same strict < tie-break."""
+    vs = list(vertices)
+    if not vs:
+        return []
+    full = (1 << len(vs)) - 1
+    memo = {0: 0}
+    choice = {}
+
+    def solve(mask):
+        if mask in memo:
+            return memo[mask]
+        first = (mask & -mask).bit_length() - 1
+        best = best_pair = None
+        rest = mask & ~(1 << first)
+        sub = rest
+        while sub:
+            second = (sub & -sub).bit_length() - 1
+            sub &= sub - 1
+            cand = weight(vs[first], vs[second]) + solve(rest & ~(1 << second))
+            if best is None or cand < best:
+                best, best_pair = cand, (first, second)
+        memo[mask] = best
+        choice[mask] = best_pair
+        return best
+
+    solve(full)
+    pairs = []
+    mask = full
+    while mask:
+        a, b = choice[mask]
+        pairs.append((vs[a], vs[b]))
+        mask &= ~(1 << a) & ~(1 << b)
+    return pairs
+
+
+def test_matching_exact_matches_recursive_reference():
+    # Weights 0..3 make ties common, so the pairs pin the tie-break too.
+    rng = random.Random(25)
+    sizes = [2 * rng.randint(0, 7) for _ in range(300)] + [20]
+    for n in sizes:
+        vs = rng.sample(range(1, 40), n)
+        table = {frozenset(e): rng.randint(0, 3) for e in itertools.combinations(vs, 2)}
+
+        def w(a, b):
+            return table[frozenset((a, b))]
+
+        assert min_perfect_matching_exact(vs, w) == recursive_min_perfect_matching(vs, w), n

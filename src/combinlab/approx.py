@@ -1,6 +1,6 @@
 """Approximation algorithms with checked ratio guarantees, the instance
-generators that expose their failure modes, and desk-scale brute-force
-optima for ratio harnesses.
+generators that expose their failure modes, and desk-scale exact optima
+for ratio harnesses.
 
 Guarantees implemented here:
 
@@ -14,6 +14,18 @@ Guarantees implemented here:
 
 vc_degree_greedy has no guarantee; vc_greedy_counterexample builds the
 family on which its ratio grows like H(n) - 1.
+
+Exact optima for the ratio checks, in exact arithmetic and without
+recursion.  Each raises complexity.InstanceTooLargeError above its cap in
+complexity._DEFAULT_CAPS, which COMBINLAB_ORACLE_LIMIT overrides:
+
+* vertex_cover_optimum  branch search for a maximum independent set (vertex_cover_vertices 44)
+* set_cover_optimum     subfamilies by increasing size, as bit masks (set_cover_sets 21)
+* tsp_optimum           Held-Karp over subsets of cities 2..n (tsp_cities 16)
+* max_cut_optimum       Gray-code walk over 2-colourings (max_cut_vertices 20)
+* knapsack_optimum      Gray-code walk over item subsets (knapsack_items 20)
+* bin_pack_optimum      depth-first search over bin choices, stopped at
+                        ceil(sum of sizes) (no cap)
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import math
 import random
 from fractions import Fraction
 
+from .complexity import _within_cap
 from .graph_core import Graph
 from .paths_mst import WeightedGraph, prim
 
@@ -236,7 +249,8 @@ def tsp_double_tree(inst) -> list[int]:
 
 
 def min_perfect_matching_exact(vertices, weight) -> list[tuple[int, int]]:
-    """Minimum-weight perfect matching by subset DP (even count <= 20)."""
+    """Minimum-weight perfect matching by subset DP (even count <= 20),
+    memoised over an explicit stack of the masks being solved."""
     vs = list(vertices)
     if len(vs) % 2 or len(vs) > 20:
         raise ValueError("needs an even vertex count of at most 20")
@@ -247,8 +261,8 @@ def min_perfect_matching_exact(vertices, weight) -> list[tuple[int, int]]:
     choice: dict[int, tuple[int, int]] = {}
 
     def solve(mask: int):
-        if mask in memo:
-            return memo[mask]
+        """Pair the lowest vertex of mask with each other one in turn; yield
+        each rest not yet in memo, to be solved before the walk goes on."""
         first = (mask & -mask).bit_length() - 1
         best = None
         best_pair = None
@@ -257,17 +271,24 @@ def min_perfect_matching_exact(vertices, weight) -> list[tuple[int, int]]:
         while sub:
             second = (sub & -sub).bit_length() - 1
             sub &= sub - 1
-            cand = weight(vs[first], vs[second]) + solve(
-                rest & ~(1 << second)
-            )
+            w = weight(vs[first], vs[second])
+            left = rest & ~(1 << second)
+            if left not in memo:
+                yield left
+            cand = w + memo[left]
             if best is None or cand < best:
                 best = cand
                 best_pair = (first, second)
         memo[mask] = best
         choice[mask] = best_pair
-        return best
 
-    solve(full)
+    walks = [solve(full)]  # the masks being solved, innermost last
+    while walks:
+        left = next(walks[-1], None)
+        if left is None:
+            walks.pop()
+        else:
+            walks.append(solve(left))
     pairs = []
     mask = full
     while mask:
@@ -427,58 +448,159 @@ def bin_pack_first_fit(sizes) -> list[int]:
 
 
 # --- desk-scale optima for ratio checks ---------------------------------------
+#
+# vertex cover: branching, cap 44 vertices; set cover: subfamilies, cap 21
+# sets; TSP: Held-Karp, cap 16 cities; max cut and knapsack: Gray-code
+# walks, cap 20 vertices or items; bin packing: bounded search, no cap.
+
+
+def _adjacency_bits(g: Graph) -> list[int]:
+    """Neighbours of vertex v + 1 as the bit mask at index v."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return adj
 
 
 def vertex_cover_optimum(g: Graph) -> int:
-    for k in range(0, g.n + 1):
-        for combo in itertools.combinations(range(1, g.n + 1), k):
-            vs = set(combo)
-            if all(u in vs or v in vs for u, v in g.edges):
-                return k
-    return g.n
+    """Fewest vertices touching every edge: n minus a maximum independent
+    set.  The search keeps its own stack of (alive vertices, set size)
+    nodes.  A node first takes every vertex of degree 0 or 1 into the set
+    (some maximum set holds it) and drops its neighbour; it ends once its
+    set plus all alive vertices cannot beat the best; otherwise it
+    branches on a maximum-degree vertex: left out, or taken with its
+    neighbours dropped (Chen, Kanj & Jia 2001)."""
+    _within_cap(g.n, "vertex_cover_vertices")
+    adj = _adjacency_bits(g)
+    best = 0
+    stack = [((1 << g.n) - 1, 0)]
+    while stack:
+        alive, size = stack.pop()
+        taken = True
+        while taken:
+            taken, top, top_degree = False, 0, 0
+            rest = alive
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if alive & low:
+                    near = adj[low.bit_length() - 1] & alive
+                    degree = near.bit_count()
+                    if degree <= 1:
+                        alive &= ~(low | near)
+                        size += 1
+                        taken = True
+                    elif degree > top_degree:
+                        top, top_degree = low, degree
+        if not alive:
+            best = max(best, size)
+        elif size + alive.bit_count() > best:
+            stack.append((alive & ~top & ~adj[top.bit_length() - 1], size + 1))
+            stack.append((alive & ~top, size))  # popped first
+    return g.n - best
 
 
 def set_cover_optimum(universe, family) -> int:
-    universe = set(universe)
-    m = len(family)
-    for k in range(0, m + 1):
-        for combo in itertools.combinations(range(m), k):
-            covered = set().union(*(family[i] for i in combo)) if combo else set()
-            if covered >= universe:
+    """Fewest sets covering the universe: subfamilies by increasing size,
+    each set a bit mask over the universe."""
+    _within_cap(len(family), "set_cover_sets")
+    bit = {x: 1 << i for i, x in enumerate(set(universe))}
+    masks = []
+    for s in family:
+        mask = 0
+        for x in s:
+            mask |= bit.get(x, 0)
+        masks.append(mask)
+    full = (1 << len(bit)) - 1
+    for k in range(0, len(masks) + 1):
+        for combo in itertools.combinations(masks, k):
+            covered = 0
+            for mask in combo:
+                covered |= mask
+            if covered == full:
                 return k
     raise ValueError("family does not cover the universe")
 
 
 def tsp_optimum(matrix) -> object:
+    """Shortest tour from city 1 (Held & Karp 1962).  cost[S][j] is the
+    shortest path from city j + 2 through the cities S (bit j for city
+    j + 2, j in S) back to city 1.  The tour is rebuilt from city 1 by
+    taking the lowest city that stays optimal, which gives the
+    lexicographically first optimal tour; its length is summed along it,
+    so the value and its type are those of trying every tour in order.
+    A matrix with Fractions is searched as integers, scaled by the least
+    common denominator."""
     n = len(matrix)
-    best = None
-    for perm in itertools.permutations(range(2, n + 1)):
-        tour = [1, *perm]
-        length = tour_length(matrix, tour)
-        if best is None or length < best:
-            best = length
-    return best
+    _within_cap(n, "tsp_cities")
+    weights = matrix
+    if not all(type(x) is int for row in matrix for x in row):
+        exact = [[Fraction(x) for x in row] for row in matrix]
+        scale = math.lcm(*(x.denominator for row in exact for x in row))
+        weights = [[int(x * scale) for x in row] for row in exact]
+    m = max(n - 1, 0)
+    out = [row[1:] for row in weights[1:]]  # out[j][k]: city j + 2 to city k + 2
+    cost: list[list] = [[]] * (1 << m)
+    for mask in range(1, 1 << m):
+        members = [j for j in range(m) if mask >> j & 1]
+        row = [None] * m
+        if len(members) == 1:
+            row[members[0]] = weights[members[0] + 1][0]
+        else:
+            for j in members:
+                sub, step = cost[mask ^ (1 << j)], out[j]
+                row[j] = min([step[k] + sub[k] for k in members if k != j])
+        cost[mask] = row
+    tour, left = [1], (1 << m) - 1
+    step = weights[0][1:] if left else None
+    while left:
+        j = min((k for k in range(m) if left >> k & 1), key=lambda k: step[k] + cost[left][k])
+        tour.append(j + 2)
+        step, left = out[j], left ^ 1 << j
+    return tour_length(matrix, tour)
 
 
 def max_cut_optimum(g: Graph) -> int:
-    best = 0
-    for mask in range(1 << (g.n - 1)) if g.n else [0]:
-        side = {v: bool(mask >> (v - 1) & 1) for v in range(1, g.n + 1)}
-        best = max(best, sum(1 for u, v in g.edges if side[u] != side[v]))
+    """Most edges across a 2-colouring.  Vertex n keeps side 0 and a
+    Gray-code walk visits every colouring of the others, flipping one
+    vertex a step; the cut changes by its degree less twice the
+    neighbours it had across."""
+    _within_cap(g.n, "max_cut_vertices")
+    adj = _adjacency_bits(g)
+    degree = [a.bit_count() for a in adj]
+    side = cut = best = 0
+    for step in range(1, 1 << max(g.n - 1, 0)):
+        low = step & -step
+        v = low.bit_length() - 1
+        across = (adj[v] & side).bit_count()
+        if side & low:
+            across = degree[v] - across
+        cut += degree[v] - 2 * across
+        side ^= low
+        if cut > best:
+            best = cut
     return best
 
 
 def knapsack_optimum(values, volumes, capacity) -> int:
-    n = len(values)
-    best = 0
-    for mask in range(1 << n):
-        vol = val = 0
-        for i in range(n):
-            if mask >> i & 1:
-                vol += volumes[i]
-                val += values[i]
-        if vol <= capacity:
-            best = max(best, val)
+    """Largest value of a subset within the capacity, 0 if none fits.  A
+    Gray-code walk visits every subset, adding or removing one item a
+    step."""
+    _within_cap(len(values), "knapsack_items")
+    best = vol = val = chosen = 0
+    for step in range(1, 1 << len(values)):
+        low = step & -step
+        i = low.bit_length() - 1
+        chosen ^= low
+        if chosen & low:
+            vol += volumes[i]
+            val += values[i]
+        else:
+            vol -= volumes[i]
+            val -= values[i]
+        if vol <= capacity and val > best:
+            best = val
     return best
 
 

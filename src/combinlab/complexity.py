@@ -784,6 +784,11 @@ _DEFAULT_CAPS = {
     "elements": 20,
     "exact_cover_sets": 40,
     "box_width": 3,  # ILP: hi - lo per variable
+    # approx's exact optima; tsp_optimum shares tsp_cities
+    "vertex_cover_vertices": 44,
+    "set_cover_sets": 21,
+    "max_cut_vertices": 20,
+    "knapsack_items": 20,
 }
 
 

@@ -30,6 +30,7 @@ from combinlab.approx import (
     vc_matching_2approx,
     vertex_cover_optimum,
 )
+from combinlab.complexity import InstanceTooLargeError
 from combinlab.graph_core import Graph
 from combinlab.intmath import harmonic
 
@@ -445,6 +446,17 @@ def reference_tsp_optimum(matrix):
     return best
 
 
+def reference_set_cover_optimum(universe, family) -> int:
+    universe = set(universe)
+    m = len(family)
+    for k in range(0, m + 1):
+        for combo in itertools.combinations(range(m), k):
+            covered = set().union(*(family[i] for i in combo)) if combo else set()
+            if covered >= universe:
+                return k
+    raise ValueError("family does not cover the universe")
+
+
 def reference_max_cut_optimum(g) -> int:
     best = 0
     for mask in range(1 << (g.n - 1)) if g.n else [0]:
@@ -487,6 +499,24 @@ def test_max_cut_optimum_matches_reference():
     rng = random.Random(22)
     for g in [*small_graphs(rng, range(0, 12), 8), *small_graphs(rng, (12, 13, 14), 3)]:
         assert max_cut_optimum(g) == reference_max_cut_optimum(g), (g.n, g.edges)
+
+
+def test_set_cover_optimum_matches_reference():
+    # Elements 0 and n + 1 lie outside the universe; some families miss
+    # part of it.
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        p = rng.choice((0.2, 0.4, 0.6))
+        family = [[x for x in range(0, n + 2) if rng.random() < p] for _ in range(rng.randint(0, 14))]
+        universe = list(range(1, n + 1))
+        try:
+            want = reference_set_cover_optimum(universe, family)
+        except ValueError:
+            with pytest.raises(ValueError, match="does not cover"):
+                set_cover_optimum(universe, family)
+        else:
+            assert set_cover_optimum(universe, family) == want, (universe, family)
 
 
 def tsp_matrices(rng):
@@ -574,12 +604,52 @@ def petersen():
 
 
 def test_vertex_cover_optimum_closed_forms():
-    for n in range(3, 15):
+    # Up to the 44-vertex cap, where no enumeration could follow.
+    for n in range(3, 45):
         assert vertex_cover_optimum(cycle(n)) == -(-n // 2)
         assert vertex_cover_optimum(complete(n)) == n - 1
-    for a, b in ((1, 1), (2, 5), (4, 4), (3, 9), (6, 8)):
+    for a, b in ((1, 1), (2, 5), (4, 4), (3, 9), (6, 8), (10, 11), (7, 30), (22, 22)):
         assert vertex_cover_optimum(complete_bipartite(a, b)) == min(a, b)
     assert vertex_cover_optimum(petersen()) == 6
+
+
+def test_optima_at_their_caps():
+    line = [[abs(i - j) for j in range(16)] for i in range(16)]
+    assert tsp_optimum(line) == 30
+    assert knapsack_optimum(list(range(1, 21)), list(range(1, 21)), 50) == 50
+    assert max_cut_optimum(complete_bipartite(10, 10)) == 100
+    assert max_cut_optimum(cycle(19)) == 18
+    family = [frozenset({i}) for i in range(19)] + [frozenset(range(10)), frozenset(range(10, 19))]
+    assert set_cover_optimum(range(19), family) == 2
+
+
+def test_optima_refuse_instances_above_their_caps():
+    with pytest.raises(InstanceTooLargeError):
+        tsp_optimum([[0] * 17 for _ in range(17)])
+    with pytest.raises(InstanceTooLargeError):
+        knapsack_optimum([1] * 21, [1] * 21, 5)
+    with pytest.raises(InstanceTooLargeError):
+        max_cut_optimum(Graph(21, []))
+    with pytest.raises(InstanceTooLargeError):
+        vertex_cover_optimum(Graph(45, []))
+    with pytest.raises(InstanceTooLargeError):
+        set_cover_optimum({1}, [frozenset({1})] * 22)
+
+
+def test_oracle_limit_overrides_the_optimum_caps(monkeypatch):
+    monkeypatch.setenv("COMBINLAB_ORACLE_LIMIT", "3")
+    for optimum, args in (
+        (tsp_optimum, ([[0] * 4 for _ in range(4)],)),
+        (knapsack_optimum, ([1] * 4, [1] * 4, 2)),
+        (max_cut_optimum, (cycle(4),)),
+        (vertex_cover_optimum, (cycle(4),)),
+        (set_cover_optimum, ({1}, [frozenset({1})] * 4)),
+    ):
+        with pytest.raises(InstanceTooLargeError):
+            optimum(*args)
+    assert knapsack_optimum([1] * 3, [1] * 3, 2) == 2
+    monkeypatch.setenv("COMBINLAB_ORACLE_LIMIT", "45")
+    assert vertex_cover_optimum(Graph(45, [])) == 0
 
 
 def recursive_min_perfect_matching(vertices, weight):

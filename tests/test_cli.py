@@ -213,6 +213,22 @@ def test_approx_binpack_oracle_stops_at_the_lower_bound(tmp_path, capsys):
     assert json.loads(out)["optimal"] == 20
 
 
+def test_approx_tsp_oracle_exits_3_above_the_city_cap(tmp_path, capsys):
+    for n, want in ((17, 3), (14, 0)):
+        _, matrix, _ = run(capsys, ["gen", "metric", "--n", str(n), "--seed", "1"])
+        f = tmp_path / f"m{n}.txt"
+        f.write_text(matrix)
+        code, out, err = run(
+            capsys, ["approx", "tsp-christofides", str(f), "--oracle", "--format", "json"]
+        )
+        assert code == want
+        if want:
+            assert (out, err) == ("", "error: instance too large for oracle\n")
+        else:
+            data = json.loads(out)
+            assert err == "" and data["optimal"] <= data["heuristic"]
+
+
 def test_bench_deterministic(capsys):
     code1, out1, _ = run(
         capsys, ["bench", "sorting", "--n-max", "10", "--seed", "5", "--format", "json"]

@@ -24,7 +24,6 @@ def test_no_module_sets_the_recursion_limit():
 # shrinks: new code walks with an explicit stack, and a function that becomes
 # a loop leaves the list in the same change.
 RECURSIVE = {
-    "approx.min_perfect_matching_exact.solve",
     "complexity.Coloring.search.extend",
     "complexity.ExactCover.search.extend",
     "complexity.Ilp.search.extend",

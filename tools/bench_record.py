@@ -5,7 +5,8 @@
 
 For each seed it runs `perfbench/run.py --workload W --seed S --trace 0`
 in the checkout (by default the one holding this file) and appends one row
-to the file: the checkout's git revision, the Python version, the seed and
+to the file: the checkout's git revision, the Python version, the seed,
+the host probe time from run.py's `== ... host probe X ms` report line and
 the run's final JSON line.  Rows are written as each run ends, so an
 interrupted series keeps the runs it finished.  A failed run appends no row
 and ends the series with exit 1.
@@ -17,11 +18,13 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PROBE = re.compile(r"^== .* host probe ([0-9.]+) ms", re.MULTILINE)
 
 
 def record(path: Path, row: dict) -> None:
@@ -57,10 +60,15 @@ def main(argv=None) -> int:
         if proc.returncode or not lines:
             print(f"error: run.py exited with {proc.returncode} at seed {seed}", file=sys.stderr)
             return 1
+        probe = PROBE.search(proc.stdout)
+        if not probe:
+            print(f"error: run.py printed no host probe at seed {seed}", file=sys.stderr)
+            return 1
         record(out, {
             "revision": rev.stdout.strip(),
             "python": platform.python_version(),
             "seed": seed,
+            "host_probe_ms": float(probe.group(1)),
             "result": json.loads(lines[-1]),
         })
         print(f"{args.workload} seed {seed}: {lines[-1]}")

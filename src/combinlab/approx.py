@@ -497,7 +497,7 @@ def vertex_cover_optimum(g: Graph) -> int:
             best = max(best, size)
         elif size + alive.bit_count() > best:
             stack.append((alive & ~top & ~adj[top.bit_length() - 1], size + 1))
-            stack.append((alive & ~top, size))  # popped first
+            stack.append((alive & ~top, size))  # left out: tried first
     return g.n - best
 
 

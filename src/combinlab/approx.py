@@ -586,9 +586,32 @@ def max_cut_optimum(g: Graph) -> int:
 def knapsack_optimum(values, volumes, capacity) -> int:
     """Largest value of a subset within the capacity, 0 if none fits.  A
     Gray-code walk visits every subset, adding or removing one item a
-    step."""
+    step.  Fractions are walked as integers: the values scaled by their
+    least common denominator, the volumes and the capacity by theirs.  The
+    result keeps the type the running sum had at the best step: a
+    Fraction once the walk has added a Fraction value, which item i first
+    is at step 2**i."""
     _within_cap(len(values), "knapsack_items")
-    best = vol = val = chosen = 0
+    numbers = (*values, *volumes, capacity)
+    if not any(isinstance(x, Fraction) for x in numbers) or not all(
+            isinstance(x, (int, Fraction)) for x in numbers):
+        return _knapsack_walk(values, volumes, capacity)[0]
+    value_scale = math.lcm(*(Fraction(x).denominator for x in values))
+    room_scale = math.lcm(*(Fraction(x).denominator for x in (*volumes, capacity)))
+    best, step = _knapsack_walk([int(x * value_scale) for x in values],
+                                [int(x * room_scale) for x in volumes],
+                                int(capacity * room_scale))
+    if not step:
+        return 0
+    if any(isinstance(x, Fraction) for x in values[:step.bit_length()]):
+        return Fraction(best, value_scale)
+    return best // value_scale
+
+
+def _knapsack_walk(values, volumes, capacity) -> tuple:
+    """The best value and the step of the walk that first reached it (0
+    if no nonempty subset beats 0)."""
+    best = vol = val = chosen = at = 0
     for step in range(1, 1 << len(values)):
         low = step & -step
         i = low.bit_length() - 1
@@ -600,8 +623,8 @@ def knapsack_optimum(values, volumes, capacity) -> int:
             vol -= volumes[i]
             val -= values[i]
         if vol <= capacity and val > best:
-            best = val
-    return best
+            best, at = val, step
+    return best, at
 
 
 def bin_pack_optimum(sizes) -> int:

@@ -579,6 +579,69 @@ def test_knapsack_optimum_matches_reference():
             values, volumes, cap), (values, volumes, cap)
 
 
+def fraction_walk_knapsack_optimum(values, volumes, capacity):
+    """knapsack_optimum's Gray-code walk on the numbers as given, as it ran
+    before Fractions were scaled to integers: the reference for the type
+    of the result, which is that of the running sum at the best step."""
+    best = vol = val = chosen = 0
+    for step in range(1, 1 << len(values)):
+        low = step & -step
+        i = low.bit_length() - 1
+        chosen ^= low
+        if chosen & low:
+            vol += volumes[i]
+            val += values[i]
+        else:
+            vol -= volumes[i]
+            val -= values[i]
+        if vol <= capacity and val > best:
+            best = val
+    return best
+
+
+def fraction_knapsacks(rng):
+    yield [Fraction(1, 2), 3, Fraction(7, 3)], [Fraction(2, 3), 1, 1], Fraction(5, 3)
+    # the walk adds item 0 first and removes it at step 3, leaving 3 as Fraction(3)
+    yield [Fraction(1, 2), 3], [1, 1], 1
+    yield [3, Fraction(1, 2)], [1, 1], 1
+    yield [Fraction(4, 2), 1], [5, 1], 4
+    for n in range(1, 13):
+        for trial in range(8):
+            values = [rng.randint(0, 60) for _ in range(n)]
+            volumes = [rng.randint(0, 20) for _ in range(n)]
+            if trial % 4 != 1:  # Fraction values at some positions
+                values = [Fraction(v, rng.randint(1, 5)) if rng.random() < 0.4 else v
+                          for v in values]
+            if trial % 4 != 0:  # Fraction volumes at some positions
+                volumes = [Fraction(v, rng.randint(1, 5)) if rng.random() < 0.4 else v
+                           for v in volumes]
+            cap = rng.choice((0, -1, sum(volumes) // 2, sum(volumes) / 3, Fraction(1, 3)))
+            yield values, volumes, cap
+
+
+def test_knapsack_optimum_on_fractions_keeps_value_and_type():
+    for values, volumes, cap in fraction_knapsacks(random.Random(31)):
+        got = knapsack_optimum(values, volumes, cap)
+        want = fraction_walk_knapsack_optimum(values, volumes, cap)
+        assert (got, type(got)) == (want, type(want)), (values, volumes, cap)
+        assert got == reference_knapsack_optimum(values, volumes, cap)
+
+
+def test_knapsack_optimum_on_fractions_at_the_cap():
+    # Walking the Fractions themselves took 5.5 s here; as scaled integers
+    # it costs about what 20 integer items do (0.2 s).
+    values = [Fraction(7 * i + 3, i % 6 + 1) for i in range(20)]
+    volumes = [Fraction(5 * i + 2, i % 4 + 2) for i in range(20)]
+    cap = sum(volumes) / 2
+    start = time.process_time()
+    got = knapsack_optimum(values, volumes, cap)
+    assert time.process_time() - start < 2.0
+    # the same instance in integers, values times 60 and volumes times 30
+    scaled = knapsack_optimum([int(v * 60) for v in values], [int(w * 30) for w in volumes],
+                              int(cap * 30))
+    assert (got, type(got)) == (Fraction(scaled, 60), Fraction)
+
+
 def test_knapsack_optimum_without_room_is_zero():
     assert knapsack_optimum([5, 6], [1, 2], 0) == 0
     assert knapsack_optimum([5, 6], [1, 2], -3) == 0

@@ -268,6 +268,18 @@ def test_gen_deterministic_and_parsable(capsys, tmp_path):
     MetricTspInstance([[int(x) for x in row.split()] for row in out.splitlines()])
 
 
+def test_reduce_lists_the_kinds_of_the_reduction_table(capsys):
+    from combinlab.complexity import REDUCTIONS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "no-such-kind", "f.cnf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    kinds = sorted(REDUCTIONS)
+    assert "{" + ",".join(kinds) + "}" in err  # the usage line
+    assert "(choose from " + ", ".join(map(repr, kinds)) + ")" in err
+
+
 def test_size_limit_exit_code(tmp_path, capsys):
     big = tmp_path / "big.cnf"
     clauses = "\n".join(f"{i} 0" for i in range(1, 25))
@@ -700,6 +712,42 @@ def test_golden_outputs(tmp_path, capsys, call):
     expected = GOLDEN[call]
     got = (code, hashlib.sha256(out.encode()).hexdigest(), err)
     assert got[: len(expected)] == expected
+
+
+# Runs each call of a JSON list [[call, argv], ...] on stdin through
+# cli.main and prints {call: [exit code, stdout sha256, stderr]}.
+GOLDEN_CHILD = """
+import contextlib, hashlib, io, json, sys
+from combinlab.cli import main
+got = {}
+for call, argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    got[call] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()]
+json.dump(got, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_golden_outputs_under_other_hash_seeds(tmp_path, seed):
+    # Every golden pin again, in one child process per hash seed, so that
+    # no output may follow set or dict-of-str iteration order.  Each call
+    # gets a directory of its own, since inline witnesses share file names.
+    calls = []
+    for i, call in enumerate(sorted(GOLDEN)):
+        (tmp_path / str(i)).mkdir()
+        calls.append([call, golden_argv(tmp_path / str(i), call)])
+    src = str(Path(combinlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", GOLDEN_CHILD], input=json.dumps(calls),
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = json.loads(proc.stdout)
+    for call, expected in GOLDEN.items():
+        assert tuple(got[call][: len(expected)]) == expected, call
 
 
 @pytest.mark.parametrize("k", ["2", "3"])

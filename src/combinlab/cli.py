@@ -8,6 +8,10 @@ JSON output is deterministic: the same seed and flags produce
 byte-identical bytes.  Instance file dialects are documented in the
 README (graphs in the shared text format, CNF in DIMACS, set systems and
 ILP in JSON, TSP matrices as whitespace grids).
+
+Each command imports the modules it runs when it runs, and no table here
+refers into another module, so a call pays the import of its own layers
+only: `sort` never loads the NP layer.
 """
 
 from __future__ import annotations
@@ -18,16 +22,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import approx as ax
-from . import complexity as cx
-from . import dp
-from . import graph_core as gc
-from . import paths_mst as pm
-from . import search_games as sg
-from . import sorting as srt
-from . import tournament as trn
-from .intmath import ceil_log2, ceil_log3, harmonic
-from .oracles import counting_comparator
+from .intmath import InstanceTooLargeError, ceil_log2, ceil_log3, harmonic, parse_numbers
 
 OK, NEGATIVE, INPUT_ERROR, TOO_LARGE = 0, 1, 2, 3
 
@@ -60,20 +55,22 @@ def _json_default(x):
 
 # --- solve ------------------------------------------------------------------
 
-_ANY_GRAPH = ((gc.Graph, gc.Digraph), None)
-_UNDIRECTED = (gc.Graph, "an undirected graph")
-_WEIGHTED_DIGRAPH = (pm.WeightedDigraph, "a weighted digraph")
-_WEIGHTED_GRAPH = (pm.WeightedGraph, "a weighted undirected graph")
+_ANY_GRAPH = (("Graph", "Digraph"), None)
+_UNDIRECTED = (("Graph",), "an undirected graph")
+_WEIGHTED_DIGRAPH = (("WeightedDigraph",), "a weighted digraph")
+_WEIGHTED_GRAPH = (("WeightedGraph",), "a weighted undirected graph")
 
-# solve name -> (graph class the problem needs, how its error names that
-# class); (None, None) for the problems that read a file of their own.
+# solve name -> (public names of the graph classes the problem accepts, how
+# its error names them); (None, None) for the problems that read a file of
+# their own.  The names resolve through the package, which imports
+# paths_mst for the weighted classes only.
 _SOLVE_INPUT = {
     "euler": _UNDIRECTED,
     "components": _UNDIRECTED,
     "bfs": _ANY_GRAPH,
     "dfs": _ANY_GRAPH,
-    "scc": (gc.Digraph, "a directed graph (pd header)"),
-    "closure": (gc.Digraph, "a directed graph"),
+    "scc": (("Digraph",), "a directed graph (pd header)"),
+    "closure": (("Digraph",), "a directed graph"),
     "dijkstra": _WEIGHTED_DIGRAPH,
     "floyd": _WEIGHTED_DIGRAPH,
     "shortest": _WEIGHTED_GRAPH,
@@ -86,20 +83,23 @@ _SOLVE_INPUT = {
     "lcs": (None, None),
 }
 
-_SPANNING_TREES = {"prim": pm.prim, "kruskal": pm.kruskal, "maxst": pm.max_spanning_tree}
+_SPANNING_TREES = {"prim": "prim", "kruskal": "kruskal", "maxst": "max_spanning_tree"}
 
 
 def cmd_solve(args):
-    problem, target = args.problem, args.target
+    problem = args.problem
     if problem not in _SOLVE_INPUT:
         raise ValueError(f"unknown solve problem {problem!r}")
     needs, description = _SOLVE_INPUT[problem]
     text = _read(args.file)
-    if needs is not None:
-        g = gc.parse_graph_text(text)
-        if not isinstance(g, needs):
-            raise ValueError(f"{problem} needs {description}")
-    unreachable = {"reachable": False, "target": target}, NEGATIVE  # dijkstra, shortest
+    if needs is None:
+        return _solve_dp(problem, text)
+    from . import graph_core as gc
+
+    g = gc.parse_graph_text(text)
+    package = sys.modules[__package__]
+    if not isinstance(g, tuple(getattr(package, name) for name in needs)):
+        raise ValueError(f"{problem} needs {description}")
     if problem == "euler":
         try:
             walk = gc.euler_cycle(g)
@@ -116,6 +116,14 @@ def cmd_solve(args):
     if problem == "dfs":
         rec = gc.dfs(g)
         return {"discovery": rec.discovery, "finish": rec.finish, "roots": rec.roots}, OK
+    return _solve_paths_mst(problem, g, args)
+
+
+def _solve_paths_mst(problem, g, args):
+    from . import paths_mst as pm
+
+    target = args.target
+    unreachable = {"reachable": False, "target": target}, NEGATIVE  # dijkstra, shortest
     if problem == "dijkstra":
         res = pm.dijkstra(g, args.source, target=target)
         out = {"source": args.source, "dist": {str(v): d for v, d in res.dist.items()}}
@@ -138,12 +146,16 @@ def cmd_solve(args):
             raise ValueError("shortest needs --target")
         dist, path = pm.undirected_shortest_path(g, args.source, target)
         return unreachable if path is None else ({"distance": dist, "path": path}, OK)
-    if problem in _SPANNING_TREES:
-        try:
-            res = _SPANNING_TREES[problem](g)
-        except ValueError as exc:
-            return {"connected": False, "error": str(exc)}, NEGATIVE
-        return {"edges": res.edges, "weight": res.total_weight}, OK
+    try:  # a spanning tree
+        res = getattr(pm, _SPANNING_TREES[problem])(g)
+    except ValueError as exc:
+        return {"connected": False, "error": str(exc)}, NEGATIVE
+    return {"edges": res.edges, "weight": res.total_weight}, OK
+
+
+def _solve_dp(problem, text):
+    from . import dp
+
     if problem == "knapsack":
         chosen, value = dp.knapsack_pareto(*dp.load_knapsack_json(text))
         return {"items": sorted(chosen), "value": value}, OK
@@ -151,7 +163,7 @@ def cmd_solve(args):
         value, plan = dp.allocate(dp.load_allocation_json(text))
         return {"value": value, "plan": plan}, OK
     if problem == "chain":
-        cost, expr, _ = dp.matrix_chain(cx.parse_numbers(text))
+        cost, expr, _ = dp.matrix_chain(parse_numbers(text))
         return {"cost": cost, "parenthesization": expr}, OK
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]  # lcs
     if len(lines) < 2:
@@ -163,39 +175,42 @@ def cmd_solve(args):
 # --- sort / select -------------------------------------------------------------
 
 
+# sort algorithm -> (sorting function, field of its SortBudget)
 _SORTERS = {
-    "insertion": srt.insertion_sort,
-    "merge": srt.merge_sort_grouped,
-    "mergeinsertion": srt.merge_insertion_sort,
+    "insertion": ("insertion_sort", "a_n"),
+    "merge": ("merge_sort_grouped", "b_n"),
+    "mergeinsertion": ("merge_insertion_sort", "f_n"),
 }
 
 
 def _distinct_keys(path: str, command: str) -> list[int]:
-    items = cx.parse_numbers(_read(path))
+    items = parse_numbers(_read(path))
     if len(items) != len(set(items)):
         raise ValueError(f"{command} input keys must be pairwise distinct")
     return items
 
 
 def cmd_sort(args):
+    from . import sorting as srt
+    from .oracles import counting_comparator
+
     items = _distinct_keys(args.file, "sort")
     if args.count and len(items) > srt.BUDGET_CAP:
         raise ValueError(f"--count takes at most {srt.BUDGET_CAP} keys, got {len(items)}")
+    sorter, budget = _SORTERS[args.algorithm]
     cmp = counting_comparator(items)
-    payload = {"sorted": _SORTERS[args.algorithm](items, cmp)}
+    payload = {"sorted": getattr(srt, sorter)(items, cmp)}
     if args.count:
         payload["comparisons"] = cmp.count
         if items:
-            budgets = srt.sort_budgets(len(items))
-            payload["budget"] = {
-                "insertion": budgets.a_n,
-                "merge": budgets.b_n,
-                "mergeinsertion": budgets.f_n,
-            }[args.algorithm]
+            payload["budget"] = getattr(srt.sort_budgets(len(items)), budget)
     return payload, OK
 
 
 def cmd_select(args):
+    from . import tournament as trn
+    from .oracles import counting_comparator
+
     items = _distinct_keys(args.file, "select")
     if not 1 <= args.t <= len(items):
         raise ValueError("t out of range")
@@ -211,7 +226,25 @@ def cmd_select(args):
 # --- reduce / verify ------------------------------------------------------------
 
 
+class _ReductionKinds:
+    """The choices of `reduce`: the names in complexity.REDUCTIONS, sorted,
+    read when argparse first checks or lists them, so that no other command
+    imports complexity."""
+
+    def __contains__(self, kind):
+        from .complexity import REDUCTIONS
+
+        return kind in REDUCTIONS
+
+    def __iter__(self):
+        from .complexity import REDUCTIONS
+
+        return iter(sorted(REDUCTIONS))
+
+
 def cmd_reduce(args):
+    from . import complexity as cx
+
     _, source, run = cx.REDUCTIONS[args.kind]
     red = run(source.load(_read(args.file), args.k, args.limit))
     payload = {"kind": args.kind, "target": red.target.describe()}
@@ -258,6 +291,8 @@ def _encode_witness(w):
 
 
 def cmd_verify(args):
+    from . import complexity as cx
+
     if args.problem not in cx.PROBLEMS:
         raise ValueError(f"unknown problem kind {args.problem!r}")
     problem = cx.PROBLEMS[args.problem].load(_read(args.instance), args.k, args.limit)
@@ -270,6 +305,8 @@ def cmd_verify(args):
 
 
 def cmd_twosat(args):
+    from . import complexity as cx
+
     res = cx.twosat_solve(cx.parse_dimacs(_read(args.file)))
     if res.satisfiable:
         return {"satisfiable": True, "assignment": [int(b) for b in res.assignment]}, OK
@@ -280,17 +317,21 @@ def cmd_twosat(args):
 
 
 def _vertex_cover(heuristic, bound):
-    def solve(text, eps):
-        g = gc.parse_graph_text(text)
-        cover = heuristic(g)
+    def solve(ax, text, eps):
+        from .graph_core import parse_graph_text
+
+        g = parse_graph_text(text)
+        cover = getattr(ax, heuristic)(g)
         return (g.n, len(cover), lambda: ax.vertex_cover_optimum(g), bound,
                 {"edges": sorted(g.edges)}, {"cover": sorted(cover)})
 
     return solve
 
 
-def _set_cover(text, eps):
-    universe, family, _ = cx.parse_set_system(text)
+def _set_cover(ax, text, eps):
+    from .complexity import parse_set_system
+
+    universe, family, _ = parse_set_system(text)
     chosen = ax.set_cover_greedy(universe, family)
     biggest = max((len(s) for s in family), default=0)
     return (len(universe), len(chosen), lambda: ax.set_cover_optimum(universe, family),
@@ -299,24 +340,30 @@ def _set_cover(text, eps):
 
 
 def _tsp(heuristic, bound):
-    def solve(text, eps):
-        inst = ax.MetricTspInstance(cx.parse_matrix(text))
-        tour = heuristic(inst)
+    def solve(ax, text, eps):
+        from .complexity import parse_matrix
+
+        inst = ax.MetricTspInstance(parse_matrix(text))
+        tour = getattr(ax, heuristic)(inst)
         return (inst.n, inst.tour_length(tour), lambda: ax.tsp_optimum(inst.matrix), bound,
                 {"matrix": [list(r) for r in inst.matrix]}, {"tour": tour})
 
     return solve
 
 
-def _max_cut(text, eps):
-    g = gc.parse_graph_text(text)
+def _max_cut(ax, text, eps):
+    from .graph_core import parse_graph_text
+
+    g = parse_graph_text(text)
     side, cut = ax.max_cut_local_search(g)
     return (g.n, cut, lambda: ax.max_cut_optimum(g), 2,
             {"edges": sorted(g.edges)}, {"cut_side": sorted(side)})
 
 
-def _knapsack_fptas(text, eps):
-    values, volumes, cap = dp.load_knapsack_json(text)
+def _knapsack_fptas(ax, text, eps):
+    from .dp import load_knapsack_json
+
+    values, volumes, cap = load_knapsack_json(text)
     eps = Fraction(eps)  # only this algorithm reads --eps
     chosen, value = ax.knapsack_fptas(values, volumes, cap, eps)
     return (len(values), value, lambda: ax.knapsack_optimum(values, volumes, cap), 1 + eps,
@@ -324,22 +371,24 @@ def _knapsack_fptas(text, eps):
             {"items": sorted(chosen), "eps": str(eps)})
 
 
-def _bin_pack(text, eps):
+def _bin_pack(ax, text, eps):
     sizes = text.split()
     assignment = ax.bin_pack_first_fit(sizes)
     return (len(sizes), max(assignment, default=0), lambda: ax.bin_pack_optimum(sizes), 2,
             {"sizes": sizes}, {"assignment": assignment})
 
 
-# CLI name -> (report name, maximize, solve).  solve(text, eps) returns the
-# instance size, the heuristic's value, a thunk for the optimum, the ratio
-# bound, the instance for the digest, and the output keys of this algorithm.
+# CLI name -> (report name, maximize, solve).  solve(ax, text, eps) gets
+# the approx module and returns the instance size, the heuristic's value, a
+# thunk for the optimum, the ratio bound, the instance for the digest, and
+# the output keys of this algorithm.  Heuristics are named by their
+# function in approx.
 _APPROX = {
-    "vc-matching": ("vc_matching", False, _vertex_cover(ax.vc_matching_2approx, 2)),
-    "vc-greedy": ("vc_greedy", False, _vertex_cover(ax.vc_degree_greedy, None)),
+    "vc-matching": ("vc_matching", False, _vertex_cover("vc_matching_2approx", 2)),
+    "vc-greedy": ("vc_greedy", False, _vertex_cover("vc_degree_greedy", None)),
     "setcover": ("set_cover_greedy", False, _set_cover),
-    "tsp-doubletree": ("tsp_doubletree", False, _tsp(ax.tsp_double_tree, 2)),
-    "tsp-christofides": ("tsp_christofides", False, _tsp(ax.tsp_christofides, Fraction(3, 2))),
+    "tsp-doubletree": ("tsp_doubletree", False, _tsp("tsp_double_tree", 2)),
+    "tsp-christofides": ("tsp_christofides", False, _tsp("tsp_christofides", Fraction(3, 2))),
     "maxcut": ("max_cut_local_search", True, _max_cut),
     "knapsack-fptas": ("knapsack_fptas", True, _knapsack_fptas),
     "binpack": ("bin_pack_first_fit", False, _bin_pack),
@@ -347,8 +396,10 @@ _APPROX = {
 
 
 def cmd_approx(args):
+    from . import approx as ax
+
     name, maximize, solve = _APPROX[args.algorithm]
-    n, value, optimum, bound, instance, extra = solve(_read(args.file), args.eps)
+    n, value, optimum, bound, instance, extra = solve(ax, _read(args.file), args.eps)
     opt = optimum() if args.oracle else None
     report = ax.make_report(name, n, value, opt, bound, instance, maximize=maximize)
     return {**report, **extra}, OK
@@ -358,6 +409,9 @@ def cmd_approx(args):
 
 
 def _bench_sorting(args):
+    from . import sorting as srt
+    from .oracles import counting_comparator
+
     rng = random.Random(args.seed)
     rows = []
     for n in range(1, args.n_max + 1):
@@ -382,6 +436,9 @@ def _bench_sorting(args):
 
 
 def _bench_selection(args):
+    from .oracles import counting_comparator
+    from .tournament import select_t_tournament
+
     rng = random.Random(args.seed)
     rows = []
     for n in range(2, args.n_max + 1, max(1, args.n_max // 16)):
@@ -391,7 +448,7 @@ def _bench_selection(args):
         for _ in range(args.trials):
             items = rng.sample(range(10 * n), n)
             cmp = counting_comparator(items)
-            trn.select_t_tournament(items, t, cmp)
+            select_t_tournament(items, t, cmp)
             measured = max(measured, cmp.count)
         rows.append(
             {"n": n, "t": t, "bound": bound, "measured": measured,
@@ -401,6 +458,8 @@ def _bench_selection(args):
 
 
 def _bench_search(args):
+    from . import search_games as sg
+
     rows = []
     for n in range(1, args.n_max + 1):
         ball_bound = ceil_log2(n)
@@ -435,6 +494,8 @@ def _bench_search(args):
 
 
 def _coin_worlds(n):
+    from . import search_games as sg
+
     yield sg.ALL_GENUINE
     for i in range(1, n + 1):
         yield sg.CoinVerdict(i, sg.HEAVIER)
@@ -442,6 +503,8 @@ def _coin_worlds(n):
 
 
 def _bench_approx(args):
+    from . import approx as ax
+
     rows = []
     for trial in range(args.trials):
         seed = args.seed * 1000 + trial
@@ -501,24 +564,29 @@ def _matrix_text(matrix) -> str:
 def cmd_gen(args):
     rng = random.Random(args.seed)
     fam, n = args.family, args.n
-    if fam == "graph":
-        text = gc.format_graph_text(gc.Graph(n, _random_edges(rng, n, args.density)))
-    elif fam == "digraph":
-        text = gc.format_graph_text(gc.Digraph(n, _random_edges(rng, n, args.density, True)))
-    elif fam == "metric":
-        text = _matrix_text(ax.random_metric_instance(n, args.seed).matrix)
-    elif fam == "gap":
-        g = gc.Graph(n, _random_edges(rng, n, args.density))
-        text = _matrix_text(ax.tsp_gap_instance(g, Fraction(args.eps)))
-    elif fam == "knapsack":
+    if fam == "numbers":
+        return " ".join(str(x) for x in rng.sample(range(10 * n), n)) + "\n", OK
+    if fam == "knapsack":
+        from .dp import dump_knapsack_json
+
         values = [rng.randint(1, 300) for _ in range(n)]
         volumes = [rng.randint(1, 50) for _ in range(n)]
-        text = dp.dump_knapsack_json(values, volumes, max(1, sum(volumes) // 2)) + "\n"
-    elif fam == "numbers":
-        text = " ".join(str(x) for x in rng.sample(range(10 * n), n)) + "\n"
-    else:  # "counterexample", the last of the parser's choices
-        text = gc.format_graph_text(ax.vc_greedy_counterexample(n))
-    return text, OK
+        return dump_knapsack_json(values, volumes, max(1, sum(volumes) // 2)) + "\n", OK
+    from . import graph_core as gc
+
+    if fam == "graph":
+        return gc.format_graph_text(gc.Graph(n, _random_edges(rng, n, args.density))), OK
+    if fam == "digraph":
+        return gc.format_graph_text(gc.Digraph(n, _random_edges(rng, n, args.density, True))), OK
+    from . import approx as ax
+
+    if fam == "metric":
+        return _matrix_text(ax.random_metric_instance(n, args.seed).matrix), OK
+    if fam == "gap":
+        g = gc.Graph(n, _random_edges(rng, n, args.density))
+        return _matrix_text(ax.tsp_gap_instance(g, Fraction(args.eps))), OK
+    # "counterexample", the last of the parser's choices
+    return gc.format_graph_text(ax.vc_greedy_counterexample(n)), OK
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -560,7 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("reduce", help="compile an instance into another problem")
-    p.add_argument("kind", choices=sorted(cx.REDUCTIONS))
+    # set after add_argument, which would read the choices at once to check
+    # the metavar
+    p.add_argument("kind").choices = _ReductionKinds()
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--limit", type=int, default=None)
@@ -629,7 +699,7 @@ def main(argv=None) -> int:
     try:
         payload, code = args.fn(args)
         _emit(payload, args.format)
-    except cx.InstanceTooLargeError as exc:
+    except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return TOO_LARGE
     except (ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError

@@ -24,15 +24,18 @@ from .graph_core import (
     parse_graph_text,
     scc_kosaraju,
 )
-from .intmath import exact_int, exact_int_rows, exact_ints, json_object
+from .intmath import (  # InstanceTooLargeError and parse_numbers are re-exported
+    InstanceTooLargeError,
+    exact_int,
+    exact_int_rows,
+    exact_ints,
+    json_object,
+    parse_numbers,
+)
 
 
 class WitnessFormatError(ValueError):
     """Witness shape does not match the problem (distinct from False)."""
-
-
-class InstanceTooLargeError(ValueError):
-    """Instance exceeds the desk-scale brute-force caps."""
 
 
 # --- CNF ------------------------------------------------------------------
@@ -99,14 +102,6 @@ def format_dimacs(f: CnfFormula) -> str:
     for clause in f.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def parse_numbers(text: str) -> list[int]:
-    """Whitespace-separated integers."""
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ValueError(f"bad number list: {exc}") from None
 
 
 def parse_matrix(text: str) -> list[list]:

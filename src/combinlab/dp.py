@@ -9,7 +9,6 @@ load_knapsack_json / load_allocation_json).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmath import exact_int, exact_int_rows, exact_ints, json_object
@@ -17,19 +16,19 @@ from .intmath import exact_int, exact_int_rows, exact_ints, json_object
 DIAG, UP, LEFT = "Diag", "Up", "Left"
 
 
-@dataclass(frozen=True)
 class AllocationInstance:
-    """N tasks with per-task cost and profit tables over x = 0..b."""
+    """N tasks with per-task cost and profit tables over x = 0..b.  An
+    immutable value, checked once when made: instances compare and hash
+    by their three fields."""
 
-    costs: tuple[tuple[int, ...], ...]
-    profits: tuple[tuple[int, ...], ...]
-    budget: int
+    __slots__ = ("costs", "profits", "budget")
 
-    def __post_init__(self):
-        if len(self.costs) != len(self.profits) or not self.costs:
+    def __init__(self, costs: tuple[tuple[int, ...], ...],
+                 profits: tuple[tuple[int, ...], ...], budget: int):
+        if len(costs) != len(profits) or not costs:
             raise ValueError("need matching, nonempty cost/profit tables")
-        width = len(self.costs[0])
-        for table in (*self.costs, *self.profits):
+        width = len(costs[0])
+        for table in (*costs, *profits):
             if len(table) != width:
                 raise ValueError("all tables must cover the same 0..b range")
             if not table or table[0] != 0:
@@ -38,8 +37,28 @@ class AllocationInstance:
                 raise ValueError("tables must be monotone non-decreasing")
             if any(x < 0 for x in table):
                 raise ValueError("tables must be non-negative")
-        if self.budget < 0:
+        if budget < 0:
             raise ValueError("budget must be >= 0")
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "profits", profits)
+        object.__setattr__(self, "budget", budget)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable AllocationInstance")
+
+    def _fields(self):
+        return self.costs, self.profits, self.budget
+
+    def __eq__(self, other):
+        if type(other) is not AllocationInstance:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle rebuild (and re-check) through __init__
+        return AllocationInstance, self._fields()
 
     @property
     def n_tasks(self) -> int:
@@ -97,11 +116,13 @@ def allocate(inst: AllocationInstance) -> tuple[int, list[int]]:
     return best[n][k], plan
 
 
-@dataclass(frozen=True)
 class ParetoEntry:
-    items: frozenset[int]
-    value: int
-    volume: int
+    __slots__ = ("items", "value", "volume")
+
+    def __init__(self, items: frozenset[int], value: int, volume: int):
+        self.items = items
+        self.value = value
+        self.volume = volume
 
 
 def _prune(states: list[ParetoEntry], extended: list[ParetoEntry]) -> list[ParetoEntry]:
@@ -195,10 +216,12 @@ def greedy_knapsack_by_density(values, volumes, capacity) -> tuple[set[int], int
     return chosen, total
 
 
-@dataclass
 class LcsTables:
-    lengths: list[list[int]]  # (n+1) x (m+1)
-    arrows: list[list[str | None]]  # (n+1) x (m+1); [i][j] for i, j >= 1
+    __slots__ = ("lengths", "arrows")
+
+    def __init__(self, lengths: list[list[int]], arrows: list[list[str | None]]):
+        self.lengths = lengths  # (n+1) x (m+1)
+        self.arrows = arrows  # (n+1) x (m+1); [i][j] for i, j >= 1
 
 
 def lcs(x, y) -> tuple[int, list, LcsTables]:
@@ -236,10 +259,12 @@ def lcs(x, y) -> tuple[int, list, LcsTables]:
     return c[n][m], out, LcsTables(c, b)
 
 
-@dataclass
 class ChainTables:
-    costs: list[list[object]]  # m[i][j], 1-based upper triangle
-    splits: list[list[int]]  # s[i][j]
+    __slots__ = ("costs", "splits")
+
+    def __init__(self, costs: list[list[object]], splits: list[list[int]]):
+        self.costs = costs  # m[i][j], 1-based upper triangle
+        self.splits = splits  # s[i][j]
 
 
 def matrix_chain(dims) -> tuple[int, str, ChainTables]:

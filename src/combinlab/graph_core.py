@@ -16,7 +16,6 @@ integers or p/q rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -118,7 +117,18 @@ class Digraph:
         return self.adj[v]
 
     def transpose(self) -> "Digraph":
-        return Digraph(self.n, [(v, u) for u, v in self.arcs])
+        """Every arc reversed, in the same arc order.  The arcs were checked
+        when this digraph was made, so nothing is checked again; scanning
+        the tails in increasing order leaves each reversed list sorted."""
+        radj = {v: [] for v in range(1, self.n + 1)}
+        for u, ws in self.adj.items():
+            for w in ws:
+                radj[w].append(u)
+        t = Digraph.__new__(Digraph)
+        t.n = self.n
+        t.arcs = tuple((v, u) for u, v in self.arcs)
+        t.adj = {v: tuple(us) for v, us in radj.items()}
+        return t
 
     def adjacency_matrix(self) -> list[list[int]]:
         mat = [[0] * self.n for _ in range(self.n)]
@@ -127,13 +137,15 @@ class Digraph:
         return mat
 
 
-@dataclass
 class BfsForest:
     """Breadth-first forest: one (root, tree edges) entry per component,
     plus the global visitation order."""
 
-    trees: list[tuple[int, list[tuple[int, int]]]]
-    order: list[int]
+    __slots__ = ("trees", "order")
+
+    def __init__(self, trees: list[tuple[int, list[tuple[int, int]]]], order: list[int]):
+        self.trees = trees
+        self.order = order
 
 
 def bfs_forest(g: Graph) -> BfsForest:
@@ -294,15 +306,19 @@ def fleury_euler_cycle(g: Graph) -> list[int]:
     return cycle
 
 
-@dataclass
 class DfsRecord:
     """Per-vertex discovery/finish stamps, parents, and the DFS forest."""
 
-    discovery: dict[int, int]
-    finish: dict[int, int]
-    parent: dict[int, int | None]
-    forest_edges: list[tuple[int, int]]
-    roots: list[int]
+    __slots__ = ("discovery", "finish", "parent", "forest_edges", "roots")
+
+    def __init__(self, discovery: dict[int, int], finish: dict[int, int],
+                 parent: dict[int, int | None], forest_edges: list[tuple[int, int]],
+                 roots: list[int]):
+        self.discovery = discovery
+        self.finish = finish
+        self.parent = parent
+        self.forest_edges = forest_edges
+        self.roots = roots
 
 
 def dfs(g, order=None) -> DfsRecord:
@@ -379,8 +395,6 @@ def _parse_weight(tok: str):
 def parse_graph_text(text: str):
     """Parse the shared text format; returns Graph, Digraph,
     WeightedGraph or WeightedDigraph depending on header and weights."""
-    from .paths_mst import WeightedDigraph, WeightedGraph
-
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -411,6 +425,8 @@ def parse_graph_text(text: str):
     if any(has_weights) and not all(has_weights):
         raise ValueError("either all or no edges may carry weights")
     if all(has_weights) and edges:
+        from .paths_mst import WeightedDigraph, WeightedGraph
+
         pairs = {e: w for e, w in zip(edges, weights)}
         if directed:
             return WeightedDigraph(n, pairs)

@@ -3,7 +3,9 @@
 Every bound asserted by the test suite is an exact integer, so all
 logarithm-style quantities are computed with integer comparisons and big
 integers, never floating point.  The JSON instance loaders use the checks
-at the end to admit only integers, never floats.
+at the end to admit only integers, never floats.  The number-list parser
+and the size-cap error live here too, so that the sorting and selection
+commands need nothing from `complexity`, which re-exports both.
 """
 
 from __future__ import annotations
@@ -102,6 +104,18 @@ def harmonic(n: int) -> Fraction:
     for k in range(1, n + 1):
         total += Fraction(1, k)
     return total
+
+
+class InstanceTooLargeError(ValueError):
+    """Instance exceeds the desk-scale brute-force caps."""
+
+
+def parse_numbers(text: str) -> list[int]:
+    """Whitespace-separated integers."""
+    try:
+        return [int(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"bad number list: {exc}") from None
 
 
 # --- JSON instance checks ------------------------------------------------------

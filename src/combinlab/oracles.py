@@ -8,8 +8,6 @@ by producing a concrete input that reproduces its whole answer transcript.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 LESS = "Less"
 GREATER = "Greater"
 
@@ -27,11 +25,13 @@ class AdversarySoundnessError(AssertionError):
     """An adversary produced answers with no consistent concrete input."""
 
 
-@dataclass
 class QueryCounter:
     """Number of oracle queries answered so far."""
 
-    count: int = 0
+    __slots__ = ("count",)
+
+    def __init__(self, count: int = 0):
+        self.count = count
 
     def tick(self) -> None:
         self.count += 1

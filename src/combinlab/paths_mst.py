@@ -7,7 +7,6 @@ exact, addition saturates), never a large surrogate number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import Digraph, Graph
@@ -58,11 +57,13 @@ class WeightedGraph(Graph):
         return WeightedDigraph(self.n, arcs)
 
 
-@dataclass
 class DijkstraResult:
-    source: int
-    dist: dict[int, object]  # vertex -> exact distance or INF
-    pred: dict[int, int | None]
+    __slots__ = ("source", "dist", "pred")
+
+    def __init__(self, source: int, dist: dict[int, object], pred: dict[int, int | None]):
+        self.source = source
+        self.dist = dist  # vertex -> exact distance or INF
+        self.pred = pred
 
     def path_to(self, v: int) -> list[int]:
         if self.dist[v] is INF or self.dist[v] == INF:
@@ -109,15 +110,18 @@ def dijkstra(g: WeightedDigraph, source: int, target: int | None = None) -> Dijk
     return DijkstraResult(source, dist, pred)
 
 
-@dataclass
 class FloydTables:
     """All-pairs distance matrix, successor matrix (0 = none), and the
     vertices flagged on negative cycles.  Matrices are 1-based maps."""
 
-    n: int
-    dist: list[list[object]]  # (n+1) x (n+1), row/col 0 unused
-    succ: list[list[int]]
-    negative_cycle_vertices: set[int]
+    __slots__ = ("n", "dist", "succ", "negative_cycle_vertices")
+
+    def __init__(self, n: int, dist: list[list[object]], succ: list[list[int]],
+                 negative_cycle_vertices: set[int]):
+        self.n = n
+        self.dist = dist  # (n+1) x (n+1), row/col 0 unused
+        self.succ = succ
+        self.negative_cycle_vertices = negative_cycle_vertices
 
     def d(self, i: int, j: int):
         return self.dist[i][j]
@@ -214,11 +218,14 @@ def undirected_shortest_path(g: WeightedGraph, u: int, v: int):
     return res.dist[v], (res.path_to(v) if res.dist[v] != INF else None)
 
 
-@dataclass
 class MstResult:
-    edges: list[tuple[int, int]]
-    total_weight: object
-    prim_trace: list[tuple[int, int | None, object]] | None = None
+    __slots__ = ("edges", "total_weight", "prim_trace")
+
+    def __init__(self, edges: list[tuple[int, int]], total_weight,
+                 prim_trace: list[tuple[int, int | None, object]] | None = None):
+        self.edges = edges
+        self.total_weight = total_weight
+        self.prim_trace = prim_trace
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)

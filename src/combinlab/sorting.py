@@ -14,7 +14,6 @@ A(n) and F(n) bookkeeping input-independent.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .intmath import (
     ceil_log2,
@@ -25,15 +24,17 @@ from .intmath import (
 from .oracles import CountingComparator, counting_comparator
 
 
-@dataclass(frozen=True)
 class SortBudget:
     """Exact worst-case comparison counts for sorting n keys."""
 
-    n: int
-    info_lower: int  # ceil(log2 n!)
-    a_n: int  # binary insertion sort
-    b_n: int  # grouped merge sort
-    f_n: int  # merge insertion sort
+    __slots__ = ("n", "info_lower", "a_n", "b_n", "f_n")
+
+    def __init__(self, n: int, info_lower: int, a_n: int, b_n: int, f_n: int):
+        self.n = n
+        self.info_lower = info_lower  # ceil(log2 n!)
+        self.a_n = a_n  # binary insertion sort
+        self.b_n = b_n  # grouped merge sort
+        self.f_n = f_n  # merge insertion sort
 
 
 def _default_cmp(items) -> tuple[list[int], CountingComparator]:

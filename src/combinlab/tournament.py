@@ -14,20 +14,20 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .intmath import ceil_log2
 from .oracles import counting_comparator
 from .sorting import merge_insertion_sort
 
 
-@dataclass
 class KnockoutTree:
     """Complete pairwise-elimination bracket over item positions."""
 
-    champion: int
-    rounds: list[list[int]]  # entrants per round, champion last
-    victims: dict[int, list[int]]  # winner -> entrants it beat, by round
+    __slots__ = ("champion", "rounds", "victims")
+
+    def __init__(self, champion: int, rounds: list[list[int]], victims: dict[int, list[int]]):
+        self.champion = champion
+        self.rounds = rounds  # entrants per round, champion last
+        self.victims = victims  # winner -> entrants it beat, by round
 
     @property
     def matches(self) -> int:

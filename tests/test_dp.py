@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import inspect
 import itertools
 import json
+import pickle
 import random
 import sys
 import time
@@ -94,6 +96,18 @@ def test_allocation_validation():
         AllocationInstance.from_lists([[1, 2]], [[0, 1]], 1)  # c(0) != 0
     with pytest.raises(ValueError):
         AllocationInstance.from_lists([[0, 2, 1]], [[0, 1, 1]], 1)  # not monotone
+
+
+def test_allocation_instance_is_an_immutable_value():
+    inst = AllocationInstance.from_lists([[0, 1, 2]], [[0, 3, 4]], 2)
+    same = AllocationInstance(((0, 1, 2),), ((0, 3, 4),), 2)
+    assert inst == same and hash(inst) == hash(same) and len({inst, same}) == 1
+    assert inst != AllocationInstance(((0, 1, 2),), ((0, 3, 4),), 1)
+    with pytest.raises(AttributeError):
+        inst.budget = -1
+    assert inst.budget == 2
+    for again in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert again == inst
 
 
 def test_knapsack_capacity85_instance():

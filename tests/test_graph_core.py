@@ -40,6 +40,25 @@ def test_digraph_transpose_involution():
     assert set(tt.arcs) == set(d.arcs)
 
 
+def test_digraph_transpose_matches_building_the_reversed_digraph():
+    from combinlab.paths_mst import WeightedDigraph
+
+    rng = random.Random(5)
+    cases = [Digraph(0, []), Digraph(3, []), WeightedDigraph(3, {(2, 1): 4, (1, 3): 1})]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                if u != v and rng.random() < 0.3]
+        rng.shuffle(arcs)
+        cases.append(Digraph(n, arcs))
+    for d in cases:
+        t = d.transpose()
+        built = Digraph(d.n, [(v, u) for u, v in d.arcs])
+        assert type(t) is Digraph
+        assert (t.n, t.arcs, t.adj) == (built.n, built.arcs, built.adj)
+        assert list(t.adj) == list(built.adj)
+
+
 def test_bfs_empty_graph_and_path():
     forest = bfs_forest(Graph(3, []))
     assert len(forest.trees) == 3

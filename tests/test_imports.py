@@ -1,0 +1,129 @@
+"""What importing the package and running a command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import combinlab
+
+# The package's public names, module by module, as they were when
+# __init__ still imported every module.
+PUBLIC = {
+    "oracles": {
+        "CountingComparator", "QueryCounter", "adversary_certify", "adversary_merge",
+        "adversary_set_equality", "adversary_whoiswho", "counting_comparator",
+    },
+    "search_games": {
+        "bitonic_max", "classify_group", "find_counterfeit", "find_radioactive", "sets_equal",
+    },
+    "tournament": {
+        "max_and_min", "select_t_linear", "select_t_tournament", "top_three", "top_two",
+        "tournament_max",
+    },
+    "sorting": {
+        "binary_insert", "insertion_sort", "merge_insertion_sort", "merge_runs",
+        "merge_sort_grouped", "sort_budgets",
+    },
+    "graph_core": {
+        "Digraph", "Graph", "bfs_forest", "connected_components", "dfs", "euler_cycle",
+        "fleury_euler_cycle", "parse_graph_text", "scc_kosaraju",
+    },
+    "paths_mst": {
+        "WeightedDigraph", "WeightedGraph", "dijkstra", "floyd_warshall", "kruskal",
+        "max_spanning_tree", "prim", "reconstruct_path", "transitive_closure",
+        "undirected_shortest_path",
+    },
+    "dp": {
+        "AllocationInstance", "allocate", "count_parenthesizations",
+        "greedy_knapsack_by_density", "knapsack_pareto", "lcs", "matrix_chain",
+        "polygon_triangulation",
+    },
+    "complexity": {
+        "CnfFormula", "apply_simple_reduction", "brute_force_decide", "cnf",
+        "exact_cover_to_knapsack01", "sat_to_3sat", "sat_to_clique", "threesat_to_coloring",
+        "twosat_solve", "vc_to_ham_circuit", "verify_witness",
+    },
+    "approx": {
+        "MetricTspInstance", "bin_pack_first_fit", "knapsack_fptas", "max_cut_local_search",
+        "min_perfect_matching_exact", "set_cover_greedy", "tsp_christofides",
+        "tsp_double_tree", "tsp_gap_instance", "vc_degree_greedy", "vc_greedy_counterexample",
+        "vc_matching_2approx",
+    },
+}
+
+SRC = str(Path(combinlab.__file__).parents[1])
+
+
+def child(code, *args):
+    """Run `code` in a fresh interpreter on this checkout's sources and
+    return its stdout parsed as JSON."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+def test_all_is_the_public_name_set_and_each_name_resolves_to_its_module():
+    names = [name for group in PUBLIC.values() for name in group]
+    assert sorted(combinlab.__all__) == sorted(names)
+    for module, group in PUBLIC.items():
+        mod = importlib.import_module(f"combinlab.{module}")
+        for name in group:
+            assert getattr(combinlab, name) is getattr(mod, name), name
+    assert set(combinlab.__all__) <= set(dir(combinlab))
+    assert combinlab.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        getattr(combinlab, "no_such_name")
+
+
+def test_importing_the_package_imports_no_module_until_a_name_is_read():
+    loaded = child(
+        "import json, sys\n"
+        "import combinlab\n"
+        "before = sorted(m for m in sys.modules if m.startswith('combinlab.'))\n"
+        "combinlab.dfs\n"
+        "after = sorted(m for m in sys.modules if m.startswith('combinlab.'))\n"
+        "from combinlab import *\n"
+        "print(json.dumps([before, after, sorted(k for k in dir() if not k.startswith('_'))]))\n"
+    )
+    before, after, star = loaded
+    assert before == []
+    assert after == ["combinlab.graph_core"]
+    assert set(combinlab.__all__) <= set(star)
+
+
+# Runs cli.main on the arguments and prints the modules the call added to a
+# bare interpreter's, so that what the host's site hooks load is not counted.
+CALL = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from combinlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "solve dfs d.txt",
+    "solve scc d.txt --format json",
+    "sort mergeinsertion nums.txt --count",
+    "select nums.txt --t 2 --algorithm linear",
+    "gen numbers --n 5",
+    "bench sorting --n-max 6",
+])
+def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, call):
+    (tmp_path / "d.txt").write_text("pd 4 4\na 1 2\na 2 1\na 2 3\na 3 4\n")
+    (tmp_path / "nums.txt").write_text("5 3 9 1 4 8\n")
+    argv = [str(tmp_path / tok) if tok.endswith(".txt") else tok for tok in call.split()]
+    code, added = child(CALL, *argv)
+    assert code == 0
+    assert "combinlab.cli" in added
+    assert {"combinlab.complexity", "combinlab.approx", "dataclasses"} & set(added) == set()
+

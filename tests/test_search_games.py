@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -68,6 +70,21 @@ def all_worlds(n):
     for i in range(1, n + 1):
         yield CoinVerdict(i, HEAVIER)
         yield CoinVerdict(i, LIGHTER)
+
+
+def test_coin_verdict_is_an_immutable_value():
+    v = CoinVerdict(3, HEAVIER)
+    assert v == CoinVerdict(3, HEAVIER) and hash(v) == hash(CoinVerdict(3, HEAVIER))
+    assert v != CoinVerdict(3, LIGHTER) and v != ALL_GENUINE and v != (3, HEAVIER)
+    assert len(set(all_worlds(5))) == 11
+    # perfbench's sort-select workload hashes this repr into its input digest
+    assert repr(v) == "CoinVerdict(index=3, bias='Heavier')"
+    assert repr(ALL_GENUINE) == "CoinVerdict(index=None, bias=None)"
+    with pytest.raises(AttributeError):
+        v.index = 4
+    assert v.index == 3 and ALL_GENUINE.all_genuine
+    for again in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert again == v
 
 
 def test_counterfeit_n1_single_weighing():

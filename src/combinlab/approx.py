@@ -24,25 +24,26 @@ complexity._DEFAULT_CAPS, which COMBINLAB_ORACLE_LIMIT overrides:
 * tsp_optimum           Held-Karp over subsets of cities 2..n (tsp_cities 16)
 * max_cut_optimum       Gray-code walk over 2-colourings (max_cut_vertices 20)
 * knapsack_optimum      Gray-code walk over item subsets (knapsack_items 20)
-* bin_pack_optimum      depth-first search over bin choices, stopped at
-                        ceil(sum of sizes) (no cap)
+* bin_pack_optimum      complexity._depth_first over bin choices, stopped
+                        at ceil(sum of sizes) (no cap)
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
 
-from .complexity import _within_cap
+from .complexity import _depth_first, _within_cap
 from .graph_core import Graph
 from .paths_mst import WeightedGraph, prim
 
 
 def digest_of(payload) -> str:
+    import hashlib  # here, not at import: the gen families load approx and never digest
+
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
@@ -632,51 +633,29 @@ def bin_pack_optimum(sizes) -> int:
     joins: each open bin it fits, one bin per distinct room left, then a
     new bin; a branch stops once it holds as many bins as the best found,
     and the search ends once the best meets the lower bound ceil(sum of
-    sizes), at least one bin for any item.  The search keeps its own
-    stack, so its depth is not the interpreter's."""
+    sizes), at least one bin for any item.  The walk is
+    complexity._depth_first, so its depth is not the interpreter's."""
     sizes = [Fraction(s) for s in sizes]
     best = len(sizes)
     lower = max(1, math.ceil(sum(sizes))) if sizes else 0
-    bins: list[Fraction] = []  # room left in each open bin
-    placed: list[int | None] = []  # bin index per placed item, None: it opened one
-    stack: list[list[int | None]] = []  # per open node: choices still to try, last first
 
-    def expand() -> bool:
-        """Open the node that places the next item; False if it is a leaf."""
-        nonlocal best
-        if len(bins) >= best:
-            return False
-        if len(placed) == len(sizes):
-            best = len(bins)
-            return False
-        s = sizes[len(placed)]
-        fits, seen = [], set()
+    def children(state):  # the items placed and the room left in each open bin
+        placed, bins = state
+        if len(bins) >= best or placed == len(sizes):
+            return ()
+        s, seen, out = sizes[placed], set(), []
         for idx, room in enumerate(bins):
             if s <= room and room not in seen:
                 seen.add(room)
-                fits.append(idx)
-        stack.append([None, *reversed(fits)])
-        return True
+                out.append((placed + 1, bins[:idx] + (room - s,) + bins[idx + 1:]))
+        return out + [(placed + 1, bins + (1 - s,))]
 
-    expand()
-    while stack and best > lower:
-        if stack[-1]:
-            idx = stack[-1].pop()
-            s = sizes[len(placed)]
-            if idx is None:
-                bins.append(1 - s)
-            else:
-                bins[idx] -= s
-            placed.append(idx)
-            if expand():
-                continue
-        else:
-            stack.pop()
-            if not stack:
-                break
-        idx = placed.pop()
-        if idx is None:
-            bins.pop()
-        else:
-            bins[idx] += sizes[len(placed)]
+    def accept(state):  # records a better leaf; done once the best meets the bound
+        nonlocal best
+        placed, bins = state
+        if placed == len(sizes) and len(bins) < best:
+            best = len(bins)
+        return best <= lower
+
+    _depth_first((0, ()), children, accept)
     return best

@@ -3,6 +3,11 @@ decoder, verifier and desk-scale brute-force oracle), a reduction compiler
 with bidirectional witness maps registered in `REDUCTIONS`, and the
 polynomial 2-SAT solver.
 
+The backtracking oracles (coloring, exact cover, TSP, ILP and both
+Hamiltonian problems) and approx.bin_pack_optimum share one walk,
+`_depth_first`: each describes its partial solutions as immutable states,
+and the walk keeps an explicit stack, so no search recurses.
+
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple
 of literals; assignments are lists of booleans indexed from variable 1.
 CNF input/output uses the DIMACS cnf format.  Set systems and ILP ride in
@@ -278,27 +283,18 @@ class Coloring(_GraphK):
     def search(self):
         g, k = self.graph, self.k
         _within_cap(g.n, "coloring_vertices")
-        if k < 1:
-            return None if g.n else {}
         # Colour high-degree vertices first: prunes dramatically better.
         order = sorted(range(1, g.n + 1), key=lambda v: (-g.degree(v), v))
-        coloring: dict[int, int] = {}
+        at = {v: i for i, v in enumerate(order)}
+        # earlier[i]: the positions of order[i]'s neighbours coloured before it
+        earlier = [[at[w] for w in g.neighbors(v) if at[w] < i] for i, v in enumerate(order)]
 
-        def extend(pos: int):
-            if pos == len(order):
-                return dict(coloring)
-            v = order[pos]
-            used = {coloring[w] for w in g.neighbors(v) if w in coloring}
-            for c in range(1, k + 1):
-                if c not in used:
-                    coloring[v] = c
-                    found = extend(pos + 1)
-                    if found:
-                        return found
-                    del coloring[v]
-            return None
+        def children(cols):  # the colours by position in `order`
+            used = {cols[j] for j in earlier[len(cols)]}
+            return [cols + (c,) for c in range(1, k + 1) if c not in used]
 
-        return extend(0)
+        found = _depth_first((), children, lambda cols: len(cols) == len(order))
+        return dict(zip(order, found)) if found is not None else None
 
 
 @dataclass(frozen=True)
@@ -340,25 +336,20 @@ class ExactCover(_SetFamily):
             for a in s:
                 containing.setdefault(a, []).append(idx)
         position = {a: i for i, a in enumerate(self.universe)}
-        chosen: list[int] = []
 
-        def extend(uncovered: frozenset):
-            if not uncovered:
-                return set(chosen)
+        def children(state):  # the uncovered elements and the chosen indices
+            uncovered, chosen = state
             # the element in fewest sets; ties go to the first in the
             # universe, not to set iteration order, which the hash seed sets
             a = min(uncovered, key=lambda x: (len(containing.get(x, ())), position[x]))
-            for idx in containing.get(a, ()):
-                s = self.family[idx - 1]
-                if s <= uncovered:
-                    chosen.append(idx)
-                    found = extend(uncovered - s)
-                    if found is not None:
-                        return found
-                    chosen.pop()
-            return None
+            return [
+                (uncovered - self.family[idx - 1], chosen + (idx,))
+                for idx in containing.get(a, ())
+                if self.family[idx - 1] <= uncovered
+            ]
 
-        return extend(frozenset(self.universe))
+        found = _depth_first((frozenset(self.universe), ()), children, lambda state: not state[0])
+        return set(found[1]) if found is not None else None
 
 
 @dataclass(frozen=True)
@@ -562,34 +553,25 @@ class Tsp(Problem):
     def search(self):
         n = len(self.matrix)
         _within_cap(n, "tsp_cities")
-        if n == 1:
-            return [1] if 0 <= self.limit else None
-        off_diag = [
-            self.matrix[i][j] for i in range(n) for j in range(n) if i != j
-        ]
-        cheapest = min(off_diag)
+        if n <= 1:  # the empty tour, or city 1 alone
+            return list(range(1, n + 1)) if 0 <= self.limit else None
+        m, limit = self.matrix, self.limit
+        cheapest = min(m[i][j] for i in range(n) for j in range(n) if i != j)
         optimistic = cheapest >= 0  # completion bound only valid then
-        tour = [1]
-        seen = {1}
 
-        def extend(partial):
-            remaining_arcs = n - len(tour) + 1
-            if optimistic and partial + remaining_arcs * cheapest > self.limit:
-                return False
-            if len(tour) == n:
-                return partial + self.matrix[tour[-1] - 1][0] <= self.limit
-            for v in range(2, n + 1):
-                if v in seen:
-                    continue
-                seen.add(v)
-                tour.append(v)
-                if extend(partial + self.matrix[tour[-2] - 1][v - 1]):
-                    return True
-                tour.pop()
-                seen.remove(v)
-            return False
+        def children(state):  # the tour from city 1 and its length so far
+            tour, partial = state
+            if optimistic and partial + (n - len(tour) + 1) * cheapest > limit:
+                return ()
+            last = m[tour[-1] - 1]
+            return [(tour + (v,), partial + last[v - 1]) for v in range(2, n + 1) if v not in tour]
 
-        return list(tour) if extend(0) else None
+        def accept(state):
+            tour, partial = state
+            return len(tour) == n and partial + m[tour[-1] - 1][0] <= limit
+
+        found = _depth_first(((1,), 0), children, accept)
+        return list(found[0]) if found is not None else None
 
 
 @dataclass(frozen=True)
@@ -675,43 +657,32 @@ class Ilp(Problem):
                 suffix_lo[r][p] = suffix_lo[r][p + 1] + lo_term
                 suffix_hi[r][p] = suffix_hi[r][p + 1] + hi_term
 
-        partial = [0] * nrows
-        x = [0] * width
-
-        def feasible(pos: int) -> bool:
-            for r in range(nrows):
-                lo = partial[r] + suffix_lo[r][pos]
-                hi = partial[r] + suffix_hi[r][pos]
-                rel, b = self.relations[r], self.rhs[r]
-                if rel == "<=" and lo > b:
-                    return False
-                if rel == ">=" and hi < b:
-                    return False
-                if rel == "==" and not (lo <= b <= hi):
+        def feasible(pos: int, sums) -> bool:
+            for r, (s, rel, b) in enumerate(zip(sums, self.relations, self.rhs)):
+                lo, hi = s + suffix_lo[r][pos], s + suffix_hi[r][pos]
+                if rel == "<=" and lo > b or rel == ">=" and hi < b or rel == "==" and not lo <= b <= hi:
                     return False
             return True
 
-        def extend(pos: int):
+        def children(state):  # the values so far and each row's sum over them
+            x, sums = state
+            pos = len(x)
             if pos == width:
-                return list(x)
+                return ()
             blo, bhi = self.bounds[pos]
+            column = [row[pos] for row in rows]
+            out = []
             for val in range(blo, bhi + 1):
-                x[pos] = val
-                for r in range(nrows):
-                    partial[r] += rows[r][pos] * val
-                if feasible(pos + 1):
-                    found = extend(pos + 1)
-                    if found:
-                        return found
-                for r in range(nrows):
-                    partial[r] -= rows[r][pos] * val
-            x[pos] = 0
-            return None
+                moved = tuple(s + a * val for s, a in zip(sums, column))
+                if feasible(pos + 1, moved):
+                    out.append((x + (val,), moved))
+            return out
 
-        found = extend(0)
-        if found is not None:
-            assert self.verify(found)
-        return found
+        def accept(state):
+            return len(state[0]) == width and self.verify(list(state[0]))
+
+        found = _depth_first(((), (0,) * nrows), children, accept)
+        return list(found[0]) if found is not None else None
 
 
 # --- witness checks and the brute-force oracle ---------------------------------
@@ -824,26 +795,32 @@ def _first_bits(problem, n: int):
 
 
 def _ham_backtrack(g):
-    n = g.n
+    """The first Hamiltonian cycle from vertex 1, by neighbour order."""
+    n, adj = g.n, g.adj
     if n == 0:
-        return None
-    path = [1]
-    seen = {1}
+        return []
 
-    def extend():
-        if len(path) == n:
-            return path[0] in g.adj[path[-1]]
-        for v in g.neighbors(path[-1]):
-            if v not in seen:
-                seen.add(v)
-                path.append(v)
-                if extend():
-                    return True
-                path.pop()
-                seen.remove(v)
-        return False
+    def children(path):
+        return [path + (v,) for v in adj[path[-1]] if v not in path]
 
-    return list(path) if extend() else None
+    found = _depth_first(
+        (1,), children, lambda path: len(path) == n and path[0] in adj[path[-1]]
+    )
+    return list(found) if found is not None else None
+
+
+def _depth_first(root, children, accept):
+    """The first state, in depth-first preorder from root, that accept
+    takes, or None.  children(state) lists a state's successors in the
+    order to try them.  The walk keeps its own stack, so its depth is not
+    the interpreter's."""
+    stack = [root]
+    while stack:
+        state = stack.pop()
+        if accept(state):
+            return state
+        stack.extend(reversed(children(state)))
+    return None
 
 
 # --- reductions --------------------------------------------------------------
@@ -1288,6 +1265,8 @@ def _ham_circuit_to_ham_cycle(problem: HamCircuit) -> ReductionOutput:
         n3 = 3 * p
         if sorted(seq) != list(range(1, n3 + 1)):
             raise WitnessFormatError("expected a permutation")
+        if not seq:  # the circuit of the empty digraph
+            return []
         # Normalize direction so that each triple reads 1, 2, 3.
         start = next(i for i, v in enumerate(seq) if (v - 1) % 3 == 0)
         seq = seq[start:] + seq[:start]
@@ -1312,7 +1291,7 @@ def _ham_cycle_to_tsp(problem: HamCycle) -> ReductionOutput:
 
     def forward(cycle):
         seq = list(cycle)
-        at = seq.index(1)
+        at = seq.index(1) if seq else 0
         return seq[at:] + seq[:at]
 
     def backward(tour):

@@ -304,6 +304,9 @@ GOLDEN_FILES = {
     "sc.json": '{"universe": [1, 2, 3], "family": [[1, 2], [3], [1]], "k": 2}',
     "rep.json": '{"universe": [1, 2, 3], "family": [[1, 2], [2, 3]]}',
     "k01.json": '{"numbers": [1, 2, 3], "target": 4}',
+    "k0.json": '{"numbers": [], "target": 3}',
+    "p0.g": "p 0 0\n",
+    "pd0.d": "pd 0 0\n",
     "kd.json": '{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5, "goal": 7}',
     "nums.txt": "1 2 3\n",
     "m.txt": "0 1 2\n1 0 1\n2 1 0\n",
@@ -423,6 +426,13 @@ GOLDEN = {
     "reduce knapsack-ilp k01.json --oracle --format text": (0, "ae9d508588c18d848bfcf1912ee5c7d12b7c14edbecfbd270b4e76d932559aa5"),
     "reduce knapsack-ilp k01.json --witness [1,0,1] --format json": (0, "ba017170522b9d0d54036533f46fd6b04de077ee433623864a7d8571ef1d61a6"),
     "reduce knapsack-ilp k01.json --witness [1,0,1] --format text": (0, "e2db08edb2f257c3896cd4eb102cd5152c53462d1d9e83c83b7c78ea31d492d2"),
+    # zero-width and zero-vertex instances: the oracle finds what verify accepts
+    "reduce knapsack-ilp k0.json --oracle --format json": (0, "c82df45f2c47c578d71f070e2fa5552c6a28ce01aa5f24651563d48518e1784d"),
+    "reduce knapsack-ilp k0.json --oracle --format text": (0, "c82174fe72f955faab0ccc5e4560102e22c2870285e99432b1ff4728c9d54c78"),
+    "reduce hamcycle-tsp p0.g --oracle --format json": (0, "9493ec230e2353a982a97d816862191fb16003c58e4ee6ac53b06a9178c62d14"),
+    "reduce hamcycle-tsp p0.g --oracle --format text": (0, "23c5dcfcb932c8c60c05e8669b06c62c2afc26bc8bcf624265bc4580d41e3b98"),
+    "reduce hamcircuit-hamcycle pd0.d --oracle --format json": (0, "69306c7947c2e676ebc3fefa4acca3d5eb3493c4831306705baa3797daa9aa35"),
+    "reduce hamcircuit-hamcycle pd0.d --oracle --format text": (0, "2979cab4d9cdadf433b943d845607c7f15a989c65ed4af6875be2073c9d76a7e"),
     "reduce setcover-ilp sc.json --oracle --format json": (0, "24598f85c7a513b6d2d715daf690315d59bdf70f2c3932b198a16997d11db5cd"),
     "reduce setcover-ilp sc.json --oracle --format text": (0, "6469b840c8b4c4792ad5507033c3e895bf03a9b7928b30bb0287a0f5a92579af"),
     "reduce setcover-ilp sc.json --witness [1,2] --format json": (0, "1d723f0753a33adaee6adf8066fed3cba95c5c68c6292b95a5748359e0203216"),

@@ -36,6 +36,7 @@ from combinlab.complexity import (
     twosat_solve,
     vc_to_ham_circuit,
 )
+from combinlab.approx import tsp_optimum
 from combinlab.graph_core import Digraph, Graph
 
 
@@ -77,6 +78,15 @@ def test_brute_force_basics():
     w = brute_force_decide(inst)
     assert w is not None and verify(inst, w)
     assert brute_force_decide(Tsp(tuple(tuple(r) for r in matrix), best - 1)) is None
+
+
+def test_brute_force_on_empty_instances():
+    # the oracle finds what verify accepts, down to zero vertices and zero width
+    for problem in (HamCycle(Graph(0, [])), HamCircuit(Digraph(0, [])), Tsp((), 0)):
+        assert brute_force_decide(problem) == [] and verify(problem, [])
+    assert brute_force_decide(Tsp((), -1)) is None
+    assert brute_force_decide(Ilp(((),), ("==",), (3,), ())) is None
+    assert brute_force_decide(Ilp(((),), ("<=",), (3,), ())) == []
 
 
 def test_brute_force_caps():
@@ -484,3 +494,222 @@ def test_dimacs_roundtrip():
     assert again == f
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 1 1\n1\n")  # missing 0 terminator
+
+
+# --- the recursive searches the shared walk replaced, kept as references ---
+
+
+def recursive_coloring(g, k):
+    if k < 1:
+        return None if g.n else {}
+    order = sorted(range(1, g.n + 1), key=lambda v: (-g.degree(v), v))
+    coloring = {}
+
+    def extend(pos):
+        if pos == len(order):
+            return dict(coloring)
+        v = order[pos]
+        used = {coloring[w] for w in g.neighbors(v) if w in coloring}
+        for c in range(1, k + 1):
+            if c not in used:
+                coloring[v] = c
+                found = extend(pos + 1)
+                if found:
+                    return found
+                del coloring[v]
+        return None
+
+    return extend(0)
+
+
+def recursive_exact_cover(universe, family):
+    containing = {}
+    for idx, s in enumerate(family, start=1):
+        for a in s:
+            containing.setdefault(a, []).append(idx)
+    position = {a: i for i, a in enumerate(universe)}
+    chosen = []
+
+    def extend(uncovered):
+        if not uncovered:
+            return set(chosen)
+        a = min(uncovered, key=lambda x: (len(containing.get(x, ())), position[x]))
+        for idx in containing.get(a, ()):
+            s = family[idx - 1]
+            if s <= uncovered:
+                chosen.append(idx)
+                found = extend(uncovered - s)
+                if found is not None:
+                    return found
+                chosen.pop()
+        return None
+
+    return extend(frozenset(universe))
+
+
+def recursive_tsp(matrix, limit):
+    n = len(matrix)
+    if n == 1:
+        return [1] if 0 <= limit else None
+    cheapest = min(matrix[i][j] for i in range(n) for j in range(n) if i != j)
+    optimistic = cheapest >= 0
+    tour = [1]
+    seen = {1}
+
+    def extend(partial):
+        if optimistic and partial + (n - len(tour) + 1) * cheapest > limit:
+            return False
+        if len(tour) == n:
+            return partial + matrix[tour[-1] - 1][0] <= limit
+        for v in range(2, n + 1):
+            if v in seen:
+                continue
+            seen.add(v)
+            tour.append(v)
+            if extend(partial + matrix[tour[-2] - 1][v - 1]):
+                return True
+            tour.pop()
+            seen.remove(v)
+        return False
+
+    return list(tour) if extend(0) else None
+
+
+def recursive_ilp(rows, relations, rhs, bounds):
+    width, nrows = len(bounds), len(rows)
+    suffix_lo = [[0] * (width + 1) for _ in range(nrows)]
+    suffix_hi = [[0] * (width + 1) for _ in range(nrows)]
+    for r in range(nrows):
+        for p in range(width - 1, -1, -1):
+            terms = (rows[r][p] * bounds[p][0], rows[r][p] * bounds[p][1])
+            suffix_lo[r][p] = suffix_lo[r][p + 1] + min(terms)
+            suffix_hi[r][p] = suffix_hi[r][p + 1] + max(terms)
+    partial = [0] * nrows
+    x = [0] * width
+
+    def feasible(pos):
+        for r in range(nrows):
+            lo, hi = partial[r] + suffix_lo[r][pos], partial[r] + suffix_hi[r][pos]
+            rel, b = relations[r], rhs[r]
+            if rel == "<=" and lo > b or rel == ">=" and hi < b or rel == "==" and not lo <= b <= hi:
+                return False
+        return True
+
+    def extend(pos):
+        if pos == width:
+            return list(x)
+        for val in range(bounds[pos][0], bounds[pos][1] + 1):
+            x[pos] = val
+            for r in range(nrows):
+                partial[r] += rows[r][pos] * val
+            if feasible(pos + 1):
+                found = extend(pos + 1)
+                if found:
+                    return found
+            for r in range(nrows):
+                partial[r] -= rows[r][pos] * val
+        x[pos] = 0
+        return None
+
+    return extend(0)
+
+
+def recursive_ham(g):
+    n = g.n
+    if n == 0:
+        return None
+    path = [1]
+    seen = {1}
+
+    def extend():
+        if len(path) == n:
+            return path[0] in g.adj[path[-1]]
+        for v in g.neighbors(path[-1]):
+            if v not in seen:
+                seen.add(v)
+                path.append(v)
+                if extend():
+                    return True
+                path.pop()
+                seen.remove(v)
+        return False
+
+    return list(path) if extend() else None
+
+
+def random_graph(rng, n, p, directed=False):
+    pairs = itertools.permutations if directed else itertools.combinations
+    edges = [e for e in pairs(range(1, n + 1), 2) if rng.random() < p]
+    return (Digraph if directed else Graph)(n, edges)
+
+
+def coloring_cases(rng):
+    for n in range(1, 25):
+        for _ in range(3):
+            g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+            for k in (0, 1, 2, 3, 4):
+                yield Coloring(g, k), recursive_coloring(g, k)
+
+
+def exact_cover_cases(rng):
+    for m in range(1, 41, 3):
+        for _ in range(6):
+            universe = tuple(range(1, rng.randint(2, 16)))
+            family = [set(rng.sample(universe, min(len(universe), rng.randint(1, 4)))) for _ in range(m)]
+            if rng.random() < 0.5:  # plant a partition
+                shuffled = rng.sample(universe, len(universe))
+                cuts = sorted(rng.sample(range(1, len(universe)), min(3, len(universe) - 1)))
+                family += [set(shuffled[i:j]) for i, j in zip([0, *cuts], [*cuts, len(universe)])]
+            for a in set(universe).difference(*family):
+                rng.choice(family).add(a)
+            family = tuple(frozenset(s) for s in rng.sample(family, min(40, len(family))))
+            if frozenset().union(*family) == frozenset(universe):
+                yield ExactCover(universe, family), recursive_exact_cover(universe, family)
+
+
+def tsp_cases(rng):
+    for n in range(1, 17):
+        for _ in range(2):
+            lo = rng.choice([0, 1, -2]) if n <= 7 else 5
+            m = [[0 if i == j else rng.randint(lo, lo + 4) for j in range(n)] for i in range(n)]
+            matrix = tuple(tuple(r) for r in m)
+            best = tsp_optimum(matrix)
+            for limit in (best, best - 1):
+                yield Tsp(matrix, limit), recursive_tsp(matrix, limit)
+
+
+def ilp_cases(rng):
+    for width in range(1, 9):
+        for _ in range(15):
+            bounds = tuple((lo, lo + rng.randint(0, 3)) for lo in (rng.randint(0, 2) for _ in range(width)))
+            point = [rng.randint(lo, hi) for lo, hi in bounds]
+            rows = tuple(tuple(rng.randint(-3, 3) for _ in range(width)) for _ in range(rng.randint(1, 3)))
+            relations = tuple(rng.choice(["<=", "==", ">="]) for _ in rows)
+            # rows through a point of the box, some of them moved off it
+            rhs = tuple(sum(a * x for a, x in zip(row, point)) + rng.choice([0, 0, 0, -1, 2]) for row in rows)
+            yield Ilp(rows, relations, rhs, bounds), recursive_ilp(rows, relations, rhs, bounds)
+
+
+def ham_cases(rng):
+    for n in range(1, 17):
+        for p in (0.2, 0.35, 0.6):
+            g = random_graph(rng, n, p)
+            yield HamCycle(g), recursive_ham(g)
+            d = random_graph(rng, n, p, directed=True)
+            yield HamCircuit(d), recursive_ham(d)
+
+
+@pytest.mark.parametrize("cases", [coloring_cases, exact_cover_cases, tsp_cases, ilp_cases, ham_cases])
+def test_brute_force_witness_matches_recursive_reference(cases):
+    found = missing = 0
+    for problem, want in cases(random.Random(2024)):
+        got = brute_force_decide(problem)
+        assert type(got) is type(want) and got == want, problem
+        if isinstance(want, dict):
+            assert list(got.items()) == list(want.items())
+        if want is None:
+            missing += 1
+        else:
+            found += 1
+            assert verify(problem, got)
+    assert found and missing

@@ -127,3 +127,12 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
     assert "combinlab.cli" in added
     assert {"combinlab.complexity", "combinlab.approx", "dataclasses"} & set(added) == set()
 
+
+
+@pytest.mark.parametrize("call", ["gen metric --n 4", "gen gap --n 5 --eps 1/2", "gen counterexample --n 3"])
+def test_gen_loads_approx_but_not_hashlib(call):
+    # approx.digest_of imports hashlib on its first call, which no gen family makes
+    code, added = child(CALL, *call.split())
+    assert code == 0
+    assert "combinlab.approx" in added
+    assert "hashlib" not in added

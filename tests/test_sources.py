@@ -24,11 +24,6 @@ def test_no_module_sets_the_recursion_limit():
 # shrinks: new code walks with an explicit stack, and a function that becomes
 # a loop leaves the list in the same change.
 RECURSIVE = {
-    "complexity.Coloring.search.extend",
-    "complexity.ExactCover.search.extend",
-    "complexity.Ilp.search.extend",
-    "complexity.Tsp.search.extend",
-    "complexity._ham_backtrack.extend",
     "oracles.AdversarySetEquality._matching.try_row",
     "search_games._solve_pool",
     "search_games._solve_signed",

@@ -1408,7 +1408,7 @@ def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
 
     def forward(tour):
         seq = list(tour)
-        at = seq.index(1)
+        at = seq.index(1) if seq else 0
         seq = seq[at:] + seq[:at]
         x = [0] * width
         for a, b in zip(seq, seq[1:] + seq[:1]):
@@ -1423,7 +1423,7 @@ def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
         for (i, j) in arc_vars:
             if x[col[("x", i, j)]]:
                 succ[i] = j
-        tour = [1]
+        tour = [1] if n else []
         while len(tour) < n:
             tour.append(succ[tour[-1]])
         return tour

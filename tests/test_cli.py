@@ -307,6 +307,7 @@ GOLDEN_FILES = {
     "k0.json": '{"numbers": [], "target": 3}',
     "p0.g": "p 0 0\n",
     "pd0.d": "pd 0 0\n",
+    "m0.txt": "",
     "kd.json": '{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5, "goal": 7}',
     "nums.txt": "1 2 3\n",
     "m.txt": "0 1 2\n1 0 1\n2 1 0\n",
@@ -433,6 +434,8 @@ GOLDEN = {
     "reduce hamcycle-tsp p0.g --oracle --format text": (0, "23c5dcfcb932c8c60c05e8669b06c62c2afc26bc8bcf624265bc4580d41e3b98"),
     "reduce hamcircuit-hamcycle pd0.d --oracle --format json": (0, "69306c7947c2e676ebc3fefa4acca3d5eb3493c4831306705baa3797daa9aa35"),
     "reduce hamcircuit-hamcycle pd0.d --oracle --format text": (0, "2979cab4d9cdadf433b943d845607c7f15a989c65ed4af6875be2073c9d76a7e"),
+    "reduce tsp-ilp m0.txt --limit 0 --oracle --format json": (0, "ede24006ec8c1ad7697d842b43db3ed2a4497704f28e9949a67829d91941ad76"),
+    "reduce tsp-ilp m0.txt --limit 0 --oracle --format text": (0, "83067cc703a2ef0ba351344462e68e0f687b8f289e9ddeae3a22e36ffda3405d"),
     "reduce setcover-ilp sc.json --oracle --format json": (0, "24598f85c7a513b6d2d715daf690315d59bdf70f2c3932b198a16997d11db5cd"),
     "reduce setcover-ilp sc.json --oracle --format text": (0, "6469b840c8b4c4792ad5507033c3e895bf03a9b7928b30bb0287a0f5a92579af"),
     "reduce setcover-ilp sc.json --witness [1,2] --format json": (0, "1d723f0753a33adaee6adf8066fed3cba95c5c68c6292b95a5748359e0203216"),

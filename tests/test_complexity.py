@@ -497,6 +497,9 @@ def test_dimacs_roundtrip():
 
 
 # --- the recursive searches the shared walk replaced, kept as references ---
+# They keep the old answers on empty instances, which
+# test_brute_force_on_empty_instances covers instead, so every sweep below
+# starts at one vertex, city or column.
 
 
 def recursive_coloring(g, k):

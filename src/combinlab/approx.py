@@ -20,8 +20,10 @@ recursion.  Each raises complexity.InstanceTooLargeError above its cap in
 complexity._DEFAULT_CAPS, which COMBINLAB_ORACLE_LIMIT overrides:
 
 * vertex_cover_optimum  branch search for a maximum independent set (vertex_cover_vertices 44)
-* set_cover_optimum     subfamilies by increasing size, as bit masks (set_cover_sets 21)
-* tsp_optimum           Held-Karp over subsets of cities 2..n (tsp_cities 16)
+* set_cover_optimum     complexity._first_cover, the set-cover decider's walk
+                        over subfamilies as bit masks (set_cover_sets 21)
+* tsp_optimum           complexity._held_karp, the TSP decider's table over
+                        subsets of cities 2..n (tsp_cities 16)
 * max_cut_optimum       Gray-code walk over 2-colourings (max_cut_vertices 20)
 * knapsack_optimum      Gray-code walk over item subsets (knapsack_items 20)
 * bin_pack_optimum      complexity._depth_first over bin choices, stopped
@@ -30,13 +32,12 @@ complexity._DEFAULT_CAPS, which COMBINLAB_ORACLE_LIMIT overrides:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
 from fractions import Fraction
 
-from .complexity import _depth_first, _within_cap
+from .complexity import _depth_first, _first_cover, _held_karp, _within_cap
 from .graph_core import Graph
 from .paths_mst import WeightedGraph, prim
 
@@ -503,62 +504,22 @@ def vertex_cover_optimum(g: Graph) -> int:
 
 
 def set_cover_optimum(universe, family) -> int:
-    """Fewest sets covering the universe: subfamilies by increasing size,
-    each set a bit mask over the universe."""
-    _within_cap(len(family), "set_cover_sets")
-    bit = {x: 1 << i for i, x in enumerate(set(universe))}
-    masks = []
-    for s in family:
-        mask = 0
-        for x in s:
-            mask |= bit.get(x, 0)
-        masks.append(mask)
-    full = (1 << len(bit)) - 1
-    for k in range(0, len(masks) + 1):
-        for combo in itertools.combinations(masks, k):
-            covered = 0
-            for mask in combo:
-                covered |= mask
-            if covered == full:
-                return k
-    raise ValueError("family does not cover the universe")
+    """Fewest sets covering the universe: the size of the first cover
+    complexity._first_cover finds, by increasing size."""
+    cover = _first_cover(universe, family, len(family))
+    if cover is None:
+        raise ValueError("family does not cover the universe")
+    return len(cover)
 
 
 def tsp_optimum(matrix) -> object:
-    """Shortest tour from city 1 (Held & Karp 1962).  cost[S][j] is the
-    shortest path from city j + 2 through the cities S (bit j for city
-    j + 2, j in S) back to city 1.  The tour is rebuilt from city 1 by
-    taking the lowest city that stays optimal, which gives the
-    lexicographically first optimal tour; its length is summed along it,
-    so the value and its type are those of trying every tour in order.
-    A matrix with Fractions is searched as integers, scaled by the least
-    common denominator."""
+    """Shortest tour from city 1: complexity._held_karp's lexicographically
+    first tour within the shortest length, whose length is summed along
+    it, so the value and its type are those of trying every tour in
+    order."""
     n = len(matrix)
     _within_cap(n, "tsp_cities")
-    weights = matrix
-    if not all(type(x) is int for row in matrix for x in row):
-        exact = [[Fraction(x) for x in row] for row in matrix]
-        scale = math.lcm(*(x.denominator for row in exact for x in row))
-        weights = [[int(x * scale) for x in row] for row in exact]
-    m = max(n - 1, 0)
-    out = [row[1:] for row in weights[1:]]  # out[j][k]: city j + 2 to city k + 2
-    cost: list[list] = [[]] * (1 << m)
-    for mask in range(1, 1 << m):
-        members = [j for j in range(m) if mask >> j & 1]
-        row = [None] * m
-        if len(members) == 1:
-            row[members[0]] = weights[members[0] + 1][0]
-        else:
-            for j in members:
-                sub, step = cost[mask ^ (1 << j)], out[j]
-                row[j] = min([step[k] + sub[k] for k in members if k != j])
-        cost[mask] = row
-    tour, left = [1], (1 << m) - 1
-    step = weights[0][1:] if left else None
-    while left:
-        j = min((k for k in range(m) if left >> k & 1), key=lambda k: step[k] + cost[left][k])
-        tour.append(j + 2)
-        step, left = out[j], left ^ 1 << j
+    tour = _held_karp(matrix, lambda shortest, scale: shortest) if n > 1 else [1]
     return tour_length(matrix, tour)
 
 

@@ -3,10 +3,10 @@ decoder, verifier and desk-scale brute-force oracle), a reduction compiler
 with bidirectional witness maps registered in `REDUCTIONS`, and the
 polynomial 2-SAT solver.
 
-The backtracking oracles (coloring, exact cover, TSP, ILP and both
-Hamiltonian problems) and approx.bin_pack_optimum share one walk,
-`_depth_first`: each describes its partial solutions as immutable states,
-and the walk keeps an explicit stack, so no search recurses.
+The backtracking oracles (coloring, exact cover, ILP, Hamiltonicity) and
+approx.bin_pack_optimum share one explicit-stack walk, `_depth_first`,
+over immutable states.  TSP and approx.tsp_optimum share `_held_karp`;
+set cover, vertex cover and approx.set_cover_optimum share `_first_cover`.
 
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple
 of literals; assignments are lists of booleans indexed from variable 1.
@@ -17,6 +17,7 @@ JSON, graphs in the shared text format.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,9 +261,9 @@ class VertexCover(_GraphK):
         return all(u in vs or v in vs for u, v in self.graph.edges)
 
     def search(self):
-        n = self.graph.n
-        _within_cap(n, "vertices")
-        return _first_verified(self, range(1, n + 1), range(min(self.k, n) + 1))
+        """The first cover of the set-cover target: each vertex's edges."""
+        _within_cap(self.graph.n, "vertices")
+        return _vc_to_set_cover(self).target.search()
 
 
 @dataclass(frozen=True)
@@ -393,12 +394,10 @@ class SetCover(_SetFamily):
         if len(idxs) > self.k:
             return False
         covered = set().union(*(self.family[i - 1] for i in idxs)) if idxs else set()
-        return covered == set(self.universe)
+        return covered >= set(self.universe)
 
     def search(self):
-        m = len(self.family)
-        _within_cap(max(m, len(self.universe)), "elements")
-        return _first_verified(self, range(1, m + 1), range(min(self.k, m) + 1))
+        return _first_cover(self.universe, self.family, self.k)
 
 
 @dataclass(frozen=True)
@@ -555,23 +554,7 @@ class Tsp(Problem):
         _within_cap(n, "tsp_cities")
         if n <= 1:  # the empty tour, or city 1 alone
             return list(range(1, n + 1)) if 0 <= self.limit else None
-        m, limit = self.matrix, self.limit
-        cheapest = min(m[i][j] for i in range(n) for j in range(n) if i != j)
-        optimistic = cheapest >= 0  # completion bound only valid then
-
-        def children(state):  # the tour from city 1 and its length so far
-            tour, partial = state
-            if optimistic and partial + (n - len(tour) + 1) * cheapest > limit:
-                return ()
-            last = m[tour[-1] - 1]
-            return [(tour + (v,), partial + last[v - 1]) for v in range(2, n + 1) if v not in tour]
-
-        def accept(state):
-            tour, partial = state
-            return len(tour) == n and partial + m[tour[-1] - 1][0] <= limit
-
-        found = _depth_first(((1,), 0), children, accept)
-        return list(found[0]) if found is not None else None
+        return _held_karp(self.matrix, lambda shortest, scale: self.limit * scale)
 
 
 @dataclass(frozen=True)
@@ -739,20 +722,20 @@ def _check_ham_sequence(w, g) -> bool:
 
 
 # Subset-enumeration problems keep the tight 12-vertex / 20-element caps;
-# backtracking deciders (coloring, hamiltonicity, tsp, exact cover) afford
-# slightly larger instances, which the reduction targets need.
+# backtracking deciders (coloring, hamiltonicity, exact cover) and Held-Karp
+# afford slightly larger instances, which the reduction targets need.
 _DEFAULT_CAPS = {
     "bool_vars": 20,
     "vertices": 12,
     "coloring_vertices": 24,
     "ham_vertices": 16,
-    "tsp_cities": 16,
+    "tsp_cities": 16,  # _held_karp, with approx.tsp_optimum
     "elements": 20,
     "exact_cover_sets": 40,
     "box_width": 3,  # ILP: hi - lo per variable
-    # approx's exact optima; tsp_optimum shares tsp_cities
+    "set_cover_sets": 21,  # _first_cover, for any universe size
+    # approx's other exact optima
     "vertex_cover_vertices": 44,
-    "set_cover_sets": 21,
     "max_cut_vertices": 20,
     "knapsack_items": 20,
 }
@@ -800,7 +783,11 @@ def _ham_backtrack(g):
     if n == 0:
         return []
 
-    def children(path):
+    into_first = {u for u in range(1, n + 1) if 1 in adj[u]}
+
+    def children(path):  # none once no way back to vertex 1 is left open
+        if len(path) < n and into_first.issubset(path):
+            return ()
         return [path + (v,) for v in adj[path[-1]] if v not in path]
 
     found = _depth_first(
@@ -820,6 +807,62 @@ def _depth_first(root, children, accept):
         if accept(state):
             return state
         stack.extend(reversed(children(state)))
+    return None
+
+
+def _held_karp(matrix, bound):
+    """The lexicographically first tour from city 1, over n >= 2 cities, of
+    length at most bound(shortest, scale), or None (Held & Karp 1962).
+    Fractions are searched as integers, scaled by their least common
+    denominator `scale`, and so are the bound and `shortest`, a shortest
+    tour's length.  cost[S][k] is the shortest path from city k + 2
+    through the cities S (bit j for city j + 2) back to city 1.  The walk
+    takes the lowest city k whose length + step + cost[left][k] fits."""
+    weights, scale = matrix, 1
+    if not all(type(x) is int for row in matrix for x in row):
+        exact = [[Fraction(x) for x in row] for row in matrix]
+        scale = math.lcm(*(x.denominator for row in exact for x in row))
+        weights = [[int(x * scale) for x in row] for row in exact]
+    m = len(matrix) - 1
+    out = [row[1:] for row in weights[1:]]  # out[j][k]: city j + 2 to city k + 2
+    cost: list[list] = [[]] * (1 << m)
+    for mask in range(1, 1 << m):
+        members = [j for j in range(m) if mask >> j & 1]
+        row = [None] * m
+        if len(members) == 1:
+            row[members[0]] = weights[members[0] + 1][0]
+        else:
+            for j in members:
+                sub, step = cost[mask ^ (1 << j)], out[j]
+                row[j] = min([step[k] + sub[k] for k in members if k != j])
+        cost[mask] = row
+    tour, length, left, step = [1], 0, (1 << m) - 1, weights[0][1:]
+    limit = bound(min(step[k] + cost[left][k] for k in range(m)), scale)
+    while left:
+        j = next((k for k in range(m) if left >> k & 1 and length + step[k] + cost[left][k] <= limit), None)
+        if j is None:
+            return None
+        tour.append(j + 2)
+        length, step, left = length + step[j], out[j], left ^ 1 << j
+    return tour
+
+
+def _first_cover(universe, family, most):
+    """The indices, from 1, of the first subfamily of at most `most` sets,
+    by size and then in combinations order, whose union holds the
+    universe; None if none does.  Each set is a bit mask over the
+    universe, so elements outside it are ignored."""
+    _within_cap(len(family), "set_cover_sets")
+    bit = {x: 1 << i for i, x in enumerate(set(universe))}
+    masks = [sum(bit.get(x, 0) for x in set(s)) for s in family]  # distinct bits: the sum is the union
+    full = (1 << len(bit)) - 1
+    for r in range(min(most, len(masks)) + 1):
+        for combo in itertools.combinations(range(len(masks)), r):
+            covered = 0
+            for i in combo:
+                covered |= masks[i]
+            if covered == full:
+                return {i + 1 for i in combo}
     return None
 
 

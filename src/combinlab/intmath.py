@@ -27,13 +27,6 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def floor_log2(n: int) -> int:
-    """Largest c >= 0 with 2**c <= n, for n >= 1."""
-    if n < 1:
-        raise ValueError("floor_log2 needs n >= 1")
-    return n.bit_length() - 1
-
-
 def ceil_log2_ratio(p: int, q: int) -> int:
     """Smallest c >= 0 with 2**c >= p/q, for p, q >= 1."""
     if p < 1 or q < 1:

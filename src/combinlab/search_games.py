@@ -134,67 +134,69 @@ def find_counterfeit(n: int, balance) -> CoinVerdict:
 
 def _solve_pool(suspects: list[int], k: int, balance) -> CoinVerdict:
     """At most one counterfeit among `suspects` (any bias); budget k."""
-    if not suspects:
-        return ALL_GENUINE
-    reserve = coin_pool_size(k - 1)
-    m = len(suspects) - reserve
-    if m <= 0:
-        return _solve_pool(suspects, k - 1, balance)
-    half = m // 2
-    if m % 2 == 0:
-        left = suspects[:half]
-        right = suspects[half:m]
-    else:
-        left = suspects[: half + 1]
-        right = suspects[half + 1 : m] + [GENUINE]
-    rest = suspects[m:]
-    outcome = balance(left, right)
-    if outcome == EQUAL:
-        return _solve_pool(rest, k - 1, balance)
-    pans = [c for c in left if c != GENUINE], [c for c in right if c != GENUINE]
-    if outcome == LEFT:
-        heavies, lights = pans
-    else:
-        lights, heavies = pans
-    return _solve_signed(lights, heavies, k - 1, balance)
+    while suspects:
+        m = len(suspects) - coin_pool_size(k - 1)  # weighed now; the rest wait
+        k -= 1
+        if m <= 0:
+            continue
+        half = m // 2
+        if m % 2 == 0:
+            left = suspects[:half]
+            right = suspects[half:m]
+        else:
+            left = suspects[: half + 1]
+            right = suspects[half + 1 : m] + [GENUINE]
+        outcome = balance(left, right)
+        if outcome == EQUAL:
+            suspects = suspects[m:]
+            continue
+        pans = [c for c in left if c != GENUINE], [c for c in right if c != GENUINE]
+        if outcome == LEFT:
+            heavies, lights = pans
+        else:
+            lights, heavies = pans
+        return _solve_signed(lights, heavies, k, balance)
+    return ALL_GENUINE
 
 
 def _solve_signed(lights: list[int], heavies: list[int], k: int, balance) -> CoinVerdict:
     """Exactly one counterfeit: light if among `lights`, heavy if among
     `heavies`; requires len(lights) + len(heavies) <= 3**k."""
-    m = len(lights) + len(heavies)
-    if m == 0:
-        raise InconsistentBalanceError("inconsistent balance")
-    if m == 1:
-        if lights:
+    while True:
+        m = len(lights) + len(heavies)
+        if m == 0:
+            raise InconsistentBalanceError("inconsistent balance")
+        if m == 1:
+            if lights:
+                return CoinVerdict(lights[0], LIGHTER)
+            return CoinVerdict(heavies[0], HEAVIER)
+        assert k >= 1 and m <= 3 ** k
+        third = 3 ** (k - 1)
+        k -= 1
+        lo = max(1, ceil_div(m - third, 2))
+        x2, y2 = len(lights) // 2, len(heavies) // 2
+        if x2 + y2 >= lo:
+            # Symmetric weighing: each pan gets x' lights and y' heavies.
+            xp = min(x2, third)
+            yp = min(y2, third - xp)
+            left = lights[:xp] + heavies[:yp]
+            right = lights[xp : 2 * xp] + heavies[yp : 2 * yp]
+            outcome = balance(left, right)
+            if outcome == EQUAL:
+                lights, heavies = lights[2 * xp :], heavies[2 * yp :]
+            elif outcome == LEFT:
+                lights, heavies = lights[xp : 2 * xp], heavies[:yp]
+            else:
+                lights, heavies = lights[:xp], heavies[yp : 2 * yp]
+            continue
+        # Only reachable with one light and one heavy suspect: borrow the
+        # known-genuine coin to test the light suspect alone.
+        outcome = balance([lights[0]], [GENUINE])
+        if outcome == RIGHT:
             return CoinVerdict(lights[0], LIGHTER)
-        return CoinVerdict(heavies[0], HEAVIER)
-    assert k >= 1 and m <= 3 ** k
-    third = 3 ** (k - 1)
-    lo = max(1, ceil_div(m - third, 2))
-    x2, y2 = len(lights) // 2, len(heavies) // 2
-    if x2 + y2 >= lo:
-        # Symmetric weighing: each pan gets x' lights and y' heavies.
-        xp = min(x2, third)
-        yp = min(y2, third - xp)
-        left = lights[:xp] + heavies[:yp]
-        right = lights[xp : 2 * xp] + heavies[yp : 2 * yp]
-        outcome = balance(left, right)
-        if outcome == EQUAL:
-            return _solve_signed(lights[2 * xp :], heavies[2 * yp :], k - 1, balance)
-        if outcome == LEFT:
-            return _solve_signed(
-                lights[xp : 2 * xp], heavies[:yp], k - 1, balance
-            )
-        return _solve_signed(lights[:xp], heavies[yp : 2 * yp], k - 1, balance)
-    # Only reachable with one light and one heavy suspect: borrow the
-    # known-genuine coin to test the light suspect alone.
-    outcome = balance([lights[0]], [GENUINE])
-    if outcome == RIGHT:
-        return CoinVerdict(lights[0], LIGHTER)
-    if outcome == EQUAL:
-        return _solve_signed([], heavies, k - 1, balance)
-    raise InconsistentBalanceError("inconsistent balance")
+        if outcome != EQUAL:
+            raise InconsistentBalanceError("inconsistent balance")
+        lights = []
 
 
 def bitonic_max(n: int, probe) -> tuple[int, object]:

@@ -328,6 +328,8 @@ GOLDEN_FILES = {
     "big.txt": "1/2 2\n",
     "one.json": '{"universe": [1, 2], "family": [[1, 2]]}',
     "uncov.json": '{"universe": [1, 2, 3], "family": [[1], [2]]}',
+    # the one set also holds 2, which is outside the universe
+    "outside.json": '{"universe": [1], "family": [[1, 2]], "k": 1}',
     # the cycle 1 -> 2 -> 3 -> 1 weighs -1
     "negcyc.d": "pd 3 3\na 1 2 1\na 2 3 -3\na 3 1 1\n",
     # from 1, vertex 3 is reachable and vertex 4 is not
@@ -440,6 +442,8 @@ GOLDEN = {
     "reduce setcover-ilp sc.json --oracle --format text": (0, "6469b840c8b4c4792ad5507033c3e895bf03a9b7928b30bb0287a0f5a92579af"),
     "reduce setcover-ilp sc.json --witness [1,2] --format json": (0, "1d723f0753a33adaee6adf8066fed3cba95c5c68c6292b95a5748359e0203216"),
     "reduce setcover-ilp sc.json --witness [1,2] --format text": (0, "62ec4b4076ced9fae30a41215ab0c64f043597e0bddbf341af04c624b2b58056"),
+    "reduce setcover-ilp outside.json --oracle --format json": (0, "187dfb1cb223cfafad092c32668d72543d7d7b937c39148b861738a443ef233b"),
+    "reduce setcover-ilp outside.json --oracle --format text": (0, "36b2fa4beee3738729f0e75c2fbf6de7cb34e4e280a48f84a09b26b57a866840"),
     "reduce tsp-ilp m.txt --limit 4 --oracle --format json": (0, "0c5fbbd4fc3c6ecf6280a2edc4ae5c5c43627f0fc23122f07d7cd57e41334657"),
     "reduce tsp-ilp m.txt --limit 4 --oracle --format text": (0, "8b5e4d09aa33c69cbf05c1be76bda3a624165501955b3b383d9e9c2ac945c415"),
     "reduce tsp-ilp m.txt --limit 4 --witness [1,2,3] --format json": (0, "43f0bc814e54590a9105bde69787b26f2b27d87ed59af0028ee03ad13763a4f0"),
@@ -482,6 +486,8 @@ GOLDEN = {
     "verify set-cover sc.json [1,2] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
     "verify set-cover sc.json [1] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),
     "verify set-cover sc.json [1] --format text": (1, "1c03bef5500e1800be5993089fbbb400fe194409095045380e37ae802d6fef39"),
+    "verify set-cover outside.json [1] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
+    "verify set-cover outside.json [1] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
     "verify representatives rep.json [2] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
     "verify representatives rep.json [2] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
     "verify representatives rep.json [1,2] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),

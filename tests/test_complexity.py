@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -36,7 +37,7 @@ from combinlab.complexity import (
     twosat_solve,
     vc_to_ham_circuit,
 )
-from combinlab.approx import tsp_optimum
+from combinlab.approx import random_metric_instance, tsp_optimum
 from combinlab.graph_core import Digraph, Graph
 
 
@@ -94,6 +95,10 @@ def test_brute_force_caps():
         brute_force_decide(Sat(cnf(21, [(1,)])))
     with pytest.raises(InstanceTooLargeError):
         brute_force_decide(Clique(complete_graph(13), 2))
+    with pytest.raises(InstanceTooLargeError):  # set_cover_sets: 21 sets
+        brute_force_decide(SetCover((1,), (frozenset({1}),) * 22, 1))
+    wide = tuple(range(40))  # any universe size
+    assert brute_force_decide(SetCover(wide, (frozenset(wide[:20]), frozenset(wide[20:])), 2)) == {1, 2}
 
 
 def test_oracle_cap_env_override(monkeypatch):
@@ -496,8 +501,8 @@ def test_dimacs_roundtrip():
         parse_dimacs("p cnf 1 1\n1\n")  # missing 0 terminator
 
 
-# --- the recursive searches the shared walk replaced, kept as references ---
-# They keep the old answers on empty instances, which
+# --- the recursive searches the shared walk and Held-Karp replaced, kept ---
+# as references.  They keep the old answers on empty instances, which
 # test_brute_force_on_empty_instances covers instead, so every sweep below
 # starts at one vertex, city or column.
 
@@ -716,3 +721,55 @@ def test_brute_force_witness_matches_recursive_reference(cases):
             found += 1
             assert verify(problem, got)
     assert found and missing
+
+
+def test_tsp_decides_a_sixteen_city_no_instance_quickly():
+    # The backtracker this replaced took 16 s on 14-city no-instances.
+    matrix = random_metric_instance(16, 7).matrix
+    start = time.process_time()
+    assert brute_force_decide(Tsp(matrix, tsp_optimum(matrix) - 1)) is None
+    assert time.process_time() - start < 2.0
+
+
+# --- the subfamily enumeration the cover walk replaced, kept as a reference ---
+
+
+def first_verified(problem, items, sizes):
+    for r in sizes:
+        for combo in itertools.combinations(items, r):
+            if problem.verify(set(combo)):
+                return set(combo)
+    return None
+
+
+def cover_cases(rng):
+    for n, p in itertools.product(range(0, 13), [0, 0.2, 0.4, 0.7]):
+        g = random_graph(rng, n, p)
+        for k in range(-1, n + 2):
+            yield VertexCover(g, k), first_verified(VertexCover(g, k), range(1, n + 1), range(min(k, n) + 1))
+    for m in [*range(0, 22)] * 4:
+        universe = tuple(range(1, rng.randint(1, 12))) if m else ()
+        pool = [*universe, 99, "x"]  # some sets hold elements outside the universe
+        family = [set(rng.sample(pool, rng.randint(1, min(5, len(pool))))) for _ in range(m)]
+        for a in set(universe).difference(*family):
+            rng.choice(family).add(a)
+        family = tuple(frozenset(s) for s in family)
+        for k in range(-1, m + 2):
+            problem = SetCover(universe, family, k)
+            yield problem, first_verified(problem, range(1, m + 1), range(min(k, m) + 1))
+
+
+def test_cover_walk_matches_the_subfamily_enumeration():
+    found = missing = 0
+    for problem, want in cover_cases(random.Random(2024)):
+        got = brute_force_decide(problem)
+        assert type(got) is type(want) and got == want, problem
+        found += want is not None
+        missing += want is None
+    assert found and missing
+
+
+def test_set_cover_ignores_elements_outside_the_universe():
+    problem = SetCover((1,), (frozenset({1, 2}),), 1)
+    assert verify(problem, {1})
+    assert brute_force_decide(problem) == {1}

@@ -25,8 +25,6 @@ def test_no_module_sets_the_recursion_limit():
 # a loop leaves the list in the same change.
 RECURSIVE = {
     "oracles.AdversarySetEquality._matching.try_row",
-    "search_games._solve_pool",
-    "search_games._solve_signed",
     "sorting._merge_insertion",
     "tournament._select_partition",
 }

@@ -1,10 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 
 import pytest
 
 from combinlab.complexity import (
+    PROBLEMS,
     CnfFormula,
     Clique,
     Coloring,
@@ -16,11 +19,13 @@ from combinlab.complexity import (
     InstanceTooLargeError,
     Knapsack01,
     Partition,
+    ReductionOutput,
     Representatives,
     Sat,
     SetCover,
     ThreeSat,
     Tsp,
+    TwoSatResult,
     VertexCover,
     WitnessFormatError,
     apply_simple_reduction,
@@ -38,7 +43,7 @@ from combinlab.complexity import (
     vc_to_ham_circuit,
 )
 from combinlab.approx import random_metric_instance, tsp_optimum
-from combinlab.graph_core import Digraph, Graph
+from combinlab.graph_core import Digraph, Graph, format_graph_text
 
 
 def complete_graph(n):
@@ -773,3 +778,153 @@ def test_set_cover_ignores_elements_outside_the_universe():
     problem = SetCover((1,), (frozenset({1, 2}),), 1)
     assert verify(problem, {1})
     assert brute_force_decide(problem) == {1}
+
+
+# --- value semantics of the problem and result classes ---
+
+
+G3 = Graph(3, [(1, 2), (2, 3)])
+D2 = Digraph(2, [(1, 2), (2, 1)])
+F3 = cnf(3, [(1, -2, 3)])
+
+# kind -> (one instance's fields in their order, a field and another value for it)
+VALUES = {
+    "sat": ({"formula": F3}, ("formula", cnf(3, [(1,)]))),
+    "3sat": ({"formula": F3}, ("formula", cnf(3, [(1, 2, 3)]))),
+    "clique": ({"graph": G3, "k": 2}, ("k", 3)),
+    "independent-set": ({"graph": G3, "k": 2}, ("graph", Graph(3, []))),
+    "vertex-cover": ({"graph": G3, "k": 1}, ("k", 2)),
+    "coloring": ({"graph": G3, "k": 2}, ("k", 3)),
+    "exact-cover": ({"universe": (1, 2), "family": (frozenset({1}), frozenset({2}))},
+                    ("family", (frozenset({1, 2}),))),
+    "representatives": ({"universe": (1, 2), "family": (frozenset({1, 2}),)}, ("universe", (2, 1))),
+    "set-cover": ({"universe": (1, 2), "family": (frozenset({1, 2}),), "k": 1}, ("k", 0)),
+    "knapsack01": ({"numbers": (3, 5), "target": 8}, ("target", 5)),
+    "knapsack-decision": ({"values": (3, 4), "volumes": (2, 5), "capacity": 6, "goal": 4},
+                          ("goal", 7)),
+    "partition": ({"numbers": (1, 2, 3)}, ("numbers", (1, 2))),
+    "ham-circuit": ({"digraph": D2}, ("digraph", Digraph(2, []))),
+    "ham-cycle": ({"graph": G3}, ("graph", Graph(3, []))),
+    "tsp": ({"matrix": ((0, 1), (1, 0)), "limit": 2}, ("limit", 3)),
+    "ilp": ({"rows": ((1, 1),), "relations": ("<=",), "rhs": (1,), "bounds": ((0, 1), (0, 1))},
+            ("rhs", (2,))),
+}
+
+
+def plain(value):
+    """Graphs compare by identity, so round trips compare their text."""
+    return format_graph_text(value) if isinstance(value, (Graph, Digraph)) else value
+
+
+def test_value_table_covers_every_problem():
+    assert set(VALUES) == set(PROBLEMS)
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_problem_value_semantics(kind):
+    cls = PROBLEMS[kind]
+    fields, (name, other) = VALUES[kind]
+    p = cls(*fields.values())
+    assert repr(p) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    same = cls(**fields)
+    assert p == same and not p != same and hash(p) == hash(same)
+    assert [getattr(same, k) for k in fields] == list(fields.values())
+    changed = cls(**{**fields, name: other})
+    assert p != changed and not p == changed
+    assert p != tuple(fields.values()) and p != "x"
+    for attr in (name, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, other)
+    with pytest.raises(AttributeError):
+        delattr(p, name)
+    assert getattr(p, name) == fields[name]
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError):
+        cls(*list(fields.values())[:-1])
+    assert copy.copy(p) == p
+    for again in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(again) is cls
+        assert [plain(getattr(again, k)) for k in fields] == [plain(v) for v in fields.values()]
+        if not any(isinstance(v, (Graph, Digraph)) for v in fields.values()):
+            assert again == p and hash(again) == hash(p)
+
+
+def test_problems_of_different_kinds_differ():
+    assert Clique(G3, 2) != IndependentSet(G3, 2)
+    assert not Clique(G3, 2) == IndependentSet(G3, 2)
+    assert Sat(F3) != ThreeSat(F3)
+    assert Coloring(G3, 2) != VertexCover(G3, 2)
+
+
+def test_cnf_formula_value_semantics():
+    f = CnfFormula(3, ((1, -2, 3),))
+    assert repr(f) == "CnfFormula(num_vars=3, clauses=((1, -2, 3),))"
+    same = CnfFormula(num_vars=3, clauses=((1, -2, 3),))
+    assert f == same == F3 and hash(f) == hash(same)
+    assert f != CnfFormula(3, ((1, 2, 3),)) and f != CnfFormula(4, ((1, -2, 3),))
+    assert f != (3, ((1, -2, 3),))
+    for attr in ("num_vars", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, attr, 4)
+    with pytest.raises(AttributeError):
+        del f.clauses
+    for again in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert again == f and hash(again) == hash(f)
+
+
+def test_construction_errors():
+    with pytest.raises(ValueError, match="^empty clause$"):
+        CnfFormula(2, ((1,), ()))
+    with pytest.raises(ValueError, match="^literal 3 out of range$"):
+        CnfFormula(2, ((1, 3),))
+    with pytest.raises(ValueError, match="^literal 0 out of range$"):
+        CnfFormula(num_vars=2, clauses=((0,),))
+    with pytest.raises(ValueError, match="^not a 3-CNF formula$"):
+        ThreeSat(cnf(2, [(1, 2)]))
+    with pytest.raises(ValueError, match="^not a 3-CNF formula$"):
+        ThreeSat(formula=cnf(3, [(1, 2, 3), (1,)]))
+    with pytest.raises(ValueError, match="^rows, relations and rhs must align$"):
+        Ilp(((1,), (1,)), ("<=",), (1, 1), ((0, 1),))
+    with pytest.raises(ValueError, match="^rows, relations and rhs must align$"):
+        Ilp(rows=((1,),), relations=("<=",), rhs=(), bounds=((0, 1),))
+    with pytest.raises(ValueError, match="^row width must match bound count$"):
+        Ilp(((1, 1),), ("<=",), (1,), ((0, 1),))
+    with pytest.raises(ValueError, match="^bad relation <$"):
+        Ilp(((1,),), ("<",), (1,), ((0, 1),))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        Tsp(((0, 1), (1,)), 2)
+    with pytest.raises(ValueError, match="^diagonal must be zero$"):
+        Tsp(((1,),), 2)
+    with pytest.raises(ValueError, match="^family must cover the universe exactly$"):
+        ExactCover((1,), (frozenset({1, 2}),))
+    with pytest.raises(ValueError, match="^family does not cover the universe$"):
+        SetCover((1, 2), (frozenset({1}),), 1)
+
+
+def test_result_value_semantics():
+    red = ReductionOutput(Sat(F3), ThreeSat(F3), abs, len)
+    assert repr(red) == (
+        f"ReductionOutput(source={Sat(F3)!r}, target={ThreeSat(F3)!r}, "
+        "forward=<built-in function abs>, backward=<built-in function len>)"
+    )
+    same = ReductionOutput(source=Sat(F3), target=ThreeSat(F3), forward=abs, backward=len)
+    assert red == same and not red != same
+    assert red != ReductionOutput(Sat(F3), ThreeSat(F3), len, abs)
+    res = TwoSatResult(True, [True, False], None)
+    assert repr(res) == "TwoSatResult(satisfiable=True, assignment=[True, False], conflict_var=None)"
+    assert res == TwoSatResult(satisfiable=True, assignment=[True, False], conflict_var=None)
+    assert res != TwoSatResult(False, None, 1) and res != (True, [True, False], None)
+    assert twosat_solve(cnf(1, [(1,), (-1,)])) == TwoSatResult(False, None, 1)
+    for value in (red, res):
+        with pytest.raises(TypeError):
+            hash(value)
+        for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert again == value and type(again) is type(value)
+    red.target = Sat(F3)  # results are mutable
+    res.assignment = None
+    assert red.target == Sat(F3) and res == TwoSatResult(True, None, None)
+    with pytest.raises(TypeError):
+        TwoSatResult(True, None)

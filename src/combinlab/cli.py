@@ -20,7 +20,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .intmath import InstanceTooLargeError, ceil_log2, ceil_log3, harmonic, parse_numbers
 
@@ -46,10 +45,12 @@ def _emit(payload, fmt: str) -> None:
 
 
 def _json_default(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (set, frozenset)):
         return sorted(x)
+    from fractions import Fraction  # loaded already wherever a Fraction was made
+
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
     raise TypeError(f"cannot encode {type(x)!r}")
 
 
@@ -340,12 +341,16 @@ def _set_cover(ax, text, eps):
 
 
 def _tsp(heuristic, bound):
+    """bound: an int, or a "p/q" string read as a Fraction when the call runs."""
     def solve(ax, text, eps):
+        from fractions import Fraction
+
         from .complexity import parse_matrix
 
         inst = ax.MetricTspInstance(parse_matrix(text))
         tour = getattr(ax, heuristic)(inst)
-        return (inst.n, inst.tour_length(tour), lambda: ax.tsp_optimum(inst.matrix), bound,
+        ratio = Fraction(bound) if isinstance(bound, str) else bound
+        return (inst.n, inst.tour_length(tour), lambda: ax.tsp_optimum(inst.matrix), ratio,
                 {"matrix": [list(r) for r in inst.matrix]}, {"tour": tour})
 
     return solve
@@ -361,6 +366,8 @@ def _max_cut(ax, text, eps):
 
 
 def _knapsack_fptas(ax, text, eps):
+    from fractions import Fraction
+
     from .dp import load_knapsack_json
 
     values, volumes, cap = load_knapsack_json(text)
@@ -388,7 +395,7 @@ _APPROX = {
     "vc-greedy": ("vc_greedy", False, _vertex_cover("vc_degree_greedy", None)),
     "setcover": ("set_cover_greedy", False, _set_cover),
     "tsp-doubletree": ("tsp_doubletree", False, _tsp("tsp_double_tree", 2)),
-    "tsp-christofides": ("tsp_christofides", False, _tsp("tsp_christofides", Fraction(3, 2))),
+    "tsp-christofides": ("tsp_christofides", False, _tsp("tsp_christofides", "3/2")),
     "maxcut": ("max_cut_local_search", True, _max_cut),
     "knapsack-fptas": ("knapsack_fptas", True, _knapsack_fptas),
     "binpack": ("bin_pack_first_fit", False, _bin_pack),
@@ -503,6 +510,8 @@ def _coin_worlds(n):
 
 
 def _bench_approx(args):
+    from fractions import Fraction
+
     from . import approx as ax
 
     rows = []
@@ -583,6 +592,8 @@ def cmd_gen(args):
     if fam == "metric":
         return _matrix_text(ax.random_metric_instance(n, args.seed).matrix), OK
     if fam == "gap":
+        from fractions import Fraction
+
         g = gc.Graph(n, _random_edges(rng, n, args.density))
         return _matrix_text(ax.tsp_gap_instance(g, Fraction(args.eps))), OK
     # "counterexample", the last of the parser's choices

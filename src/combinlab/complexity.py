@@ -19,9 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .graph_core import (
     Digraph,
@@ -44,15 +43,82 @@ class WitnessFormatError(ValueError):
     """Witness shape does not match the problem (distinct from False)."""
 
 
+class _Record:
+    """A record whose fields are the `__slots__` of its class and bases,
+    base first.  It is built from the fields by position or keyword and
+    checked by `_check`; records compare by class and fields, repr as
+    `Name(field=value, ...)`, and copy and pickle rebuild (and re-check)
+    them through `__init__`.  Mutable, so unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+        )
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            try:
+                args += tuple(kwargs.pop(name) for name in names[len(args):])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() missing argument {exc}") from None
+            if kwargs:
+                raise TypeError(f"{type(self).__name__}() got unexpected arguments {sorted(kwargs)}")
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, not {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self):
+        """Raise ValueError if the fields do not make a valid record."""
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """An immutable record, which hashes by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
 # --- CNF ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_FrozenRecord):
+    __slots__ = ("num_vars", "clauses")
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
@@ -142,12 +208,15 @@ def parse_set_system(text: str):
 PROBLEMS: dict[str, type] = {}  # CLI kind -> problem class
 
 
-class Problem:
-    """One NP decision problem.  A subclass holds all of its problem's facts:
-    `kind`, its CLI name; load(text, k, limit), from an instance file and
-    the CLI's --k / --limit; describe(); witness(json_value), the decoder;
-    verify(w), which raises WitnessFormatError on a malformed witness; and
-    search(), the first verifying witness or None."""
+class Problem(_FrozenRecord):
+    """One NP decision problem, an immutable record of its instance.  A
+    subclass holds all of its problem's facts: `kind`, its CLI name;
+    load(text, k, limit), from an instance file and the CLI's --k /
+    --limit; describe(); witness(json_value), the decoder; verify(w), which
+    raises WitnessFormatError on a malformed witness; and search(), the
+    first verifying witness or None."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -159,6 +228,8 @@ class Problem:
 
 
 class _SetWitness(Problem):
+    __slots__ = ()
+
     def witness(self, w):  # JSON lists arrive as sets
         if not isinstance(w, list):
             return w
@@ -167,8 +238,8 @@ class _SetWitness(Problem):
         return set(w)
 
 
-@dataclass(frozen=True)
 class _Cnf(Problem):
+    __slots__ = ("formula",)
     formula: CnfFormula
 
     @classmethod
@@ -190,22 +261,22 @@ class _Cnf(Problem):
         return None
 
 
-@dataclass(frozen=True)
 class Sat(_Cnf):
     kind = "sat"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ThreeSat(_Cnf):
     kind = "3sat"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.formula.is_three_cnf:
             raise ValueError("not a 3-CNF formula")
 
 
-@dataclass(frozen=True)
 class _GraphK(_SetWitness):
+    __slots__ = ("graph", "k")
     graph: Graph
     k: int
 
@@ -224,9 +295,9 @@ class _GraphK(_SetWitness):
         return _first_verified(self, range(1, self.graph.n + 1), [self.k])
 
 
-@dataclass(frozen=True)
 class Clique(_GraphK):
     kind = "clique"
+    __slots__ = ()
 
     def verify(self, w):
         vs = _as_vertex_set(w, self.graph.n)
@@ -237,9 +308,9 @@ class Clique(_GraphK):
         )
 
 
-@dataclass(frozen=True)
 class IndependentSet(_GraphK):
     kind = "independent-set"
+    __slots__ = ()
 
     def verify(self, w):
         vs = _as_vertex_set(w, self.graph.n)
@@ -250,9 +321,9 @@ class IndependentSet(_GraphK):
         )
 
 
-@dataclass(frozen=True)
 class VertexCover(_GraphK):
     kind = "vertex-cover"
+    __slots__ = ()
 
     def verify(self, w):
         vs = _as_vertex_set(w, self.graph.n)
@@ -266,9 +337,9 @@ class VertexCover(_GraphK):
         return _vc_to_set_cover(self).target.search()
 
 
-@dataclass(frozen=True)
 class Coloring(_GraphK):
     kind = "coloring"
+    __slots__ = ()
 
     def witness(self, w):
         return {int(k): v for k, v in w.items()} if isinstance(w, dict) else w
@@ -298,8 +369,8 @@ class Coloring(_GraphK):
         return dict(zip(order, found)) if found is not None else None
 
 
-@dataclass(frozen=True)
 class _SetFamily(_SetWitness):
+    __slots__ = ("universe", "family")
     universe: tuple
     family: tuple[frozenset, ...]
 
@@ -315,11 +386,11 @@ class _SetFamily(_SetWitness):
         }
 
 
-@dataclass(frozen=True)
 class ExactCover(_SetFamily):
     kind = "exact-cover"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         cover = set().union(*self.family) if self.family else set()
         if set(self.universe) != cover:
             raise ValueError("family must cover the universe exactly")
@@ -353,9 +424,9 @@ class ExactCover(_SetFamily):
         return set(found[1]) if found is not None else None
 
 
-@dataclass(frozen=True)
 class Representatives(_SetFamily):
     kind = "representatives"
+    __slots__ = ()
 
     def verify(self, w):
         if not isinstance(w, (set, frozenset, list, tuple)):
@@ -370,12 +441,12 @@ class Representatives(_SetFamily):
         return _first_verified(self, self.universe, range(len(self.universe) + 1))
 
 
-@dataclass(frozen=True)
 class SetCover(_SetFamily):
     kind = "set-cover"
+    __slots__ = ("k",)
     k: int
 
-    def __post_init__(self):
+    def _check(self):
         if set(self.universe) - (set().union(*self.family) if self.family else set()):
             raise ValueError("family does not cover the universe")
 
@@ -400,9 +471,9 @@ class SetCover(_SetFamily):
         return _first_cover(self.universe, self.family, self.k)
 
 
-@dataclass(frozen=True)
 class Knapsack01(Problem):
     kind = "knapsack01"
+    __slots__ = ("numbers", "target")
     numbers: tuple[int, ...]
     target: int
 
@@ -425,9 +496,9 @@ class Knapsack01(Problem):
         return _first_bits(self, len(self.numbers))
 
 
-@dataclass(frozen=True)
 class KnapsackDecision(Problem):
     kind = "knapsack-decision"
+    __slots__ = ("values", "volumes", "capacity", "goal")
     values: tuple[int, ...]
     volumes: tuple[int, ...]
     capacity: int
@@ -453,9 +524,9 @@ class KnapsackDecision(Problem):
         return _first_bits(self, len(self.values))
 
 
-@dataclass(frozen=True)
 class Partition(_SetWitness):
     kind = "partition"
+    __slots__ = ("numbers",)
     numbers: tuple[int, ...]
 
     @classmethod
@@ -475,9 +546,9 @@ class Partition(_SetWitness):
         return _first_verified(self, range(1, n + 1), range(n + 1))
 
 
-@dataclass(frozen=True)
 class HamCircuit(Problem):
     kind = "ham-circuit"
+    __slots__ = ("digraph",)
     digraph: Digraph
 
     @classmethod
@@ -498,9 +569,9 @@ class HamCircuit(Problem):
         return _ham_backtrack(self.digraph)
 
 
-@dataclass(frozen=True)
 class HamCycle(Problem):
     kind = "ham-cycle"
+    __slots__ = ("graph",)
     graph: Graph
 
     @classmethod
@@ -518,13 +589,13 @@ class HamCycle(Problem):
         return _ham_backtrack(self.graph)
 
 
-@dataclass(frozen=True)
 class Tsp(Problem):
     kind = "tsp"
+    __slots__ = ("matrix", "limit")
     matrix: tuple[tuple[object, ...], ...]
     limit: object
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.matrix)
         for i, row in enumerate(self.matrix):
             if len(row) != n:
@@ -557,18 +628,18 @@ class Tsp(Problem):
         return _held_karp(self.matrix, lambda shortest, scale: self.limit * scale)
 
 
-@dataclass(frozen=True)
 class Ilp(Problem):
     """Rows a_i x (rel_i) b_i over non-negative integer vectors; the
     brute-force oracle only searches the supplied box bounds."""
 
     kind = "ilp"
+    __slots__ = ("rows", "relations", "rhs", "bounds")
     rows: tuple[tuple[int, ...], ...]
     relations: tuple[str, ...]  # '<=' / '==' / '>='
     rhs: tuple[int, ...]
     bounds: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not (len(self.rows) == len(self.relations) == len(self.rhs)):
             raise ValueError("rows, relations and rhs must align")
         width = len(self.bounds)
@@ -826,15 +897,20 @@ def _held_karp(matrix, bound):
     m = len(matrix) - 1
     out = [row[1:] for row in weights[1:]]  # out[j][k]: city j + 2 to city k + 2
     cost: list[list] = [[]] * (1 << m)
-    for mask in range(1, 1 << m):
-        members = [j for j in range(m) if mask >> j & 1]
+    members: list[list[int]] = [[]] * (1 << m)  # members[S]: the bits of S, ascending
+    for j in range(m):  # one city left: straight back to city 1
+        cost[1 << j] = [None] * m
+        cost[1 << j][j] = weights[j + 1][0]
+        members[1 << j] = [j]
+    for mask in range(3, 1 << m):
+        rest = mask & (mask - 1)  # mask without its lowest bit
+        if not rest:
+            continue
+        inside = members[mask] = members[mask ^ rest] + members[rest]
         row = [None] * m
-        if len(members) == 1:
-            row[members[0]] = weights[members[0] + 1][0]
-        else:
-            for j in members:
-                sub, step = cost[mask ^ (1 << j)], out[j]
-                row[j] = min([step[k] + sub[k] for k in members if k != j])
+        for j in inside:
+            sub, step = cost[mask ^ (1 << j)], out[j]
+            row[j] = min([step[k] + sub[k] for k in inside if k != j])
         cost[mask] = row
     tour, length, left, step = [1], 0, (1 << m) - 1, weights[0][1:]
     limit = bound(min(step[k] + cost[left][k] for k in range(m)), scale)
@@ -869,10 +945,10 @@ def _first_cover(universe, family, most):
 # --- reductions --------------------------------------------------------------
 
 
-@dataclass
-class ReductionOutput:
+class ReductionOutput(_Record):
     """Transformed instance plus forward/backward witness transport."""
 
+    __slots__ = ("source", "target", "forward", "backward")
     source: object
     target: object
     forward: Callable
@@ -1521,8 +1597,8 @@ def apply_simple_reduction(kind: str, problem) -> ReductionOutput:
 # --- 2-SAT -------------------------------------------------------------------
 
 
-@dataclass
-class TwoSatResult:
+class TwoSatResult(_Record):
+    __slots__ = ("satisfiable", "assignment", "conflict_var")
     satisfiable: bool
     assignment: list[bool] | None
     conflict_var: int | None

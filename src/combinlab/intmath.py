@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -93,6 +92,8 @@ def insertion_batch_bound(k: int) -> int:
 
 def harmonic(n: int) -> Fraction:
     """Exact harmonic number H(n) = 1 + 1/2 + ... + 1/n."""
+    from fractions import Fraction  # only here, so importing intmath skips fractions
+
     total = Fraction(0)
     for k in range(1, n + 1):
         total += Fraction(1, k)

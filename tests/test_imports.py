@@ -126,6 +126,25 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
     assert code == 0
     assert "combinlab.cli" in added
     assert {"combinlab.complexity", "combinlab.approx", "dataclasses"} & set(added) == set()
+    if not call.startswith("solve "):  # graph_core reads p/q weights with fractions
+        assert {"fractions", "decimal"} & set(added) == set()
+
+
+@pytest.mark.parametrize("call", [
+    "reduce sat-clique f.cnf --oracle",
+    "verify vertex-cover g.txt w.json --k 2",
+    "twosat f.cnf",
+    "approx vc-matching g.txt --oracle",
+])
+def test_np_commands_import_complexity_without_dataclasses(tmp_path, call):
+    (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+    (tmp_path / "g.txt").write_text("p 3 2\ne 1 2\ne 2 3\n")
+    (tmp_path / "w.json").write_text("[1, 3]\n")
+    argv = [str(tmp_path / tok) if "." in tok else tok for tok in call.split()]
+    code, added = child(CALL, *argv)
+    assert code == 0
+    assert "combinlab.complexity" in added
+    assert {"dataclasses", "inspect"} & set(added) == set()
 
 
 

@@ -20,6 +20,23 @@ def test_no_module_sets_the_recursion_limit():
     assert offenders == []
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses (with inspect) costs every command that imports the module
+    # a third of its start; records are plain __slots__ classes instead.
+    offenders = []
+    for path in sorted(Path(combinlab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 # Functions that call themselves by name, as module.qualname.  The list only
 # shrinks: new code walks with an explicit stack, and a function that becomes
 # a loop leaves the list in the same change.

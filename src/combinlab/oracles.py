@@ -65,7 +65,7 @@ class CountingComparator(CostedOracle):
         return LESS if self.less(i, j) else GREATER
 
     def less(self, i: int, j: int) -> bool:
-        self.counter.tick()
+        self.counter.count += 1
         a, b = self.items[i], self.items[j]
         if a == b:
             if i == j or not self.tie_break:
@@ -147,23 +147,33 @@ class AdversarySetEquality(CostedOracle):
         self, extra_no: tuple[int, int] | None = None
     ) -> dict[int, int] | None:
         """A perfect row -> column matching avoiding every "no" cell (and
-        extra_no), found by Kuhn's augmenting paths; None when none exists."""
+        extra_no), found by Kuhn's augmenting paths; None when none exists.
+
+        Each search runs depth first on an explicit stack of [row, column
+        iterator, chosen column] frames, trying columns in increasing order.
+        """
         n = self.n
         blocked = self.no_cells if extra_no is None else self.no_cells | {extra_no}
         match_of_col: dict[int, int] = {}
-
-        def try_row(i: int, seen: set[int]) -> bool:
-            for j in range(1, n + 1):
-                if (i, j) in blocked or j in seen:
+        for root in range(1, n + 1):
+            seen: set[int] = set()
+            stack = [[root, iter(range(1, n + 1)), None]]
+            while stack:
+                frame = stack[-1]
+                i = frame[0]
+                free = (c for c in frame[1] if (i, c) not in blocked and c not in seen)
+                j = frame[2] = next(free, None)
+                if j is None:
+                    stack.pop()
                     continue
                 seen.add(j)
-                if j not in match_of_col or try_row(match_of_col[j], seen):
-                    match_of_col[j] = i
-                    return True
-            return False
-
-        for i in range(1, n + 1):
-            if not try_row(i, set()):
+                if j in match_of_col:
+                    stack.append([match_of_col[j], iter(range(1, n + 1)), None])
+                    continue
+                for row, _, col in stack:  # augment along the path
+                    match_of_col[col] = row
+                break
+            else:
                 return None
         return {i: j for j, i in match_of_col.items()}
 

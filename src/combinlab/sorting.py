@@ -60,18 +60,18 @@ def _insert_below(chain: list, hi: int, x, cmp) -> None:
     """Insert x in place into the sorted prefix chain[:hi] with exactly
     ceil(log2(hi + 1)) comparisons, padding early finishes with x vs
     chain[0]."""
-    budget = ceil_log2(hi + 1)
+    budget = hi.bit_length()  # == ceil_log2(hi + 1)
+    less = cmp.less
     lo = 0
-    used = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        used += 1
-        if cmp.less(x, chain[mid]):
+        budget -= 1
+        if less(x, chain[mid]):
             hi = mid
         else:
             lo = mid + 1
-    for _ in range(budget - used):
-        cmp.less(x, chain[0])
+    for _ in range(budget):
+        less(x, chain[0])
     chain.insert(lo, x)
 
 
@@ -199,29 +199,32 @@ def merge_insertion_sort(items, cmp=None) -> list:
 
 
 def _merge_insertion(handles: list, cmp) -> list:
+    """Ascending order of distinct, hashable handles, spending the same
+    `cmp.less` calls as merge_insertion_sort over their positions."""
     n = len(handles)
     if n <= 1:
         return list(handles)
+    less = cmp.less
     winners = []
     loser_of = {}
     for i in range(0, n - 1, 2):
         a, b = handles[i], handles[i + 1]
-        if cmp.less(a, b):
+        if less(a, b):
             a, b = b, a
         winners.append(a)
         loser_of[a] = b
-    straggler = handles[-1] if n % 2 else None
 
     ordered_winners = _merge_insertion(winners, cmp)
     # Main chain starts as b1 < a1 < a2 < ... ; pending holds b2, b3, ...
     # (and, at odd n, the unpaired element labelled b_{floor(n/2)+1}).
+    # caps[i] is the chain element pending[i] must stay below; the unpaired
+    # element has no cap and searches the whole chain.
     chain = [loser_of[ordered_winners[0]]] + ordered_winners
-    pending = [loser_of[a] for a in ordered_winners[1:]]
-    if straggler is not None:
-        pending.append(straggler)
-    # ceiling[i] is the chain element the pending element must stay below;
-    # the straggler has no ceiling and searches the whole chain.
-    ceiling = {b: a for a, b in loser_of.items()}
+    caps: list = ordered_winners[1:]
+    pending = [loser_of[a] for a in caps]
+    if n % 2:
+        pending.append(handles[-1])
+        caps.append(None)
 
     total = len(pending)  # pending[i] is b_{i+2}
     k = 2
@@ -229,12 +232,11 @@ def _merge_insertion(handles: list, cmp) -> list:
     while low < total + 1:
         high = insertion_batch_bound(k)
         for idx in range(min(high, total + 1), low, -1):
-            b = pending[idx - 2]
-            cap = ceiling.get(b)
-            # b's cap a_idx stood at low + idx - 1 when this batch began, and
+            cap = caps[idx - 2]
+            # b_idx's cap a_idx stood at low + idx - 1 when this batch began, and
             # inserts only move it right, so the scan for it starts there.
             hi = len(chain) if cap is None else chain.index(cap, low + idx - 1)
-            _insert_below(chain, hi, b, cmp)
+            _insert_below(chain, hi, pending[idx - 2], cmp)
         low = high
         k += 1
     return chain

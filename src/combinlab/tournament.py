@@ -14,9 +14,8 @@ reproducible.
 
 from __future__ import annotations
 
-from .intmath import ceil_log2
 from .oracles import counting_comparator
-from .sorting import merge_insertion_sort
+from .sorting import _merge_insertion
 
 
 class KnockoutTree:
@@ -153,32 +152,28 @@ class _Bracket:
             size *= 2
         self.size = size
         self.slots: list = list(entrants) + [None] * (size - len(entrants))
-        self.node: list = [None] * (2 * size)
-        for i, e in enumerate(self.slots):
-            self.node[size + i] = e
+        node = self.node = [None] * size + self.slots
+        less = cmp.less
         for v in range(size - 1, 0, -1):
-            self.node[v] = self._play(self.node[2 * v], self.node[2 * v + 1])
+            a, b = node[2 * v], node[2 * v + 1]
+            node[v] = b if a is None else a if b is None else b if less(a, b) else a
         self.leaf_of = {e: size + i for i, e in enumerate(self.slots) if e is not None}
-
-    def _play(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return b if self.cmp.less(a, b) else a
 
     @property
     def winner(self):
         return self.node[1]
 
     def replace(self, old, new) -> None:
+        node = self.node
+        less = self.cmp.less
         v = self.leaf_of.pop(old)
-        self.node[v] = new
+        node[v] = new
         if new is not None:
             self.leaf_of[new] = v
         v //= 2
-        while v >= 1:
-            self.node[v] = self._play(self.node[2 * v], self.node[2 * v + 1])
+        while v:
+            a, b = node[2 * v], node[2 * v + 1]
+            node[v] = b if a is None else a if b is None else b if less(a, b) else a
             v //= 2
 
 
@@ -212,22 +207,27 @@ _BASE_CASE = 1 << 10
 
 
 class _PadComparator:
-    """Comparator that treats pad handles as strictly below all items and
-    never charges for comparisons it can resolve itself."""
+    """Comparator over item positions and the pads that `pad()` hands out.
+
+    Items are the positions 0, 1, 2, ...; pads are the negative ints -1,
+    -2, ... drawn from one counter per selection, so a pad never repeats.
+    Only item-item comparisons reach the wrapped comparator and are
+    charged; a pad compares below every item, and pads compare among
+    themselves as ints, free of charge.
+    """
 
     def __init__(self, cmp):
-        self.cmp = cmp
+        self._less = cmp.less
+        self._pads = 0
+
+    def pad(self) -> int:
+        self._pads -= 1
+        return self._pads
 
     def less(self, a, b) -> bool:
-        # Items are int positions; pads are the only tuple handles.
-        pa, pb = type(a) is tuple, type(b) is tuple
-        if pa and pb:
-            return a[1] < b[1]
-        if pa:
-            return True
-        if pb:
-            return False
-        return self.cmp.less(a, b)
+        if a >= 0 and b >= 0:
+            return self._less(a, b)
+        return a < b
 
 
 def select_t_linear(items, t: int, cmp=None) -> int:
@@ -247,20 +247,25 @@ def select_t_linear(items, t: int, cmp=None) -> int:
     return x
 
 
-def _select_partition(handles: list, t: int, cmp) -> tuple:
-    """Return (t-th largest, handles greater than it, handles less)."""
+def _select_partition(handles: list, t: int, cmp: _PadComparator) -> tuple:
+    """Return (t-th largest, handles greater than it, handles less).
+
+    Handles are distinct item positions and pads.  A level pads its list
+    with fresh pads from `cmp.pad()`, so pads inherited from the levels
+    above never collide with its own and every sort sees distinct handles.
+    Pads sit below every item, so the t-th largest is an item whenever the
+    list holds at least t items.
+    """
     n = len(handles)
     if n <= _BASE_CASE:
-        asc = _sort_handles(handles, cmp)
+        asc = _merge_insertion(handles, cmp)
         x = asc[n - t]
         return x, asc[n - t + 1 :], asc[: n - t]
 
     padded = list(handles)
-    pad_id = 0
     while len(padded) % 7 or (len(padded) // 7) % 2 == 0:
-        padded.append(("pad", pad_id))
-        pad_id += 1
-    groups = [_sort_handles(padded[i : i + 7], cmp)[::-1] for i in range(0, len(padded), 7)]
+        padded.append(cmp.pad())
+    groups = [_merge_insertion(padded[i : i + 7], cmp)[::-1] for i in range(0, len(padded), 7)]
     medians = [g[3] for g in groups]
     q = (len(medians) - 1) // 2
     x, med_above, med_below = _select_partition(medians, q + 1, cmp)
@@ -298,21 +303,3 @@ def _select_partition(handles: list, t: int, cmp) -> tuple:
         return y, g2, s2 + [x] + smaller
     y, g2, s2 = _select_partition(smaller, t - 1 - r, cmp)
     return y, g2 + [x] + greater, s2
-
-
-class _PositionComparator:
-    """Compares positions in a handle list by the handles they hold, so that
-    merge-insertion sort keys its bookkeeping on positions: a pad handle can
-    occur twice in one list, since each level numbers its pads from 0."""
-
-    def __init__(self, handles: list, cmp):
-        self.handles = handles
-        self.cmp = cmp
-
-    def less(self, i: int, j: int) -> bool:
-        return self.cmp.less(self.handles[i], self.handles[j])
-
-
-def _sort_handles(handles: list, cmp) -> list:
-    """Ascending merge-insertion sort over arbitrary handles."""
-    return merge_insertion_sort(handles, _PositionComparator(handles, cmp))

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from combinlab.oracles import (
     GREATER,
     LESS,
+    AdversarySetEquality,
     AdversarySoundnessError,
     NonStrictOrderError,
     adversary_certify,
@@ -90,6 +92,50 @@ def test_adversary_set_equality_forces_triangle_bound():
         pairing = adversary_certify(adv)
         assert sorted(pairing) == list(range(1, n + 1))
         assert sorted(pairing.values()) == list(range(1, n + 1))
+
+
+
+class RecursiveSetEquality(AdversarySetEquality):
+    """Reference: the set-equality adversary with Kuhn's matching written as
+    the recursive try_row that the explicit-stack search replaced."""
+
+    def _matching(self, extra_no=None):
+        n = self.n
+        blocked = self.no_cells if extra_no is None else self.no_cells | {extra_no}
+        match_of_col = {}
+
+        def try_row(i, seen):
+            for j in range(1, n + 1):
+                if (i, j) in blocked or j in seen:
+                    continue
+                seen.add(j)
+                if j not in match_of_col or try_row(match_of_col[j], seen):
+                    match_of_col[j] = i
+                    return True
+            return False
+
+        for i in range(1, n + 1):
+            if not try_row(i, set()):
+                return None
+        return {i: j for j, i in match_of_col.items()}
+
+
+def test_set_equality_matching_matches_recursive_reference():
+    for n in range(1, 15):
+        for seed in range(3 if n <= 10 else 1):
+            rng = random.Random(1000 * n + seed)
+            cells = list(itertools.product(range(1, n + 1), repeat=2))
+            rng.shuffle(cells)
+            adv, ref = AdversarySetEquality(n), RecursiveSetEquality(n)
+            for step, (i, j) in enumerate(cells):
+                assert adv.probe(i, j) == ref.probe(i, j), (n, seed, step)
+                if step % 7 == 0 or step == len(cells) - 1:
+                    pairing = adv.certify()
+                    assert pairing == ref.certify(), (n, seed, step)
+                    assert list(pairing.items()) == list(ref.certify().items())
+            assert adv.count == ref.count
+            for extra in cells[:20]:  # a fresh "no" that may leave no matching
+                assert adv._matching(extra) == ref._matching(extra)
 
 
 def test_adversary_whoiswho_first_answer_no():

@@ -8,6 +8,7 @@ import pytest
 from combinlab.intmath import ceil_log2, ceil_log2_factorial, insertion_batch_bound
 from combinlab.oracles import counting_comparator
 from combinlab.sorting import (
+    _merge_insertion,
     binary_insert,
     grouped_merge_budget,
     insertion_sort,
@@ -242,6 +243,35 @@ class RecordingComparator:
     def less(self, i, j):
         self.calls.append((i, j))
         return self.inner.less(i, j)
+
+
+
+class HandleComparator(RecordingComparator):
+    """Comparator over arbitrary handles that maps each back to its position
+    and logs the calls in positions."""
+
+    def __init__(self, items, handles):
+        super().__init__(items)
+        self.position = {h: i for i, h in enumerate(handles)}
+
+    def less(self, a, b):
+        return super().less(self.position[a], self.position[b])
+
+
+def test_merge_insertion_on_raw_handles_matches_positions():
+    # select_t_linear sorts item positions and pads in place, with no
+    # position comparator in between; that must cost the same comparisons.
+    for n in range(41):
+        for seed in range(5):
+            rng = random.Random(100 * n + seed)
+            items = rng.sample(range(10 * n + 1), n)
+            handles = [("h", k) for k in rng.sample(range(1000), n)]
+            by_position = RecordingComparator(items)
+            want = merge_insertion_sort(items, by_position)
+            by_handle = HandleComparator(items, handles)
+            got = _merge_insertion(handles, by_handle)
+            assert by_handle.calls == by_position.calls, (n, seed)
+            assert [items[by_handle.position[h]] for h in got] == want
 
 
 def transcript_digest(calls, output) -> str:

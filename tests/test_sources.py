@@ -41,7 +41,6 @@ def test_no_module_imports_dataclasses():
 # shrinks: new code walks with an explicit stack, and a function that becomes
 # a loop leaves the list in the same change.
 RECURSIVE = {
-    "oracles.AdversarySetEquality._matching.try_row",
     "sorting._merge_insertion",
     "tournament._select_partition",
 }

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from combinlab import tournament
 from combinlab.intmath import ceil_log2
 from combinlab.oracles import counting_comparator
 from combinlab.tournament import (
@@ -160,6 +161,26 @@ def test_select_t_linear_exhaustive_tiny():
             for t in range(1, n + 1):
                 idx = select_t_linear(items, t)
                 assert items[idx] == n - t + 1
+
+
+
+@pytest.mark.parametrize("n", (7176, 11247, 20000))
+def test_select_t_linear_sorts_distinct_handles(monkeypatch, n):
+    # Lists deep enough to be padded twice once held the same pad twice, and
+    # merge insertion keys its bookkeeping on the handles themselves.
+    sort = tournament._merge_insertion
+    sorted_lists = []
+
+    def spy(handles, cmp):
+        sorted_lists.append(list(handles))
+        return sort(handles, cmp)
+
+    monkeypatch.setattr(tournament, "_merge_insertion", spy)
+    items = random.Random(n).sample(range(10 * n), n)
+    for t in sorted({1, (n + 1) // 2, n}):
+        assert items[select_t_linear(items, t)] == sorted(items, reverse=True)[t - 1]
+    assert len(sorted_lists) > 3 * n // 7
+    assert [h for h in sorted_lists if len(set(h)) < len(h)] == []
 
 
 class RecordingComparator:

@@ -94,7 +94,6 @@ def test_adversary_set_equality_forces_triangle_bound():
         assert sorted(pairing.values()) == list(range(1, n + 1))
 
 
-
 class RecursiveSetEquality(AdversarySetEquality):
     """Reference: the set-equality adversary with Kuhn's matching written as
     the recursive try_row that the explicit-stack search replaced."""
@@ -130,11 +129,10 @@ def test_set_equality_matching_matches_recursive_reference():
             for step, (i, j) in enumerate(cells):
                 assert adv.probe(i, j) == ref.probe(i, j), (n, seed, step)
                 if step % 7 == 0 or step == len(cells) - 1:
-                    pairing = adv.certify()
-                    assert pairing == ref.certify(), (n, seed, step)
-                    assert list(pairing.items()) == list(ref.certify().items())
+                    # Same pairs in the same order.
+                    assert list(adv.certify().items()) == list(ref.certify().items()), (n, step)
             assert adv.count == ref.count
-            for extra in cells[:20]:  # a fresh "no" that may leave no matching
+            for extra in cells[:20]:  # one more "no" cell, which may leave no matching
                 assert adv._matching(extra) == ref._matching(extra)
 
 

@@ -19,7 +19,8 @@ Exact optima for the ratio checks, in exact arithmetic and without
 recursion.  Each raises complexity.InstanceTooLargeError above its cap in
 complexity._DEFAULT_CAPS, which COMBINLAB_ORACLE_LIMIT overrides:
 
-* vertex_cover_optimum  branch search for a maximum independent set (vertex_cover_vertices 44)
+* vertex_cover_optimum  complexity._most_independent, the graph deciders'
+                        maximum-independent-set search (vertex_cover_vertices 44)
 * set_cover_optimum     complexity._first_cover, the set-cover decider's walk
                         over subfamilies as bit masks (set_cover_sets 21)
 * tsp_optimum           complexity._held_karp, the TSP decider's table over
@@ -37,7 +38,8 @@ import math
 import random
 from fractions import Fraction
 
-from .complexity import _depth_first, _first_cover, _held_karp, _within_cap
+from .complexity import _adjacency_bits, _depth_first, _first_cover, _held_karp
+from .complexity import _most_independent, _within_cap
 from .graph_core import Graph
 from .paths_mst import WeightedGraph, prim
 
@@ -449,58 +451,13 @@ def bin_pack_first_fit(sizes) -> list[int]:
     return assignment
 
 
-# --- desk-scale optima for ratio checks ---------------------------------------
-#
-# vertex cover: branching, cap 44 vertices; set cover: subfamilies, cap 21
-# sets; TSP: Held-Karp, cap 16 cities; max cut and knapsack: Gray-code
-# walks, cap 20 vertices or items; bin packing: bounded search, no cap.
-
-
-def _adjacency_bits(g: Graph) -> list[int]:
-    """Neighbours of vertex v + 1 as the bit mask at index v."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    return adj
+# --- desk-scale optima for ratio checks (listed with their caps above) -------
 
 
 def vertex_cover_optimum(g: Graph) -> int:
-    """Fewest vertices touching every edge: n minus a maximum independent
-    set.  The search keeps its own stack of (alive vertices, set size)
-    nodes.  A node first takes every vertex of degree 0 or 1 into the set
-    (some maximum set holds it) and drops its neighbour; it ends once its
-    set plus all alive vertices cannot beat the best; otherwise it
-    branches on a maximum-degree vertex: left out, or taken with its
-    neighbours dropped (Chen, Kanj & Jia 2001)."""
+    """Fewest vertices touching every edge: n less the most independent."""
     _within_cap(g.n, "vertex_cover_vertices")
-    adj = _adjacency_bits(g)
-    best = 0
-    stack = [((1 << g.n) - 1, 0)]
-    while stack:
-        alive, size = stack.pop()
-        taken = True
-        while taken:
-            taken, top, top_degree = False, 0, 0
-            rest = alive
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if alive & low:
-                    near = adj[low.bit_length() - 1] & alive
-                    degree = near.bit_count()
-                    if degree <= 1:
-                        alive &= ~(low | near)
-                        size += 1
-                        taken = True
-                    elif degree > top_degree:
-                        top, top_degree = low, degree
-        if not alive:
-            best = max(best, size)
-        elif size + alive.bit_count() > best:
-            stack.append((alive & ~top & ~adj[top.bit_length() - 1], size + 1))
-            stack.append((alive & ~top, size))  # left out: tried first
-    return g.n - best
+    return g.n - _most_independent(_adjacency_bits(g), (1 << g.n) - 1)
 
 
 def set_cover_optimum(universe, family) -> int:

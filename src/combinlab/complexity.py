@@ -6,7 +6,8 @@ polynomial 2-SAT solver.
 The backtracking oracles (coloring, exact cover, ILP, Hamiltonicity) and
 approx.bin_pack_optimum share one explicit-stack walk, `_depth_first`,
 over immutable states.  TSP and approx.tsp_optimum share `_held_karp`;
-set cover, vertex cover and approx.set_cover_optimum share `_first_cover`.
+set cover and approx.set_cover_optimum share `_first_cover`; the graph
+deciders and approx.vertex_cover_optimum share `_most_independent`.
 
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple
 of literals; assignments are lists of booleans indexed from variable 1.
@@ -31,6 +32,8 @@ from .graph_core import (
 )
 from .intmath import (  # InstanceTooLargeError and parse_numbers are re-exported
     InstanceTooLargeError,
+    _FrozenRecord,
+    _Record,
     exact_int,
     exact_int_rows,
     exact_ints,
@@ -41,73 +44,6 @@ from .intmath import (  # InstanceTooLargeError and parse_numbers are re-exporte
 
 class WitnessFormatError(ValueError):
     """Witness shape does not match the problem (distinct from False)."""
-
-
-class _Record:
-    """A record whose fields are the `__slots__` of its class and bases,
-    base first.  It is built from the fields by position or keyword and
-    checked by `_check`; records compare by class and fields, repr as
-    `Name(field=value, ...)`, and copy and pickle rebuild (and re-check)
-    them through `__init__`.  Mutable, so unhashable."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(
-            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
-        )
-
-    def __init__(self, *args, **kwargs):
-        names = self._fields
-        if kwargs:
-            try:
-                args += tuple(kwargs.pop(name) for name in names[len(args):])
-            except KeyError as exc:
-                raise TypeError(f"{type(self).__name__}() missing argument {exc}") from None
-            if kwargs:
-                raise TypeError(f"{type(self).__name__}() got unexpected arguments {sorted(kwargs)}")
-        if len(args) != len(names):
-            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, not {len(args)}")
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-        self._check()
-
-    def _check(self):
-        """Raise ValueError if the fields do not make a valid record."""
-
-    def _values(self):
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class _FrozenRecord(_Record):
-    """An immutable record, which hashes by its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
 
 
 # --- CNF ------------------------------------------------------------------
@@ -289,11 +225,6 @@ class _GraphK(_SetWitness):
     def describe(self):
         return {"graph": format_graph_text(self.graph), "k": self.k}
 
-    def search(self):
-        """Clique and independent set: the k-vertex subsets in order."""
-        _within_cap(self.graph.n, "vertices")
-        return _first_verified(self, range(1, self.graph.n + 1), [self.k])
-
 
 class Clique(_GraphK):
     kind = "clique"
@@ -306,6 +237,12 @@ class Clique(_GraphK):
         return all(
             self.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
         )
+
+    def search(self):
+        """The first k-clique: an independent set of the complement, which
+        is built only under the cap."""
+        _within_cap(self.graph.n, "vertex_cover_vertices")
+        return IndependentSet(self.graph.complement(), self.k).search()
 
 
 class IndependentSet(_GraphK):
@@ -320,6 +257,13 @@ class IndependentSet(_GraphK):
             self.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
         )
 
+    def search(self):
+        """The first independent max(k, 0)-set in combinations order, or None."""
+        _within_cap(self.graph.n, "vertex_cover_vertices")
+        adj, alive, need = _adjacency_bits(self.graph), (1 << self.graph.n) - 1, max(self.k, 0)
+        enough = _most_independent(adj, alive) >= need
+        return _first_independent(adj, alive, need, take=True) if enough else None
+
 
 class VertexCover(_GraphK):
     kind = "vertex-cover"
@@ -332,9 +276,15 @@ class VertexCover(_GraphK):
         return all(u in vs or v in vs for u, v in self.graph.edges)
 
     def search(self):
-        """The first cover of the set-cover target: each vertex's edges."""
-        _within_cap(self.graph.n, "vertices")
-        return _vc_to_set_cover(self).target.search()
+        """The first smallest cover in combinations order if it has at most
+        k vertices, else None: the complement of a maximum independent set."""
+        n = self.graph.n
+        _within_cap(n, "vertex_cover_vertices")
+        adj, alive = _adjacency_bits(self.graph), (1 << n) - 1
+        most = _most_independent(adj, alive)
+        if n - most > self.k:
+            return None
+        return set(range(1, n + 1)) - _first_independent(adj, alive, most, take=False)
 
 
 class Coloring(_GraphK):
@@ -792,12 +742,11 @@ def _check_ham_sequence(w, g) -> bool:
     return True
 
 
-# Subset-enumeration problems keep the tight 12-vertex / 20-element caps;
+# Subset-enumeration problems keep the tight 20-variable / 20-element caps;
 # backtracking deciders (coloring, hamiltonicity, exact cover) and Held-Karp
 # afford slightly larger instances, which the reduction targets need.
 _DEFAULT_CAPS = {
     "bool_vars": 20,
-    "vertices": 12,
     "coloring_vertices": 24,
     "ham_vertices": 16,
     "tsp_cities": 16,  # _held_karp, with approx.tsp_optimum
@@ -805,8 +754,8 @@ _DEFAULT_CAPS = {
     "exact_cover_sets": 40,
     "box_width": 3,  # ILP: hi - lo per variable
     "set_cover_sets": 21,  # _first_cover, for any universe size
+    "vertex_cover_vertices": 44,  # _most_independent: the graph deciders and optimum
     # approx's other exact optima
-    "vertex_cover_vertices": 44,
     "max_cut_vertices": 20,
     "knapsack_items": 20,
 }
@@ -828,6 +777,68 @@ def brute_force_decide(problem):
     if not isinstance(problem, Problem):
         raise TypeError(f"unknown problem type {type(problem)!r}")
     return problem.search()
+
+
+def _adjacency_bits(g: Graph) -> list[int]:
+    """Neighbours of vertex v + 1 as the bit mask at index v."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return adj
+
+
+def _most_independent(adj, alive: int) -> int:
+    """The size of a largest independent set inside the bit mask `alive`,
+    with adj from _adjacency_bits.  The search keeps its own stack of
+    (alive vertices, set size) nodes.  A node first takes every vertex of
+    degree 0 or 1 into the set (some maximum set holds it) and drops its
+    neighbour; it ends once its set plus all alive vertices cannot beat
+    the best; otherwise it branches on a maximum-degree vertex: left out,
+    or taken with its neighbours dropped (Chen, Kanj & Jia 2001)."""
+    best, stack = 0, [(alive, 0)]
+    while stack:
+        alive, size = stack.pop()
+        taken = True
+        while taken:
+            taken, top, top_degree = False, 0, 0
+            rest = alive
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if alive & low:
+                    near = adj[low.bit_length() - 1] & alive
+                    degree = near.bit_count()
+                    if degree <= 1:
+                        alive &= ~(low | near)
+                        size += 1
+                        taken = True
+                    elif degree > top_degree:
+                        top, top_degree = low, degree
+        if not alive:
+            best = max(best, size)
+        elif size + alive.bit_count() > best:
+            stack.append((alive & ~top & ~adj[top.bit_length() - 1], size + 1))
+            stack.append((alive & ~top, size))  # left out: tried first
+    return best
+
+
+def _first_independent(adj, alive: int, need: int, take: bool) -> set[int]:
+    """The independent `need`-set inside `alive`, which must hold one, that
+    a walk in vertex order picks by self-reduction (Schnorr 1976): it takes
+    each vertex if `take`, else leaves it out, whenever the vertices left
+    still hold an independent set of the size needed."""
+    chosen = set()
+    while need:
+        low = alive & -alive
+        alive ^= low
+        later = alive & ~adj[low.bit_length() - 1]  # left if the vertex is taken
+        # make the preferred choice if what it leaves can still complete the set
+        left, wanted = (later, need - 1) if take else (alive, need)
+        if (_most_independent(adj, left) >= wanted) == take:
+            chosen.add(low.bit_length())
+            alive, need = later, need - 1
+    return chosen
 
 
 def _first_verified(problem, items, sizes):

@@ -11,24 +11,26 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .intmath import exact_int, exact_int_rows, exact_ints, json_object
+from .intmath import _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object
 
 DIAG, UP, LEFT = "Diag", "Up", "Left"
 
 
-class AllocationInstance:
+class AllocationInstance(_FrozenRecord):
     """N tasks with per-task cost and profit tables over x = 0..b.  An
     immutable value, checked once when made: instances compare and hash
     by their three fields."""
 
     __slots__ = ("costs", "profits", "budget")
+    costs: tuple[tuple[int, ...], ...]
+    profits: tuple[tuple[int, ...], ...]
+    budget: int
 
-    def __init__(self, costs: tuple[tuple[int, ...], ...],
-                 profits: tuple[tuple[int, ...], ...], budget: int):
-        if len(costs) != len(profits) or not costs:
+    def _check(self):
+        if len(self.costs) != len(self.profits) or not self.costs:
             raise ValueError("need matching, nonempty cost/profit tables")
-        width = len(costs[0])
-        for table in (*costs, *profits):
+        width = len(self.costs[0])
+        for table in (*self.costs, *self.profits):
             if len(table) != width:
                 raise ValueError("all tables must cover the same 0..b range")
             if not table or table[0] != 0:
@@ -37,28 +39,8 @@ class AllocationInstance:
                 raise ValueError("tables must be monotone non-decreasing")
             if any(x < 0 for x in table):
                 raise ValueError("tables must be non-negative")
-        if budget < 0:
+        if self.budget < 0:
             raise ValueError("budget must be >= 0")
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "profits", profits)
-        object.__setattr__(self, "budget", budget)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable AllocationInstance")
-
-    def _fields(self):
-        return self.costs, self.profits, self.budget
-
-    def __eq__(self, other):
-        if type(other) is not AllocationInstance:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):  # copy and pickle rebuild (and re-check) through __init__
-        return AllocationInstance, self._fields()
 
     @property
     def n_tasks(self) -> int:

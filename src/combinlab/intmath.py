@@ -3,9 +3,10 @@
 Every bound asserted by the test suite is an exact integer, so all
 logarithm-style quantities are computed with integer comparisons and big
 integers, never floating point.  The JSON instance loaders use the checks
-at the end to admit only integers, never floats.  The number-list parser
-and the size-cap error live here too, so that the sorting and selection
-commands need nothing from `complexity`, which re-exports both.
+at the end to admit only integers, never floats.  The number-list parser,
+the size-cap error and the value-record bases live here too, so that the
+sorting and selection commands need nothing from `complexity` (which
+re-exports the first two) and `search_games` and `dp` share its records.
 """
 
 from __future__ import annotations
@@ -110,6 +111,73 @@ def parse_numbers(text: str) -> list[int]:
         return [int(tok) for tok in text.split()]
     except ValueError as exc:
         raise ValueError(f"bad number list: {exc}") from None
+
+
+class _Record:
+    """A record whose fields are the `__slots__` of its class and bases,
+    base first.  It is built from the fields by position or keyword and
+    checked by `_check`; records compare by class and fields, repr as
+    `Name(field=value, ...)`, and copy and pickle rebuild (and re-check)
+    them through `__init__`.  Mutable, so unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+        )
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            try:
+                args += tuple(kwargs.pop(name) for name in names[len(args):])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() missing argument {exc}") from None
+            if kwargs:
+                raise TypeError(f"{type(self).__name__}() got unexpected arguments {sorted(kwargs)}")
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, not {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self):
+        """Raise ValueError if the fields do not make a valid record."""
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """An immutable record, which hashes by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
 
 
 # --- JSON instance checks ------------------------------------------------------

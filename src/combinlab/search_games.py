@@ -12,7 +12,7 @@ query bound:
 
 from __future__ import annotations
 
-from .intmath import ceil_div, coin_pool_size, fib, fib_upto
+from .intmath import _FrozenRecord, ceil_div, coin_pool_size, fib, fib_upto
 from .oracles import EQUAL, LEFT, RIGHT, CostedOracle
 
 
@@ -34,32 +34,13 @@ HEAVIER = "Heavier"
 LIGHTER = "Lighter"
 
 
-class CoinVerdict:
+class CoinVerdict(_FrozenRecord):
     """Either all coins genuine, or coin `index` with the given bias.  An
     immutable value: verdicts compare and hash by their two fields."""
 
     __slots__ = ("index", "bias")
-
-    def __init__(self, index: int | None, bias: str | None):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "bias", bias)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable CoinVerdict")
-
-    def __eq__(self, other):
-        if type(other) is not CoinVerdict:
-            return NotImplemented
-        return (self.index, self.bias) == (other.index, other.bias)
-
-    def __hash__(self):
-        return hash((self.index, self.bias))
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return CoinVerdict, (self.index, self.bias)
-
-    def __repr__(self):
-        return f"CoinVerdict(index={self.index!r}, bias={self.bias!r})"
+    index: int | None
+    bias: str | None
 
     @property
     def all_genuine(self) -> bool:

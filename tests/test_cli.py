@@ -454,6 +454,11 @@ GOLDEN = {
     "reduce clique-is tri.g --k 4 --oracle --format text": (0, "e2bea55debb825d78b844147731996a711b6684174c668dd3dedcd3dd3cdbb51"),
     "reduce is-vc tri.g --k 2 --witness [1,2,3] --format json": (0, "6da3e26e02d17ac72d6c6f430f375ee04b013218d8fa68e900d0ab9424f237c7"),
     "reduce is-vc tri.g --k 2 --witness [1,2,3] --format text": (0, "772f34d66e926bf6082f9293cd86cb56b091a236da66a26f1437735981cbfbc2"),
+    # a negative k asks for at least no vertices, which the empty set gives
+    "reduce clique-is tri.g --k -1 --oracle --format json": (0, "9384d285e0d2e5fb731768756f69c0d08b136b0cad4063345662a90def1c94bc"),
+    "reduce clique-is tri.g --k -1 --oracle --format text": (0, "44ff1557b91dcca8e0260f4c85f34a88cc1a1aef6b829512aeb7303c7d37b70c"),
+    "reduce is-vc tri.g --k -1 --oracle --format json": (0, "3fb797c22b3ff5aa2621a844eb0ae1160c9f3533b6145855a0066b0d8007b5e0"),
+    "reduce is-vc tri.g --k -1 --oracle --format text": (0, "5adc9e8b3532d63b7abb85f0a77e10f4f3000c2fbacd0ed85b21b2a0096bbdb7"),
     "verify sat f.cnf [1,1,0] --format json": (0, "ac1493cdfbb3763e43f1accfce43b45e29e5e9286b3a5a65300b13b36170acee"),
     "verify sat f.cnf [1,1,0] --format text": (0, "ea63e1125f5576d6ffcc6ecd41977fbb45bf4fb453f76dc0bc67ad37e4929ecc"),
     "verify sat f.cnf [0,0,0] --format json": (1, "3dd07d58d67d6815dc0c1e31bca3c4e9fece166d8235596b48a1ebdb3b6ab5a3"),

@@ -98,8 +98,14 @@ def test_brute_force_on_empty_instances():
 def test_brute_force_caps():
     with pytest.raises(InstanceTooLargeError):
         brute_force_decide(Sat(cnf(21, [(1,)])))
-    with pytest.raises(InstanceTooLargeError):
-        brute_force_decide(Clique(complete_graph(13), 2))
+    # clique, independent set and vertex cover share vertex_cover_vertices: 44
+    assert brute_force_decide(Clique(complete_graph(13), 2)) == {1, 2}
+    for problem in (Clique(complete_graph(45), 2), IndependentSet(Graph(45, []), 1),
+                    VertexCover(Graph(45, []), 0)):
+        with pytest.raises(InstanceTooLargeError):
+            brute_force_decide(problem)
+    with pytest.raises(InstanceTooLargeError):  # before the 4.5 M-edge complement is built
+        brute_force_decide(Clique(Graph(3000, []), 1))
     with pytest.raises(InstanceTooLargeError):  # set_cover_sets: 21 sets
         brute_force_decide(SetCover((1,), (frozenset({1}),) * 22, 1))
     wide = tuple(range(40))  # any universe size
@@ -736,7 +742,8 @@ def test_tsp_decides_a_sixteen_city_no_instance_quickly():
     assert time.process_time() - start < 2.0
 
 
-# --- the subfamily enumeration the cover walk replaced, kept as a reference ---
+# --- the subset enumeration the cover walk and the independent-set search
+# replaced, kept as a reference ---
 
 
 def first_verified(problem, items, sizes):
@@ -748,10 +755,12 @@ def first_verified(problem, items, sizes):
 
 
 def cover_cases(rng):
-    for n, p in itertools.product(range(0, 13), [0, 0.2, 0.4, 0.7]):
+    for n, p in itertools.product(range(0, 13), [0, 0.2, 0.4, 0.7, 1]):
         g = random_graph(rng, n, p)
         for k in range(-1, n + 2):
             yield VertexCover(g, k), first_verified(VertexCover(g, k), range(1, n + 1), range(min(k, n) + 1))
+            for problem in (Clique(g, k), IndependentSet(g, k)):  # exactly max(k, 0) vertices
+                yield problem, first_verified(problem, range(1, n + 1), [max(k, 0)])
     for m in [*range(0, 22)] * 4:
         universe = tuple(range(1, rng.randint(1, 12))) if m else ()
         pool = [*universe, 99, "x"]  # some sets hold elements outside the universe
@@ -772,6 +781,31 @@ def test_cover_walk_matches_the_subfamily_enumeration():
         found += want is not None
         missing += want is None
     assert found and missing
+
+
+def disjoint_k4s(c):
+    return Graph(4 * c, [(4 * b + i, 4 * b + j) for b in range(c) for i in range(1, 5) for j in range(i + 1, 5)])
+
+
+@pytest.mark.parametrize("c", [4, 8, 11])  # 16 to 44 vertices, the cap
+def test_graph_deciders_on_disjoint_k4s(c):
+    # Closed forms where the enumeration cannot reach: the first smallest
+    # cover is the first three vertices of each K4, the first independent
+    # c-set the first vertex of each, and the first 4-clique {1, 2, 3, 4};
+    # one step past each optimum there is no witness.
+    g = disjoint_k4s(c)
+    assert brute_force_decide(VertexCover(g, 3 * c)) == {4 * b + i for b in range(c) for i in (1, 2, 3)}
+    assert brute_force_decide(IndependentSet(g, c)) == set(range(1, 4 * c, 4))
+    assert brute_force_decide(Clique(g, 4)) == {1, 2, 3, 4}
+    for problem in (VertexCover(g, 3 * c - 1), IndependentSet(g, c + 1), Clique(g, 5)):
+        assert brute_force_decide(problem) is None
+
+
+def test_negative_k_decides_as_verify_does():
+    g = Graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+    for problem in (Clique(g, -1), IndependentSet(g, -1), Clique(Graph(0, []), -2)):
+        assert brute_force_decide(problem) == set() and verify(problem, set())
+    assert brute_force_decide(VertexCover(g, -1)) is None
 
 
 def test_set_cover_ignores_elements_outside_the_universe():

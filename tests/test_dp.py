@@ -105,7 +105,12 @@ def test_allocation_instance_is_an_immutable_value():
     assert inst != AllocationInstance(((0, 1, 2),), ((0, 3, 4),), 1)
     with pytest.raises(AttributeError):
         inst.budget = -1
+    with pytest.raises(AttributeError):
+        del inst.costs
     assert inst.budget == 2
+    assert repr(inst) == "AllocationInstance(costs=((0, 1, 2),), profits=((0, 3, 4),), budget=2)"
+    with pytest.raises(ValueError):  # budget below 0
+        AllocationInstance(((0, 1, 2),), ((0, 3, 4),), -1)
     for again in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
         assert again == inst
 

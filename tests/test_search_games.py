@@ -82,6 +82,8 @@ def test_coin_verdict_is_an_immutable_value():
     assert repr(ALL_GENUINE) == "CoinVerdict(index=None, bias=None)"
     with pytest.raises(AttributeError):
         v.index = 4
+    with pytest.raises(AttributeError):
+        del v.bias
     assert v.index == 3 and ALL_GENUINE.all_genuine
     for again in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert again == v

@@ -783,17 +783,13 @@ def test_cover_walk_matches_the_subfamily_enumeration():
     assert found and missing
 
 
-def disjoint_k4s(c):
-    return Graph(4 * c, [(4 * b + i, 4 * b + j) for b in range(c) for i in range(1, 5) for j in range(i + 1, 5)])
-
-
 @pytest.mark.parametrize("c", [4, 8, 11])  # 16 to 44 vertices, the cap
 def test_graph_deciders_on_disjoint_k4s(c):
     # Closed forms where the enumeration cannot reach: the first smallest
     # cover is the first three vertices of each K4, the first independent
     # c-set the first vertex of each, and the first 4-clique {1, 2, 3, 4};
     # one step past each optimum there is no witness.
-    g = disjoint_k4s(c)
+    g = Graph(4 * c, [(4 * b + i, 4 * b + j) for b in range(c) for i in range(1, 5) for j in range(i + 1, 5)])
     assert brute_force_decide(VertexCover(g, 3 * c)) == {4 * b + i for b in range(c) for i in (1, 2, 3)}
     assert brute_force_decide(IndependentSet(g, c)) == set(range(1, 4 * c, 4))
     assert brute_force_decide(Clique(g, 4)) == {1, 2, 3, 4}

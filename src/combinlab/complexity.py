@@ -261,7 +261,7 @@ class IndependentSet(_GraphK):
         """The first independent max(k, 0)-set in combinations order, or None."""
         _within_cap(self.graph.n, "vertex_cover_vertices")
         adj, alive, need = _adjacency_bits(self.graph), (1 << self.graph.n) - 1, max(self.k, 0)
-        enough = _most_independent(adj, alive) >= need
+        enough = _most_independent(adj, alive, need) >= need
         return _first_independent(adj, alive, need, take=True) if enough else None
 
 
@@ -788,15 +788,19 @@ def _adjacency_bits(g: Graph) -> list[int]:
     return adj
 
 
-def _most_independent(adj, alive: int) -> int:
+def _most_independent(adj, alive: int, goal: int | None = None) -> int:
     """The size of a largest independent set inside the bit mask `alive`,
     with adj from _adjacency_bits.  The search keeps its own stack of
     (alive vertices, set size) nodes.  A node first takes every vertex of
     degree 0 or 1 into the set (some maximum set holds it) and drops its
     neighbour; it ends once its set plus all alive vertices cannot beat
     the best; otherwise it branches on a maximum-degree vertex: left out,
-    or taken with its neighbours dropped (Chen, Kanj & Jia 2001)."""
-    best, stack = 0, [(alive, 0)]
+    or taken with its neighbours dropped (Chen, Kanj & Jia 2001).
+
+    With a `goal` the search only asks whether a `goal`-set exists: it
+    starts as if a (goal - 1)-set were known and returns at the first set
+    larger than that, so the result is >= goal exactly when one exists."""
+    best, stack = (0 if goal is None else goal - 1), [(alive, 0)]
     while stack:
         alive, size = stack.pop()
         taken = True
@@ -816,7 +820,10 @@ def _most_independent(adj, alive: int) -> int:
                     elif degree > top_degree:
                         top, top_degree = low, degree
         if not alive:
-            best = max(best, size)
+            if size > best:
+                best = size
+                if goal is not None:
+                    return best
         elif size + alive.bit_count() > best:
             stack.append((alive & ~top & ~adj[top.bit_length() - 1], size + 1))
             stack.append((alive & ~top, size))  # left out: tried first
@@ -835,7 +842,7 @@ def _first_independent(adj, alive: int, need: int, take: bool) -> set[int]:
         later = alive & ~adj[low.bit_length() - 1]  # left if the vertex is taken
         # make the preferred choice if what it leaves can still complete the set
         left, wanted = (later, need - 1) if take else (alive, need)
-        if (_most_independent(adj, left) >= wanted) == take:
+        if (_most_independent(adj, left, wanted) >= wanted) == take:
             chosen.add(low.bit_length())
             alive, need = later, need - 1
     return chosen
@@ -1619,20 +1626,20 @@ def implication_graph(f: CnfFormula) -> Digraph:
     """Literal digraph: vertex i is not-x_i, vertex n+i is x_i; every
     clause (a or b) contributes arcs not-a -> b and not-b -> a."""
     n = f.num_vars
-
-    def node(lit: int) -> int:
-        return n + lit if lit > 0 else -lit
-
-    arcs = set()
+    node = [*range(n, 0, -1), 0, *range(n + 1, 2 * n + 1)]  # literal l at index n + l
+    heads: dict[int, set[int]] = {v: set() for v in range(1, 2 * n + 1)}
     for clause in f.clauses:
         if len(clause) > 2:
             raise ValueError("clause with more than 2 literals")
-        a = clause[0]
-        b = clause[1] if len(clause) == 2 else clause[0]
-        for tail, head in ((-a, b), (-b, a)):
-            if tail != head:
-                arcs.add((node(tail), node(head)))
-    return Digraph(2 * n, sorted(arcs))
+        a, b = clause[0], clause[-1]
+        if a != -b:  # (x or not x) would give two self-loops
+            heads[node[n - a]].add(node[n + b])
+            heads[node[n - b]].add(node[n + a])
+    # The formula has checked every literal, so each arc lies in 1..2n, and
+    # the sets hold no repeat: nothing is left for the Digraph to check.
+    ordered = {v: sorted(ws) for v, ws in heads.items()}
+    arcs = tuple([(u, v) for u, ws in ordered.items() for v in ws])
+    return Digraph._trusted(2 * n, arcs, ordered)
 
 
 def twosat_solve(f: CnfFormula) -> TwoSatResult:

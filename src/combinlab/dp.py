@@ -99,9 +99,12 @@ def allocate(inst: AllocationInstance) -> tuple[int, list[int]]:
 
 
 class ParetoEntry:
+    """One state of the sweep: its items as an ascending tuple, with their
+    total value and volume."""
+
     __slots__ = ("items", "value", "volume")
 
-    def __init__(self, items: frozenset[int], value: int, volume: int):
+    def __init__(self, items: tuple[int, ...], value: int, volume: int):
         self.items = items
         self.value = value
         self.volume = volume
@@ -110,8 +113,9 @@ class ParetoEntry:
 def _prune(states: list[ParetoEntry], extended: list[ParetoEntry]) -> list[ParetoEntry]:
     """Merge two lists sorted by (volume, -value) and keep each entry whose
     value beats every entry before it.  An exact (volume, value) tie goes to
-    the smaller sorted item list, the order a full sort by (volume, -value,
-    sorted(items)) gives; the tied loser is then dropped."""
+    the smaller item tuple, the order a full sort by (volume, -value,
+    sorted(items)) gives, as the tuples are ascending; the tied loser is
+    then dropped."""
     kept: list[ParetoEntry] = []
     best_value = -1
     a = b = 0
@@ -123,7 +127,7 @@ def _prune(states: list[ParetoEntry], extended: list[ParetoEntry]) -> list[Paret
         elif x.value != y.value:
             take_x = x.value > y.value
         else:
-            take_x = sorted(x.items) < sorted(y.items)
+            take_x = x.items < y.items
         if take_x:
             e, a = x, a + 1
         else:
@@ -154,12 +158,16 @@ def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
         raise ValueError("capacity must be >= 0")
     # Volume and value both rise strictly along the frontier, so adding
     # item k to every state that still fits keeps it sorted for _prune.
-    states = [ParetoEntry(frozenset(), 0, 0)]
+    # Item k is larger than every item before it, so appending it keeps
+    # each tuple ascending.
+    states = [ParetoEntry((), 0, 0)]
     for k in range(1, len(values) + 1):
+        value, volume, item = values[k - 1], volumes[k - 1], (k,)
+        room = capacity - volume
         extended = [
-            ParetoEntry(e.items | {k}, e.value + values[k - 1], e.volume + volumes[k - 1])
+            ParetoEntry(e.items + item, e.value + value, e.volume + volume)
             for e in states
-            if e.volume + volumes[k - 1] <= capacity
+            if e.volume <= room
         ]
         states = _prune(states, extended)
         assert not _has_dominated_pair(states)
@@ -217,16 +225,19 @@ def lcs(x, y) -> tuple[int, list, LcsTables]:
     c = [[0] * (m + 1) for _ in range(n + 1)]
     b: list[list[str | None]] = [[None] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
+        # `left` is c[i][j - 1] on entering cell j and c[i][j] on leaving it
+        xi, above, row, arrows = x[i - 1], c[i - 1], c[i], b[i]
+        left = 0
         for j in range(1, m + 1):
-            if x[i - 1] == y[j - 1]:
-                c[i][j] = c[i - 1][j - 1] + 1
-                b[i][j] = DIAG
-            elif c[i - 1][j] >= c[i][j - 1]:
-                c[i][j] = c[i - 1][j]
-                b[i][j] = UP
+            if xi == y[j - 1]:
+                left = above[j - 1] + 1
+                arrows[j] = DIAG
+            elif above[j] >= left:
+                left = above[j]
+                arrows[j] = UP
             else:
-                c[i][j] = c[i][j - 1]
-                b[i][j] = LEFT
+                arrows[j] = LEFT
+            row[j] = left
     out = []
     i, j = n, m
     while i > 0 and j > 0:

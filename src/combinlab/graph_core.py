@@ -58,6 +58,20 @@ class Graph:
         assert sum(degrees) == 2 * len(self.edges)
         assert sum(1 for d in degrees if d % 2) % 2 == 0
 
+    def _key(self) -> tuple:
+        return (self.n, self.edges)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._key()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n}, {list(self.edges)!r})"
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -113,28 +127,49 @@ class Digraph:
             adj[u].append(v)
         self.adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
+    @staticmethod
+    def _trusted(n: int, arcs: tuple, heads: dict) -> "Digraph":
+        """A Digraph from distinct arcs already checked, with heads[v] the
+        heads of v's arcs in increasing order for each v in 1..n; nothing
+        is checked or sorted again."""
+        g = Digraph.__new__(Digraph)
+        g.n, g.arcs = n, arcs
+        g.adj = {v: tuple(ws) for v, ws in heads.items()}
+        return g
+
+    def _key(self) -> tuple:
+        return (self.n, self.arcs)
+
+    __eq__ = Graph.__eq__
+    __hash__ = Graph.__hash__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n}, {list(self.arcs)!r})"
+
     def neighbors(self, v: int):
         return self.adj[v]
 
     def transpose(self) -> "Digraph":
-        """Every arc reversed, in the same arc order.  The arcs were checked
-        when this digraph was made, so nothing is checked again; scanning
-        the tails in increasing order leaves each reversed list sorted."""
-        radj = {v: [] for v in range(1, self.n + 1)}
-        for u, ws in self.adj.items():
-            for w in ws:
-                radj[w].append(u)
-        t = Digraph.__new__(Digraph)
-        t.n = self.n
-        t.arcs = tuple((v, u) for u, v in self.arcs)
-        t.adj = {v: tuple(us) for v, us in radj.items()}
-        return t
+        """Every arc reversed, in the same arc order."""
+        arcs = tuple([(v, u) for u, v in self.arcs])
+        return Digraph._trusted(self.n, arcs, _reversed_heads(self.adj))
 
     def adjacency_matrix(self) -> list[list[int]]:
         mat = [[0] * self.n for _ in range(self.n)]
         for u, v in self.arcs:
             mat[u - 1][v - 1] = 1
         return mat
+
+
+def _reversed_heads(adj: dict) -> dict[int, list[int]]:
+    """For each vertex of a digraph's adjacency `adj`, the tails of the arcs
+    into it; scanning the tails in increasing order leaves each list
+    sorted."""
+    tails: dict[int, list[int]] = {v: [] for v in adj}
+    for u, ws in adj.items():
+        for w in ws:
+            tails[w].append(u)
+    return tails
 
 
 class BfsForest:
@@ -258,21 +293,8 @@ def fleury_euler_cycle(g: Graph) -> list[int]:
     adj = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
 
     def component_count(vertices) -> int:
-        seen = set()
-        comps = 0
-        for s in vertices:
-            if s in seen:
-                continue
-            comps += 1
-            stack = [s]
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return comps
+        _, parent = _walk(adj, vertices)
+        return sum(1 for u in parent.values() if u is None)
 
     def is_bridge(u: int, v: int) -> bool:
         # Vertices already spent are ignored, but an endpoint stranded by
@@ -321,60 +343,77 @@ class DfsRecord:
         self.roots = roots
 
 
+def _walk(adj, order) -> tuple[list[int], dict[int, int | None]]:
+    """The depth-first walk behind dfs and scc_kosaraju.  Each vertex of
+    `order` not yet seen roots a tree, whose vertices are entered in the
+    order of the adjacency lists `adj[v]`.  Returns the events in time
+    order, +v on entering v and -v on leaving it, and each seen vertex's
+    parent (None for a root) in the order the vertices were entered.  The
+    walk keeps an explicit stack of (vertex, neighbour iterator) pairs, so
+    its Python recursion depth does not grow with the graph."""
+    parent: dict[int, int | None] = {}
+    stamps: list[int] = []
+    for root in order:
+        if root in parent:
+            continue
+        parent[root] = None
+        stamps.append(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, pending = stack[-1]
+            for v in pending:
+                if v not in parent:
+                    parent[v] = u
+                    stamps.append(v)
+                    stack.append((v, iter(adj[v])))
+                    break
+            else:
+                stack.pop()
+                stamps.append(-u)
+    return stamps, parent
+
+
 def dfs(g, order=None) -> DfsRecord:
     """Depth-first search over a Graph or Digraph.
 
     `order` is the outer-loop vertex permutation (default ascending).
-    Timestamps are 1..2n with the usual nesting property.  The walk keeps
-    an explicit stack of (vertex, neighbour iterator) pairs, so its
-    Python recursion depth does not grow with the graph.
+    Timestamps are 1..2n with the usual nesting property.
     """
     n = g.n
-    if order is None:
-        order = range(1, n + 1)
-    order = list(order)
+    order = list(range(1, n + 1) if order is None else order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    rec = DfsRecord({}, {}, {v: None for v in range(1, n + 1)}, [], [])
-    discovery, finish, parent = rec.discovery, rec.finish, rec.parent
-    time = 0
-    for root in order:
-        if root in discovery:
-            continue
-        rec.roots.append(root)
-        time += 1
-        discovery[root] = time
-        stack = [(root, iter(g.neighbors(root)))]
-        while stack:
-            u, pending = stack[-1]
-            for v in pending:
-                if v not in discovery:
-                    parent[v] = u
-                    rec.forest_edges.append((u, v))
-                    time += 1
-                    discovery[v] = time
-                    stack.append((v, iter(g.neighbors(v))))
-                    break
-            else:
-                stack.pop()
-                time += 1
-                finish[u] = time
-    return rec
+    stamps, parent = _walk(g.adj, order)
+    discovery: dict[int, int] = {}
+    finish: dict[int, int] = {}
+    for time, v in enumerate(stamps, 1):
+        if v > 0:
+            discovery[v] = time
+        else:
+            finish[-v] = time
+    return DfsRecord(
+        discovery,
+        finish,
+        {v: parent[v] for v in range(1, n + 1)},
+        [(u, v) for v, u in parent.items() if u is not None],
+        [v for v, u in parent.items() if u is None],
+    )
 
 
 def scc_kosaraju(g: Digraph) -> list[list[int]]:
-    """Strongly connected components via two DFS passes.
+    """Strongly connected components via two depth-first walks.
 
-    The second pass scans vertices by decreasing first-pass finish time on
+    The second walk scans vertices by decreasing first-walk finish time on
     the transposed graph, and each of its trees is one component;
     components come out in condensation order (sources of the
     condensation first).
     """
-    by_finish = list(reversed(dfs(g).finish))
-    second = dfs(g.transpose(), order=by_finish)
+    stamps, _ = _walk(g.adj, range(1, g.n + 1))
+    by_finish = [-v for v in reversed(stamps) if v < 0]
+    _, parent = _walk(_reversed_heads(g.adj), by_finish)  # the transpose
     blocks: list[list[int]] = []
-    for v in second.discovery:
-        if second.parent[v] is None:
+    for v, u in parent.items():  # entered tree by tree
+        if u is None:
             blocks.append([])
         blocks[-1].append(v)
     return [sorted(block) for block in blocks]

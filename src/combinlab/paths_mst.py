@@ -26,6 +26,12 @@ class WeightedDigraph(Digraph):
                 raise ValueError("weights must be exact ints or fractions")
         self.weight = dict(arc_weights)
 
+    def _key(self) -> tuple:
+        return (self.n, self.arcs, tuple([self.weight[a] for a in self.arcs]))
+
+    def __repr__(self):
+        return f"WeightedDigraph({self.n}, {self.weight!r})"
+
     def w(self, u: int, v: int):
         return self.weight.get((u, v), INF)
 
@@ -44,6 +50,12 @@ class WeightedGraph(Graph):
             norm[key] = w
         super().__init__(n, list(norm.keys()))
         self.weight = norm
+
+    def _key(self) -> tuple:
+        return (self.n, self.edges, tuple([self.weight[e] for e in self.edges]))
+
+    def __repr__(self):
+        return f"WeightedGraph({self.n}, {self.weight!r})"
 
     def w(self, u: int, v: int):
         return self.weight.get((min(u, v), max(u, v)), INF)
@@ -234,38 +246,37 @@ class MstResult:
 def prim(g: WeightedGraph) -> MstResult:
     """Minimum spanning tree with (anchor, best-distance) labels.
 
-    After a vertex v joins the tree, every outside vertex u refreshes its
-    label via: if beta(u) > d(u, v) then beta(u) = d(u, v), anchor = v.
+    After a vertex v joins the tree, each outside neighbour u of v
+    refreshes its label via: if beta(u) > d(u, v) then beta(u) = d(u, v),
+    anchor = v; no other label can change.
     """
     n = g.n
     if n == 0:
         raise ValueError("graph not connected")
-    in_tree = {1}
-    anchor: dict[int, int | None] = {}
-    beta: dict[int, object] = {}
-    for u in range(2, n + 1):
-        beta[u] = g.w(u, 1) if 1 in g.adj[u] else INF
-        anchor[u] = 1 if 1 in g.adj[u] else None
+    weight = g.weight
+    beta: dict[int, object] = {u: INF for u in range(2, n + 1)}  # the outside vertices
+    anchor: dict[int, int | None] = {u: None for u in range(2, n + 1)}
     edges = []
     total = 0
     trace = [(1, None, 0)]
-    while len(in_tree) < n:
-        outside = [u for u in range(1, n + 1) if u not in in_tree]
-        pick = min(outside, key=lambda u: (beta[u], u))
-        if beta[pick] is INF or beta[pick] == INF:
+    pick = 1
+    while True:
+        for u in g.adj[pick]:
+            if u in beta:
+                w = weight[(u, pick) if u < pick else (pick, u)]
+                if w < beta[u]:  # INF exceeds every exact weight
+                    beta[u] = w
+                    anchor[u] = pick
+        if not beta:
+            return MstResult(edges, total, trace)
+        pick = min(beta, key=lambda u: (beta[u], u))
+        best = beta.pop(pick)
+        if best == INF:
             raise ValueError("graph not connected")
-        edges.append((min(pick, anchor[pick]), max(pick, anchor[pick])))
-        total = total + beta[pick]
-        trace.append((pick, anchor[pick], beta[pick]))
-        in_tree.add(pick)
-        for u in outside:
-            if u == pick:
-                continue
-            w = g.w(u, pick)
-            if w != INF and (beta[u] == INF or beta[u] > w):
-                beta[u] = w
-                anchor[u] = pick
-    return MstResult(edges, total, trace)
+        near = anchor[pick]
+        edges.append((min(pick, near), max(pick, near)))
+        total = total + best
+        trace.append((pick, near, best))
 
 
 def kruskal(g: WeightedGraph) -> MstResult:

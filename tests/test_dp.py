@@ -183,10 +183,10 @@ def test_prune_matches_sort_reference_and_quadratic_check():
         instances.append((values, volumes, rng.randint(0, 60)))
     dominated = 0
     for values, volumes, capacity in instances:
-        states = [ParetoEntry(frozenset(), 0, 0)]
+        states = [ParetoEntry((), 0, 0)]
         for k in range(1, len(values) + 1):
             extended = [
-                ParetoEntry(e.items | {k}, e.value + values[k - 1], e.volume + volumes[k - 1])
+                ParetoEntry(e.items + (k,), e.value + values[k - 1], e.volume + volumes[k - 1])
                 for e in states
                 if e.volume + volumes[k - 1] <= capacity
             ]
@@ -198,6 +198,39 @@ def test_prune_matches_sort_reference_and_quadratic_check():
             assert not _has_dominated_pair(pruned) and not quadratic_dominated_pair(pruned)
             states = pruned
     assert dominated > 500  # the unpruned lists do hold dominated pairs
+
+
+def reference_knapsack_pareto(values, volumes, capacity):
+    """knapsack_pareto as it was before items became ascending tuples:
+    frozenset items, each frontier pruned by reference_prune's full sort.
+    Also counts the exact (volume, value) ties the prunes met."""
+    states, ties = [ParetoEntry(frozenset(), 0, 0)], 0
+    for k in range(1, len(values) + 1):
+        extended = [
+            ParetoEntry(e.items | {k}, e.value + values[k - 1], e.volume + volumes[k - 1])
+            for e in states
+            if e.volume + volumes[k - 1] <= capacity
+        ]
+        merged = states + extended
+        ties += len(merged) - len({(e.volume, e.value) for e in merged})
+        states = reference_prune(merged)
+    return set(states[-1].items), states[-1].value, ties
+
+
+def test_knapsack_matches_frozenset_reference():
+    rng = random.Random(29)
+    instances = [inst for kind in sorted(KNAPSACK_CHOICES) for inst in pin_knapsacks(kind)]
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        values = [rng.randint(0, 4) for _ in range(n)]
+        volumes = [rng.randint(0, 3) for _ in range(n)]
+        instances.append((values, volumes, rng.randint(0, sum(volumes) + 1)))
+    ties = 0
+    for values, volumes, capacity in instances:
+        chosen, value, met = reference_knapsack_pareto(values, volumes, capacity)
+        assert knapsack_pareto(values, volumes, capacity) == (chosen, value)
+        ties += met
+    assert ties > 1000  # the tie rule decided many of them
 
 
 def test_knapsack_pareto_scales():
@@ -226,6 +259,51 @@ def brute_lcs(x, y):
             if all(ch in it for ch in sub):
                 best = max(best, r)
     return best
+
+
+def reference_lcs(x, y):
+    """lcs as it was before it filled each row through locals: every cell
+    read and written through both full tables."""
+    x, y = list(x), list(y)
+    n, m = len(x), len(y)
+    c = [[0] * (m + 1) for _ in range(n + 1)]
+    b = [[None] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if x[i - 1] == y[j - 1]:
+                c[i][j] = c[i - 1][j - 1] + 1
+                b[i][j] = "Diag"
+            elif c[i - 1][j] >= c[i][j - 1]:
+                c[i][j] = c[i - 1][j]
+                b[i][j] = "Up"
+            else:
+                c[i][j] = c[i][j - 1]
+                b[i][j] = "Left"
+    out = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        if b[i][j] == "Diag":
+            out.append(x[i - 1])
+            i, j = i - 1, j - 1
+        elif b[i][j] == "Up":
+            i -= 1
+        else:
+            j -= 1
+    out.reverse()
+    return c[n][m], out, c, b
+
+
+def test_lcs_matches_index_based_reference():
+    rng = random.Random(41)
+    cases = [("", ""), ("", "AB"), ("AB", ""), ("A", "A"), ("ABCBDAB", "BDCABA")]
+    for _ in range(300):
+        alphabet = rng.choice(("AB", "ACGT", "ABCDEFGHIJ"))
+        x, y = ("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))) for _ in "xy")
+        cases.append((x, y))
+        cases.append(([ord(ch) % 3 for ch in x], tuple(ord(ch) % 3 for ch in y)))
+    for x, y in cases:
+        length, seq, tables = lcs(x, y)
+        assert (length, seq, tables.lengths, tables.arrows) == reference_lcs(x, y)
 
 
 def test_lcs_short_strings():

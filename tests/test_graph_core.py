@@ -1,10 +1,14 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from combinlab.graph_core import (
+    DfsRecord,
     Digraph,
     Graph,
     NotEulerianError,
@@ -184,6 +188,97 @@ def test_dfs_parenthesis_property():
                     iv[0] < iu[0] and iu[1] < iv[1]
                 )
                 assert disjoint or nested or u == v
+
+
+def reference_dfs(g, order=None) -> DfsRecord:
+    """dfs as it was before the shared walk: the record's dicts and lists
+    filled inside the loop."""
+    n = g.n
+    order = list(range(1, n + 1) if order is None else order)
+    rec = DfsRecord({}, {}, {v: None for v in range(1, n + 1)}, [], [])
+    discovery, finish, parent = rec.discovery, rec.finish, rec.parent
+    time = 0
+    for root in order:
+        if root in discovery:
+            continue
+        rec.roots.append(root)
+        time += 1
+        discovery[root] = time
+        stack = [(root, iter(g.neighbors(root)))]
+        while stack:
+            u, pending = stack[-1]
+            for v in pending:
+                if v not in discovery:
+                    parent[v] = u
+                    rec.forest_edges.append((u, v))
+                    time += 1
+                    discovery[v] = time
+                    stack.append((v, iter(g.neighbors(v))))
+                    break
+            else:
+                stack.pop()
+                time += 1
+                finish[u] = time
+    return rec
+
+
+def reference_scc(g: Digraph) -> list[list[int]]:
+    """scc_kosaraju as it was before the shared walk, on reference_dfs."""
+    by_finish = list(reversed(reference_dfs(g).finish))
+    second = reference_dfs(g.transpose(), order=by_finish)
+    blocks: list[list[int]] = []
+    for v in second.discovery:
+        if second.parent[v] is None:
+            blocks.append([])
+        blocks[-1].append(v)
+    return [sorted(block) for block in blocks]
+
+
+def test_dfs_and_scc_match_their_record_based_references():
+    rng = random.Random(23)
+    cases = [Graph(0, []), Digraph(0, []), Graph(1, []), Digraph(3, [])]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.1, 0.25, 0.5))
+        pairs = itertools.permutations(range(1, n + 1), 2)
+        links = [(u, v) for u, v in pairs if rng.random() < p]
+        rng.shuffle(links)
+        cases.append(Digraph(n, links))
+        cases.append(Graph(n, [(u, v) for u, v in links if u < v]))
+    for g in cases:
+        orders = [None, rng.sample(range(1, g.n + 1), g.n)]
+        for order in orders:
+            got, want = dfs(g, order), reference_dfs(g, order)
+            for field in DfsRecord.__slots__:  # equal values in the same key order
+                a, b = getattr(got, field), getattr(want, field)
+                assert a == b and list(a) == list(b), field
+        if isinstance(g, Digraph):
+            assert scc_kosaraju(g) == reference_scc(g)
+
+
+def test_graphs_are_values():
+    from combinlab.paths_mst import WeightedDigraph, WeightedGraph
+
+    g = Graph(3, [(2, 1), (2, 3)])
+    assert g == Graph(3, [(1, 2), (3, 2)]) and hash(g) == hash(Graph(3, [(1, 2), (2, 3)]))
+    assert repr(g) == "Graph(3, [(1, 2), (2, 3)])"
+    assert g != Graph(3, [(2, 3), (1, 2)])  # edge order shows in the text format
+    assert g != Graph(4, [(1, 2), (2, 3)]) and g != Digraph(3, [(1, 2), (2, 3)])
+    d = Digraph(3, [(3, 1), (1, 2)])
+    assert d == Digraph(3, [(3, 1), (1, 2), (3, 1)]) and d.transpose().transpose() == d
+    assert repr(d) == "Digraph(3, [(3, 1), (1, 2)])"
+    wg = WeightedGraph(3, {(2, 1): 4, (2, 3): Fraction(1, 2)})
+    assert wg == WeightedGraph(3, {(1, 2): 4, (3, 2): Fraction(1, 2)})
+    assert hash(wg) == hash(WeightedGraph(3, {(1, 2): 4, (2, 3): Fraction(1, 2)}))
+    assert wg != WeightedGraph(3, {(1, 2): 4, (2, 3): 1}) and wg != g
+    assert repr(wg) == "WeightedGraph(3, {(1, 2): 4, (2, 3): Fraction(1, 2)})"
+    wd = WeightedDigraph(2, {(2, 1): 7})
+    assert wd == WeightedDigraph(2, {(2, 1): 7}) and wd != WeightedDigraph(2, {(2, 1): 8})
+    assert wd != Digraph(2, [(2, 1)]) and repr(wd) == "WeightedDigraph(2, {(2, 1): 7})"
+    for x in (g, d, wg, wd):
+        for again in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert again == x and hash(again) == hash(x) and not again != x
+    assert len({g, Graph(3, [(1, 2), (2, 3)]), d, wg}) == 3
 
 
 def brute_scc(d: Digraph) -> list[list[int]]:

@@ -226,6 +226,65 @@ def test_fraction_weights_supported():
     assert res.dist[3] == Fraction(5, 6)
 
 
+def reference_prim(g: WeightedGraph):
+    """prim as it was before it relaxed only the picked vertex's
+    neighbours: every outside vertex asks g.w after each pick."""
+    n = g.n
+    if n == 0:
+        raise ValueError("graph not connected")
+    in_tree = {1}
+    anchor, beta = {}, {}
+    for u in range(2, n + 1):
+        beta[u] = g.w(u, 1) if 1 in g.adj[u] else INF
+        anchor[u] = 1 if 1 in g.adj[u] else None
+    edges, total, trace = [], 0, [(1, None, 0)]
+    while len(in_tree) < n:
+        outside = [u for u in range(1, n + 1) if u not in in_tree]
+        pick = min(outside, key=lambda u: (beta[u], u))
+        if beta[pick] is INF or beta[pick] == INF:
+            raise ValueError("graph not connected")
+        edges.append((min(pick, anchor[pick]), max(pick, anchor[pick])))
+        total = total + beta[pick]
+        trace.append((pick, anchor[pick], beta[pick]))
+        in_tree.add(pick)
+        for u in outside:
+            if u == pick:
+                continue
+            w = g.w(u, pick)
+            if w != INF and (beta[u] == INF or beta[u] > w):
+                beta[u] = w
+                anchor[u] = pick
+    return edges, total, trace
+
+
+def test_prim_matches_all_outside_reference():
+    # Few distinct weights, so ties between labels are common; Fraction
+    # weights mix with ints; sparse draws are often disconnected.
+    rng = random.Random(31)
+    cases = [WeightedGraph(0, {}), WeightedGraph(1, {}), WeightedGraph(3, {(2, 3): 1})]
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.4, 0.8))
+        pool = (1, 2, 3, Fraction(1, 2), Fraction(5, 2)) if rng.random() < 0.5 else (1, 2)
+        cases.append(WeightedGraph(n, {e: rng.choice(pool) for e in itertools.combinations(
+            range(1, n + 1), 2) if rng.random() < p}))
+    disconnected = 0
+    for g in cases:
+        try:
+            want = reference_prim(g)
+        except ValueError as exc:
+            assert str(exc) == "graph not connected"
+            with pytest.raises(ValueError, match="^graph not connected$"):
+                prim(g)
+            disconnected += 1
+            continue
+        got = prim(g)
+        assert (got.edges, got.total_weight, got.prim_trace) == want
+        types = [type(got.total_weight)] + [type(w) for _, _, w in got.prim_trace]
+        assert types == [type(want[1])] + [type(w) for _, _, w in want[2]]
+    assert 50 < disconnected < len(cases) - 300
+
+
 def test_float_weights_rejected():
     with pytest.raises(ValueError):
         WeightedGraph(2, {(1, 2): 0.5})

@@ -59,6 +59,8 @@ class CnfFormula(_FrozenRecord):
             if not clause:
                 raise ValueError("empty clause")
             for lit in clause:
+                if type(lit) is not int:
+                    raise ValueError(f"literal {lit!r} is not an integer")
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"literal {lit} out of range")
 
@@ -1635,8 +1637,9 @@ def implication_graph(f: CnfFormula) -> Digraph:
         if a != -b:  # (x or not x) would give two self-loops
             heads[node[n - a]].add(node[n + b])
             heads[node[n - b]].add(node[n + a])
-    # The formula has checked every literal, so each arc lies in 1..2n, and
-    # the sets hold no repeat: nothing is left for the Digraph to check.
+    # The formula has checked that every literal is a nonzero int of size
+    # at most n, so each arc lies in 1..2n, and the sets hold no repeat:
+    # nothing is left for the Digraph to check.
     ordered = {v: sorted(ws) for v, ws in heads.items()}
     arcs = tuple([(u, v) for u, ws in ordered.items() for v in ws])
     return Digraph._trusted(2 * n, arcs, ordered)

@@ -2,7 +2,9 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -945,6 +947,9 @@ def test_construction_errors():
         CnfFormula(2, ((1, 3),))
     with pytest.raises(ValueError, match="^literal 0 out of range$"):
         CnfFormula(num_vars=2, clauses=((0,),))
+    for lit in (1.0, True, Fraction(1)):  # the 2-SAT graph indexes by literal
+        with pytest.raises(ValueError, match=re.escape(f"literal {lit!r} is not an integer")):
+            cnf(2, [(2, lit)])
     with pytest.raises(ValueError, match="^not a 3-CNF formula$"):
         ThreeSat(cnf(2, [(1, 2)]))
     with pytest.raises(ValueError, match="^not a 3-CNF formula$"):

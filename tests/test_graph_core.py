@@ -245,6 +245,9 @@ def test_dfs_and_scc_match_their_record_based_references():
         rng.shuffle(links)
         cases.append(Digraph(n, links))
         cases.append(Graph(n, [(u, v) for u, v in links if u < v]))
+    for n in (50, 200, 400):  # long paths and many small components
+        links = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(2 * n)}
+        cases.append(Digraph(n, [(u, v) for u, v in links if u != v]))
     for g in cases:
         orders = [None, rng.sample(range(1, g.n + 1), g.n)]
         for order in orders:

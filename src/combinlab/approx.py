@@ -41,6 +41,7 @@ from fractions import Fraction
 from .complexity import _adjacency_bits, _depth_first, _first_cover, _held_karp
 from .complexity import _most_independent, _within_cap
 from .graph_core import Graph
+from .intmath import refuse_floats
 from .paths_mst import WeightedGraph, prim
 
 
@@ -398,11 +399,12 @@ def knapsack_fptas(values, volumes, capacity, eps) -> tuple[set[int], int]:
     """
     from .dp import knapsack_pareto
 
+    values = list(values)
+    volumes = list(volumes)
+    refuse_floats((*values, *volumes, capacity, eps), "values, volumes, capacity and eps")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("needs eps > 0")
-    values = list(values)
-    volumes = list(volumes)
     # The bound chain needs c0 <= OPT, so c0 ranges over items that fit.
     fitting = [c for c, v in zip(values, volumes) if v <= capacity]
     b = fptas_truncation_bits(fitting, eps) if fitting else 0
@@ -432,6 +434,7 @@ def bin_pack_first_fit(sizes) -> list[int]:
     """First-fit packing into unit bins; returns the bin index (1-based)
     per item.  Uses at most ceil(2 * sum sizes) bins and at most twice
     the optimal count."""
+    refuse_floats(sizes, "sizes")
     sizes = [Fraction(s) for s in sizes]
     if any(s < 0 or s > 1 for s in sizes):
         raise ValueError("sizes must lie in [0, 1]")
@@ -512,6 +515,7 @@ def knapsack_optimum(values, volumes, capacity) -> int:
     is at step 2**i."""
     _within_cap(len(values), "knapsack_items")
     numbers = (*values, *volumes, capacity)
+    refuse_floats(numbers, "values, volumes and capacity")
     if not any(isinstance(x, Fraction) for x in numbers) or not all(
             isinstance(x, (int, Fraction)) for x in numbers):
         return _knapsack_walk(values, volumes, capacity)[0]
@@ -553,6 +557,7 @@ def bin_pack_optimum(sizes) -> int:
     and the search ends once the best meets the lower bound ceil(sum of
     sizes), at least one bin for any item.  The walk is
     complexity._depth_first, so its depth is not the interpreter's."""
+    refuse_floats(sizes, "sizes")
     sizes = [Fraction(s) for s in sizes]
     best = len(sizes)
     lower = max(1, math.ceil(sum(sizes))) if sizes else 0

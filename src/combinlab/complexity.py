@@ -3,11 +3,18 @@ decoder, verifier and desk-scale brute-force oracle), a reduction compiler
 with bidirectional witness maps registered in `REDUCTIONS`, and the
 polynomial 2-SAT solver.
 
-The backtracking oracles (coloring, exact cover, ILP, Hamiltonicity) and
+The subset oracles share two walks, each driven by an exact predicate
+from its caller: `_first_bits` (0/1 vectors in itertools.product order)
+for SAT and 3-SAT (`evaluate`) and both knapsacks (sums), and
+`_first_subset` (subsets by size, then in combinations order) for
+partition (sums), set cover (`_first_cover`'s bit-mask union, shared with
+approx.set_cover_optimum) and representatives (`verify`); the searches
+with predicates of their own check their witness once with `verify`.  The
+backtracking oracles (coloring, exact cover, ILP, Hamiltonicity) and
 approx.bin_pack_optimum share one explicit-stack walk, `_depth_first`,
 over immutable states.  TSP and approx.tsp_optimum share `_held_karp`;
-set cover and approx.set_cover_optimum share `_first_cover`; the graph
-deciders and approx.vertex_cover_optimum share `_most_independent`.
+the graph deciders and approx.vertex_cover_optimum share
+`_most_independent`.
 
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple
 of literals; assignments are lists of booleans indexed from variable 1.
@@ -191,12 +198,8 @@ class _Cnf(Problem):
         return self.formula.evaluate(_as_assignment(w, self.formula.num_vars))
 
     def search(self):
-        f = self.formula
-        _within_cap(f.num_vars, "bool_vars")
-        for bits in itertools.product([False, True], repeat=f.num_vars):
-            if f.evaluate(list(bits)):
-                return list(bits)
-        return None
+        bits = _first_bits(self.formula.num_vars, self.formula.evaluate)
+        return _verified(self, None if bits is None else [b == 1 for b in bits])
 
 
 class Sat(_Cnf):
@@ -390,7 +393,8 @@ class Representatives(_SetFamily):
 
     def search(self):
         _within_cap(len(self.universe), "elements")
-        return _first_verified(self, self.universe, range(len(self.universe) + 1))
+        found = _first_subset(self.universe, len(self.universe), lambda c: self.verify(set(c)))
+        return None if found is None else set(found)
 
 
 class SetCover(_SetFamily):
@@ -420,7 +424,7 @@ class SetCover(_SetFamily):
         return covered >= set(self.universe)
 
     def search(self):
-        return _first_cover(self.universe, self.family, self.k)
+        return _verified(self, _first_cover(self.universe, self.family, self.k))
 
 
 class Knapsack01(Problem):
@@ -445,7 +449,8 @@ class Knapsack01(Problem):
         return sum(a for a, xi in zip(self.numbers, x) if xi) == self.target
 
     def search(self):
-        return _first_bits(self, len(self.numbers))
+        return _verified(self, _first_bits(
+            len(self.numbers), lambda x: sum(itertools.compress(self.numbers, x)) == self.target))
 
 
 class KnapsackDecision(Problem):
@@ -473,7 +478,11 @@ class KnapsackDecision(Problem):
         return vol <= self.capacity and val >= self.goal
 
     def search(self):
-        return _first_bits(self, len(self.values))
+        def fits(x):
+            return (sum(itertools.compress(self.volumes, x)) <= self.capacity
+                    and sum(itertools.compress(self.values, x)) >= self.goal)
+
+        return _verified(self, _first_bits(len(self.values), fits))
 
 
 class Partition(_SetWitness):
@@ -493,9 +502,10 @@ class Partition(_SetWitness):
         return 2 * inside == sum(self.numbers)
 
     def search(self):
-        n = len(self.numbers)
+        n, total, number = len(self.numbers), sum(self.numbers), self.numbers.__getitem__
         _within_cap(n, "bool_vars")
-        return _first_verified(self, range(1, n + 1), range(n + 1))
+        found = _first_subset(range(n), n, lambda c: 2 * sum(map(number, c)) == total)
+        return _verified(self, None if found is None else {i + 1 for i in found})
 
 
 class HamCircuit(Problem):
@@ -850,22 +860,27 @@ def _first_independent(adj, alive: int, need: int, take: bool) -> set[int]:
     return chosen
 
 
-def _first_verified(problem, items, sizes):
-    """First subset of items, by size in the order given and then in
-    combinations order, that the problem accepts."""
-    for r in sizes:
-        for combo in itertools.combinations(items, r):
-            if problem.verify(set(combo)):
-                return set(combo)
-    return None
-
-
-def _first_bits(problem, n: int):
+def _first_bits(n: int, accept):
+    """The first 0/1 tuple of length n, in itertools.product order, that
+    accept takes, as a list, or None."""
     _within_cap(n, "bool_vars")
-    for bits in itertools.product([0, 1], repeat=n):
-        if problem.verify(list(bits)):
-            return list(bits)
-    return None
+    bits = next(filter(accept, itertools.product((0, 1), repeat=n)), None)
+    return None if bits is None else list(bits)
+
+
+def _first_subset(items, most, accept):
+    """The first tuple of at most `most` items, by size and then in
+    combinations order, that accept takes, or None."""
+    sizes = range(min(most, len(items)) + 1)
+    subsets = itertools.chain.from_iterable(itertools.combinations(items, r) for r in sizes)
+    return next(filter(accept, subsets), None)
+
+
+def _verified(problem, found):
+    """found, once problem.verify takes it."""
+    if found is not None and not problem.verify(found):
+        raise AssertionError(f"{problem.kind} search found a witness verify refuses")
+    return found
 
 
 def _ham_backtrack(g):
@@ -952,14 +967,15 @@ def _first_cover(universe, family, most):
     bit = {x: 1 << i for i, x in enumerate(set(universe))}
     masks = [sum(bit.get(x, 0) for x in set(s)) for s in family]  # distinct bits: the sum is the union
     full = (1 << len(bit)) - 1
-    for r in range(min(most, len(masks)) + 1):
-        for combo in itertools.combinations(range(len(masks)), r):
-            covered = 0
-            for i in combo:
-                covered |= masks[i]
-            if covered == full:
-                return {i + 1 for i in combo}
-    return None
+
+    def covers(combo):
+        covered = 0
+        for i in combo:
+            covered |= masks[i]
+        return covered == full
+
+    found = _first_subset(range(len(masks)), most, covers)
+    return None if found is None else {i + 1 for i in found}
 
 
 # --- reductions --------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .intmath import _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object
+from .intmath import _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object, refuse_floats
 
 DIAG, UP, LEFT = "Diag", "Up", "Left"
 
@@ -152,6 +152,7 @@ def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
     values, volumes = list(values), list(volumes)
     if len(values) != len(volumes):
         raise ValueError("values and volumes must align")
+    refuse_floats((*values, *volumes, capacity), "values, volumes and capacity")
     if any(c < 0 for c in values) or any(v < 0 for v in volumes):
         raise ValueError("inputs must be non-negative")
     if capacity < 0:

@@ -3,10 +3,12 @@
 Every bound asserted by the test suite is an exact integer, so all
 logarithm-style quantities are computed with integer comparisons and big
 integers, never floating point.  The JSON instance loaders use the checks
-at the end to admit only integers, never floats.  The number-list parser,
-the size-cap error and the value-record bases live here too, so that the
-sorting and selection commands need nothing from `complexity` (which
-re-exports the first two) and `search_games` and `dp` share its records.
+at the end to admit only integers, never floats; the library entry points
+that also take fractions refuse floats through `refuse_floats`.  The
+number-list parser, the size-cap error and the value-record bases live
+here too, so that the sorting and selection commands need nothing from
+`complexity` (which re-exports the first two) and `search_games` and `dp`
+share its records.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class _FrozenRecord(_Record):
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
 
 
-# --- JSON instance checks ------------------------------------------------------
+# --- input checks: JSON instances, then floats ---------------------------------
 
 
 class _JsonInstance(dict):
@@ -214,3 +216,9 @@ def exact_int_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of integer lists")
     return tuple(exact_ints(row, f"each entry of {what}") for row in value)
+
+
+def refuse_floats(numbers, what: str) -> None:
+    """Refuse a float among numbers, which exact arithmetic cannot take."""
+    if any(isinstance(x, float) for x in numbers):
+        raise ValueError(f"{what} must be exact ints or fractions")

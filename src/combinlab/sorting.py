@@ -15,12 +15,7 @@ from __future__ import annotations
 
 import heapq
 
-from .intmath import (
-    ceil_log2,
-    ceil_log2_factorial,
-    ceil_log2_ratio,
-    insertion_batch_bound,
-)
+from .intmath import ceil_log2, ceil_log2_factorial, ceil_log2_ratio
 from .oracles import CountingComparator, counting_comparator
 
 
@@ -230,7 +225,7 @@ def _merge_insertion(handles: list, cmp) -> list:
     k = 2
     low = 1  # t(k-1), boundary of the previous batch
     while low < total + 1:
-        high = insertion_batch_bound(k)
+        high = (1 << k) - low  # t(k) = 2**k - t(k-1), insertion_batch_bound's recurrence
         for idx in range(min(high, total + 1), low, -1):
             cap = caps[idx - 2]
             # b_idx's cap a_idx stood at low + idx - 1 when this batch began, and

@@ -336,6 +336,26 @@ def test_bin_pack_examples():
         bin_pack_first_fit(["1.5"])
 
 
+def test_knapsack_optimum_refuses_floats():
+    with pytest.raises(ValueError, match="must be exact ints or fractions"):
+        knapsack_optimum([1.5, 2], [1, 2], 3)
+    assert knapsack_optimum([Fraction(3, 2), 2], [1, 2], 3) == Fraction(7, 2)
+
+
+def test_knapsack_fptas_refuses_floats():
+    for args in (([1, 2], [1, 2], 3, 0.5), ([1, 2], [1.0, 2], 3, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="must be exact ints or fractions"):
+            knapsack_fptas(*args)
+    assert knapsack_fptas([1, 2], [1, 2], 3, Fraction(1, 2)) == ({1, 2}, 3)
+
+
+@pytest.mark.parametrize("pack", [bin_pack_first_fit, bin_pack_optimum])
+def test_bin_packing_refuses_float_sizes(pack):
+    with pytest.raises(ValueError, match="sizes must be exact ints or fractions"):
+        pack([0.5, 0.25])
+    assert pack([Fraction(1, 2), Fraction(1, 4), "1/4"]) == pack(["1/2", "1/4", "1/4"])
+
+
 def recursive_bin_pack_optimum(sizes) -> int:
     """The recursive search that bin_pack_optimum replaced, kept as the
     reference: same branching order and pruning."""
@@ -615,7 +635,7 @@ def fraction_knapsacks(rng):
             if trial % 4 != 0:  # Fraction volumes at some positions
                 volumes = [Fraction(v, rng.randint(1, 5)) if rng.random() < 0.4 else v
                            for v in volumes]
-            cap = rng.choice((0, -1, sum(volumes) // 2, sum(volumes) / 3, Fraction(1, 3)))
+            cap = rng.choice((0, -1, sum(volumes) // 2, Fraction(sum(volumes), 3), Fraction(1, 3)))
             yield values, volumes, cap
 
 

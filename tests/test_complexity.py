@@ -20,6 +20,7 @@ from combinlab.complexity import (
     IndependentSet,
     InstanceTooLargeError,
     Knapsack01,
+    KnapsackDecision,
     Partition,
     ReductionOutput,
     Representatives,
@@ -769,8 +770,7 @@ def test_tsp_decides_a_sixteen_city_no_instance_quickly():
     assert time.process_time() - start < 2.0
 
 
-# --- the subset enumeration the cover walk and the independent-set search
-# replaced, kept as a reference ---
+# --- the enumerations the shared walks replaced, kept as references ---
 
 
 def first_verified(problem, items, sizes):
@@ -779,6 +779,77 @@ def first_verified(problem, items, sizes):
             if problem.verify(set(combo)):
                 return set(combo)
     return None
+
+
+def first_product(problem, n, values):
+    """The first vector over `values`, in itertools.product order, that
+    verify accepts: (False, True) for the CNF problems, (0, 1) for the
+    knapsacks."""
+    for bits in itertools.product(values, repeat=n):
+        if problem.verify(list(bits)):
+            return list(bits)
+    return None
+
+
+def random_clause(rng, n):  # duplicate and complementary literals come up
+    return [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 4))]
+
+
+def subset_search_cases(rng):
+    yield Sat(cnf(0, [])), []
+    yield ThreeSat(cnf(0, [])), []
+    yield Sat(cnf(2, [(1, 1, -2), (2, -2), (-1, -1)])), [False, False]
+    for n in range(1, 10):
+        for m in (0, 1, n, 3 * n, 5 * n) * 3:
+            sat = Sat(cnf(n, [random_clause(rng, n) for _ in range(m)]))
+            three = ThreeSat(cnf(n, [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)]
+                                     for _ in range(m)]))
+            for problem in (sat, three):
+                yield problem, first_product(problem, n, (False, True))
+    for n in range(0, 10):
+        for _ in range(6):
+            numbers = tuple(rng.randint(-4, 9) for _ in range(n))  # negatives and zeros
+            for target in (rng.randint(-6, 20), sum(numbers), 0):
+                problem = Knapsack01(numbers, target)
+                yield problem, first_product(problem, n, (0, 1))
+            values, volumes = (tuple(rng.randint(-3, 9) for _ in range(n)) for _ in range(2))
+            for capacity, goal in ((rng.randint(-2, 20), rng.randint(-2, 25)), (0, 0), (-1, 1)):
+                problem = KnapsackDecision(values, volumes, capacity, goal)
+                yield problem, first_product(problem, n, (0, 1))
+            for problem in (Partition(numbers), Partition(tuple(map(abs, numbers))),
+                            Partition(numbers + (1,))):  # the last has an odd total as often as not
+                yield problem, first_verified(problem, range(1, len(problem.numbers) + 1),
+                                              range(len(problem.numbers) + 1))
+    for size in range(0, 9):
+        for _ in range(20):
+            universe = tuple(rng.randint(1, size + 2) for _ in range(size))  # duplicate entries
+            pool = [*range(1, size + 3), "x"]  # elements outside the universe
+            family = tuple(frozenset(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+                           for _ in range(rng.randint(0, 6)))  # sometimes an empty family
+            problem = Representatives(universe, family)
+            yield problem, first_verified(problem, universe, range(len(universe) + 1))
+
+
+def test_subset_walks_match_the_enumerations():
+    found = missing = 0
+    for problem, want in subset_search_cases(random.Random(2026)):
+        got = brute_force_decide(problem)
+        assert type(got) is type(want) and got == want, problem
+        if isinstance(want, list):
+            assert list(map(type, got)) == list(map(type, want)), problem
+        found += want is not None
+        missing += want is None
+    assert found and missing
+
+
+# Even numbers never sum to 1, and an odd total has no halves.
+@pytest.mark.parametrize("problem", [Knapsack01(tuple(range(2, 42, 2)), 1), Partition((*range(1, 20), 21))],
+                         ids=["knapsack01", "partition"])
+def test_twenty_item_no_instances_decide_quickly(problem):
+    # Calling verify on each of the 2**20 candidates took 5-9.4 s of CPU here.
+    start = time.process_time()
+    assert brute_force_decide(problem) is None
+    assert time.process_time() - start < 3.0
 
 
 def test_independent_set_goal_decides_as_the_optimum_does():

@@ -791,8 +791,8 @@ def first_product(problem, n, values):
     return None
 
 
-def random_clause(rng, n):  # duplicate and complementary literals come up
-    return [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 4))]
+def random_clause(rng, n, width):  # duplicate and complementary literals come up
+    return [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)]
 
 
 def subset_search_cases(rng):
@@ -801,9 +801,8 @@ def subset_search_cases(rng):
     yield Sat(cnf(2, [(1, 1, -2), (2, -2), (-1, -1)])), [False, False]
     for n in range(1, 10):
         for m in (0, 1, n, 3 * n, 5 * n) * 3:
-            sat = Sat(cnf(n, [random_clause(rng, n) for _ in range(m)]))
-            three = ThreeSat(cnf(n, [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)]
-                                     for _ in range(m)]))
+            sat = Sat(cnf(n, [random_clause(rng, n, rng.randint(1, 4)) for _ in range(m)]))
+            three = ThreeSat(cnf(n, [random_clause(rng, n, 3) for _ in range(m)]))
             for problem in (sat, three):
                 yield problem, first_product(problem, n, (False, True))
     for n in range(0, 10):

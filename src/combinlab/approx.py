@@ -26,7 +26,8 @@ complexity._DEFAULT_CAPS, which COMBINLAB_ORACLE_LIMIT overrides:
 * tsp_optimum           complexity._held_karp, the TSP decider's table over
                         subsets of cities 2..n (tsp_cities 16)
 * max_cut_optimum       Gray-code walk over 2-colourings (max_cut_vertices 20)
-* knapsack_optimum      Gray-code walk over item subsets (knapsack_items 20)
+* knapsack_optimum      meet in the middle over complexity._halves, the
+                        knapsack deciders' half sums (knapsack_items 20)
 * bin_pack_optimum      complexity._depth_first over bin choices, stopped
                         at ceil(sum of sizes) (no cap)
 """
@@ -38,8 +39,8 @@ import math
 import random
 from fractions import Fraction
 
-from .complexity import _adjacency_bits, _depth_first, _first_cover, _held_karp
-from .complexity import _most_independent, _within_cap
+from .complexity import _adjacency_bits, _depth_first, _first_cover, _halves, _held_karp
+from .complexity import _most_fitting, _most_independent, _within_cap
 from .graph_core import Graph
 from .intmath import refuse_floats
 from .paths_mst import WeightedGraph, prim
@@ -402,6 +403,8 @@ def knapsack_fptas(values, volumes, capacity, eps) -> tuple[set[int], int]:
     values = list(values)
     volumes = list(volumes)
     refuse_floats((*values, *volumes, capacity, eps), "values, volumes, capacity and eps")
+    if not all(isinstance(c, int) for c in values):  # the truncation shifts bits
+        raise ValueError("values must be ints")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("needs eps > 0")
@@ -506,48 +509,50 @@ def max_cut_optimum(g: Graph) -> int:
 
 
 def knapsack_optimum(values, volumes, capacity) -> int:
-    """Largest value of a subset within the capacity, 0 if none fits.  A
-    Gray-code walk visits every subset, adding or removing one item a
-    step.  Fractions are walked as integers: the values scaled by their
-    least common denominator, the volumes and the capacity by theirs.  The
-    result keeps the type the running sum had at the best step: a
-    Fraction once the walk has added a Fraction value, which item i first
-    is at step 2**i."""
+    """Largest value of a subset within the capacity, 0 if none fits, by
+    meet in the middle over complexity._halves.  Fractions are searched
+    as integers: the values scaled by their least common denominator, the
+    volumes and the capacity by theirs.  The result has the type the
+    Gray-code walk over every subset this search replaced gave.  That walk
+    adds item i first at step 2**i and keeps the first step that reaches
+    the best value, so the result is a Fraction when a value among the
+    items up to the least top of a best subset (see _knapsack_best) is."""
     _within_cap(len(values), "knapsack_items")
     numbers = (*values, *volumes, capacity)
     refuse_floats(numbers, "values, volumes and capacity")
     if not any(isinstance(x, Fraction) for x in numbers) or not all(
             isinstance(x, (int, Fraction)) for x in numbers):
-        return _knapsack_walk(values, volumes, capacity)[0]
+        return _knapsack_best(values, volumes, capacity)[0]
     value_scale = math.lcm(*(Fraction(x).denominator for x in values))
     room_scale = math.lcm(*(Fraction(x).denominator for x in (*volumes, capacity)))
-    best, step = _knapsack_walk([int(x * value_scale) for x in values],
-                                [int(x * room_scale) for x in volumes],
-                                int(capacity * room_scale))
-    if not step:
+    best, top = _knapsack_best([int(x * value_scale) for x in values],
+                               [int(x * room_scale) for x in volumes],
+                               int(capacity * room_scale))
+    if not top:
         return 0
-    if any(isinstance(x, Fraction) for x in values[:step.bit_length()]):
+    if any(isinstance(x, Fraction) for x in values[:top]):
         return Fraction(best, value_scale)
     return best // value_scale
 
 
-def _knapsack_walk(values, volumes, capacity) -> tuple:
-    """The best value and the step of the walk that first reached it (0
-    if no nonempty subset beats 0)."""
-    best = vol = val = chosen = at = 0
-    for step in range(1, 1 << len(values)):
-        low = step & -step
-        i = low.bit_length() - 1
-        chosen ^= low
-        if chosen & low:
-            vol += volumes[i]
-            val += values[i]
-        else:
-            vol -= volumes[i]
-            val -= values[i]
-        if vol <= capacity and val > best:
-            best, at = val, step
-    return best, at
+def _knapsack_best(values, volumes, capacity) -> tuple:
+    """(value, top): the best value above 0 of a subset within the
+    capacity, and the least top of the subsets that reach it, where a
+    subset's top is one past its highest item; (0, 0) when no subset beats
+    0.  Each first-half subset takes, of the second-half subsets that fit
+    the room it leaves, the one with the largest (value, -top), the empty
+    one's top being 0, so ties go to the lower top."""
+    n, h = len(values), len(values) // 2
+    (vol1, vol2), (val1, val2) = _halves(volumes), _halves(values)
+    # in product order the first item is the high bit, so the lowest set bit is the top item
+    keys = [(v, (b & -b).bit_length() - 1 - n if b else 0) for b, v in enumerate(val2)]
+    best, top = 0, 0
+    for a, fit in enumerate(_most_fitting([capacity - w for w in vol1], vol2, keys)):
+        if fit is not None:
+            value, last = fit[0] + val1[a], -fit[1] or (h + 1 - (a & -a).bit_length() if a else 0)
+            if (value, -last) > (best, -top):
+                best, top = value, last
+    return best, top
 
 
 def bin_pack_optimum(sizes) -> int:

@@ -3,17 +3,21 @@ decoder, verifier and desk-scale brute-force oracle), a reduction compiler
 with bidirectional witness maps registered in `REDUCTIONS`, and the
 polynomial 2-SAT solver.
 
-The subset oracles share two walks, each driven by an exact predicate
-from its caller: `_first_bits` (0/1 vectors in itertools.product order)
-for SAT and 3-SAT (`evaluate`) and both knapsacks (sums), and
-`_first_subset` (subsets by size, then in combinations order) for
-partition (sums), set cover (`_first_cover`'s bit-mask union, shared with
-approx.set_cover_optimum) and representatives (`verify`); the searches
-with predicates of their own check their witness once with `verify`.  The
-backtracking oracles (coloring, exact cover, ILP, Hamiltonicity) and
-approx.bin_pack_optimum share one explicit-stack walk, `_depth_first`,
-over immutable states.  TSP and approx.tsp_optimum share `_held_karp`;
-the graph deciders and approx.vertex_cover_optimum share
+SAT, 3-SAT, both knapsacks and partition return the first witness of an
+enumeration without trying each candidate.  SAT and 3-SAT AND the
+clauses' truth tables, held as big integers over the last <= 16
+variables, in itertools.product order.  The knapsacks, partition and
+approx.knapsack_optimum meet in the middle over `_halves`, the subset
+sums of each half of the items in product order; knapsack decision and
+the optimum pair each first-half subset with the second halves that fit
+it in one sweep, `_most_fitting`.  `_first_subset` (subsets by size, then
+in combinations order) serves set cover (`_first_cover`'s bit-mask union,
+shared with approx.set_cover_optimum) and representatives (`verify`).
+The searches with predicates of their own check their witness once with
+`verify`.  The backtracking oracles (coloring, exact cover, ILP,
+Hamiltonicity) and approx.bin_pack_optimum share one explicit-stack walk,
+`_depth_first`, over immutable states.  TSP and approx.tsp_optimum share
+`_held_karp`; the graph deciders and approx.vertex_cover_optimum share
 `_most_independent`.
 
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple
@@ -198,8 +202,42 @@ class _Cnf(Problem):
         return self.formula.evaluate(_as_assignment(w, self.formula.num_vars))
 
     def search(self):
-        bits = _first_bits(self.formula.num_vars, self.formula.evaluate)
-        return _verified(self, None if bits is None else [b == 1 for b in bits])
+        """The first model in itertools.product order, by truth tables
+        (Knuth, TAOCP 4A, 7.1.3): bit a of a literal's table is its value
+        in the a-th vector over the last k <= 16 variables, so no table
+        grows with the cap.  The leading variables are walked in product
+        order, each prefix setting their literals' tables to all ones or
+        to 0, so a clause the prefix satisfies clears no model.  The
+        formula's table is the AND of its clauses' ORs, and its lowest set
+        bit is the first model under the prefix."""
+        n = self.formula.num_vars
+        _within_cap(n, "bool_vars")
+        k = min(n, 16)
+        lead, width = n - k, 1 << k
+        full, table = (1 << width) - 1, {}
+        for v in range(lead + 1, n + 1):  # period: the run of equal values
+            period = 1 << (n - v)
+            x, span = ((1 << period) - 1) << period, 2 * period
+            while span < width:
+                x |= x << span
+                span *= 2
+            table[v], table[-v] = x, full ^ x
+        for q in range(1 << lead):
+            prefix = [q >> (lead - v) & 1 == 1 for v in range(1, lead + 1)]
+            for v, value in enumerate(prefix, 1):
+                table[v], table[-v] = (full, 0) if value else (0, full)
+            models = full
+            for clause in self.formula.clauses:
+                either = 0
+                for l in clause:
+                    either |= table[l]
+                models &= either
+                if not models:
+                    break
+            if models:
+                a = (models & -models).bit_length() - 1
+                return _verified(self, prefix + [a >> (k - j) & 1 == 1 for j in range(1, k + 1)])
+        return None
 
 
 class Sat(_Cnf):
@@ -449,8 +487,17 @@ class Knapsack01(Problem):
         return sum(a for a, xi in zip(self.numbers, x) if xi) == self.target
 
     def search(self):
-        return _verified(self, _first_bits(
-            len(self.numbers), lambda x: sum(itertools.compress(self.numbers, x)) == self.target))
+        """The first vector in product order: a dict from each second-half
+        sum to its first vector, then a scan of the first half."""
+        n = len(self.numbers)
+        _within_cap(n, "bool_vars")
+        first, second = _halves(self.numbers)
+        where = dict(zip(reversed(second), range(len(second) - 1, -1, -1)))  # the first vector wins
+        for a, s in enumerate(first):
+            b = where.get(self.target - s)
+            if b is not None:
+                return _verified(self, _bits(a << (n - n // 2) | b, n))
+        return None
 
 
 class KnapsackDecision(Problem):
@@ -478,11 +525,20 @@ class KnapsackDecision(Problem):
         return vol <= self.capacity and val >= self.goal
 
     def search(self):
-        def fits(x):
-            return (sum(itertools.compress(self.volumes, x)) <= self.capacity
-                    and sum(itertools.compress(self.values, x)) >= self.goal)
-
-        return _verified(self, _first_bits(len(self.values), fits))
+        """The first vector in product order: the first first-half vector
+        whose room holds a second-half vector of the value still needed,
+        then the first such second-half vector."""
+        n = len(self.values)
+        _within_cap(n, "bool_vars")
+        (vol1, vol2), (val1, val2) = _halves(self.volumes), _halves(self.values)
+        rooms = [self.capacity - w for w in vol1]
+        most = _most_fitting(rooms, vol2, val2)
+        a = next((a for a, m in enumerate(most) if m is not None and m >= self.goal - val1[a]), None)
+        if a is None:
+            return None
+        need = self.goal - val1[a]
+        b = next(b for b, w in enumerate(vol2) if w <= rooms[a] and val2[b] >= need)
+        return _verified(self, _bits(a << (n - n // 2) | b, n))
 
 
 class Partition(_SetWitness):
@@ -502,10 +558,27 @@ class Partition(_SetWitness):
         return 2 * inside == sum(self.numbers)
 
     def search(self):
-        n, total, number = len(self.numbers), sum(self.numbers), self.numbers.__getitem__
+        """The first half-sum subset by size, then in combinations order.
+        Among subsets of one size, combinations order is the reverse of
+        product order, so the search keeps, per size, the last full
+        vector: for each first-half vector, the last second-half vector of
+        each size whose sum completes the half."""
+        n, total = len(self.numbers), sum(self.numbers)
         _within_cap(n, "bool_vars")
-        found = _first_subset(range(n), n, lambda c: 2 * sum(map(number, c)) == total)
-        return _verified(self, None if found is None else {i + 1 for i in found})
+        if total % 2:  # no halves; the sums below are compared with total // 2
+            return None
+        first, second = _halves(self.numbers)
+        by_sum: dict = {}  # second-half sum -> {size: its last vector}
+        for b, s in enumerate(second):
+            by_sum.setdefault(s, {})[b.bit_count()] = b
+        shift, last = n - n // 2, {}  # size -> its last full vector
+        for a, s in enumerate(first):
+            for size, b in by_sum.get(total // 2 - s, {}).items():
+                last[a.bit_count() + size] = a << shift | b
+        if not last:
+            return None
+        x = last[min(last)]
+        return _verified(self, {i for i in range(1, n + 1) if x >> (n - i) & 1})
 
 
 class HamCircuit(Problem):
@@ -754,9 +827,12 @@ def _check_ham_sequence(w, g) -> bool:
     return True
 
 
-# Subset-enumeration problems keep the tight 20-variable / 20-element caps;
-# backtracking deciders (coloring, hamiltonicity, exact cover) and Held-Karp
-# afford slightly larger instances, which the reduction targets need.
+# The subset searches keep the 20-variable / 20-element caps: SAT's truth
+# tables and the knapsacks' and partition's halves decide a no-instance
+# at 20 in a few ms, and the caps stay where they were until a measured
+# family sets new ones.  Backtracking deciders (coloring, hamiltonicity,
+# exact cover) and Held-Karp afford slightly larger instances, which the
+# reduction targets need.
 _DEFAULT_CAPS = {
     "bool_vars": 20,
     "coloring_vertices": 24,
@@ -860,12 +936,38 @@ def _first_independent(adj, alive: int, need: int, take: bool) -> set[int]:
     return chosen
 
 
-def _first_bits(n: int, accept):
-    """The first 0/1 tuple of length n, in itertools.product order, that
-    accept takes, as a list, or None."""
-    _within_cap(n, "bool_vars")
-    bits = next(filter(accept, itertools.product((0, 1), repeat=n)), None)
-    return None if bits is None else list(bits)
+def _halves(numbers) -> list[list]:
+    """The sums of every subset of numbers[:n // 2] and of numbers[n // 2:],
+    each list indexed by the subset's 0/1 vector read as a binary number
+    whose first item is the most significant bit: itertools.product order
+    (Horowitz & Sahni 1974 split the search this way)."""
+    h, out = len(numbers) // 2, []
+    for half in (numbers[:h], numbers[h:]):
+        sums = [0]
+        for x in half:
+            sums = [t for s in sums for t in (s, s + x)]
+        out.append(sums)
+    return out
+
+
+def _most_fitting(rooms, volumes, keys) -> list:
+    """For each room, the largest key among the items whose volume is at
+    most the room, or None: one sweep over both, sorted by size."""
+    order = sorted(range(len(volumes)), key=volumes.__getitem__)
+    most, best, j = [None] * len(rooms), None, 0
+    for a in sorted(range(len(rooms)), key=rooms.__getitem__):
+        while j < len(order) and volumes[order[j]] <= rooms[a]:
+            key = keys[order[j]]
+            if best is None or key > best:
+                best = key
+            j += 1
+        most[a] = best
+    return most
+
+
+def _bits(x: int, width: int) -> list[int]:
+    """x as a 0/1 list of `width` digits, most significant first."""
+    return [x >> i & 1 for i in range(width - 1, -1, -1)]
 
 
 def _first_subset(items, most, accept):

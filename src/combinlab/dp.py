@@ -188,6 +188,7 @@ def _has_dominated_pair(states) -> bool:
 def greedy_knapsack_by_density(values, volumes, capacity) -> tuple[set[int], int]:
     """Value-density greedy; feasible but with no optimality contract."""
     values, volumes = list(values), list(volumes)
+    refuse_floats((*values, *volumes, capacity), "values, volumes and capacity")
 
     def density_key(i: int):
         c, v = values[i - 1], volumes[i - 1]

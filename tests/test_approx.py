@@ -349,6 +349,13 @@ def test_knapsack_fptas_refuses_floats():
     assert knapsack_fptas([1, 2], [1, 2], 3, Fraction(1, 2)) == ({1, 2}, 3)
 
 
+def test_knapsack_fptas_refuses_fraction_values():
+    # the truncation shifts the values' low bits away, which needs ints
+    with pytest.raises(ValueError, match="^values must be ints$"):
+        knapsack_fptas([Fraction(1, 2), 3], [1, 1], 1, 1)
+    assert knapsack_fptas([1, 3], [Fraction(1, 2), 1], Fraction(3, 2), 1) == ({1, 2}, 4)
+
+
 @pytest.mark.parametrize("pack", [bin_pack_first_fit, bin_pack_optimum])
 def test_bin_packing_refuses_float_sizes(pack):
     with pytest.raises(ValueError, match="sizes must be exact ints or fractions"):
@@ -647,9 +654,26 @@ def test_knapsack_optimum_on_fractions_keeps_value_and_type():
         assert got == reference_knapsack_optimum(values, volumes, cap)
 
 
+def test_knapsack_optimum_ties_keep_the_type_of_the_walks_first_best_step():
+    # Values of 0-3, some of them Fractions equal to ints, tie often across
+    # the two halves; the walk's first best subset has the lowest top item.
+    cases = [([2, 1, Fraction(2)], [1, 1, 1], 1), ([Fraction(2), 1, 2], [1, 1, 1], 1)]
+    rng = random.Random(47)
+    for n in range(1, 11):
+        for _ in range(40):
+            values = [rng.randint(0, 3) for _ in range(n)]
+            values = [Fraction(v) if rng.random() < 0.3 else v for v in values]
+            volumes = [rng.randint(0, 3) for _ in range(n)]
+            cases.append((values, volumes, rng.randint(0, 2 * n)))
+    for values, volumes, cap in cases:
+        got = knapsack_optimum(values, volumes, cap)
+        want = fraction_walk_knapsack_optimum(values, volumes, cap)
+        assert (got, type(got)) == (want, type(want)), (values, volumes, cap)
+
+
 def test_knapsack_optimum_on_fractions_at_the_cap():
     # Walking the Fractions themselves took 5.5 s here; as scaled integers
-    # it costs about what 20 integer items do (0.2 s).
+    # they cost what 20 integer items do.
     values = [Fraction(7 * i + 3, i % 6 + 1) for i in range(20)]
     volumes = [Fraction(5 * i + 2, i % 4 + 2) for i in range(20)]
     cap = sum(volumes) / 2
@@ -660,6 +684,23 @@ def test_knapsack_optimum_on_fractions_at_the_cap():
     scaled = knapsack_optimum([int(v * 60) for v in values], [int(w * 30) for w in volumes],
                               int(cap * 30))
     assert (got, type(got)) == (Fraction(scaled, 60), Fraction)
+
+
+def test_knapsack_optimum_at_the_cap_is_quick():
+    # Values from the Gray-code walk over all 2**20 subsets, which took
+    # about 0.26 s of CPU each here; meet in the middle takes about 2 ms.
+    # In the last, the first best step adds a Fraction value, item 17 or later.
+    cases = [
+        ([7 * i % 23 + 1 for i in range(20)], [5 * i % 17 + 1 for i in range(20)], 60, 108),
+        ([(-1) ** i * (3 * i % 11) for i in range(20)], [i % 7 - 2 for i in range(20)], 9, 50),
+        ([Fraction(3 * i % 13 + 1, i % 3 + 1) if i > 15 else 3 * i % 13 + 1 for i in range(20)],
+         [2 * i % 9 + 1 for i in range(20)], 20, Fraction(35)),
+    ]
+    start = time.process_time()
+    for values, volumes, cap, want in cases:
+        got = knapsack_optimum(values, volumes, cap)
+        assert (got, type(got)) == (want, type(want))
+    assert time.process_time() - start < 0.1
 
 
 def test_knapsack_optimum_without_room_is_zero():

@@ -799,6 +799,22 @@ def subset_search_cases(rng):
     yield Sat(cnf(0, [])), []
     yield ThreeSat(cnf(0, [])), []
     yield Sat(cnf(2, [(1, 1, -2), (2, -2), (-1, -1)])), [False, False]
+    for problem in (Sat(cnf(6, [])), ThreeSat(cnf(7, [])),  # no clauses
+                    ThreeSat(cnf(7, [(2, 2, 2), (-2, 5, -5), (-4, -4, 2)])),
+                    Sat(cnf(5, [(3,), (-3,)])),  # 1, 2, 4 and 5 in no clause
+                    Sat(cnf(9, [(9, -9), (-8, -8), (8, 7, 1), (-7, -1)]))):
+        yield problem, first_product(problem, problem.formula.num_vars, (False, True))
+    for problem in (Knapsack01((), 0), Knapsack01((), -1), Knapsack01((0, 0, 0), 0),
+                    Knapsack01((-3, 0, 5, -2), -5), Knapsack01((-3, 0, 5, -2), 0)):
+        yield problem, first_product(problem, len(problem.numbers), (0, 1))
+    for problem in (KnapsackDecision((), (), 0, 0), KnapsackDecision((), (), -1, 0),
+                    KnapsackDecision((0, -2, 3), (0, 0, -1), -1, 0),
+                    KnapsackDecision((4, -1, 4), (-2, 3, -2), -3, 7)):
+        yield problem, first_product(problem, len(problem.values), (0, 1))
+    for numbers in ((), (0,), (0, 0, 0), (1, 1, 1, 1), (2, 1, 1, 2, 3, 3), (3, 1, 2, 2, 1, 3, 0),
+                    (-2, 2, 0, -1, 1), (5, -5, 4, -4, 3, -3), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)):
+        problem = Partition(numbers)  # ties within one size: the first in combinations order
+        yield problem, first_verified(problem, range(1, len(numbers) + 1), range(len(numbers) + 1))
     for n in range(1, 10):
         for m in (0, 1, n, 3 * n, 5 * n) * 3:
             sat = Sat(cnf(n, [random_clause(rng, n, rng.randint(1, 4)) for _ in range(m)]))
@@ -841,14 +857,85 @@ def test_subset_walks_match_the_enumerations():
     assert found and missing
 
 
-# Even numbers never sum to 1, and an odd total has no halves.
-@pytest.mark.parametrize("problem", [Knapsack01(tuple(range(2, 42, 2)), 1), Partition((*range(1, 20), 21))],
-                         ids=["knapsack01", "partition"])
+# Even numbers never sum to 1, an odd total has no halves, 20 items of value
+# equal to volume never reach a value above their capacity, and sums of
+# even numbers never reach the odd half 381.
+@pytest.mark.parametrize("problem", [
+    Knapsack01(tuple(range(2, 42, 2)), 1), Partition((*range(1, 20), 21)),
+    KnapsackDecision(tuple(range(1, 21)), tuple(range(1, 21)), 50, 51),
+    Partition((*range(4, 80, 4), 2)),
+], ids=["knapsack01", "partition", "knapsack-decision", "partition-even-total"])
 def test_twenty_item_no_instances_decide_quickly(problem):
-    # Calling verify on each of the 2**20 candidates took 5-9.4 s of CPU here.
+    # Trying each of the 2**20 vectors or subsets took 0.75-10 s of CPU here;
+    # meet in the middle lists 2 * 2**10 half sums (about 2 ms).
     start = time.process_time()
     assert brute_force_decide(problem) is None
-    assert time.process_time() - start < 3.0
+    assert time.process_time() - start < 0.25
+
+
+def pigeonhole(pigeons, holes):
+    """PHP(p, h): variable (i - 1) * holes + j puts pigeon i in hole j;
+    each pigeon sits somewhere and no hole holds two (Haken 1985)."""
+    var = lambda i, j: i * holes + j + 1
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    clauses += [[-var(i, j), -var(k, j)] for j in range(holes)
+                for i, k in itertools.combinations(range(pigeons), 2)]
+    return cnf(pigeons * holes, clauses)
+
+
+def random_three_cnf(rng, n, m):
+    return cnf(n, [[rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), 3)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("problem", [Sat(pigeonhole(5, 4)), ThreeSat(random_three_cnf(random.Random(20), 20, 120))],
+                         ids=["sat-php-5-4", "3sat-random-20x120"])
+def test_twenty_variable_unsatisfiable_formulas_decide_quickly(problem):
+    # Evaluating each of the 2**20 assignments took 2-9 s of CPU here; the
+    # truth tables take a few ms.
+    start = time.process_time()
+    assert brute_force_decide(problem) is None
+    assert time.process_time() - start < 0.25
+
+
+def between(t, u):
+    """The CNF of t <= x <= u, with x, t and u read as binary numbers
+    whose variable 1 is the most significant bit: its first model is t,
+    and it has none when t > u.  x > u fails at each 0 of u unless x left
+    u at some earlier variable, and x < t at each 1 of t likewise."""
+    def differs(bits):  # the literal x_v != bits_v, for each v
+        return [v if not bit else -v for v, bit in enumerate(bits, 1)]
+
+    above, below = differs(t), differs(u)
+    return cnf(len(t), [[v, *above[:v - 1]] for v, bit in enumerate(t, 1) if bit]
+               + [[-v, *below[:v - 1]] for v, bit in enumerate(u, 1) if not bit])
+
+
+def test_sat_walks_the_leading_variables_past_sixteen():
+    # Above 16 variables the tables cover the last 16 and the leading
+    # variables are walked in product order, where a reference
+    # enumeration is too slow for the suite.
+    rng = random.Random(17)
+    for n in (17, 18, 20):
+        for _ in range(6):
+            t, u = ([rng.random() < 0.5 for _ in range(n)] for _ in range(2))
+            assert brute_force_decide(Sat(between(t, u))) == (t if t <= u else None)
+            assert brute_force_decide(Sat(between(t, t))) == t
+            assert brute_force_decide(Sat(between(min(t, u), max(t, u)))) == min(t, u)
+
+
+def test_sat_tables_do_not_grow_with_the_oracle_limit(monkeypatch):
+    # One table over all 24 variables would hold 2**24 bits (2 MB); the
+    # search keeps its tables over the last 16.
+    import tracemalloc
+
+    monkeypatch.setenv("COMBINLAB_ORACLE_LIMIT", "24")
+    tracemalloc.start()
+    try:
+        assert brute_force_decide(Sat(pigeonhole(6, 4))) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_independent_set_goal_decides_as_the_optimum_does():

@@ -371,6 +371,13 @@ def test_knapsack_pareto_refuses_floats():
     assert knapsack_pareto([Fraction(3, 2), 2], [1, 2], 3) == ({1, 2}, Fraction(7, 2))
 
 
+def test_greedy_knapsack_by_density_refuses_floats():
+    for values, volumes, capacity in (([1.5, 2], [1, 2], 3), ([1, 2], [1, 2.0], 3), ([1, 2], [1, 0], 3.5)):
+        with pytest.raises(ValueError, match="must be exact ints or fractions"):
+            greedy_knapsack_by_density(values, volumes, capacity)
+    assert greedy_knapsack_by_density([Fraction(3, 2), 2], [1, 2], Fraction(7, 2)) == ({1, 2}, Fraction(7, 2))
+
+
 def test_matrix_chain_matches_enumeration():
     rng = random.Random(31)
     for _ in range(30):

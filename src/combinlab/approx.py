@@ -418,16 +418,20 @@ def knapsack_fptas(values, volumes, capacity, eps) -> tuple[set[int], int]:
 
 def fptas_truncation_bits(values, eps) -> int:
     """Largest b >= 0 with 2**b <= c0 * eps / (n * (1 + eps)), floored at
-    zero; computed with exact arithmetic."""
-    eps = Fraction(eps)
+    zero; computed with exact arithmetic.  For eps = p/q that bound is
+    c0 * p / (n * (p + q)), and since 2**b is an integer b is the bit
+    length of its floor, less one."""
     values = list(values)
+    refuse_floats((*values, eps), "values and eps")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("needs eps > 0")
     n = len(values)
     c0 = max(values, default=0)
-    b = 0
-    if n and c0:
-        while Fraction(2 ** (b + 1)) * n * (1 + eps) <= c0 * eps:
-            b += 1
-    return b
+    if not n or c0 <= 0:
+        return 0
+    p, q = eps.numerator, eps.denominator
+    return max(0, (c0 * p // (n * (p + q))).bit_length() - 1)
 
 
 # --- bin packing --------------------------------------------------------------

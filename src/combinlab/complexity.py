@@ -1744,23 +1744,19 @@ class TwoSatResult(_Record):
 
 def implication_graph(f: CnfFormula) -> Digraph:
     """Literal digraph: vertex i is not-x_i, vertex n+i is x_i; every
-    clause (a or b) contributes arcs not-a -> b and not-b -> a."""
+    clause (a or b) contributes arcs not-a -> b and not-b -> a, in clause
+    order with a repeated arc kept at its first occurrence."""
     n = f.num_vars
     node = [*range(n, 0, -1), 0, *range(n + 1, 2 * n + 1)]  # literal l at index n + l
-    heads: dict[int, set[int]] = {v: set() for v in range(1, 2 * n + 1)}
+    arcs = []
     for clause in f.clauses:
         if len(clause) > 2:
             raise ValueError("clause with more than 2 literals")
         a, b = clause[0], clause[-1]
         if a != -b:  # (x or not x) would give two self-loops
-            heads[node[n - a]].add(node[n + b])
-            heads[node[n - b]].add(node[n + a])
-    # The formula has checked that every literal is a nonzero int of size
-    # at most n, so each arc lies in 1..2n, and the sets hold no repeat:
-    # nothing is left for the Digraph to check.
-    ordered = {v: sorted(ws) for v, ws in heads.items()}
-    arcs = tuple([(u, v) for u, ws in ordered.items() for v in ws])
-    return Digraph._trusted(2 * n, arcs, ordered)
+            arcs.append((node[n - a], node[n + b]))
+            arcs.append((node[n - b], node[n + a]))
+    return Digraph(2 * n, arcs)
 
 
 def twosat_solve(f: CnfFormula) -> TwoSatResult:

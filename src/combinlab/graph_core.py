@@ -1,7 +1,9 @@
 """Graph representations, traversals, Euler cycles and strong components.
 
-Vertices are 1..n.  Graphs are immutable after construction and validate
-the usual sanity invariants (no self-loops, no parallel edges, handshake).
+Vertices are 1..n.  Graphs are immutable after construction; every graph
+class builds through one checking pass (int vertices in 1..n, no
+self-loops), and undirected graphs also refuse parallel edges and assert
+the handshake lemma.
 
 The shared text format is::
 
@@ -29,31 +31,48 @@ class NotEulerianError(ValueError):
         super().__init__(f"not Eulerian: {detail}")
 
 
+def _checked_heads(n: int, links, what: str, both_ways: bool) -> dict[int, tuple[int, ...]]:
+    """The one checking pass behind every graph class.  n must be an int
+    >= 0 and each link (u, v) must join two different int vertices in
+    1..n.  Returns each vertex's heads in increasing order: v for every
+    link (u, v), and u as well when `both_ways`."""
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
+    heads: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in links:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"{what} ({u!r},{v!r}) needs int vertices")
+        if not (0 < u <= n and 0 < v <= n):
+            raise ValueError(f"{what} ({u},{v}) out of range")
+        if u == v:
+            raise ValueError("self-loops not allowed")
+        heads[u].append(v)
+        if both_ways:
+            heads[v].append(u)
+    return {v: tuple(sorted(heads[v])) for v in range(1, n + 1)}
+
+
+def _first_repeat(items):
+    """The first item equal to an earlier one."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+
+
 class Graph:
     """Undirected simple graph on vertices 1..n."""
 
     def __init__(self, n: int, edges):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+        edges = list(edges)
         self.n = n
-        seen = set()
-        ordered = []
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError("self-loops not allowed")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"parallel edge {key}")
-            seen.add(key)
-            ordered.append(key)
-        self.edges = tuple(ordered)
-        adj = {v: [] for v in range(1, n + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        self.adj = _checked_heads(n, edges, "edge", True)
+        self.edges = tuple([(u, v) if u < v else (v, u) for u, v in edges])
+        if len(set(self.edges)) < len(self.edges):
+            raise ValueError(f"parallel edge {_first_repeat(self.edges)}")
         degrees = [len(self.adj[v]) for v in range(1, n + 1)]
         assert sum(degrees) == 2 * len(self.edges)
         assert sum(1 for d in degrees if d % 2) % 2 == 0
@@ -104,38 +123,16 @@ class Graph:
 
 
 class Digraph:
-    """Directed graph on vertices 1..n without self-loops."""
+    """Directed graph on vertices 1..n without self-loops; a repeated arc
+    is dropped, the first occurrence kept."""
 
     def __init__(self, n: int, arcs):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+        # Repeats go before the checks, so each distinct arc is checked and
+        # bucketed once; an arc equal to an earlier one, such as (1.0, 2)
+        # after (1, 2), is dropped unchecked.
         self.n = n
-        seen = set()
-        ordered = []
-        for u, v in arcs:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"arc ({u},{v}) out of range")
-            if u == v:
-                raise ValueError("self-loops not allowed")
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            ordered.append((u, v))
-        self.arcs = tuple(ordered)
-        adj = {v: [] for v in range(1, n + 1)}
-        for u, v in self.arcs:
-            adj[u].append(v)
-        self.adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-    @staticmethod
-    def _trusted(n: int, arcs: tuple, heads: dict) -> "Digraph":
-        """A Digraph from distinct arcs already checked, with heads[v] the
-        heads of v's arcs in increasing order for each v in 1..n; nothing
-        is checked or sorted again."""
-        g = Digraph.__new__(Digraph)
-        g.n, g.arcs = n, arcs
-        g.adj = {v: tuple(ws) for v, ws in heads.items()}
-        return g
+        self.arcs = tuple(dict.fromkeys(map(tuple, arcs)))
+        self.adj = _checked_heads(n, self.arcs, "arc", False)
 
     def _key(self) -> tuple:
         return (self.n, self.arcs)
@@ -151,8 +148,7 @@ class Digraph:
 
     def transpose(self) -> "Digraph":
         """Every arc reversed, in the same arc order."""
-        arcs = tuple([(v, u) for u, v in self.arcs])
-        return Digraph._trusted(self.n, arcs, _reversed_heads(self.adj))
+        return Digraph(self.n, [(v, u) for u, v in self.arcs])
 
     def adjacency_matrix(self) -> list[list[int]]:
         mat = [[0] * self.n for _ in range(self.n)]
@@ -217,13 +213,15 @@ def connected_components(g: Graph) -> list[list[int]]:
     return sorted(comps, key=lambda b: b[0])
 
 
-def _positive_degree_connected(g: Graph) -> bool:
-    active = [v for v in range(1, g.n + 1) if g.degree(v) > 0]
-    if not active:
-        return True
+def _check_eulerian(g: Graph) -> None:
+    """Raise NotEulerianError unless every degree is even and the vertices
+    of positive degree lie in one component."""
+    for v in range(1, g.n + 1):
+        if g.degree(v) % 2:
+            raise NotEulerianError("OddDegree", v)
     comps = connected_components(g)
-    hit = [c for c in comps if any(g.degree(v) > 0 for v in c)]
-    return len(hit) == 1
+    if sum(1 for c in comps if any(g.degree(v) > 0 for v in c)) > 1:
+        raise NotEulerianError("Disconnected")
 
 
 def euler_cycle(g: Graph) -> list[int]:
@@ -232,11 +230,7 @@ def euler_cycle(g: Graph) -> list[int]:
     Isolated vertices are ignored; a graph with no edges yields [].
     Raises NotEulerianError with the violated condition otherwise.
     """
-    for v in range(1, g.n + 1):
-        if g.degree(v) % 2:
-            raise NotEulerianError("OddDegree", v)
-    if not _positive_degree_connected(g):
-        raise NotEulerianError("Disconnected")
+    _check_eulerian(g)
     if not g.edges:
         return []
 
@@ -282,11 +276,7 @@ def fleury_euler_cycle(g: Graph) -> list[int]:
     """Euler cycle by Fleury's rule: never cross a bridge of the remaining
     positive-degree graph unless there is no alternative.  Used as a
     cross-check for the splicing construction."""
-    for v in range(1, g.n + 1):
-        if g.degree(v) % 2:
-            raise NotEulerianError("OddDegree", v)
-    if not _positive_degree_connected(g):
-        raise NotEulerianError("Disconnected")
+    _check_eulerian(g)
     if not g.edges:
         return []
 
@@ -466,22 +456,19 @@ def parse_graph_text(text: str):
     if all(has_weights) and edges:
         from .paths_mst import WeightedDigraph, WeightedGraph
 
-        pairs = {e: w for e, w in zip(edges, weights)}
-        if directed:
-            return WeightedDigraph(n, pairs)
-        return WeightedGraph(n, {(min(u, v), max(u, v)): w for (u, v), w in pairs.items()})
+        pairs = dict(zip(edges, weights))
+        if len(pairs) < len(edges):  # a weight map keeps one weight per link
+            link = "arc" if directed else "edge"
+            raise ValueError(f"repeated {link} {_first_repeat(edges)} in a weighted graph")
+        return (WeightedDigraph if directed else WeightedGraph)(n, pairs)
     return Digraph(n, edges) if directed else Graph(n, edges)
 
 
-def format_graph_text(g, weights=None) -> str:
-    """Serialize a graph back into the shared text format."""
+def format_graph_text(g) -> str:
+    """Serialize a graph's structure back into the shared text format."""
     directed = isinstance(g, Digraph)
     links = g.arcs if directed else g.edges
     out = [("pd" if directed else "p") + f" {g.n} {len(links)}"]
     tag = "a" if directed else "e"
-    for u, v in links:
-        if weights is not None:
-            out.append(f"{tag} {u} {v} {weights[(u, v)]}")
-        else:
-            out.append(f"{tag} {u} {v}")
+    out.extend(f"{tag} {u} {v}" for u, v in links)
     return "\n".join(out) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph_core import Digraph, Graph
+from .intmath import refuse_floats
 
 INF = float("inf")
 
@@ -18,13 +19,9 @@ class WeightedDigraph(Digraph):
     """Digraph with exactly one exact weight per arc."""
 
     def __init__(self, n: int, arc_weights: dict):
-        super().__init__(n, list(arc_weights.keys()))
-        if len(arc_weights) != len(self.arcs):
-            raise ValueError("duplicate arcs in weight map")
-        for w in arc_weights.values():
-            if isinstance(w, float):
-                raise ValueError("weights must be exact ints or fractions")
-        self.weight = dict(arc_weights)
+        refuse_floats(arc_weights.values(), "weights")
+        super().__init__(n, arc_weights)
+        self.weight = dict(zip(self.arcs, arc_weights.values()))
 
     def _key(self) -> tuple:
         return (self.n, self.arcs, tuple([self.weight[a] for a in self.arcs]))
@@ -40,16 +37,9 @@ class WeightedGraph(Graph):
     """Undirected graph with exactly one exact weight per edge."""
 
     def __init__(self, n: int, edge_weights: dict):
-        norm = {}
-        for (u, v), w in edge_weights.items():
-            key = (min(u, v), max(u, v))
-            if key in norm:
-                raise ValueError("duplicate edges in weight map")
-            if isinstance(w, float):
-                raise ValueError("weights must be exact ints or fractions")
-            norm[key] = w
-        super().__init__(n, list(norm.keys()))
-        self.weight = norm
+        refuse_floats(edge_weights.values(), "weights")
+        super().__init__(n, edge_weights)
+        self.weight = dict(zip(self.edges, edge_weights.values()))
 
     def _key(self) -> tuple:
         return (self.n, self.edges, tuple([self.weight[e] for e in self.edges]))

@@ -301,8 +301,32 @@ CAP85_VALUES = [160, 250, 180, 30]
 CAP85_VOLUMES = [40, 50, 40, 20]
 
 
+def reference_truncation_bits(values, eps):
+    """The bit count as first written: one Fraction test per bit."""
+    eps = Fraction(eps)
+    n = len(values)
+    c0 = max(values, default=0)
+    b = 0
+    if n and c0:
+        while Fraction(2 ** (b + 1)) * n * (1 + eps) <= c0 * eps:
+            b += 1
+    return b
+
+
 def test_fptas_b_formula():
     assert fptas_truncation_bits([250, 1, 1, 1], Fraction(1, 2)) == 4
+    epsilons = [Fraction(p, q) for p in (1, 2, 3, 7, 50) for q in (1, 2, 3, 10, 99)]
+    for c0 in [*range(-3, 70), 255, 256, 257, 10**6, 2**40 + 1, Fraction(1001, 3)]:
+        for n in range(0, 6):
+            values = [c0] + [1] * (n - 1) if n else []
+            for eps in epsilons:
+                assert fptas_truncation_bits(values, eps) == reference_truncation_bits(values, eps)
+    for eps in (0, -2, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="^needs eps > 0$"):
+            fptas_truncation_bits([1], eps)
+    for args in (([1.0], 1), ([1], 0.5)):
+        with pytest.raises(ValueError, match="must be exact ints or fractions$"):
+            fptas_truncation_bits(*args)
 
 
 def test_fptas_capacity85_instance():

@@ -807,6 +807,9 @@ MALFORMED_FILES = {
     "zero-den.g": "p 3 2\ne 1 2 1\ne 2 3 1/0\n",
     "zero-den.d": "pd 3 2\na 1 2 1\na 2 3 1/0\n",
     "w.d": "pd 3 2\na 1 2 1\na 2 3 2\n",
+    "repeat.g": "p 2 2\ne 1 2 5\ne 1 2 7\n",
+    "flipped.g": "p 2 2\ne 1 2 5\ne 2 1 7\n",
+    "repeat.d": "pd 2 2\na 1 2 5\na 1 2 7\n",
 }
 
 
@@ -831,6 +834,13 @@ MISSING_KEY = {
     "reduce knapsack-partition kd.json": "error: instance is missing the key 'numbers'\n",
     "reduce knapsack-ilp kd.json": "error: instance is missing the key 'numbers'\n",
     "solve knapsack k01.json": "error: instance is missing the key 'capacity'\n",
+}
+
+# A weight map holds one weight per link, so a weighted file may not repeat one.
+REPEATED_LINK = {
+    "solve prim repeat.g": "error: repeated edge (1, 2) in a weighted graph\n",
+    "solve prim flipped.g": "error: parallel edge (1, 2)\n",
+    "solve dijkstra repeat.d": "error: repeated arc (1, 2) in a weighted graph\n",
 }
 
 # Euler cycles and connected components are defined on undirected graphs.
@@ -861,11 +871,12 @@ UNDIRECTED_ONLY = {
         *TARGET_OUT_OF_RANGE,
         *MISSING_KEY,
         *UNDIRECTED_ONLY,
+        *REPEATED_LINK,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     err = assert_input_error(tmp_path, capsys, call)
-    expected = {**MISSING_KEY, **UNDIRECTED_ONLY}.get(call)
+    expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK}.get(call)
     if expected is not None:
         assert err == expected
 

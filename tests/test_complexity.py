@@ -503,8 +503,8 @@ def test_twosat_random_agreement():
 
 
 def test_implication_graph_matches_the_checking_constructor():
-    # The graph is built without checks; the checking constructor must
-    # agree on every arc and every sorted adjacency tuple.
+    # The arcs come in clause order, a repeat kept at its first
+    # occurrence; the adjacency must equal that of the sorted-arc Digraph.
     rng = random.Random(57)
     formulas = [cnf(0, []), cnf(1, [(1,)]), cnf(1, [(-1,)]), cnf(1, [(1, -1)]), cnf(2, [(2, 2)])]
     for _ in range(300):
@@ -513,13 +513,14 @@ def test_implication_graph_matches_the_checking_constructor():
         formulas.append(cnf(n, [rng.choice(pool) for _ in range(rng.randint(0, 3 * n))]))
     for f in formulas:
         n = f.num_vars
-        arcs = set()
+        arcs = []
         for clause in f.clauses:
             a, b = clause[0], clause[-1]
-            arcs |= {(n + h if h > 0 else -h, n + t if t > 0 else -t)
-                     for h, t in ((-a, b), (-b, a)) if h != t}
+            arcs += [(n + h if h > 0 else -h, n + t if t > 0 else -t)
+                     for h, t in ((-a, b), (-b, a)) if h != t]
+        arcs = list(dict.fromkeys(arcs))
         g, built = implication_graph(f), Digraph(2 * n, sorted(arcs))
-        assert type(g) is Digraph and g == built
+        assert type(g) is Digraph and g.arcs == tuple(arcs) and g == Digraph(2 * n, arcs)
         assert g.adj == built.adj and list(g.adj) == list(built.adj)
     assert implication_graph(cnf(1, [(1,)])).adj == {1: (2,), 2: ()}
     assert twosat_solve(cnf(0, [])) == TwoSatResult(True, [], None)

@@ -28,14 +28,38 @@ def complete_graph(n):
 
 
 def test_graph_invariants():
+    from combinlab.paths_mst import WeightedDigraph, WeightedGraph
+
     g = Graph(4, [(1, 2), (2, 3)])
     assert g.degree(2) == 2
     assert g.adjacency_matrix()[0][1] == 1
     assert [row[0] for row in g.incidence_matrix()] == [1, 1, 0, 0]
-    with pytest.raises(ValueError):
-        Graph(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        Graph(3, [(1, 2), (2, 1)])
+    # Each class, on each single-fault input, with the one-line message.
+    builders = [
+        (Graph, "edge"),
+        (Digraph, "arc"),
+        (lambda n, links: WeightedGraph(n, dict.fromkeys(links, 1)), "edge"),
+        (lambda n, links: WeightedDigraph(n, dict.fromkeys(links, 1)), "arc"),
+    ]
+    for build, what in builders:
+        faults = [
+            (3, [(1.0, 2)], f"{what} (1.0,2) needs int vertices"),
+            (3, [(1, "2")], f"{what} (1,'2') needs int vertices"),
+            (3, [(True, 2)], f"{what} (True,2) needs int vertices"),
+            (3, [(1, 2), (2, None)], f"{what} (2,None) needs int vertices"),
+            (3.0, [], "vertex count must be an int, got 3.0"),
+            ("3", [(1, 2)], "vertex count must be an int, got '3'"),
+            (-1, [], "vertex count must be >= 0"),
+            (3, [(1, 4)], f"{what} (1,4) out of range"),
+            (3, [(0, 2)], f"{what} (0,2) out of range"),
+            (3, [(2, 2)], "self-loops not allowed"),
+        ]
+        if what == "edge":
+            faults.append((3, [(1, 3), (1, 2), (3, 1)], "parallel edge (1, 3)"))
+        for n, links, message in faults:
+            with pytest.raises(ValueError) as raised:
+                build(n, links)
+            assert str(raised.value) == message
 
 
 def test_digraph_transpose_involution():

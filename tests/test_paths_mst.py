@@ -286,8 +286,11 @@ def test_prim_matches_all_outside_reference():
 
 
 def test_float_weights_rejected():
-    with pytest.raises(ValueError):
-        WeightedGraph(2, {(1, 2): 0.5})
+    for build in (WeightedGraph, WeightedDigraph):
+        with pytest.raises(ValueError, match="^weights must be exact ints or fractions$"):
+            build(2, {(1, 2): 0.5})
+        with pytest.raises(ValueError, match="needs int vertices$"):
+            build(2, {(1.0, 2): 1})
 
 
 def reference_floyd_warshall(g):

@@ -70,3 +70,27 @@ def self_calling_functions():
 
 def test_recursion_only_in_listed_functions():
     assert self_calling_functions() == RECURSIVE
+
+
+# The graph classes; an instance is only ever made by its checking constructor.
+GRAPH_CLASSES = {"Graph", "Digraph", "WeightedGraph", "WeightedDigraph"}
+
+
+def unchecked_graph_builds():
+    """module:line of each `__new__` on a graph class, as C.__new__ or
+    object.__new__(C), and of each name `_trusted`."""
+    found = set()
+    for path in sorted(Path(combinlab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if named == "_trusted":
+                found.add(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+                classes = [node.func.value, *node.args[:1]]
+                if any(getattr(c, "id", None) in GRAPH_CLASSES for c in classes):
+                    found.add(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_graphs_are_built_only_by_their_constructors():
+    assert unchecked_graph_builds() == set()

@@ -50,6 +50,7 @@ from .intmath import (  # InstanceTooLargeError and parse_numbers are re-exporte
     exact_ints,
     json_object,
     parse_numbers,
+    refuse_floats,
 )
 
 
@@ -91,11 +92,11 @@ def cnf(num_vars: int, clauses) -> CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
+    """The formula of a DIMACS CNF text.  Lines starting with c or % are
+    skipped.  A clause ends at a 0 and may span lines."""
     num_vars = None
-    clauses = []
-    current: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    body = []
+    for line in map(str.strip, text.splitlines()):
         if not line or line.startswith(("c", "%")):
             continue
         if line.startswith("p"):
@@ -103,18 +104,25 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad DIMACS header: {line}")
             num_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(tuple(current))
-                current = []
-            else:
-                current.append(lit)
+        else:
+            body.append(line)
+    lits = list(map(int, " ".join(body).split()))
     if num_vars is None:
         raise ValueError("missing DIMACS header")
-    if current:
+    if lits and lits[-1] != 0:
         raise ValueError("clause not 0-terminated")
+    zeros = lits.count(0)
+    width = lits.index(0) + 1 if zeros else 0  # the first clause and its 0
+    if width > 1 and len(lits) == zeros * width and lits[width - 1::width].count(0) == zeros:
+        # Every clause has width - 1 literals: drop the 0s, cut in C.
+        del lits[width - 1::width]
+        return CnfFormula(num_vars, tuple(zip(*[iter(lits)] * (width - 1))))
+    clauses = []
+    start = 0
+    for _ in range(zeros):
+        end = lits.index(0, start)
+        clauses.append(tuple(lits[start:end]))
+        start = end + 1
     return CnfFormula(num_vars, tuple(clauses))
 
 
@@ -637,6 +645,7 @@ class Tsp(Problem):
                 raise ValueError("matrix must be square")
             if row[i] != 0:
                 raise ValueError("diagonal must be zero")
+        refuse_floats((self.limit, *itertools.chain.from_iterable(self.matrix)), "matrix and limit")
 
     @classmethod
     def load(cls, text, k, limit):
@@ -731,27 +740,30 @@ class Ilp(Problem):
             if space > 4_000_000:
                 raise InstanceTooLargeError("instance too large for oracle")
         width = len(self.bounds)
-        rows = [list(r) for r in self.rows]
-        nrows = len(rows)
         # suffix_lo[r][p] / suffix_hi[r][p]: extreme contribution of columns
-        # p.. given the box bounds, precomputed once.
-        suffix_lo = [[0] * (width + 1) for _ in range(nrows)]
-        suffix_hi = [[0] * (width + 1) for _ in range(nrows)]
-        for r in range(nrows):
+        # p.. of row r given the box bounds, precomputed once.
+        suffix_lo, suffix_hi = [], []
+        for row in self.rows:
+            lo, hi = [0] * (width + 1), [0] * (width + 1)
             for p in range(width - 1, -1, -1):
-                a = rows[r][p]
+                a = row[p]
                 blo, bhi = self.bounds[p]
-                lo_term = min(a * blo, a * bhi)
-                hi_term = max(a * blo, a * bhi)
-                suffix_lo[r][p] = suffix_lo[r][p + 1] + lo_term
-                suffix_hi[r][p] = suffix_hi[r][p + 1] + hi_term
+                lo[p] = lo[p + 1] + min(a * blo, a * bhi)
+                hi[p] = hi[p + 1] + max(a * blo, a * bhi)
+            suffix_lo.append(lo)
+            suffix_hi.append(hi)
 
-        def feasible(pos: int, sums) -> bool:
-            for r, (s, rel, b) in enumerate(zip(sums, self.relations, self.rhs)):
-                lo, hi = s + suffix_lo[r][pos], s + suffix_hi[r][pos]
-                if rel == "<=" and lo > b or rel == ">=" and hi < b or rel == "==" and not lo <= b <= hi:
-                    return False
-            return True
+        def fits(rel, b, lo, hi) -> bool:  # can the row's left side, in lo..hi, meet b?
+            return not (rel == "<=" and lo > b or rel == ">=" and hi < b or rel == "==" and not lo <= b <= hi)
+
+        # Every state has all rows able to hold.  A child changes only the
+        # rows its column touches: a row with a 0 there keeps its sum and
+        # its bounds, so only the touched rows are checked again.
+        touched = [
+            [(r, row[p], rel, b, suffix_lo[r][p + 1], suffix_hi[r][p + 1])
+             for r, (row, rel, b) in enumerate(zip(self.rows, self.relations, self.rhs)) if row[p]]
+            for p in range(width)
+        ]
 
         def children(state):  # the values so far and each row's sum over them
             x, sums = state
@@ -759,18 +771,24 @@ class Ilp(Problem):
             if pos == width:
                 return ()
             blo, bhi = self.bounds[pos]
-            column = [row[pos] for row in rows]
             out = []
             for val in range(blo, bhi + 1):
-                moved = tuple(s + a * val for s, a in zip(sums, column))
-                if feasible(pos + 1, moved):
+                moved = list(sums)
+                for r, a, rel, b, lo, hi in touched[pos]:
+                    s = moved[r] = moved[r] + a * val
+                    if not fits(rel, b, s + lo, s + hi):
+                        break
+                else:
                     out.append((x + (val,), moved))
             return out
 
         def accept(state):
             return len(state[0]) == width and self.verify(list(state[0]))
 
-        found = _depth_first(((), (0,) * nrows), children, accept)
+        if not all(fits(rel, b, lo[0], hi[0])
+                   for rel, b, lo, hi in zip(self.relations, self.rhs, suffix_lo, suffix_hi)):
+            return None
+        found = _depth_first(((), [0] * len(self.rows)), children, accept)
         return list(found[0]) if found is not None else None
 
 
@@ -1028,6 +1046,7 @@ def _held_karp(matrix, bound):
     takes the lowest city k whose length + step + cost[left][k] fits."""
     weights, scale = matrix, 1
     if not all(type(x) is int for row in matrix for x in row):
+        refuse_floats(itertools.chain.from_iterable(matrix), "matrix")
         exact = [[Fraction(x) for x in row] for row in matrix]
         scale = math.lcm(*(x.denominator for row in exact for x in row))
         weights = [[int(x * scale) for x in row] for row in exact]

@@ -39,6 +39,8 @@ class AllocationInstance(_FrozenRecord):
                 raise ValueError("tables must be monotone non-decreasing")
             if any(x < 0 for x in table):
                 raise ValueError("tables must be non-negative")
+        refuse_floats((self.budget, *(x for table in (*self.costs, *self.profits) for x in table)),
+                      "tables and budget")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
 

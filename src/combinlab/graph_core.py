@@ -127,12 +127,14 @@ class Digraph:
     is dropped, the first occurrence kept."""
 
     def __init__(self, n: int, arcs):
-        # Repeats go before the checks, so each distinct arc is checked and
-        # bucketed once; an arc equal to an earlier one, such as (1.0, 2)
-        # after (1, 2), is dropped unchecked.
+        # Every arc is checked before repeats go, so (1.0, 2) after (1, 2)
+        # is refused, not dropped as equal to it.
+        arcs = list(map(tuple, arcs))
         self.n = n
-        self.arcs = tuple(dict.fromkeys(map(tuple, arcs)))
-        self.adj = _checked_heads(n, self.arcs, "arc", False)
+        self.adj = _checked_heads(n, arcs, "arc", False)
+        self.arcs = tuple(dict.fromkeys(arcs))
+        if len(self.arcs) < len(arcs):  # the repeats' heads go as well
+            self.adj = {v: tuple(dict.fromkeys(heads)) for v, heads in self.adj.items()}
 
     def _key(self) -> tuple:
         return (self.n, self.arcs)

@@ -133,8 +133,12 @@ def floyd_warshall(g: WeightedDigraph) -> FloydTables:
     """All-pairs shortest paths with successor tracking.
 
     d(i,i) starts at 0; after the run, vertices with d(i,i) < 0 are
-    reported as lying on negative cycles (not raised).
+    reported as lying on negative cycles (not raised).  When every weight
+    is an int >= 0 the tables come from `_floyd_packed`, which gives the
+    same tables.
     """
+    if all(type(w) is int and w >= 0 for w in g.weight.values()):
+        return _floyd_packed(g)
     n = g.n
     dist = [[INF] * (n + 1) for _ in range(n + 1)]
     succ = [[0] * (n + 1) for _ in range(n + 1)]
@@ -162,6 +166,55 @@ def floyd_warshall(g: WeightedDigraph) -> FloydTables:
                     si[j] = sik
     flagged = {i for i in range(1, n + 1) if dist[i][i] < 0}
     return FloydTables(n, dist, succ, flagged)
+
+
+def _floyd_packed(g: WeightedDigraph) -> FloydTables:
+    """floyd_warshall for weights that are all ints >= 0, on packed rows
+    (broadword arithmetic, Knuth TAOCP 4A 7.1.3).
+
+    Row i of the distances is one int with a w-bit field per column j,
+    at bit j * w, holding d(i,j), or `far` for INF.  No distance reaches
+    far, nor n (so the successor rows, packed the same way, fit), and a
+    candidate d(i,k) + d(k,j) stays below 2 * far, so it fits under each
+    field's top bit, the guard.  Round k adds d(i,k) to every field of
+    row k at once, with the guard bits set; subtracting row i clears the
+    guard exactly where the candidate is strictly smaller, and those
+    fields of row i take the candidate and of its successor row succ(i,k).
+    Row k is the snapshot, as in the list loop: an int does not change."""
+    n = g.n
+    far = max(max(g.weight.values(), default=0), 1) * n + 1  # above every distance and vertex
+    w = far.bit_length() + 2
+    top = w - 1  # the guard bit's place in a field
+    field = (1 << w) - 1
+    ones = int("1".zfill(w) * (n + 1), 2)  # 1 in every field
+    guard = ones << top
+    rows = [far * ones] * (n + 1)
+    succ_rows = [0] * (n + 1)
+    for i in range(1, n + 1):
+        rows[i] -= far << i * w
+    for (u, v), d in g.weight.items():
+        rows[u] -= (far - d) << v * w
+        succ_rows[u] |= v << v * w
+    fill = [v * ones for v in range(n + 1)]  # v in every field
+    for k in range(1, n + 1):
+        row_k = rows[k] | guard
+        at = k * w
+        for i, ri in enumerate(rows):
+            dik = ri >> at & field
+            if dik == far:
+                continue
+            cand = row_k + dik * ones
+            kept = (cand - ri) & guard  # the guard bits of fields where cand >= d(i,j)
+            if kept != guard:
+                marked = kept ^ guard
+                mask = marked - (marked >> top)  # the value bits of the marked fields
+                rows[i] = ri ^ (ri ^ cand) & mask
+                si = succ_rows[i]
+                succ_rows[i] = si ^ (si ^ fill[si >> at & field]) & mask
+    shifts = range(0, (n + 1) * w, w)
+    dist = [[INF if (d := r >> s & field) == far else d for s in shifts] for r in rows]
+    succ = [[r >> s & field for s in shifts] for r in succ_rows]
+    return FloydTables(n, dist, succ, set())
 
 
 def reconstruct_path(t: FloydTables, i: int, j: int) -> list[int]:

@@ -366,6 +366,12 @@ def test_knapsack_optimum_refuses_floats():
     assert knapsack_optimum([Fraction(3, 2), 2], [1, 2], 3) == Fraction(7, 2)
 
 
+def test_tsp_optimum_refuses_floats():
+    with pytest.raises(ValueError, match="^matrix must be exact ints or fractions$"):
+        tsp_optimum([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]])
+    assert tsp_optimum([[0, Fraction(3, 2), 2], [Fraction(3, 2), 0, 1], [2, 1, 0]]) == Fraction(9, 2)
+
+
 def test_knapsack_fptas_refuses_floats():
     for args in (([1, 2], [1, 2], 3, 0.5), ([1, 2], [1.0, 2], 3, Fraction(1, 2))):
         with pytest.raises(ValueError, match="must be exact ints or fractions"):

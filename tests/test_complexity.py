@@ -45,6 +45,7 @@ from combinlab.complexity import (
     twosat_solve,
     vc_to_ham_circuit,
 )
+from combinlab.complexity import _depth_first
 from combinlab.approx import random_metric_instance, tsp_optimum
 from combinlab.graph_core import Digraph, Graph
 
@@ -541,6 +542,85 @@ def test_dimacs_roundtrip():
         parse_dimacs("p cnf 1 1\n1\n")  # missing 0 terminator
 
 
+def token_loop_parse_dimacs(text):
+    """parse_dimacs as it was before it parsed the literals in one pass:
+    one int() and one test per token."""
+    num_vars = None
+    clauses = []
+    current = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith(("c", "%")):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad DIMACS header: {line}")
+            num_vars = int(parts[2])
+            continue
+        for tok in line.split():
+            lit = int(tok)
+            if lit == 0:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                current.append(lit)
+    if num_vars is None:
+        raise ValueError("missing DIMACS header")
+    if current:
+        raise ValueError("clause not 0-terminated")
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+def test_parse_dimacs_matches_token_loop_reference():
+    # Clauses of one width and of mixed widths, spanning lines or sharing
+    # them, with comments, % lines and blank lines; and texts with one
+    # fault each, which must keep their messages.
+    faults = [None, "token", "float", "header", "no header", "unterminated", "empty", "range"]
+    rng = random.Random(93)
+    seen = set()
+    for trial in range(600):
+        nv = rng.randint(1, 9)
+        widths = [rng.randint(1, 3)] if rng.random() < 0.5 else [1, 2, 3, 4]
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(rng.choice(widths))]
+                   for _ in range(rng.randint(0, 12))]
+        fault = faults[trial % len(faults)]
+        if fault == "empty" and clauses:
+            clauses[rng.randrange(len(clauses))] = []
+        if fault == "range" and clauses:
+            clauses[-1][0] = nv + 1
+        tokens = [str(x) for c in clauses for x in (*c, 0)]
+        if fault in ("token", "float") and tokens:
+            tokens[rng.randrange(len(tokens))] = "x" if fault == "token" else "1.5"
+        if fault == "unterminated":
+            tokens.append(str(rng.randint(1, nv)))
+        lines, i = [], 0
+        while i < len(tokens):
+            step = rng.randint(1, 5)
+            lines.append(" ".join(tokens[i:i + step]))
+            i += step
+        for extra in ("c a comment", "% end", "", "  c indented comment"):
+            if rng.random() < 0.3:
+                lines.insert(rng.randint(0, len(lines)), extra)
+        header = {"header": "p dnf 3 1", "no header": None}.get(fault, f"p cnf {nv} {len(clauses)}")
+        if header is not None:
+            lines.insert(rng.randint(0, min(1, len(lines))), header)
+        text = "\n".join(lines) + "\n"
+        try:
+            want = token_loop_parse_dimacs(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_dimacs(text)
+            assert str(raised.value) == str(exc), text
+            seen.add(str(exc).split(":")[0].split(" ")[0])
+        else:
+            got = parse_dimacs(text)
+            assert got == want and type(got.clauses) is tuple
+            assert all(type(c) is tuple for c in got.clauses)
+            seen.add("ok")
+    assert seen == {"ok", "invalid", "bad", "missing", "clause", "empty", "literal"}
+
+
 # --- the recursive searches the shared walk and Held-Karp replaced, kept ---
 # as references.  They keep the old answers on empty instances, which
 # test_brute_force_on_empty_instances covers instead, so every sweep below
@@ -761,6 +841,84 @@ def test_brute_force_witness_matches_recursive_reference(cases):
             found += 1
             assert verify(problem, got)
     assert found and missing
+
+
+def every_row_ilp_search(ilp):
+    """Ilp.search as it was before a child rechecked only the rows its
+    column touches: every child checks every row, and the root none."""
+    width = len(ilp.bounds)
+    rows = [list(r) for r in ilp.rows]
+    nrows = len(rows)
+    suffix_lo = [[0] * (width + 1) for _ in range(nrows)]
+    suffix_hi = [[0] * (width + 1) for _ in range(nrows)]
+    for r in range(nrows):
+        for p in range(width - 1, -1, -1):
+            a = rows[r][p]
+            blo, bhi = ilp.bounds[p]
+            suffix_lo[r][p] = suffix_lo[r][p + 1] + min(a * blo, a * bhi)
+            suffix_hi[r][p] = suffix_hi[r][p + 1] + max(a * blo, a * bhi)
+
+    def feasible(pos, sums):
+        for r, (s, rel, b) in enumerate(zip(sums, ilp.relations, ilp.rhs)):
+            lo, hi = s + suffix_lo[r][pos], s + suffix_hi[r][pos]
+            if rel == "<=" and lo > b or rel == ">=" and hi < b or rel == "==" and not lo <= b <= hi:
+                return False
+        return True
+
+    def children(state):
+        x, sums = state
+        pos = len(x)
+        if pos == width:
+            return ()
+        blo, bhi = ilp.bounds[pos]
+        column = [row[pos] for row in rows]
+        out = []
+        for val in range(blo, bhi + 1):
+            moved = tuple(s + a * val for s, a in zip(sums, column))
+            if feasible(pos + 1, moved):
+                out.append((x + (val,), moved))
+        return out
+
+    def accept(state):
+        return len(state[0]) == width and ilp.verify(list(state[0]))
+
+    found = _depth_first(((), (0,) * nrows), children, accept)
+    return list(found[0]) if found is not None else None
+
+
+def test_ilp_search_matches_every_row_reference():
+    # Zero width, rows with no nonzero coefficient that fail at the root,
+    # and sparse rows of each relation with negative coefficients.
+    cases = [
+        Ilp((), (), (), ()),
+        Ilp(((),), ("==",), (3,), ()),
+        Ilp(((),), (">=",), (0,), ()),
+        Ilp(((0, 0, 0), (1, 1, 0)), ("==", "<="), (1, 2), ((0, 2),) * 3),
+        Ilp(((1, -1, 0), (0, 0, 0)), (">=", "<="), (0, -1), ((0, 2),) * 3),
+        Ilp(((1, 1, 0), (0, 0, 0)), ("<=", ">="), (2, 0), ((0, 2),) * 3),
+    ]
+    rng = random.Random(19)
+    for _ in range(400):
+        width = rng.randint(1, 7)
+        bounds = tuple((lo, lo + rng.randint(0, 3)) for lo in (rng.randint(0, 2) for _ in range(width)))
+        point = [rng.randint(lo, hi) for lo, hi in bounds]
+        rows = tuple(tuple(rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(width))
+                     for _ in range(rng.randint(1, 4)))
+        relations = tuple(rng.choice(["<=", "==", ">="]) for _ in rows)
+        rhs = tuple(sum(a * x for a, x in zip(row, point)) + rng.choice([0, 0, 0, -1, 2]) for row in rows)
+        cases.append(Ilp(rows, relations, rhs, bounds))
+    found = 0
+    for ilp in cases:
+        want = every_row_ilp_search(ilp)
+        assert ilp.search() == want, ilp
+        found += want is not None
+    assert [ilp.search() for ilp in cases[:6]] == [[], None, [], None, None, [0, 0, 0]]
+    assert 100 < found < len(cases) - 50
+    # No column touches an all-zero row, so only the root check can refuse
+    # it; without that check the search would walk all 4**10 points.
+    start = time.process_time()
+    assert Ilp(((0,) * 10, (1,) * 10), ("==", "<="), (1, 40), ((0, 3),) * 10).search() is None
+    assert time.process_time() - start < 0.5
 
 
 def test_tsp_decides_a_sixteen_city_no_instance_quickly():
@@ -1117,6 +1275,9 @@ def test_construction_errors():
         Tsp(((0, 1), (1,)), 2)
     with pytest.raises(ValueError, match="^diagonal must be zero$"):
         Tsp(((1,),), 2)
+    for matrix, limit in ((((0, 1.5, 2), (1.5, 0, 1), (2, 1, 0)), 5), (((0, 1), (1, 0)), 2.5)):
+        with pytest.raises(ValueError, match="^matrix and limit must be exact ints or fractions$"):
+            Tsp(matrix, limit)
     with pytest.raises(ValueError, match="^family must cover the universe exactly$"):
         ExactCover((1,), (frozenset({1, 2}),))
     with pytest.raises(ValueError, match="^family does not cover the universe$"):

@@ -96,6 +96,9 @@ def test_allocation_validation():
         AllocationInstance.from_lists([[1, 2]], [[0, 1]], 1)  # c(0) != 0
     with pytest.raises(ValueError):
         AllocationInstance.from_lists([[0, 2, 1]], [[0, 1, 1]], 1)  # not monotone
+    for costs, profits, budget in (([[0, 1.5]], [[0, 2]], 2), ([[0, 1]], [[0, 2.0]], 2), ([[0, 1]], [[0, 2]], 2.0)):
+        with pytest.raises(ValueError, match="^tables and budget must be exact ints or fractions$"):
+            AllocationInstance.from_lists(costs, profits, budget)
 
 
 def test_allocation_instance_is_an_immutable_value():

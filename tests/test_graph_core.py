@@ -34,6 +34,8 @@ def test_graph_invariants():
     assert g.degree(2) == 2
     assert g.adjacency_matrix()[0][1] == 1
     assert [row[0] for row in g.incidence_matrix()] == [1, 1, 0, 0]
+    d = Digraph(3, [(3, 1), (1, 2), [3, 1], (3, 2)])  # a repeat keeps the first
+    assert d.arcs == ((3, 1), (1, 2), (3, 2)) and d.adj == {1: (2,), 2: (), 3: (1, 2)}
     # Each class, on each single-fault input, with the one-line message.
     builders = [
         (Graph, "edge"),
@@ -56,6 +58,9 @@ def test_graph_invariants():
         ]
         if what == "edge":
             faults.append((3, [(1, 3), (1, 2), (3, 1)], "parallel edge (1, 3)"))
+        if build in (Graph, Digraph):  # links the weighted classes' dict keys cannot hold
+            faults.append((3, [([1], 2)], f"{what} ([1],2) needs int vertices"))
+            faults.append((3, [(1, 2), (1.0, 2)], f"{what} (1.0,2) needs int vertices"))
         for n, links, message in faults:
             with pytest.raises(ValueError) as raised:
                 build(n, links)

@@ -341,6 +341,33 @@ def test_floyd_matches_full_snapshot_reference():
     assert 50 < with_cycles < 250  # digraphs with and without negative cycles
 
 
+def test_floyd_packed_rows_match_full_snapshot_reference():
+    # Every weight an int >= 0: the packed rows, from fields of three bits
+    # to fields wider than 64 bits (weights of 10**40 and more), must give
+    # the reference's tables, types included.
+    rng = random.Random(19)
+    cases = [(0, {}), (1, {}), (2, {}), (2, {(1, 2): 0}), (2, {(1, 2): 0, (2, 1): 0}),
+             (2, {(2, 1): 10**40}), (3, {(1, 2): 5, (2, 1): 0})]
+    for _ in range(120):
+        n = rng.randint(3, 60)
+        density = rng.choice((0.02, 0.1, 0.5, 1.0))
+        top = rng.choice((0, 1, 9, 2**31, 10**40, 10**45))
+        arcs = {(u, v): rng.randint(0, top) for u in range(1, n + 1) for v in range(1, n + 1)
+                if u != v and rng.random() < density}
+        cases.append((n, arcs))
+    unreachable = 0
+    for n, arcs in cases:
+        g = WeightedDigraph(n, arcs)
+        t = floyd_warshall(g)
+        want = reference_floyd_warshall(g)
+        assert repr((t.dist, t.succ, t.negative_cycle_vertices)) == repr(want)
+        assert all(type(d) is int or d is INF for row in t.dist for d in row)
+        assert all(type(s) is int for row in t.succ for s in row)
+        assert type(t.negative_cycle_vertices) is set
+        unreachable += any(d is INF for row in t.dist[1:] for d in row[1:])
+    assert 20 < unreachable < len(cases)  # sparse and strongly connected digraphs
+
+
 def test_floyd_scales():
     # An acyclic digraph on 200 vertices with negative arcs: row k reaches
     # only later vertices, so most of each row stays INF.  Copying both
@@ -369,7 +396,8 @@ def pin_digraph(n, kind):
     weights: "zero" draws from 0..2, "negative" shifts non-negative
     weights by vertex potentials (negative arcs, no negative cycle),
     "fraction" draws p/q with negative arcs and cycles, "negcycle" draws
-    integers from -4..12."""
+    integers from -4..12, and "positive" draws 1..100 and adds a cycle
+    through every vertex, so the digraph is strongly connected."""
     rng = random.Random(f"{kind}-{n}")
     density = min(0.5, 4 / n)
     potential = [rng.randint(0, 20) for _ in range(n + 1)]
@@ -384,8 +412,13 @@ def pin_digraph(n, kind):
                 arcs[(u, v)] = rng.randint(0, 5) + potential[u] - potential[v]
             elif kind == "fraction":
                 arcs[(u, v)] = Fraction(rng.randint(-3, 12), rng.randint(1, 4))
+            elif kind == "positive":
+                arcs[(u, v)] = rng.randint(1, 100)
             else:
                 arcs[(u, v)] = rng.randint(-4, 12)
+    if kind == "positive":
+        for u in range(1, n + 1):
+            arcs.setdefault((u, u % n + 1), rng.randint(1, 100))
     return WeightedDigraph(n, arcs)
 
 
@@ -401,7 +434,9 @@ def floyd_digest(g) -> str:
 # sha256 of (dist, succ, flagged vertices) and of the closure matrix,
 # recorded before Floyd-Warshall and the closure stopped copying matrices;
 # the row-k rewrite must not move them.  Fraction weights stop at n = 30:
-# their negative cycles make n = 120 take seconds.
+# their negative cycles make n = 120 take seconds.  The "zero" pins and
+# ("positive", 200), recorded from the row-k list loop, hold the packed
+# rows that int weights >= 0 now take to the same tables.
 FLOYD_TABLES = {
     ("fraction", 1): "bcb6aa4da0f4281fb6abd7c6118064ba2831ea735c246550880e9ac18f4bc7e0",
     ("fraction", 2): "705f0e3ba7e24948b0482faf6b1ff1e9af884fde807102ab32c5ce69f8e01832",
@@ -417,6 +452,7 @@ FLOYD_TABLES = {
     ("negcycle", 5): "7d026b40deb6f1de7b31b8741e9ba8c8576aa7247d381461a5ee464788f331f7",
     ("negcycle", 30): "a0ab015f08bdfc918b011c2d504c212f9fce875f6762927429c1243f56b2ae36",
     ("negcycle", 120): "b591c13c985104f5b3bb3d7998c3dcd75dfb2514bc0cbc231447140d8d7e2ec2",
+    ("positive", 200): "2e3da7ad61057e3e98cea218c900e30f3ff32bb21a6279f2b18212190f193d73",
     ("zero", 1): "bcb6aa4da0f4281fb6abd7c6118064ba2831ea735c246550880e9ac18f4bc7e0",
     ("zero", 2): "f14d96d53209b78ce720da83619e41984e55018d58af890dc167c31eb38c28bd",
     ("zero", 5): "62ab59a4b15d2fb83bb5ebb31e40feaf90bdb1a826a4e74bc8a51b842f79b9fc",

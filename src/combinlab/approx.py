@@ -486,6 +486,7 @@ def tsp_optimum(matrix) -> object:
     order."""
     n = len(matrix)
     _within_cap(n, "tsp_cities")
+    refuse_floats((x for row in matrix for x in row), "matrix")
     tour = _held_karp(matrix, lambda shortest, scale: shortest) if n > 1 else [1]
     return tour_length(matrix, tour)
 

@@ -111,15 +111,9 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ValueError("missing DIMACS header")
     if lits and lits[-1] != 0:
         raise ValueError("clause not 0-terminated")
-    zeros = lits.count(0)
-    width = lits.index(0) + 1 if zeros else 0  # the first clause and its 0
-    if width > 1 and len(lits) == zeros * width and lits[width - 1::width].count(0) == zeros:
-        # Every clause has width - 1 literals: drop the 0s, cut in C.
-        del lits[width - 1::width]
-        return CnfFormula(num_vars, tuple(zip(*[iter(lits)] * (width - 1))))
     clauses = []
     start = 0
-    for _ in range(zeros):
+    for _ in range(lits.count(0)):
         end = lits.index(0, start)
         clauses.append(tuple(lits[start:end]))
         start = end + 1
@@ -1043,10 +1037,10 @@ def _held_karp(matrix, bound):
     denominator `scale`, and so are the bound and `shortest`, a shortest
     tour's length.  cost[S][k] is the shortest path from city k + 2
     through the cities S (bit j for city j + 2) back to city 1.  The walk
-    takes the lowest city k whose length + step + cost[left][k] fits."""
+    takes the lowest city k whose length + step + cost[left][k] fits.
+    Its callers refuse float entries first."""
     weights, scale = matrix, 1
     if not all(type(x) is int for row in matrix for x in row):
-        refuse_floats(itertools.chain.from_iterable(matrix), "matrix")
         exact = [[Fraction(x) for x in row] for row in matrix]
         scale = math.lcm(*(x.denominator for row in exact for x in row))
         weights = [[int(x * scale) for x in row] for row in exact]

@@ -367,8 +367,9 @@ def test_knapsack_optimum_refuses_floats():
 
 
 def test_tsp_optimum_refuses_floats():
-    with pytest.raises(ValueError, match="^matrix must be exact ints or fractions$"):
-        tsp_optimum([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]])
+    for matrix in ([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]], [[0.0]]):
+        with pytest.raises(ValueError, match="^matrix must be exact ints or fractions$"):
+            tsp_optimum(matrix)
     assert tsp_optimum([[0, Fraction(3, 2), 2], [Fraction(3, 2), 0, 1], [2, 1, 0]]) == Fraction(9, 2)
 
 

@@ -41,6 +41,8 @@ class AllocationInstance(_FrozenRecord):
                 raise ValueError("tables must be non-negative")
         refuse_floats((self.budget, *(x for table in (*self.costs, *self.profits) for x in table)),
                       "tables and budget")
+        if type(self.budget) is not int or any(type(x) is not int for table in self.costs for x in table):
+            raise ValueError("costs and budget must be integers")  # allocate indexes by them
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
 

@@ -10,6 +10,20 @@
 All functions speak to a counting comparator over item positions; byes in
 knockout rounds go to the last entrant of an odd round so the counts are
 reproducible.
+
+select_t_linear (Blum, Floyd, Pratt, Rivest & Tarjan 1973) sorts each group
+of 7 by merge insertion (Ford & Johnson 1959) without running it: it walks
+merge insertion's decision tree over the positions 0..6, memoised in
+`_GROUP_TREE` for the life of the process.  The tree is grown on demand, so
+selections of up to 1024 items, which sort outright, never build any of it.
+When a walk reaches a branch no group has taken yet, `_merge_insertion`
+itself reruns over the positions with the walk's answers replayed, and the
+rest of its path is added; so the charged `less` calls are merge
+insertion's own, in its order, and `_merge_insertion` stays the one
+definition of the algorithm.  Answers from a strict order reach one leaf
+per order of the 7 handles, so the tree holds at most 7! = 5040 leaves.
+Pads are never charged, so a group or base-case list that holds none is
+compared by the wrapped comparator directly, not through the pad wrapper.
 """
 
 from __future__ import annotations
@@ -211,12 +225,13 @@ class _PadComparator:
 
     Items are the positions 0, 1, 2, ...; pads are the negative ints -1,
     -2, ... drawn from one counter per selection, so a pad never repeats.
-    Only item-item comparisons reach the wrapped comparator and are
-    charged; a pad compares below every item, and pads compare among
+    Only item-item comparisons reach the wrapped comparator `items` and
+    are charged; a pad compares below every item, and pads compare among
     themselves as ints, free of charge.
     """
 
     def __init__(self, cmp):
+        self.items = cmp
         self._less = cmp.less
         self._pads = 0
 
@@ -228,6 +243,60 @@ class _PadComparator:
         if a >= 0 and b >= 0:
             return self._less(a, b)
         return a < b
+
+
+# Merge insertion's decision tree over the positions 0..6 of a group.  An
+# inner node [i, j, no, yes] asks less(group[i], group[j]); a leaf is the
+# tuple of the 7 positions in descending order; None is a branch no group
+# has reached yet.  Slot 0 holds the root.
+_GROUP_TREE: list = [None]
+
+
+class _Replay:
+    """Comparator over the positions of one group: answers the first calls
+    from `answers`, which were already charged, then asks `ask` about the
+    group's handles and records each new call as (i, j, answer)."""
+
+    __slots__ = ("answers", "group", "ask", "asked")
+
+    def __init__(self, answers: list, group: list, ask):
+        self.answers = answers[::-1]  # popped from the end, first answer first
+        self.group = group
+        self.ask = ask
+        self.asked: list = []
+
+    def less(self, i: int, j: int) -> bool:
+        if self.answers:
+            return self.answers.pop()
+        answer = self.ask(self.group[i], self.group[j])
+        self.asked.append((i, j, answer))
+        return answer
+
+
+def _sort_group(group: list, less) -> list:
+    """Descending order of 7 distinct handles, making the `less` calls of
+    `_merge_insertion(group, ...)` in the same order.
+
+    Walks `_GROUP_TREE`; on reaching a branch not grown yet it reruns
+    `_merge_insertion` over the positions, replaying the answers of the
+    walk, and hangs the rest of that run's path below the branch.
+    """
+    parent, slot = _GROUP_TREE, 0
+    node = parent[0]
+    answers = []
+    while type(node) is list:
+        answer = less(group[node[0]], group[node[1]])
+        answers.append(answer)
+        parent, slot = node, 3 if answer else 2
+        node = parent[slot]
+    if node is None:
+        replay = _Replay(answers, group, less)
+        leaf = branch = tuple(_merge_insertion(list(range(7)), replay)[::-1])
+        for i, j, answer in reversed(replay.asked):
+            branch = [i, j, None, branch] if answer else [i, j, branch, None]
+        parent[slot] = branch
+        node = leaf
+    return [group[p] for p in node]
 
 
 def select_t_linear(items, t: int, cmp=None) -> int:
@@ -258,14 +327,19 @@ def _select_partition(handles: list, t: int, cmp: _PadComparator) -> tuple:
     """
     n = len(handles)
     if n <= _BASE_CASE:
-        asc = _merge_insertion(handles, cmp)
+        # Pads are never charged, so a list without one can skip the wrapper.
+        asc = _merge_insertion(handles, cmp.items if min(handles) >= 0 else cmp)
         x = asc[n - t]
         return x, asc[n - t + 1 :], asc[: n - t]
 
     padded = list(handles)
     while len(padded) % 7 or (len(padded) // 7) % 2 == 0:
         padded.append(cmp.pad())
-    groups = [_merge_insertion(padded[i : i + 7], cmp)[::-1] for i in range(0, len(padded), 7)]
+    items_less, less = cmp.items.less, cmp.less
+    groups = []
+    for i in range(0, len(padded), 7):
+        group = padded[i : i + 7]
+        groups.append(_sort_group(group, items_less if min(group) >= 0 else less))
     medians = [g[3] for g in groups]
     q = (len(medians) - 1) // 2
     x, med_above, med_below = _select_partition(medians, q + 1, cmp)

@@ -99,6 +99,10 @@ def test_allocation_validation():
     for costs, profits, budget in (([[0, 1.5]], [[0, 2]], 2), ([[0, 1]], [[0, 2.0]], 2), ([[0, 1]], [[0, 2]], 2.0)):
         with pytest.raises(ValueError, match="^tables and budget must be exact ints or fractions$"):
             AllocationInstance.from_lists(costs, profits, budget)
+    for costs, budget in (([[0, Fraction(1)]], 2), ([[0, 1]], Fraction(2))):
+        with pytest.raises(ValueError, match="^costs and budget must be integers$"):
+            AllocationInstance.from_lists(costs, [[0, 2]], budget)
+    assert allocate(AllocationInstance.from_lists([[0, 1]], [[0, Fraction(5, 2)]], 2)) == (Fraction(5, 2), [1])
 
 
 def test_allocation_instance_is_an_immutable_value():

@@ -167,15 +167,21 @@ def test_select_t_linear_exhaustive_tiny():
 @pytest.mark.parametrize("n", (7176, 11247, 20000))
 def test_select_t_linear_sorts_distinct_handles(monkeypatch, n):
     # Lists deep enough to be padded twice once held the same pad twice, and
-    # merge insertion keys its bookkeeping on the handles themselves.
-    sort = tournament._merge_insertion
+    # merge insertion keys its bookkeeping on the handles themselves.  Groups
+    # of 7 go to the decision-tree sorter, which is spied on as well.
     sorted_lists = []
 
-    def spy(handles, cmp):
-        sorted_lists.append(list(handles))
-        return sort(handles, cmp)
+    def spy_on(name):
+        sort = getattr(tournament, name)
 
-    monkeypatch.setattr(tournament, "_merge_insertion", spy)
+        def spy(handles, cmp):
+            sorted_lists.append(list(handles))
+            return sort(handles, cmp)
+
+        monkeypatch.setattr(tournament, name, spy)
+
+    spy_on("_merge_insertion")
+    spy_on("_sort_group")
     items = random.Random(n).sample(range(10 * n), n)
     for t in sorted({1, (n + 1) // 2, n}):
         assert items[select_t_linear(items, t)] == sorted(items, reverse=True)[t - 1]
@@ -241,3 +247,35 @@ SELECTORS = {"select_t_linear": select_t_linear, "select_t_tournament": select_t
 def test_selection_transcripts_pinned(case):
     name, n = case
     assert select_transcript(SELECTORS[name], n) == SELECT_TRANSCRIPTS[case]
+
+
+def group_cases():
+    """Every order of 7 items, and of 7 - k items followed by k pads."""
+    for pads in range(7):
+        for keys in itertools.permutations(range(7 - pads)):
+            yield keys, list(range(7 - pads)) + list(range(-1, -1 - pads, -1))
+
+
+def grown_leaves(tree) -> int:
+    leaves, stack = 0, [tree[0]]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            leaves += 1
+        elif node is not None:
+            stack += node[2:]
+    return leaves
+
+
+def test_sort_group_replays_merge_insertion(monkeypatch):
+    monkeypatch.setattr(tournament, "_GROUP_TREE", [None])
+    for _ in range(2):  # growing the tree from empty, then walking the full one
+        for keys, group in group_cases():
+            want_cmp, got_cmp = RecordingComparator(keys), RecordingComparator(keys)
+            want = tournament._merge_insertion(group, tournament._PadComparator(want_cmp))[::-1]
+            # The selector hands a pad-free group the item comparator itself.
+            less = got_cmp.less if min(group) >= 0 else tournament._PadComparator(got_cmp).less
+            assert tournament._sort_group(group, less) == want
+            assert got_cmp.calls == want_cmp.calls
+            assert got_cmp.inner.count == want_cmp.inner.count
+        assert grown_leaves(tournament._GROUP_TREE) == 5040

@@ -42,7 +42,7 @@ from fractions import Fraction
 from .complexity import _adjacency_bits, _depth_first, _first_cover, _halves, _held_karp
 from .complexity import _most_fitting, _most_independent, _within_cap
 from .graph_core import Graph
-from .intmath import refuse_floats
+from .intmath import exact_int, refuse_floats
 from .paths_mst import WeightedGraph, prim
 
 
@@ -115,7 +115,7 @@ def vc_greedy_counterexample(n: int) -> Graph:
     favour them; the pendant k = 1 level pins the optimum at exactly n,
     while degree greedy picks every gadget: sum floor(n/k) vertices.
     """
-    if n < 2:
+    if exact_int(n, "n") < 2:
         raise ValueError("needs n >= 2")
     gadget_count = sum(n // k for k in range(1, n + 1))
     core_base = gadget_count  # cores are gadget_count+1 .. gadget_count+n
@@ -163,6 +163,7 @@ class MetricTspInstance:
 
     def __init__(self, matrix):
         m = [list(row) for row in matrix]
+        refuse_floats((x for row in m for x in row), "matrix")
         n = len(m)
         for i in range(n):
             if len(m[i]) != n:
@@ -186,8 +187,8 @@ class MetricTspInstance:
         return self.matrix[u - 1][v - 1]
 
     def tour_length(self, tour) -> object:
-        n = self.n
-        return sum(self.d(tour[i], tour[(i + 1) % n]) for i in range(n))
+        length = tour_length  # the module-level function; called by this method's own name it would read as recursion to tests/test_sources.py
+        return length(self.matrix, tour)
 
 
 def tour_length(matrix, tour) -> object:
@@ -231,12 +232,7 @@ def _euler_walk_multigraph(n: int, multi_edges) -> list[int]:
 
 
 def _shortcut(walk, n) -> list[int]:
-    seen = set()
-    tour = []
-    for v in walk:
-        if v not in seen:
-            seen.add(v)
-            tour.append(v)
+    tour = list(dict.fromkeys(walk))  # each vertex where the walk first reaches it
     assert len(tour) == n
     return tour
 
@@ -249,59 +245,59 @@ def tsp_double_tree(inst) -> list[int]:
     if n < 3:
         raise ValueError("needs n >= 3")
     tree = prim(_complete_weighted_graph(matrix))
-    doubled = list(tree.edges) + list(tree.edges)
-    walk = _euler_walk_multigraph(n, doubled)
+    walk = _euler_walk_multigraph(n, list(tree.edges) * 2)
     return _shortcut(walk, n)
 
 
 def min_perfect_matching_exact(vertices, weight) -> list[tuple[int, int]]:
-    """Minimum-weight perfect matching by subset DP (even count <= 20),
-    memoised over an explicit stack of the masks being solved."""
+    """Minimum-weight perfect matching by subset DP (even count <= 20).
+
+    Each pair's weight is asked once; a float is refused.  A set of
+    vertices, as a bit mask, pairs its lowest vertex with each other one in
+    turn and keeps the strictly lightest pairing, so ties go to the lowest
+    partner.  The masks this pairing reaches from the full set are listed
+    breadth-first and solved in reverse list order, so a mask's rests,
+    two vertices smaller and listed later, are solved before it."""
     vs = list(vertices)
-    if len(vs) % 2 or len(vs) > 20:
+    k = len(vs)
+    if k % 2 or k > 20:
         raise ValueError("needs an even vertex count of at most 20")
     if not vs:
         return []
-    full = (1 << len(vs)) - 1
-    memo: dict[int, object] = {0: 0}
-    choice: dict[int, tuple[int, int]] = {}
-
-    def solve(mask: int):
-        """Pair the lowest vertex of mask with each other one in turn; yield
-        each rest not yet in memo, to be solved before the walk goes on."""
-        first = (mask & -mask).bit_length() - 1
-        best = None
-        best_pair = None
-        rest = mask & ~(1 << first)
-        sub = rest
+    weights = [[weight(u, v) if a < b else 0 for b, v in enumerate(vs)] for a, u in enumerate(vs)]
+    refuse_floats((w for row in weights for w in row), "weights")
+    full = (1 << k) - 1
+    best: dict[int, object] = {0: 0}  # its keys are the masks listed so far
+    masks = [full]
+    for mask in masks:  # also visits what the loop appends
+        rest = sub = mask & (mask - 1)  # without its lowest vertex
         while sub:
-            second = (sub & -sub).bit_length() - 1
-            sub &= sub - 1
-            w = weight(vs[first], vs[second])
-            left = rest & ~(1 << second)
-            if left not in memo:
-                yield left
-            cand = w + memo[left]
-            if best is None or cand < best:
-                best = cand
-                best_pair = (first, second)
-        memo[mask] = best
-        choice[mask] = best_pair
-
-    walks = [solve(full)]  # the masks being solved, innermost last
-    while walks:
-        left = next(walks[-1], None)
-        if left is None:
-            walks.pop()
-        else:
-            walks.append(solve(left))
+            low = sub & -sub
+            sub ^= low
+            left = rest ^ low
+            if left not in best:
+                best[left] = None
+                masks.append(left)
+    choice: dict[int, tuple[int, int]] = {}
+    for mask in reversed(masks):
+        first = (mask & -mask).bit_length() - 1
+        row = weights[first]
+        rest = sub = mask & (mask - 1)
+        top = None
+        while sub:
+            low = sub & -sub
+            sub ^= low
+            second = low.bit_length() - 1
+            cand = row[second] + best[rest ^ low]
+            if top is None or cand < top:
+                top, choice[mask] = cand, (first, second)
+        best[mask] = top
     pairs = []
     mask = full
     while mask:
         a, b = choice[mask]
         pairs.append((vs[a], vs[b]))
-        mask &= ~(1 << a)
-        mask &= ~(1 << b)
+        mask ^= 1 << a | 1 << b
     return pairs
 
 
@@ -333,6 +329,7 @@ def tsp_gap_instance(g: Graph, eps) -> list[list[object]]:
     """Inapproximability feed: unit cost on edges, (1+eps)|V|+1 elsewhere.
     The optimum is |V| exactly when g is Hamiltonian and exceeds
     (1+eps)|V| otherwise.  Deliberately non-metric in general."""
+    refuse_floats((eps,), "eps")
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("needs eps >= 0")

@@ -67,6 +67,7 @@ class CnfFormula(_FrozenRecord):
     clauses: tuple[tuple[int, ...], ...]
 
     def _check(self):
+        exact_int(self.num_vars, "num_vars")
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
@@ -473,6 +474,9 @@ class Knapsack01(Problem):
     numbers: tuple[int, ...]
     target: int
 
+    def _check(self):
+        refuse_floats((*self.numbers, self.target), "numbers and target")
+
     @classmethod
     def load(cls, text, k, limit):
         data = json_object(text)
@@ -509,6 +513,10 @@ class KnapsackDecision(Problem):
     volumes: tuple[int, ...]
     capacity: int
     goal: int
+
+    def _check(self):
+        refuse_floats((*self.values, *self.volumes, self.capacity, self.goal),
+                      "values, volumes, capacity and goal")
 
     @classmethod
     def load(cls, text, k, limit):
@@ -547,6 +555,9 @@ class Partition(_SetWitness):
     kind = "partition"
     __slots__ = ("numbers",)
     numbers: tuple[int, ...]
+
+    def _check(self):
+        refuse_floats(self.numbers, "numbers")
 
     @classmethod
     def load(cls, text, k, limit):
@@ -687,6 +698,7 @@ class Ilp(Problem):
         for rel in self.relations:
             if rel not in ("<=", "==", ">="):
                 raise ValueError(f"bad relation {rel}")
+        refuse_floats(itertools.chain(*self.rows, self.rhs, *self.bounds), "rows, rhs and bounds")
 
     @classmethod
     def load(cls, text, k, limit):

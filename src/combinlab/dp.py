@@ -308,7 +308,7 @@ def matrix_chain(dims) -> tuple[int, str, ChainTables]:
 
 def count_parenthesizations(n: int) -> int:
     """Number of full parenthesizations of an n-term product (exact)."""
-    if n < 1:
+    if exact_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     p = [0] * (n + 1)
     p[1] = 1
@@ -321,11 +321,12 @@ def polygon_triangulation(weight, vertex_count: int) -> tuple[object, list[tuple
     """Minimum-weight triangulation of the polygon v_0..v_{n} where
     vertex_count = n + 1 >= 3.
 
-    `weight(i, k, j)` scores the triangle on vertices v_i, v_k, v_j.
+    `weight(i, k, j)` scores the triangle on vertices v_i, v_k, v_j, as
+    an exact int or fraction; a float weight is refused.
     Returns (total weight, list of diagonals), with exactly
     vertex_count - 3 diagonals.
     """
-    if vertex_count < 3:
+    if exact_int(vertex_count, "vertex_count") < 3:
         raise ValueError("polygon needs at least 3 vertices")
     n = vertex_count - 1
     m = [[0] * (n + 1) for _ in range(n + 1)]
@@ -333,9 +334,11 @@ def polygon_triangulation(weight, vertex_count: int) -> tuple[object, list[tuple
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
+            weights = [weight(i - 1, k, j) for k in range(i, j)]
+            refuse_floats(weights, "triangle weights")
             m[i][j] = None
-            for k in range(i, j):
-                q = m[i][k] + m[k + 1][j] + weight(i - 1, k, j)
+            for k, w in enumerate(weights, i):
+                q = m[i][k] + m[k + 1][j] + w
                 if m[i][j] is None or q < m[i][j]:
                     m[i][j] = q
                     s[i][j] = k
@@ -359,6 +362,7 @@ def polygon_triangulation(weight, vertex_count: int) -> tuple[object, list[tuple
 
 def triangle_area_weight(coords):
     """Exact triangle-area weight callback over integer coordinates."""
+    refuse_floats((x for point in coords for x in point), "coordinates")
 
     def weight(i, k, j):
         (x1, y1), (x2, y2), (x3, y3) = coords[i], coords[k], coords[j]

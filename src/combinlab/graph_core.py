@@ -227,7 +227,16 @@ def _check_eulerian(g: Graph) -> None:
 
 
 def euler_cycle(g: Graph) -> list[int]:
-    """Closed walk using every edge exactly once, by cycle splicing.
+    """Closed walk using every edge exactly once: Hierholzer's (1873)
+    walk, read forward in one pass over an explicit stack.
+
+    The cycle is read one vertex at a time from the lowest vertex with an
+    edge.  A vertex read with an unused edge first lays a closed walk from
+    it, taking the lowest unused edge at each step; with every degree even
+    that walk can only stop back at the vertex, all of whose edges are then
+    used, and it is read next, before the rest.  So each walk is spliced in
+    at the first vertex of the cycle so far that still has an unused edge.
+    Each edge is looked at twice, so the pass costs O(n + m).
 
     Isolated vertices are ignored; a graph with no edges yields [].
     Raises NotEulerianError with the violated condition otherwise.
@@ -235,49 +244,32 @@ def euler_cycle(g: Graph) -> list[int]:
     _check_eulerian(g)
     if not g.edges:
         return []
-
-    unused = {v: list(g.neighbors(v)) for v in range(1, g.n + 1)}
-    used = set()
-
-    def walk_cycle(start: int) -> list[int]:
-        # With all remaining degrees even, a greedy walk from `start` can
-        # only get stuck back at `start`, closing a cycle.
-        path = [start]
-        v = start
+    heads = {v: iter(ws) for v, ws in g.adj.items()}  # lowest head first
+    used = set()  # (w, u) once edge uw is crossed from u; u's iterator is past w
+    cycle = []
+    todo = [min(v for v in range(1, g.n + 1) if g.degree(v) > 0)]  # to read, next last
+    while todo:
+        v = todo.pop()
+        cycle.append(v)
+        walk = []
+        u = v
         while True:
-            while unused[v] and (min(v, unused[v][0]), max(v, unused[v][0])) in used:
-                unused[v].pop(0)
-            if not unused[v]:
+            for w in heads[u]:
+                if (u, w) not in used:
+                    break
+            else:
                 break
-            w = unused[v].pop(0)
-            used.add((min(v, w), max(v, w)))
-            path.append(w)
-            v = w
-        assert path[0] == path[-1]
-        return path
-
-    start = min(v for v in range(1, g.n + 1) if g.degree(v) > 0)
-    cycle = walk_cycle(start)
-    at = 0
-    while len(used) < len(g.edges):
-        # Find a cycle vertex with an unused incident edge and splice in
-        # the cycle through it.  Vertices before the last splice point
-        # had none left then and cannot regain one, so the scan resumes
-        # there.
-        at = next(
-            i
-            for i, v in enumerate(cycle[at:], at)
-            if any((min(v, w), max(v, w)) not in used for w in g.neighbors(v))
-        )
-        side = walk_cycle(cycle[at])
-        cycle = cycle[:at] + side + cycle[at + 1 :]
+            used.add((w, u))
+            walk.append(w)
+            u = w
+        todo += reversed(walk)
     return cycle
 
 
 def fleury_euler_cycle(g: Graph) -> list[int]:
     """Euler cycle by Fleury's rule: never cross a bridge of the remaining
     positive-degree graph unless there is no alternative.  Used as a
-    cross-check for the splicing construction."""
+    cross-check for euler_cycle."""
     _check_eulerian(g)
     if not g.edges:
         return []
@@ -373,7 +365,7 @@ def dfs(g, order=None) -> DfsRecord:
     """
     n = g.n
     order = list(range(1, n + 1) if order is None else order)
-    if sorted(order) != list(range(1, n + 1)):
+    if sorted(order) != list(range(1, n + 1)) or any(type(v) is not int for v in order):
         raise ValueError("order must be a permutation of 1..n")
     stamps, parent = _walk(g.adj, order)
     discovery: dict[int, int] = {}

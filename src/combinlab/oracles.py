@@ -8,6 +8,8 @@ by producing a concrete input that reproduces its whole answer transcript.
 
 from __future__ import annotations
 
+from .intmath import exact_int
+
 LESS = "Less"
 GREATER = "Greater"
 
@@ -31,7 +33,7 @@ class QueryCounter:
     __slots__ = ("count",)
 
     def __init__(self, count: int = 0):
-        self.count = count
+        self.count = exact_int(count, "count")
 
     def tick(self) -> None:
         self.count += 1
@@ -90,7 +92,7 @@ class AdversaryMerge(CostedOracle):
     """
 
     def __init__(self, m: int, n: int):
-        if m < 1 or n < 1:
+        if exact_int(m, "m") < 1 or exact_int(n, "n") < 1:
             raise ValueError("run sizes must be >= 1")
         super().__init__()
         self.m = m
@@ -136,7 +138,7 @@ class AdversarySetEquality(CostedOracle):
     """
 
     def __init__(self, n: int):
-        if n < 1:
+        if exact_int(n, "n") < 1:
             raise ValueError("needs n >= 1")
         super().__init__()
         self.n = n
@@ -225,7 +227,7 @@ class AdversaryWhoIsWho(CostedOracle):
     """
 
     def __init__(self, n: int):
-        if n < 3:
+        if exact_int(n, "n") < 3:
             raise ValueError("needs n >= 3")
         super().__init__()
         self.n = n

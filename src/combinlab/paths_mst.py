@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph_core import Digraph, Graph
-from .intmath import refuse_floats
+from .intmath import exact_int, refuse_floats
 
 INF = float("inf")
 
@@ -85,9 +85,9 @@ def dijkstra(g: WeightedDigraph, source: int, target: int | None = None) -> Dijk
     """
     if any(w < 0 for w in g.weight.values()):
         raise ValueError("Dijkstra requires non-negative weights")
-    if not 1 <= source <= g.n:
+    if not 1 <= exact_int(source, "source") <= g.n:
         raise ValueError("source out of range")
-    if target is not None and not 1 <= target <= g.n:
+    if target is not None and not 1 <= exact_int(target, "target") <= g.n:
         raise ValueError("target out of range")
     dist = {v: INF for v in range(1, g.n + 1)}
     pred: dict[int, int | None] = {v: None for v in range(1, g.n + 1)}
@@ -223,6 +223,8 @@ def reconstruct_path(t: FloydTables, i: int, j: int) -> list[int]:
     Refuses pairs touching a negative cycle (endpoints flagged, or some
     flagged k with finite d(i,k) and d(k,j)).
     """
+    if not (1 <= exact_int(i, "i") <= t.n and 1 <= exact_int(j, "j") <= t.n):
+        raise ValueError("vertex out of range")
     if i == j:
         if i in t.negative_cycle_vertices:
             raise ValueError("endpoint lies on a negative cycle")

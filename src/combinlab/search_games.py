@@ -12,7 +12,7 @@ query bound:
 
 from __future__ import annotations
 
-from .intmath import _FrozenRecord, ceil_div, coin_pool_size, fib, fib_upto
+from .intmath import _FrozenRecord, ceil_div, coin_pool_size, exact_int, fib, fib_upto
 from .oracles import EQUAL, LEFT, RIGHT, CostedOracle
 
 
@@ -58,7 +58,7 @@ def find_radioactive(n: int, tester) -> int:
     ceil(|I|/2) and floor(|I|/2).  A tester inconsistent with the
     one-positive model makes the returned index arbitrary.
     """
-    if n < 1:
+    if exact_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     candidates = list(range(1, n + 1))
     while len(candidates) > 1:
@@ -105,7 +105,7 @@ def find_counterfeit(n: int, balance) -> CoinVerdict:
     (0 is the extra known-genuine coin) and answers Left/Right/Equal.
     Uses at most ceil(log3 (2n+1)) weighings over the 2n+1 possible worlds.
     """
-    if n < 1:
+    if exact_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     levels = 0
     while coin_pool_size(levels) < n:
@@ -188,7 +188,7 @@ def bitonic_max(n: int, probe) -> tuple[int, object]:
     fib(k) <= n < fib(k+1).  Values that cannot belong to any bitonic
     sequence raise NotBitonicError.
     """
-    if n < 1:
+    if exact_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     memo: dict[int, object] = {}
 
@@ -265,7 +265,7 @@ def sets_equal(n: int, probe) -> bool:
     Scans each a_i against the not-yet-matched elements of B in index
     order, removing matches; spends at most n(n+1)/2 probes.
     """
-    if n < 1:
+    if exact_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     remaining = list(range(1, n + 1))
     for i in range(1, n + 1):
@@ -287,7 +287,7 @@ def classify_group(n: int, ask) -> dict[int, bool]:
     answer truthfully, dishonest ones arbitrarily.  Returns a complete
     member -> honest? map using at most ceil(3(n-1)/2) questions.
     """
-    if n < 3:
+    if exact_int(n, "n") < 3:
         raise ValueError("needs n >= 3")
     # Descend: each round questions about one chosen member.  A round
     # that cannot settle its asked members yet leaves a frame, and the

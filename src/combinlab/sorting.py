@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import heapq
 
-from .intmath import ceil_log2, ceil_log2_factorial, ceil_log2_ratio
-from .oracles import CountingComparator, counting_comparator
+from .intmath import ceil_log2, ceil_log2_factorial, ceil_log2_ratio, exact_int
+from .oracles import counting_comparator
 
 
 class SortBudget:
@@ -30,11 +30,6 @@ class SortBudget:
         self.a_n = a_n  # binary insertion sort
         self.b_n = b_n  # grouped merge sort
         self.f_n = f_n  # merge insertion sort
-
-
-def _default_cmp(items) -> tuple[list[int], CountingComparator]:
-    cmp = counting_comparator(items)
-    return list(range(len(items))), cmp
 
 
 def binary_insert(run: list, x, cmp) -> list:
@@ -74,9 +69,8 @@ def insertion_sort(items, cmp=None) -> list:
     """Sort by successive binary insertion; exactly A(n) comparisons on
     every input of size n."""
     if cmp is None:
-        handles, cmp = _default_cmp(items)
-    else:
-        handles = list(range(len(items)))
+        cmp = counting_comparator(items)
+    handles = list(range(len(items)))
     run: list[int] = []
     for h in handles:
         _insert_below(run, len(run), h, cmp)
@@ -157,9 +151,8 @@ def merge_sort_grouped(items, cmp=None) -> list:
     (len1 + len2 - 1) over the fixed merge schedule.
     """
     if cmp is None:
-        handles, cmp = _default_cmp(items)
-    else:
-        handles = list(range(len(items)))
+        cmp = counting_comparator(items)
+    handles = list(range(len(items)))
     n = len(handles)
     if n == 0:
         return []
@@ -186,9 +179,8 @@ def merge_insertion_sort(items, cmp=None) -> list:
     Spends at most F(n) comparisons on every input.
     """
     if cmp is None:
-        handles, cmp = _default_cmp(items)
-    else:
-        handles = list(range(len(items)))
+        cmp = counting_comparator(items)
+    handles = list(range(len(items)))
     order = _merge_insertion(handles, cmp)
     return [items[h] for h in order]
 
@@ -242,7 +234,7 @@ BUDGET_CAP = 10**4  # largest n sort_budgets accepts
 
 def sort_budgets(n: int) -> SortBudget:
     """Exact values of ceil(log2 n!), A(n), B(n) and F(n)."""
-    if not (1 <= n <= BUDGET_CAP):
+    if not (1 <= exact_int(n, "n") <= BUDGET_CAP):
         raise ValueError("needs 1 <= n <= 10**4")
     if n == 1:
         return SortBudget(1, 0, 0, 0, 0)

@@ -28,6 +28,7 @@ compared by the wrapped comparator directly, not through the pad wrapper.
 
 from __future__ import annotations
 
+from .intmath import exact_int
 from .oracles import counting_comparator
 from .sorting import _merge_insertion
 
@@ -203,7 +204,7 @@ def select_t_tournament(items, t: int, cmp=None) -> int:
     if cmp is None:
         cmp = counting_comparator(items)
     n = len(items)
-    if not 1 <= t <= n:
+    if not 1 <= exact_int(t, "t") <= n:
         raise ValueError("t out of range")
     if t == 1:
         return tournament_max(items, cmp)[0]
@@ -310,7 +311,7 @@ def select_t_linear(items, t: int, cmp=None) -> int:
     if cmp is None:
         cmp = counting_comparator(items)
     n = len(items)
-    if not 1 <= t <= n:
+    if not 1 <= exact_int(t, "t") <= n:
         raise ValueError("t out of range")
     x, _, _ = _select_partition(list(range(n)), t, _PadComparator(cmp))
     return x

@@ -170,6 +170,14 @@ def test_metric_validation():
         MetricTspInstance([[0, 10, 1], [10, 0, 1], [1, 1, 0]])
 
 
+def test_metric_tsp_instance_refuses_floats():
+    with pytest.raises(ValueError, match="^matrix must be exact ints or fractions$"):
+        MetricTspInstance([[0, 1.5, 1], [1.5, 0, 1], [1, 1, 0]])
+    half = Fraction(3, 2)
+    inst = MetricTspInstance([[0, half, 1], [half, 0, 1], [1, 1, 0]])
+    assert inst.tour_length([1, 2, 3]) == Fraction(7, 2)
+
+
 def test_matching_exact_small():
     assert min_perfect_matching_exact([1, 2], lambda a, b: 7) == [(1, 2)]
     weights = {(1, 2): 10, (3, 4): 10, (1, 3): 1, (2, 4): 1, (1, 4): 5, (2, 3): 5}

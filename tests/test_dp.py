@@ -385,6 +385,18 @@ def test_greedy_knapsack_by_density_refuses_floats():
     assert greedy_knapsack_by_density([Fraction(3, 2), 2], [1, 2], Fraction(7, 2)) == ({1, 2}, Fraction(7, 2))
 
 
+def test_polygon_triangulation_refuses_float_weights():
+    with pytest.raises(ValueError, match="^triangle weights must be exact ints or fractions$"):
+        polygon_triangulation(lambda i, k, j: 0.5, 5)
+    assert polygon_triangulation(lambda i, k, j: Fraction(1, 2), 5)[0] == Fraction(3, 2)
+
+
+def test_triangle_area_weight_refuses_float_coordinates():
+    with pytest.raises(ValueError, match="^coordinates must be exact ints or fractions$"):
+        triangle_area_weight([(0, 0), (1.5, 0), (0, 1)])
+    assert triangle_area_weight([(0, 0), (Fraction(3, 2), 0), (0, 1)])(0, 1, 2) == Fraction(3, 4)
+
+
 def test_matrix_chain_matches_enumeration():
     rng = random.Random(31)
     for _ in range(30):

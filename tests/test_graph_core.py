@@ -12,6 +12,7 @@ from combinlab.graph_core import (
     Digraph,
     Graph,
     NotEulerianError,
+    _check_eulerian,
     bfs_forest,
     connected_components,
     dfs,
@@ -180,6 +181,105 @@ def test_euler_matches_fleury_on_random_graphs():
         if verdict:
             check_euler(g, walk)
             check_euler(g, walk2)
+
+
+def splicing_euler_cycle(g: Graph) -> list[int]:
+    """The cycle-splicing construction that euler_cycle replaced, kept as
+    the reference: walk from the lowest vertex with an edge, then splice a
+    walk in at the first cycle vertex with an unused edge until none is
+    left."""
+    _check_eulerian(g)
+    if not g.edges:
+        return []
+
+    unused = {v: list(g.neighbors(v)) for v in range(1, g.n + 1)}
+    used = set()
+
+    def walk_cycle(start: int) -> list[int]:
+        path = [start]
+        v = start
+        while True:
+            while unused[v] and (min(v, unused[v][0]), max(v, unused[v][0])) in used:
+                unused[v].pop(0)
+            if not unused[v]:
+                break
+            w = unused[v].pop(0)
+            used.add((min(v, w), max(v, w)))
+            path.append(w)
+            v = w
+        assert path[0] == path[-1]
+        return path
+
+    start = min(v for v in range(1, g.n + 1) if g.degree(v) > 0)
+    cycle = walk_cycle(start)
+    at = 0
+    while len(used) < len(g.edges):
+        at = next(
+            i
+            for i, v in enumerate(cycle[at:], at)
+            if any((min(v, w), max(v, w)) not in used for w in g.neighbors(v))
+        )
+        side = walk_cycle(cycle[at])
+        cycle = cycle[:at] + side + cycle[at + 1 :]
+    return cycle
+
+
+def euler_outcome(find, g):
+    """The cycle `find` returns on g, or its NotEulerianError's reason and
+    vertex."""
+    try:
+        return find(g)
+    except NotEulerianError as err:
+        return (err.reason, err.vertex)
+
+
+def graph_dp_like_eulerian(n, rng):
+    """A Hamiltonian cycle on a shuffled 1..n plus edge-disjoint short
+    cycles, the shape of the benchmark's Euler inputs."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {frozenset(e) for e in zip(order, order[1:] + order[:1])}
+    for _ in range(n):
+        ring = rng.sample(range(1, n + 1), rng.randint(3, 6))
+        links = {frozenset(e) for e in zip(ring, ring[1:] + ring[:1])}
+        if not links & edges:
+            edges |= links
+    return Graph(n, sorted(tuple(sorted(e)) for e in edges))
+
+
+def test_euler_cycle_matches_splicing_reference():
+    cases = 0
+    for n in range(6):  # every graph with n <= 5
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            assert euler_outcome(euler_cycle, g) == euler_outcome(splicing_euler_cycle, g), g
+            cases += 1
+    rng = random.Random(1873)
+    for trial in range(2000):
+        n = rng.randint(1, 14)
+        if trial % 2 or n < 3:
+            density = rng.choice((0.2, 0.5, 0.8))
+            edges = {p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density}
+        else:  # symmetric differences of random cycles have even degrees
+            edges = set()
+            for _ in range(rng.randint(1, 4)):
+                ring = rng.sample(range(1, n + 1), rng.randint(3, n))
+                edges ^= {tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])}
+        g = Graph(n, sorted(edges))
+        assert euler_outcome(euler_cycle, g) == euler_outcome(splicing_euler_cycle, g), g
+        cases += 1
+    for n in (100, 150, 200, 300):
+        g = graph_dp_like_eulerian(n, rng)
+        walk = euler_cycle(g)
+        check_euler(g, walk)
+        assert walk == splicing_euler_cycle(g), n
+        cases += 1
+    # a windmill: 2000 triangles sharing vertex 1
+    windmill = Graph(4001, [e for t in range(2000) for e in
+                            ((1, 2 * t + 2), (1, 2 * t + 3), (2 * t + 2, 2 * t + 3))])
+    assert euler_cycle(windmill) == splicing_euler_cycle(windmill)
+    assert cases == 1 + 1 + 2 + 8 + 64 + 1024 + 2000 + 4
 
 
 def test_dfs_single_vertex_timestamps():

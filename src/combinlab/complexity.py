@@ -262,6 +262,9 @@ class _GraphK(_SetWitness):
     graph: Graph
     k: int
 
+    def _check(self):
+        exact_int(self.k, "k")
+
     @classmethod
     def load(cls, text, k, limit):
         if k is None:
@@ -444,6 +447,7 @@ class SetCover(_SetFamily):
     k: int
 
     def _check(self):
+        exact_int(self.k, "k")
         if set(self.universe) - (set().union(*self.family) if self.family else set()):
             raise ValueError("family does not cover the universe")
 

@@ -103,7 +103,7 @@ EXEMPT = {
     "vc_to_ham_circuit": RECORD,
 }
 
-# The problem records that hold numbers, which brute_force_decide,
+# The problem records that hold numbers or counts, which brute_force_decide,
 # verify_witness and apply_simple_reduction take: (make, exact number).
 RECORDS = {
     "Knapsack01": (lambda x: cx.Knapsack01((x, 1), 1), 1),
@@ -111,6 +111,9 @@ RECORDS = {
     "Partition": (lambda x: cx.Partition((x, 1)), 1),
     "Ilp": (lambda x: cx.Ilp(((1,),), ("<=",), (x,), ((0, 1),)), 1),
     "Tsp": (lambda x: cx.Tsp(tuple(map(tuple, triangle(1))), x), 3),
+    "Clique": (lambda x: cx.Clique(cl.Graph(2, [(1, 2)]), x), 2),
+    "Coloring": (lambda x: cx.Coloring(cl.Graph(2, [(1, 2)]), x), 2),
+    "SetCover": (lambda x: cx.SetCover((1,), (frozenset({1}),), x), 1),
 }
 
 

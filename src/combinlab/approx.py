@@ -187,8 +187,7 @@ class MetricTspInstance:
         return self.matrix[u - 1][v - 1]
 
     def tour_length(self, tour) -> object:
-        length = tour_length  # the module-level function; called by this method's own name it would read as recursion to tests/test_sources.py
-        return length(self.matrix, tour)
+        return tour_length(self.matrix, tour)
 
 
 def tour_length(matrix, tour) -> object:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .intmath import _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object, refuse_floats
 
@@ -268,27 +269,75 @@ class ChainTables:
 
 def matrix_chain(dims) -> tuple[int, str, ChainTables]:
     """Cheapest parenthesization for multiplying A_1..A_n with dimension
-    vector p_0..p_n; returns (cost, expression, tables)."""
+    vector p_0..p_n; returns (cost, expression, tables).
+
+    m[i][j] is the least m[i][k] + m[k+1][j] + p[i-1]*p[k]*p[j] over
+    i <= k < j, and s[i][j] is the first such k to reach it: a later k
+    takes the split only when strictly cheaper.  m[i][j] is a Fraction
+    exactly when some p[i-1..j] is one.
+
+    The table is filled by packed rows (broadword arithmetic, Knuth TAOCP
+    4A 7.1.3), i from n down to 1 and k ascending.  A packed row is one
+    int with a w-bit field per column, column j at bit (n - j) * w, so the
+    columns j > k still open at step k are the low fields, and at step k
+    row i holds only those.  Step k adds m[i][k] and p[i-1]*p[k]*p[j] to
+    every field of row k + 1 at once; subtracting row i from that, with
+    the guard (top) bits set, clears the guard exactly where the candidate
+    is strictly smaller, and those fields take the candidate, and k in the
+    packed split row.  No cost reaches `far`, so every candidate fits
+    below the guard.  Fraction dimensions are scaled to ints by the lcm L
+    of their denominators, which scales every cost by L**3."""
     p = list(dims)
     n = len(p) - 1
     if not all(isinstance(d, (int, Fraction)) for d in p):
         raise ValueError("dimensions must be integers or fractions")
     if n < 1 or any(d < 1 for d in p):
         raise ValueError("need at least one matrix and positive dimensions")
+    scale = lcm(*(d.denominator for d in p))
+    q = [d.numerator * (scale // d.denominator) for d in p]
+    far = max(n - 1, 1) * max(q) ** 3 + 1  # above every parenthesization's cost and every split
+    w = far.bit_length() + 1
+    top = w - 1  # the guard bit's place in a field
+    ones = int("1".zfill(w) * n, 2)  # 1 in the fields of columns 1..n
+    dims_row = sum(q[j] << (n - j) * w for j in range(1, n + 1))
+    # Per k, over the open columns j > k: the fields themselves, 1 in
+    # each, p[j] in each, k in each, and each one's guard bit.
+    open_mask = [(1 << (n - k) * w) - 1 for k in range(n + 1)]
+    low = [ones >> k * w for k in range(n + 1)]
+    dims_low = [dims_row & mask for mask in open_mask]
+    splits_low = [k * ones_k for k, ones_k in enumerate(low)]
+    guards = [ones_k << top for ones_k in low]
+    rows = [0] * (n + 2)  # rows[i]: m[i][i..n], packed
     m = [[0] * (n + 1) for _ in range(n + 1)]
     s = [[0] * (n + 1) for _ in range(n + 1)]
-    for length in range(2, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            row, outer = m[i], p[i - 1] * p[j]
-            # The first minimum wins ties, so only a strictly cheaper k moves it.
-            best, arg = row[i] + m[i + 1][j] + outer * p[i], i
-            for k in range(i + 1, j):
-                q = row[k] + m[k + 1][j] + outer * p[k]
-                if q < best:
-                    best, arg = q, k
-            row[j] = best
-            s[i][j] = arg
+    for i in range(n, 0, -1):
+        mi, si = m[i], s[i]
+        row, split, done, before = far * low[i], 0, 0, q[i - 1]
+        for k in range(i, n):
+            # Column k is final: take it off the open fields.
+            at = (n - k) * w
+            mi[k] = mik = row >> at
+            si[k] = split >> at
+            row &= open_mask[k]
+            split &= open_mask[k]
+            done = done << w | mik
+            cand = rows[k + 1] + before * q[k] * dims_low[k] + mik * low[k]
+            guard = guards[k]
+            marked = (cand | guard) - row & guard ^ guard  # the guard bits of fields where cand < m[i][j]
+            if marked:
+                mask = marked - (marked >> top)  # the value bits of the marked fields
+                row ^= (row ^ cand) & mask
+                split ^= (split ^ splits_low[k]) & mask
+        mi[n], si[n] = row, split
+        rows[i] = done << w | row
+    fractions = [t for t, d in enumerate(p) if isinstance(d, Fraction)]
+    if fractions:
+        cube = scale**3
+        for i in range(1, n + 1):
+            mi = m[i]
+            first = next((t for t in fractions if t >= i - 1), n + 1)  # m[i][j] is a Fraction from j = first on
+            for j in range(i + 1, n + 1):
+                mi[j] = Fraction(mi[j], cube) if j >= first else mi[j] // cube
     # Render the split tree with an explicit stack; None closes a product.
     out: list[str] = []
     stack: list[tuple[int, int] | None] = [(1, n)]
@@ -330,18 +379,22 @@ def polygon_triangulation(weight, vertex_count: int) -> tuple[object, list[tuple
         raise ValueError("polygon needs at least 3 vertices")
     n = vertex_count - 1
     m = [[0] * (n + 1) for _ in range(n + 1)]
+    cols = [[0] * (n + 1) for _ in range(n + 1)]  # cols[j][i] = m[i][j]
     s = [[0] * (n + 1) for _ in range(n + 1)]
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
             weights = [weight(i - 1, k, j) for k in range(i, j)]
             refuse_floats(weights, "triangle weights")
-            m[i][j] = None
-            for k, w in enumerate(weights, i):
-                q = m[i][k] + m[k + 1][j] + w
-                if m[i][j] is None or q < m[i][j]:
-                    m[i][j] = q
-                    s[i][j] = k
+            row, col = m[i], cols[j]
+            # The first minimum wins ties, so only a strictly cheaper k moves it.
+            best, arg = row[i] + col[i + 1] + weights[0], i
+            for k in range(i + 1, j):
+                q = row[k] + col[k + 1] + weights[k - i]
+                if q < best:
+                    best, arg = q, k
+            row[j] = col[i] = best
+            s[i][j] = arg
 
     # Walk the split tree with an explicit stack.  The split k of the
     # sub-polygon v_{i-1}..v_j has i - 1 < k < j, so both new sides

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -220,5 +221,5 @@ def exact_int_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
 
 def refuse_floats(numbers, what: str) -> None:
     """Refuse a float among numbers, which exact arithmetic cannot take."""
-    if any(isinstance(x, float) for x in numbers):
+    if any(map(isinstance, numbers, repeat(float))):
         raise ValueError(f"{what} must be exact ints or fractions")

@@ -351,6 +351,70 @@ def brute_chain(p):
     return cost(1, n)
 
 
+def reference_chain(p):
+    """The textbook O(n^3) fill (Godbole 1973; CLRS 15.2), diagonal by
+    diagonal, the first minimum winning ties; returns (cost, expression,
+    costs, splits)."""
+    n = len(p) - 1
+    m = [[0] * (n + 1) for _ in range(n + 1)]
+    s = [[0] * (n + 1) for _ in range(n + 1)]
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            row, outer = m[i], p[i - 1] * p[j]
+            best, arg = row[i] + m[i + 1][j] + outer * p[i], i
+            for k in range(i + 1, j):
+                q = row[k] + m[k + 1][j] + outer * p[k]
+                if q < best:
+                    best, arg = q, k
+            row[j] = best
+            s[i][j] = arg
+
+    def render(i, j):
+        return f"A{i}" if i == j else f"({render(i, s[i][j])}{render(s[i][j] + 1, j)})"
+
+    return m[1][n], render(1, n), m, s
+
+
+def chain_sweep():
+    """Seeded dimension vectors for n = 1..30: ints from 1..1, 1..3 (many
+    tied splits), 1..60 and 1..10**20, then all-Fraction and mixed
+    Fraction/int vectors (some Fractions with denominator 1)."""
+    rng = random.Random("chain-sweep")
+
+    def fraction(hi):
+        den = rng.choice((1, 2, 3, 4, 6, 7, 12))
+        return Fraction(rng.randint(den, den * hi), den)
+
+    for n in range(1, 31):
+        for hi in (1, 3, 60, 10**20):
+            for _ in range(3):
+                yield [rng.randint(1, hi) for _ in range(n + 1)]
+        for hi in (3, 60):
+            for _ in range(3):
+                yield [fraction(hi) for _ in range(n + 1)]
+                yield [fraction(hi) if rng.random() < 0.3 else rng.randint(1, hi) for _ in range(n + 1)]
+
+
+def test_matrix_chain_matches_reference_loop():
+    for dims in chain_sweep():
+        cost, expr, tables = matrix_chain(dims)
+        want_cost, want_expr, want_costs, want_splits = reference_chain(dims)
+        assert (cost, expr, tables.costs, tables.splits) == (want_cost, want_expr, want_costs, want_splits), dims
+        assert type(cost) is type(want_cost)
+        assert [list(map(type, row)) for row in tables.costs] == [list(map(type, row)) for row in want_costs], dims
+
+
+def test_matrix_chain_400_matrices_is_fast():
+    # The packed rows fill this table in about 0.25 s; the diagonal loop
+    # took about 1.7 s.
+    rng = random.Random(400)
+    dims = [rng.randint(2, 60) for _ in range(401)]
+    start = time.process_time()
+    matrix_chain(dims)
+    assert time.process_time() - start < 0.8
+
+
 def test_matrix_chain_three_matrices():
     cost, expr, tables = matrix_chain([10, 100, 5, 50])
     assert cost == 7500

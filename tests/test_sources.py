@@ -46,26 +46,65 @@ RECURSIVE = {
 }
 
 
+def self_calling_in(tree, module):
+    """module.qualname of each function in `tree` that calls its own bare
+    name.  A method body does not see its class's names, so a bare-name
+    call in a function defined directly in a class body calls a module
+    function, and is not counted."""
+    found = set()
+    stack = [(tree, module, False)]
+    while stack:
+        node, prefix, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, prefix, in_class))
+                continue
+            qualname = f"{prefix}.{child.name}"
+            is_class = isinstance(child, ast.ClassDef)
+            stack.append((child, qualname, is_class))
+            if not is_class and not in_class and any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == child.name
+                for call in ast.walk(child)
+            ):
+                found.add(qualname)
+    return found
+
+
 def self_calling_functions():
     found = set()
     for path in sorted(Path(combinlab.__file__).parent.rglob("*.py")):
-        stack = [(ast.parse(path.read_text(), str(path)), path.stem)]
-        while stack:
-            node, prefix = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    stack.append((child, prefix))
-                    continue
-                qualname = f"{prefix}.{child.name}"
-                stack.append((child, qualname))
-                if not isinstance(child, ast.ClassDef) and any(
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                    and call.func.id == child.name
-                    for call in ast.walk(child)
-                ):
-                    found.add(qualname)
+        found |= self_calling_in(ast.parse(path.read_text(), str(path)), path.stem)
     return found
+
+
+SELF_CALLS = """
+def walk(n):
+    return walk(n - 1) if n else 0
+
+
+def outer(n):
+    def inner(k):
+        return inner(k - 1) if k else 0
+
+    return inner(n)
+
+
+def tour_length(matrix, tour):
+    return len(tour)
+
+
+class Instance:
+    def tour_length(self, tour):
+        return tour_length(self.matrix, tour)
+"""
+
+
+def test_recursion_check_resolves_method_names_by_scope():
+    # A module function and a nested function that call themselves are
+    # found; a method calling the module function of its own name is not.
+    assert self_calling_in(ast.parse(SELF_CALLS), "m") == {"m.walk", "m.outer.inner"}
 
 
 def test_recursion_only_in_listed_functions():

@@ -273,8 +273,8 @@ def matrix_chain(dims) -> tuple[int, str, ChainTables]:
 
     m[i][j] is the least m[i][k] + m[k+1][j] + p[i-1]*p[k]*p[j] over
     i <= k < j, and s[i][j] is the first such k to reach it: a later k
-    takes the split only when strictly cheaper.  m[i][j] is a Fraction
-    exactly when some p[i-1..j] is one.
+    takes the split only when strictly cheaper.  For j > i, m[i][j] is a
+    Fraction exactly when some p[i-1..j] is one.
 
     The table is filled by packed rows (broadword arithmetic, Knuth TAOCP
     4A 7.1.3), i from n down to 1 and k ascending.  A packed row is one
@@ -307,7 +307,7 @@ def matrix_chain(dims) -> tuple[int, str, ChainTables]:
     dims_low = [dims_row & mask for mask in open_mask]
     splits_low = [k * ones_k for k, ones_k in enumerate(low)]
     guards = [ones_k << top for ones_k in low]
-    rows = [0] * (n + 2)  # rows[i]: m[i][i..n], packed
+    rows = [0] * (n + 1)  # rows[i]: m[i][i..n], packed
     m = [[0] * (n + 1) for _ in range(n + 1)]
     s = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n, 0, -1):

@@ -406,8 +406,8 @@ def test_matrix_chain_matches_reference_loop():
 
 
 def test_matrix_chain_400_matrices_is_fast():
-    # The packed rows fill this table in about 0.25 s; the diagonal loop
-    # took about 1.7 s.
+    # Process CPU on a 2-CPU Xeon under CPython 3.11: about 0.15-0.3 s on
+    # packed rows, 1.2-1.7 s for the diagonal-by-diagonal loop.
     rng = random.Random(400)
     dims = [rng.randint(2, 60) for _ in range(401)]
     start = time.process_time()

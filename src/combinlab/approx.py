@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .complexity import _adjacency_bits, _depth_first, _first_cover, _halves, _held_karp
 from .complexity import _most_fitting, _most_independent, _within_cap
-from .graph_core import Graph
+from .graph_core import Graph, exact_fraction
 from .intmath import exact_int, refuse_floats
 from .paths_mst import WeightedGraph, prim
 
@@ -182,9 +182,6 @@ class MetricTspInstance:
                         raise ValueError("triangle inequality violated")
         self.matrix = tuple(tuple(row) for row in m)
         self.n = n
-
-    def d(self, u: int, v: int):
-        return self.matrix[u - 1][v - 1]
 
     def tour_length(self, tour) -> object:
         return tour_length(self.matrix, tour)
@@ -329,7 +326,7 @@ def tsp_gap_instance(g: Graph, eps) -> list[list[object]]:
     The optimum is |V| exactly when g is Hamiltonian and exceeds
     (1+eps)|V| otherwise.  Deliberately non-metric in general."""
     refuse_floats((eps,), "eps")
-    eps = Fraction(eps)
+    eps = exact_fraction(eps, "eps")
     if eps < 0:
         raise ValueError("needs eps >= 0")
     n = g.n
@@ -401,7 +398,7 @@ def knapsack_fptas(values, volumes, capacity, eps) -> tuple[set[int], int]:
     refuse_floats((*values, *volumes, capacity, eps), "values, volumes, capacity and eps")
     if not all(isinstance(c, int) for c in values):  # the truncation shifts bits
         raise ValueError("values must be ints")
-    eps = Fraction(eps)
+    eps = exact_fraction(eps, "eps")
     if eps <= 0:
         raise ValueError("needs eps > 0")
     # The bound chain needs c0 <= OPT, so c0 ranges over items that fit.
@@ -419,7 +416,7 @@ def fptas_truncation_bits(values, eps) -> int:
     length of its floor, less one."""
     values = list(values)
     refuse_floats((*values, eps), "values and eps")
-    eps = Fraction(eps)
+    eps = exact_fraction(eps, "eps")
     if eps <= 0:
         raise ValueError("needs eps > 0")
     n = len(values)
@@ -438,7 +435,7 @@ def bin_pack_first_fit(sizes) -> list[int]:
     per item.  Uses at most ceil(2 * sum sizes) bins and at most twice
     the optimal count."""
     refuse_floats(sizes, "sizes")
-    sizes = [Fraction(s) for s in sizes]
+    sizes = [exact_fraction(s, "size") for s in sizes]
     if any(s < 0 or s > 1 for s in sizes):
         raise ValueError("sizes must lie in [0, 1]")
     rooms: list[Fraction] = []  # remaining capacity per open bin
@@ -564,7 +561,7 @@ def bin_pack_optimum(sizes) -> int:
     sizes), at least one bin for any item.  The walk is
     complexity._depth_first, so its depth is not the interpreter's."""
     refuse_floats(sizes, "sizes")
-    sizes = [Fraction(s) for s in sizes]
+    sizes = [exact_fraction(s, "size") for s in sizes]
     best = len(sizes)
     lower = max(1, math.ceil(sum(sizes))) if sizes else 0
 

@@ -366,12 +366,11 @@ def _max_cut(ax, text, eps):
 
 
 def _knapsack_fptas(ax, text, eps):
-    from fractions import Fraction
-
     from .dp import load_knapsack_json
+    from .graph_core import exact_fraction
 
     values, volumes, cap = load_knapsack_json(text)
-    eps = Fraction(eps)  # only this algorithm reads --eps
+    eps = exact_fraction(eps, "eps")  # only this algorithm reads --eps
     chosen, value = ax.knapsack_fptas(values, volumes, cap, eps)
     return (len(values), value, lambda: ax.knapsack_optimum(values, volumes, cap), 1 + eps,
             {"values": values, "volumes": volumes, "capacity": cap},
@@ -592,10 +591,8 @@ def cmd_gen(args):
     if fam == "metric":
         return _matrix_text(ax.random_metric_instance(n, args.seed).matrix), OK
     if fam == "gap":
-        from fractions import Fraction
-
         g = gc.Graph(n, _random_edges(rng, n, args.density))
-        return _matrix_text(ax.tsp_gap_instance(g, Fraction(args.eps))), OK
+        return _matrix_text(ax.tsp_gap_instance(g, args.eps)), OK
     # "counterexample", the last of the parser's choices
     return gc.format_graph_text(ax.vc_greedy_counterexample(n)), OK
 
@@ -697,8 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--eps", default="1")
-    add_common(p)
-    p.set_defaults(fn=cmd_gen)
+    p.set_defaults(fn=cmd_gen, format="text")  # an instance file has one format
 
     return parser
 

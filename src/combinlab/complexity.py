@@ -37,6 +37,7 @@ from fractions import Fraction
 from .graph_core import (
     Digraph,
     Graph,
+    exact_fraction,
     format_graph_text,
     parse_graph_text,
     scc_kosaraju,
@@ -132,8 +133,9 @@ def parse_matrix(text: str) -> list[list]:
     """Square whitespace grid of integers and p/q rationals."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     try:
-        matrix = [[int(tok) if "/" not in tok else Fraction(tok) for tok in row] for row in rows]
-    except (ValueError, ZeroDivisionError) as exc:
+        matrix = [[exact_fraction(tok, "entry") if "/" in tok else int(tok) for tok in row]
+                  for row in rows]
+    except ValueError as exc:
         raise ValueError(f"bad matrix: {exc}") from None
     if any(len(r) != len(matrix) for r in matrix):
         raise ValueError("matrix must be square")
@@ -1446,6 +1448,8 @@ def _coloring_to_exact_cover(problem: Coloring) -> ReductionOutput:
     index_of = {lab: idx + 1 for idx, lab in enumerate(labels)}
 
     def forward(coloring):
+        if not all(isinstance(c, int) and 1 <= c <= k for c in coloring.values()):
+            raise ValueError(f"colours must be integers in 1..{k}")
         chosen = {index_of[("S", v, coloring[v])] for v in range(1, g.n + 1)}
         covered = set()
         for idx in chosen:

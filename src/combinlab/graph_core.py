@@ -406,13 +406,19 @@ def scc_kosaraju(g: Digraph) -> list[list[int]]:
 # --- shared text format -------------------------------------------------
 
 
+def exact_fraction(value, what: str) -> Fraction:
+    """Fraction(value) for an int, a Fraction or a token such as "3/2": the
+    one reading of a rational token, here and in the matrix, bin-size and
+    eps inputs.  A zero denominator ("1/0") is a ValueError like any other
+    bad token."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"bad {what} {value!r}: zero denominator") from None
+
+
 def _parse_weight(tok: str):
-    if "/" in tok:
-        try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError(f"bad weight {tok!r}: zero denominator") from None
-    return int(tok)
+    return exact_fraction(tok, "weight") if "/" in tok else int(tok)
 
 
 def parse_graph_text(text: str):

@@ -5,7 +5,8 @@ query bound:
 
 * find_radioactive:  ceil(log2 n) group tests
 * find_counterfeit:  ceil(log3 (2n+1)) weighings
-* bitonic_max:       k probes where fib(k) <= n < fib(k+1)
+* bitonic_max:       k probes where fib(k) <= n < fib(k+1), by Kiefer's (1953)
+                     symmetric Fibonacci search; a tie keeps the known index
 * sets_equal:        n(n+1)/2 equality probes
 * classify_group:    ceil(3(n-1)/2) questions
 """
@@ -183,10 +184,16 @@ def _solve_signed(lights: list[int], heavies: list[int], k: int, balance) -> Coi
 def bitonic_max(n: int, probe) -> tuple[int, object]:
     """Peak of a strictly bitonic sequence x_1..x_n via value probes.
 
-    probe(i) returns x_i.  Probed values are memoized (no index is probed
-    twice) and, for n >= 3, at most k probes are spent where
-    fib(k) <= n < fib(k+1).  Values that cannot belong to any bitonic
-    sequence raise NotBitonicError.
+    probe(i) returns x_i.  This is Kiefer's (1953) symmetric Fibonacci
+    search.  With fib(k) <= n < fib(k+1), the sequence is padded to
+    fib(k+1) - 1 entries, so the peak lies strictly between lo = 0 and
+    hi = fib(k+1); the search keeps the best index probed inside, and each
+    probe mirrors it in the window (lo + hi - known) and cuts the window
+    at the worse of the two, down to one index.  So at most k probes are
+    spent, and no index is probed twice.  Values compare by `>` alone: the
+    search starts out knowing fib(k), so its first probe fib(k - 1) must
+    beat fib(k), and every later tie goes to the known index.  Values that
+    cannot belong to any bitonic sequence raise NotBitonicError.
     """
     if exact_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
@@ -202,61 +209,36 @@ def bitonic_max(n: int, probe) -> tuple[int, object]:
             _check_bitonic_consistency(memo)
         return memo[i]
 
-    if n == 1:
-        return 1, value(1)[1]
-    if n == 2:
-        v1, v2 = value(1), value(2)
-        return (1, v1[1]) if v1 > v2 else (2, v2[1])
-
-    fibs = fib_upto(n + 1)
-    k = max(i for i in range(len(fibs)) if fibs[i] <= n)
-    while len(fibs) <= k + 1:
-        fibs.append(fibs[-1] + fibs[-2])
-    total = fibs[k + 1] - 1  # virtual padded length
-
-    def real_index(start: int, step: int, pos: int) -> int:
-        return start + step * (pos - 1)
-
-    v1 = value(fibs[k - 1])
-    v2 = value(fibs[k])
-    if v1 > v2:
-        start, step, known_pos, known_val, param = 1, 1, fibs[k - 1], v1, k
-    else:
-        start, step, known_pos, known_val, param = total, -1, fibs[k - 1], v2, k
-
-    while param > 3:
-        q = fibs[param - 2]
-        vq = value(real_index(start, step, q))
-        if vq > known_val:
-            known_pos, known_val, param = q, vq, param - 1
+    fibs = fib_upto(n + 1)  # ends with fib(k + 1) > n
+    lo, hi, known = 0, fibs[-1], fibs[-2]
+    while hi - lo > 2:
+        mirror = lo + hi - known
+        if value(mirror) > value(known):  # the peak is on the mirror's side
+            lo, hi = (lo, known) if mirror < known else (known, hi)
+            known = mirror
+        elif mirror < known:
+            lo = mirror
         else:
-            # Reverse the window tail; the known element lands at the
-            # position required one level down.
-            end = real_index(start, step, fibs[param] - 1)
-            start, step = end, -step
-            known_pos, param = fibs[param - 2], param - 1
-    # param == 3: two positions, the second one known.
-    vfirst = value(real_index(start, step, 1))
-    best_pos = 1 if vfirst > known_val else 2
-    best_val = vfirst if vfirst > known_val else known_val
-    idx = real_index(start, step, best_pos)
-    if best_val[0] == 0:
+            hi = mirror
+    flag, peak = value(known)
+    if flag == 0:
         raise NotBitonicError("not bitonic")
-    return idx, best_val[1]
+    return known, peak
 
 
 def _check_bitonic_consistency(memo: dict[int, object]) -> None:
-    pairs = sorted(memo.items())
-    vals = [v for _, v in pairs]
-    m = len(vals)
-    for cut in range(m + 1):
-        head = vals[:cut]
-        tail = vals[cut:]
-        if all(head[t] < head[t + 1] for t in range(len(head) - 1)) and all(
-            tail[t] > tail[t + 1] for t in range(len(tail) - 1)
-        ):
-            return
-    raise NotBitonicError("not bitonic")
+    """Raise NotBitonicError unless the probed values, in index order, rise
+    strictly and then fall strictly: the longest strictly rising prefix
+    must reach the longest strictly falling suffix."""
+    vals = [memo[i] for i in sorted(memo)]
+    rise = 1
+    while rise < len(vals) and vals[rise - 1] < vals[rise]:
+        rise += 1
+    fall = len(vals) - 1
+    while fall > 0 and vals[fall - 1] > vals[fall]:
+        fall -= 1
+    if fall > rise:
+        raise NotBitonicError("not bitonic")
 
 
 def sets_equal(n: int, probe) -> bool:

@@ -36,11 +36,10 @@ from .sorting import _merge_insertion
 class KnockoutTree:
     """Complete pairwise-elimination bracket over item positions."""
 
-    __slots__ = ("champion", "rounds", "victims")
+    __slots__ = ("champion", "victims")
 
-    def __init__(self, champion: int, rounds: list[list[int]], victims: dict[int, list[int]]):
+    def __init__(self, champion: int, victims: dict[int, list[int]]):
         self.champion = champion
-        self.rounds = rounds  # entrants per round, champion last
         self.victims = victims  # winner -> entrants it beat, by round
 
     @property
@@ -49,7 +48,6 @@ class KnockoutTree:
 
 
 def _knockout(entrants: list[int], cmp) -> KnockoutTree:
-    rounds = [list(entrants)]
     victims: dict[int, list[int]] = {e: [] for e in entrants}
     current = list(entrants)
     while len(current) > 1:
@@ -63,8 +61,7 @@ def _knockout(entrants: list[int], cmp) -> KnockoutTree:
         if len(current) % 2:
             nxt.append(current[-1])  # bye for the last entrant
         current = nxt
-        rounds.append(list(current))
-    return KnockoutTree(current[0], rounds, victims)
+    return KnockoutTree(current[0], victims)
 
 
 def _serial_max(entrants: list[int], cmp) -> int:

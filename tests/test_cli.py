@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +270,14 @@ def test_gen_deterministic_and_parsable(capsys, tmp_path):
     MetricTspInstance([[int(x) for x in row.split()] for row in out.splitlines()])
 
 
+def test_gen_refuses_format(capsys):
+    # every family prints an instance file, which has one format
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "numbers", "--n", "3", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_reduce_lists_the_kinds_of_the_reduction_table(capsys):
     from combinlab.complexity import REDUCTIONS
 
@@ -366,8 +376,9 @@ def golden_argv(tmp_path, call, files=GOLDEN_FILES):
 # accepted and a rejected witness for each problem kind, the
 # missing-parameter errors, every `solve` problem with its negative answers
 # and graph-type errors, `sort` and `select` with each algorithm, `twosat`,
-# every `approx` algorithm with and without --oracle, every `bench` suite
-# and every `gen` family, each in JSON and text format.  An entry with a
+# every `approx` algorithm with and without --oracle and every `bench`
+# suite, each in JSON and text format, and every `gen` family, which has
+# no --format since it prints an instance file.  An entry with a
 # third element also pins stderr: the input errors, and --eps on an
 # algorithm that does not read it.
 GOLDEN = {
@@ -713,20 +724,13 @@ GOLDEN = {
     "bench selection --n-max 20 --trials 3 --seed 2 --format text": (0, "ca6692ed24a817b86be5b2f02966d796ef2ff56f6c06052b6bc937814155c7fe"),
     "bench search --n-max 5 --format json": (0, "ab659bfa9ce52034abbedee3a6e53de48e99257a952787958056db88c303ef32"),
     "bench search --n-max 5 --format text": (0, "1393c69e53ea8375df01f336b34d04b6abbae9790b69e55da406b49af2667ef3"),
-    "gen graph --n 6 --seed 1 --format json": (0, "aaf696fe955c1588de618aa13c99c821ea7ffa21f2876975964370c35f8b83bb"),
-    "gen graph --n 6 --seed 1 --format text": (0, "aaf696fe955c1588de618aa13c99c821ea7ffa21f2876975964370c35f8b83bb"),
-    "gen digraph --n 5 --seed 1 --density 0.4 --format json": (0, "ce4b931985e9b8c41bf173e054de590ec9e04b8cb1fcfda0e1ee2d8848d325aa"),
-    "gen digraph --n 5 --seed 1 --density 0.4 --format text": (0, "ce4b931985e9b8c41bf173e054de590ec9e04b8cb1fcfda0e1ee2d8848d325aa"),
-    "gen metric --n 4 --seed 2 --format json": (0, "7d978ffb2b1dfd1577d07987c35ede8d78613137e2e39e86ee3553250429d564"),
-    "gen metric --n 4 --seed 2 --format text": (0, "7d978ffb2b1dfd1577d07987c35ede8d78613137e2e39e86ee3553250429d564"),
-    "gen gap --n 5 --seed 1 --eps 1/2 --format json": (0, "86c3e91e06169c4fa0f3b7adfc8aa4e342253b032c7446b11c48c1ac2d037258"),
-    "gen gap --n 5 --seed 1 --eps 1/2 --format text": (0, "86c3e91e06169c4fa0f3b7adfc8aa4e342253b032c7446b11c48c1ac2d037258"),
-    "gen knapsack --n 4 --seed 1 --format json": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
-    "gen knapsack --n 4 --seed 1 --format text": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
-    "gen numbers --n 6 --seed 1 --format json": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
-    "gen numbers --n 6 --seed 1 --format text": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
-    "gen counterexample --n 3 --format json": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
-    "gen counterexample --n 3 --format text": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
+    "gen graph --n 6 --seed 1": (0, "aaf696fe955c1588de618aa13c99c821ea7ffa21f2876975964370c35f8b83bb"),
+    "gen digraph --n 5 --seed 1 --density 0.4": (0, "ce4b931985e9b8c41bf173e054de590ec9e04b8cb1fcfda0e1ee2d8848d325aa"),
+    "gen metric --n 4 --seed 2": (0, "7d978ffb2b1dfd1577d07987c35ede8d78613137e2e39e86ee3553250429d564"),
+    "gen gap --n 5 --seed 1 --eps 1/2": (0, "86c3e91e06169c4fa0f3b7adfc8aa4e342253b032c7446b11c48c1ac2d037258"),
+    "gen knapsack --n 4 --seed 1": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
+    "gen numbers --n 6 --seed 1": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
+    "gen counterexample --n 3": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
 }
 
 
@@ -895,6 +899,8 @@ def test_target_out_of_range_is_named(tmp_path, capsys, call):
         "reduce vc-setcover path.g --k 1 --witness [[1]]",
         "verify ham-cycle sq.g [1,2,3,\"a\"]",
         "reduce hamcircuit-hamcycle cyc.d --witness [1,2,\"a\"]",
+        'reduce coloring-exactcover path.g --k 2 --witness {"1":1,"2":2,"3":[]}',
+        'reduce coloring-exactcover path.g --k 2 --witness {"1":1,"2":2,"3":3}',
     ],
 )
 def test_malformed_witness_exits_2(tmp_path, capsys, call):
@@ -910,3 +916,91 @@ def test_malformed_witness_exits_2(tmp_path, capsys, call):
 )
 def test_unsatisfying_witness_is_not_transported(tmp_path, capsys, call):
     assert_input_error(tmp_path, capsys, call)
+
+
+# --- token-level fuzzing ----------------------------------------------------
+
+# One call per loader and then some: graph text, DIMACS, JSON instances,
+# inline witnesses (written to files), bin-size and number lists, matrices.
+FUZZ_CALLS = [
+    "solve euler euler.g",
+    "solve dijkstra wd.d --target 3",
+    "solve prim w.g",
+    "solve floyd negcyc.d",
+    "solve scc scc.d",
+    "approx vc-matching tri.g --oracle",
+    "approx maxcut tri.g --oracle",
+    "reduce clique-is tri.g --k 3 --witness [1,2,3] --oracle",
+    "reduce hamcycle-tsp sq.g --witness [1,2,3,4] --oracle",
+    'reduce coloring-exactcover path.g --k 2 --witness {"1":1,"2":2,"3":1}',
+    "twosat sat2.cnf",
+    "reduce sat-clique f.cnf --witness [1,1,0] --oracle",
+    "verify 3sat f3.cnf [1,1,0]",
+    "solve knapsack ks.json",
+    "approx knapsack-fptas ks.json --eps 1/10 --oracle",
+    "solve allocate alloc.json",
+    "approx setcover sc.json --oracle",
+    "reduce exactcover-knapsack ec.json --witness [1,2] --oracle",
+    "reduce knapsack-partition k01.json --witness [1,0,1] --oracle",
+    "verify ilp ilp.json [2,0]",
+    "approx binpack sizes.txt --oracle",
+    "approx tsp-christofides pq.txt --oracle",
+    "reduce tsp-ilp m.txt --limit 4 --witness [1,2,3] --oracle",
+    "sort mergeinsertion keys.txt --count",
+    "select keys.txt --t 3 --algorithm linear",
+    "solve chain dims.txt",
+]
+
+# Small values only: a count such as `p 99999 4` is a slow input, not a fault.
+FUZZ_POOL = ["-1", "0", "1/0", "3/2", "x", "[]", "{}", "null", "true", "2", '"a"']
+FUZZ_TOKENS = re.compile(r'"[^"]*"|[\[\]{}:,]|[^\s\[\]{}:,"]+|\s+')
+
+
+def mutate_tokens(rng, text):
+    """Replace, delete or duplicate one to three tokens of `text`: JSON
+    strings and punctuation, or runs of other non-blank characters."""
+    pieces = FUZZ_TOKENS.findall(text)
+    tokens = [i for i, piece in enumerate(pieces) if not piece.isspace()]
+    if not tokens:
+        return rng.choice(FUZZ_POOL)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice(tokens)
+        op = rng.randrange(3)
+        if op == 0:
+            pieces[i] = rng.choice(FUZZ_POOL)
+        elif op == 1:
+            pieces[i] = ""
+        else:
+            pieces[i] = f"{pieces[i]} {pieces[i]}"
+    return "".join(pieces)
+
+
+def test_token_fuzz_exits_with_a_code_and_never_a_traceback(tmp_path, capsys):
+    # Each mutation rewrites one input of one call.  Before bin sizes were
+    # read through exact_fraction, this seed ended in a ZeroDivisionError
+    # traceback from a size 1/0.
+    rng = random.Random(1)
+    calls = []
+    for call in FUZZ_CALLS:
+        argv, inputs = [], []
+        for tok in call.split():
+            if tok in GOLDEN_FILES or tok[0] in "[{":
+                inputs.append(GOLDEN_FILES.get(tok, tok))
+                tok = str(tmp_path / f"in{len(inputs) - 1}")
+            argv.append(tok)
+        calls.append((argv, inputs))
+    codes = set()
+    for _ in range(1000):
+        argv, inputs = rng.choice(calls)
+        texts = list(inputs)
+        j = rng.randrange(len(texts))
+        texts[j] = mutate_tokens(rng, texts[j])
+        for k, text in enumerate(texts):
+            (tmp_path / f"in{k}").write_text(text)
+        code = main(argv)  # an exception escaping here fails the test
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, texts)
+        if code >= 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, texts, err)
+        codes.add(code)
+    assert codes >= {0, 2}

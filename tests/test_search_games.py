@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from combinlab.intmath import ceil_log2, ceil_log3, fib_upto
+from combinlab.intmath import ceil_log2, ceil_log3, exact_int, fib_upto
 from combinlab.oracles import CostedOracle, adversary_whoiswho
 from combinlab.search_games import (
     ALL_GENUINE,
@@ -203,6 +203,118 @@ def test_bitonic_rejects_non_bitonic():
     # (indices 3, 5, 6, 8) cannot belong to any bitonic sequence.
     with pytest.raises(NotBitonicError):
         bitonic_max(8, Probe([1, 2, 3, 4, 9, 3, 2, 8]))
+
+
+# The search as it stood before the symmetric rewrite, kept as the reference
+# for its probe sequences: window coordinates that flip at each wrong guess,
+# a separate last step, and a consistency check that tries every cut.
+def reference_bitonic_max(n: int, probe) -> tuple[int, object]:
+    if exact_int(n, "n") < 1:
+        raise ValueError("needs n >= 1")
+    memo: dict[int, object] = {}
+
+    def value(i: int):
+        # Indices beyond n are virtual padding, strictly below all real
+        # values and strictly decreasing; they never touch the oracle.
+        if i > n:
+            return (0, -i)
+        if i not in memo:
+            memo[i] = (1, probe(i))
+            _reference_check_bitonic_consistency(memo)
+        return memo[i]
+
+    if n == 1:
+        return 1, value(1)[1]
+    if n == 2:
+        v1, v2 = value(1), value(2)
+        return (1, v1[1]) if v1 > v2 else (2, v2[1])
+
+    fibs = fib_upto(n + 1)
+    k = max(i for i in range(len(fibs)) if fibs[i] <= n)
+    while len(fibs) <= k + 1:
+        fibs.append(fibs[-1] + fibs[-2])
+    total = fibs[k + 1] - 1  # virtual padded length
+
+    def real_index(start: int, step: int, pos: int) -> int:
+        return start + step * (pos - 1)
+
+    v1 = value(fibs[k - 1])
+    v2 = value(fibs[k])
+    if v1 > v2:
+        start, step, known_pos, known_val, param = 1, 1, fibs[k - 1], v1, k
+    else:
+        start, step, known_pos, known_val, param = total, -1, fibs[k - 1], v2, k
+
+    while param > 3:
+        q = fibs[param - 2]
+        vq = value(real_index(start, step, q))
+        if vq > known_val:
+            known_pos, known_val, param = q, vq, param - 1
+        else:
+            # Reverse the window tail; the known element lands at the
+            # position required one level down.
+            end = real_index(start, step, fibs[param] - 1)
+            start, step = end, -step
+            known_pos, param = fibs[param - 2], param - 1
+    # param == 3: two positions, the second one known.
+    vfirst = value(real_index(start, step, 1))
+    best_pos = 1 if vfirst > known_val else 2
+    best_val = vfirst if vfirst > known_val else known_val
+    idx = real_index(start, step, best_pos)
+    if best_val[0] == 0:
+        raise NotBitonicError("not bitonic")
+    return idx, best_val[1]
+
+
+def _reference_check_bitonic_consistency(memo: dict[int, object]) -> None:
+    pairs = sorted(memo.items())
+    vals = [v for _, v in pairs]
+    m = len(vals)
+    for cut in range(m + 1):
+        head = vals[:cut]
+        tail = vals[cut:]
+        if all(head[t] < head[t + 1] for t in range(len(head) - 1)) and all(
+            tail[t] > tail[t + 1] for t in range(len(tail) - 1)
+        ):
+            return
+    raise NotBitonicError("not bitonic")
+
+
+def probe_trace(search, values):
+    """The result (or NotBitonicError) and every probed index, in order."""
+    probed = []
+
+    def probe(i):
+        probed.append(i)
+        return values[i - 1]
+
+    try:
+        result = search(len(values), probe)
+    except NotBitonicError:
+        result = NotBitonicError
+    return result, probed
+
+
+def test_bitonic_probes_match_reference_on_every_peak():
+    for n in range(1, 121):
+        for peak in range(1, n + 1):
+            values = bitonic_sequence(n, peak)
+            got = probe_trace(bitonic_max, values)
+            assert got == probe_trace(reference_bitonic_max, values), (n, peak)
+            assert got[0] == (peak, peak)
+
+
+def test_bitonic_probes_match_reference_on_seeded_values():
+    # Small values make ties and non-bitonic probe patterns common, so the
+    # tie rule and the step that raises NotBitonicError are both exercised.
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(10_000):
+        values = [rng.randrange(7) for _ in range(rng.randint(1, 40))]
+        got = probe_trace(bitonic_max, values)
+        assert got == probe_trace(reference_bitonic_max, values), values
+        outcomes.add(got[0] is NotBitonicError)
+    assert outcomes == {False, True}
 
 
 class EqualityOracle(CostedOracle):

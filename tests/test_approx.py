@@ -368,6 +368,17 @@ def test_bin_pack_examples():
         bin_pack_first_fit(["1.5"])
 
 
+@pytest.mark.parametrize("pack", [bin_pack_first_fit, bin_pack_optimum])
+def test_bin_packing_refuses_a_zero_denominator(pack):
+    with pytest.raises(ValueError, match="^bad size '1/0': zero denominator$"):
+        pack(["1/2", "1/0"])
+
+
+def test_eps_with_a_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="^bad eps '1/0': zero denominator$"):
+        knapsack_fptas([1, 2], [1, 2], 3, "1/0")
+
+
 def test_knapsack_optimum_refuses_floats():
     with pytest.raises(ValueError, match="must be exact ints or fractions"):
         knapsack_optimum([1.5, 2], [1, 2], 3)

@@ -810,6 +810,7 @@ MALFORMED_FILES = {
     "list-elements.json": '{"universe": [[1], [2]], "family": [[[1]], [[2]]]}',
     "zero-den.g": "p 3 2\ne 1 2 1\ne 2 3 1/0\n",
     "zero-den.d": "pd 3 2\na 1 2 1\na 2 3 1/0\n",
+    "zero-den-sizes.txt": "1/2 1/0\n",
     "w.d": "pd 3 2\na 1 2 1\na 2 3 2\n",
     "repeat.g": "p 2 2\ne 1 2 5\ne 1 2 7\n",
     "flipped.g": "p 2 2\ne 1 2 5\ne 2 1 7\n",
@@ -847,6 +848,13 @@ REPEATED_LINK = {
     "solve dijkstra repeat.d": "error: repeated arc (1, 2) in a weighted graph\n",
 }
 
+# A rational token with a zero denominator is bad input like any other.
+ZERO_DENOMINATOR = {
+    "approx binpack zero-den-sizes.txt": "error: bad size '1/0': zero denominator\n",
+    "approx knapsack-fptas ks.json --eps 1/0": "error: bad eps '1/0': zero denominator\n",
+    "gen gap --n 4 --eps 1/0": "error: bad eps '1/0': zero denominator\n",
+}
+
 # Euler cycles and connected components are defined on undirected graphs.
 UNDIRECTED_ONLY = {
     "solve euler cyc.d": "error: euler needs an undirected graph\n",
@@ -876,11 +884,12 @@ UNDIRECTED_ONLY = {
         *MISSING_KEY,
         *UNDIRECTED_ONLY,
         *REPEATED_LINK,
+        *ZERO_DENOMINATOR,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     err = assert_input_error(tmp_path, capsys, call)
-    expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK}.get(call)
+    expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK, **ZERO_DENOMINATOR}.get(call)
     if expected is not None:
         assert err == expected
 
@@ -976,9 +985,7 @@ def mutate_tokens(rng, text):
 
 
 def test_token_fuzz_exits_with_a_code_and_never_a_traceback(tmp_path, capsys):
-    # Each mutation rewrites one input of one call.  Before bin sizes were
-    # read through exact_fraction, this seed ended in a ZeroDivisionError
-    # traceback from a size 1/0.
+    # Each mutation rewrites one input of one call.
     rng = random.Random(1)
     calls = []
     for call in FUZZ_CALLS:

@@ -694,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--eps", default="1")
-    p.set_defaults(fn=cmd_gen, format="text")  # an instance file has one format
+    add_common(p)
+    p.set_defaults(fn=cmd_gen)
 
     return parser
 

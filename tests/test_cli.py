@@ -270,14 +270,6 @@ def test_gen_deterministic_and_parsable(capsys, tmp_path):
     MetricTspInstance([[int(x) for x in row.split()] for row in out.splitlines()])
 
 
-def test_gen_refuses_format(capsys):
-    # every family prints an instance file, which has one format
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "numbers", "--n", "3", "--format", "json"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --format json" in capsys.readouterr().err
-
-
 def test_reduce_lists_the_kinds_of_the_reduction_table(capsys):
     from combinlab.complexity import REDUCTIONS
 
@@ -377,8 +369,8 @@ def golden_argv(tmp_path, call, files=GOLDEN_FILES):
 # missing-parameter errors, every `solve` problem with its negative answers
 # and graph-type errors, `sort` and `select` with each algorithm, `twosat`,
 # every `approx` algorithm with and without --oracle and every `bench`
-# suite, each in JSON and text format, and every `gen` family, which has
-# no --format since it prints an instance file.  An entry with a
+# suite, each in JSON and text format, and every `gen` family with and
+# without --format, which it ignores.  An entry with a
 # third element also pins stderr: the input errors, and --eps on an
 # algorithm that does not read it.
 GOLDEN = {
@@ -731,6 +723,20 @@ GOLDEN = {
     "gen knapsack --n 4 --seed 1": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
     "gen numbers --n 6 --seed 1": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
     "gen counterexample --n 3": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
+    "gen graph --n 6 --seed 1 --format json": (0, "aaf696fe955c1588de618aa13c99c821ea7ffa21f2876975964370c35f8b83bb"),
+    "gen graph --n 6 --seed 1 --format text": (0, "aaf696fe955c1588de618aa13c99c821ea7ffa21f2876975964370c35f8b83bb"),
+    "gen digraph --n 5 --seed 1 --density 0.4 --format json": (0, "ce4b931985e9b8c41bf173e054de590ec9e04b8cb1fcfda0e1ee2d8848d325aa"),
+    "gen digraph --n 5 --seed 1 --density 0.4 --format text": (0, "ce4b931985e9b8c41bf173e054de590ec9e04b8cb1fcfda0e1ee2d8848d325aa"),
+    "gen metric --n 4 --seed 2 --format json": (0, "7d978ffb2b1dfd1577d07987c35ede8d78613137e2e39e86ee3553250429d564"),
+    "gen metric --n 4 --seed 2 --format text": (0, "7d978ffb2b1dfd1577d07987c35ede8d78613137e2e39e86ee3553250429d564"),
+    "gen gap --n 5 --seed 1 --eps 1/2 --format json": (0, "86c3e91e06169c4fa0f3b7adfc8aa4e342253b032c7446b11c48c1ac2d037258"),
+    "gen gap --n 5 --seed 1 --eps 1/2 --format text": (0, "86c3e91e06169c4fa0f3b7adfc8aa4e342253b032c7446b11c48c1ac2d037258"),
+    "gen knapsack --n 4 --seed 1 --format json": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
+    "gen knapsack --n 4 --seed 1 --format text": (0, "4c15f17ef34fee38f700c2e61f839112fdf1216a0c5228c21bad2997099fb04a"),
+    "gen numbers --n 6 --seed 1 --format json": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
+    "gen numbers --n 6 --seed 1 --format text": (0, "31fd53355bf5b3e924f4d75026b535096ae104c7cfbef1960db2427d230eb665"),
+    "gen counterexample --n 3 --format json": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
+    "gen counterexample --n 3 --format text": (0, "8b95e80cf1a60dbcccec48ccc6f25bf714410a78f1c4978eb8c8bdc54f1dce37"),
 }
 
 

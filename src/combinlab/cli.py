@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .intmath import InstanceTooLargeError, ceil_log2, ceil_log3, harmonic, parse_numbers
@@ -415,6 +414,8 @@ def cmd_approx(args):
 
 
 def _bench_sorting(args):
+    import random
+
     from . import sorting as srt
     from .oracles import counting_comparator
 
@@ -442,6 +443,8 @@ def _bench_sorting(args):
 
 
 def _bench_selection(args):
+    import random
+
     from .oracles import counting_comparator
     from .tournament import select_t_tournament
 
@@ -570,6 +573,8 @@ def _matrix_text(matrix) -> str:
 
 
 def cmd_gen(args):
+    import random
+
     rng = random.Random(args.seed)
     fam, n = args.family, args.n
     if fam == "numbers":

@@ -2,6 +2,12 @@
 longest common subsequence, matrix-chain ordering, parenthesization
 counting, and optimal polygon triangulation.
 
+The longest common subsequence runs on bit-parallel rows, one big
+integer per row of its length table (Allison & Dix 1986, "A bit-string
+longest-common-subsequence algorithm"; Hyyrö 2004, "Bit-parallel
+LCS-length computation revisited"); its tables are built from the rows
+only when read.  The matrix chain fills its table by packed rows.
+
 Instance files for knapsack and allocation are plain JSON (see
 load_knapsack_json / load_allocation_json).
 """
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .intmath import _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object, refuse_floats
@@ -214,49 +221,113 @@ def greedy_knapsack_by_density(values, volumes, capacity) -> tuple[set[int], int
 
 
 class LcsTables:
-    __slots__ = ("lengths", "arrows")
+    """The (n+1) x (m+1) tables of `lcs`: `lengths[i][j]` is the LCS length
+    of x[:i] and y[:j], and `arrows[i][j]` (i, j >= 1) the step the
+    traceback takes from cell (i, j), Diag, Up or Left; row 0 and column 0
+    hold 0 and None.  Both are built from lcs's bit rows when first read
+    and kept."""
 
-    def __init__(self, lengths: list[list[int]], arrows: list[list[str | None]]):
-        self.lengths = lengths  # (n+1) x (m+1)
-        self.arrows = arrows  # (n+1) x (m+1); [i][j] for i, j >= 1
+    __slots__ = ("_rows", "_hits", "_m", "_lengths", "_arrows")
+
+    def __init__(self, rows: list[int], hits: list[int], m: int):
+        self._rows = rows  # bit j-1 of rows[i] set: lengths[i][j] == lengths[i][j-1]
+        self._hits = hits  # bit j-1 of hits[i-1] set: x[i-1] == y[j-1]
+        self._m = m
+        self._lengths: list[list[int]] | None = None
+        self._arrows: list[list[str | None]] | None = None
+
+    @property
+    def lengths(self) -> list[list[int]]:
+        if self._lengths is None:
+            m = self._m  # a clear bit j-1 is a step up at column j
+            self._lengths = [list(accumulate(_bits(~row, m), initial=0)) for row in self._rows]
+        return self._lengths
+
+    @property
+    def arrows(self) -> list[list[str | None]]:
+        if self._arrows is None:
+            c, m = self.lengths, self._m
+            table: list[list[str | None]] = [[None] * (m + 1)]
+            for above, row, hit in zip(c, c[1:], self._hits):
+                table.append([None, *(
+                    DIAG if mark else UP if here == up else LEFT
+                    for mark, here, up in zip(_bits(hit, m), row[1:], above[1:])
+                )])
+            self._arrows = table
+        return self._arrows
+
+
+def _bits(v: int, m: int) -> bytes:
+    """Bits 0..m-1 of v, lowest first, one byte of value 0 or 1 each."""
+    return format(v & ((1 << m) - 1) | 1 << m, "b")[:0:-1].encode().translate(_DIGIT_VALUES)
+
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _match_masks(x: list, y: list) -> list[int]:
+    """For each item of x, the mask whose bit j-1 is set where it == y[j-1]."""
+    keyed: dict = {}
+    loose = []  # (item, bit) for the unhashable items of y
+    for j, item in enumerate(y):
+        try:
+            if item == item:  # a dict would find nan by identity, but nan != nan
+                keyed[item] = keyed.get(item, 0) | 1 << j
+        except TypeError:
+            loose.append((item, 1 << j))
+    masks = []
+    for item in x:
+        try:
+            masks.append(keyed.get(item, 0))
+        except TypeError:  # unhashable: compared with every item of y
+            masks.append(sum(1 << j for j, other in enumerate(y) if item == other))
+    if loose:
+        masks = [hit | sum(bit for other, bit in loose if item == other) for item, hit in zip(x, masks)]
+    return masks
 
 
 def lcs(x, y) -> tuple[int, list, LcsTables]:
-    """Longest common subsequence with arrow tables.
+    """Longest common subsequence of x and y, its length and its tables.
 
-    Ties resolve Diag > Up > Left, matching the classical pseudocode, so
-    the tables are deterministic.
+    Bit-parallel rows (Allison & Dix 1986, "A bit-string
+    longest-common-subsequence algorithm"; Hyyrö 2004, "Bit-parallel
+    LCS-length computation revisited"): row i of the length table c is one
+    big integer whose bit j-1 is set where c[i][j] == c[i][j-1], so
+    c[i][j] = j - popcount(row & (2^j - 1)).  With `hit` the mask of the
+    items of y equal to x[i-1] and u = row & hit, the next row is
+    ((row + u) | (row - u)) cut to m bits, so the length takes O(n) big-int
+    operations.  Items match by ==, as a cell-by-cell table compares them;
+    an item unequal to itself, such as nan, matches nothing.
+
+    The traceback from (n, m) steps Diag on a match, else Up when
+    c[i-1][j] >= c[i][j-1], else Left: the classical pseudocode's tie rule,
+    so the sequence and the tables are deterministic.  It reads c from the
+    rows, O(n + m) steps.  The tables are built from the rows only when
+    read (see LcsTables).
     """
     x, y = list(x), list(y)
     n, m = len(x), len(y)
-    c = [[0] * (m + 1) for _ in range(n + 1)]
-    b: list[list[str | None]] = [[None] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        # `left` is c[i][j - 1] on entering cell j and c[i][j] on leaving it
-        xi, above, row, arrows = x[i - 1], c[i - 1], c[i], b[i]
-        left = 0
-        for j in range(1, m + 1):
-            if xi == y[j - 1]:
-                left = above[j - 1] + 1
-                arrows[j] = DIAG
-            elif above[j] >= left:
-                left = above[j]
-                arrows[j] = UP
-            else:
-                arrows[j] = LEFT
-            row[j] = left
+    hits = _match_masks(x, y)
+    full = (1 << m) - 1
+    row = full
+    rows = [row]
+    for hit in hits:
+        u = row & hit
+        row = ((row + u) | (row - u)) & full
+        rows.append(row)
+    length = m - row.bit_count()
     out = []
-    i, j = n, m
-    while i > 0 and j > 0:
-        if b[i][j] == DIAG:
+    i, j, here = n, m, length  # here is c[i][j]
+    while i and j:
+        if hits[i - 1] >> (j - 1) & 1:
             out.append(x[i - 1])
-            i, j = i - 1, j - 1
-        elif b[i][j] == UP:
+            i, j, here = i - 1, j - 1, here - 1
+        elif j - (rows[i - 1] & ((1 << j) - 1)).bit_count() == here:  # c[i-1][j] == c[i][j]
             i -= 1
         else:
             j -= 1
     out.reverse()
-    return c[n][m], out, LcsTables(c, b)
+    return length, out, LcsTables(rows, hits, m)
 
 
 class ChainTables:

@@ -269,8 +269,8 @@ def brute_lcs(x, y):
 
 
 def reference_lcs(x, y):
-    """lcs as it was before it filled each row through locals: every cell
-    read and written through both full tables."""
+    """lcs as a cell-by-cell table: every cell compared by == and read and
+    written through both full tables."""
     x, y = list(x), list(y)
     n, m = len(x), len(y)
     c = [[0] * (m + 1) for _ in range(n + 1)]
@@ -308,9 +308,51 @@ def test_lcs_matches_index_based_reference():
         x, y = ("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))) for _ in "xy")
         cases.append((x, y))
         cases.append(([ord(ch) % 3 for ch in x], tuple(ord(ch) % 3 for ch in y)))
+    # rows of 63-65, 127-129 and about 300 bits carry across machine words
+    for size in (63, 64, 65, 127, 128, 129, 299, 300):
+        for alphabet in (2, 4, 26):
+            x, y = ([rng.randrange(alphabet) for _ in range(size + rng.randint(-2, 2))] for _ in "xy")
+            cases.append((x, tuple(y)))
+            cases.append(([(v, v % 2) for v in y], tuple((v, v % 2) for v in x)))
+    cases.append(([0] * 129, (0,) * 65))
+    cases.append(([1] * 64, (0,) * 300))
     for x, y in cases:
         length, seq, tables = lcs(x, y)
         assert (length, seq, tables.lengths, tables.arrows) == reference_lcs(x, y)
+
+
+def test_lcs_matches_by_equality_not_identity():
+    nan = float("nan")
+    set_one = {1}
+    cases = [
+        # a dict would find the one nan object by identity; nan != nan
+        ([nan, 1], [nan, 1], (1, [1])),
+        ([nan, nan], [nan], (0, [])),
+        ([(nan,), 2], [(nan,), 2], (2, [(nan,), 2])),  # tuples holding one nan are equal
+        # unhashable items compare by ==, with each other and with hashable ones
+        ([[1], [2]], [[2]], (1, [[2]])),
+        ([[1], 2, [1]], [[1], 2], (2, [[1], 2])),
+        ([{1}, 3], [frozenset({1}), 3], (2, [{1}, 3])),
+        ([frozenset({1}), 3], [{1}, 3], (2, [frozenset({1}), 3])),
+        ([1, 2.0, True], [1.0, 2, 1], (3, [1, 2.0, True])),
+    ]
+    for x, y, want in cases:
+        length, seq, tables = lcs(x, y)
+        assert (length, seq, tables.lengths, tables.arrows) == reference_lcs(x, y)
+        assert (length, seq) == want
+
+
+def test_lcs_5000_by_5000_is_fast():
+    rng = random.Random(43)
+    x, y = ("".join(rng.choice("ACGT") for _ in range(5000)) for _ in "xy")
+    start = time.process_time()
+    length, seq, _ = lcs(x, y)
+    elapsed = time.process_time() - start
+    assert len(seq) == length
+    for s, hay in ((seq, x), (seq, y)):
+        it = iter(hay)
+        assert all(ch in it for ch in s)
+    assert elapsed < 0.5
 
 
 def test_lcs_short_strings():

@@ -98,14 +98,17 @@ def test_importing_the_package_imports_no_module_until_a_name_is_read():
     assert set(combinlab.__all__) <= set(star)
 
 
-# Runs cli.main on the arguments and prints the modules the call added to a
-# bare interpreter's, so that what the host's site hooks load is not counted.
+# Imports the comma-separated modules of the first argument, then runs
+# cli.main on the other arguments and prints the modules the call added, so
+# that what the host's site hooks load is not counted.
 CALL = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
+for name in filter(None, sys.argv[1].split(",")):
+    importlib.import_module(name)
 before = set(sys.modules)
 from combinlab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+    code = main(sys.argv[2:])
 print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
@@ -122,7 +125,7 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
     (tmp_path / "d.txt").write_text("pd 4 4\na 1 2\na 2 1\na 2 3\na 3 4\n")
     (tmp_path / "nums.txt").write_text("5 3 9 1 4 8\n")
     argv = [str(tmp_path / tok) if tok.endswith(".txt") else tok for tok in call.split()]
-    code, added = child(CALL, *argv)
+    code, added = child(CALL, "", *argv)
     assert code == 0
     assert "combinlab.cli" in added
     assert {"combinlab.complexity", "combinlab.approx", "dataclasses"} & set(added) == set()
@@ -130,7 +133,7 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
         assert {"fractions", "decimal"} & set(added) == set()
 
 
-# What each NP command loads, leaving out the modules whose names start
+# What each NP command may load, leaving out the modules whose names start
 # with an underscore (__future__ and the C accelerators, which differ
 # between builds of one Python version), so a new import on the path fails.
 NP_PATH = {"argparse", "combinlab", "combinlab.cli", "combinlab.complexity",
@@ -146,24 +149,6 @@ NP_CALLS = {
     "approx knapsack-fptas k.json --oracle": APPROX_PATH | {"combinlab.dp"},
 }
 
-# Imports the standard-library modules of a path (the comma-separated first
-# argument) before it takes its snapshot, then runs cli.main on the other
-# arguments as CALL does.  The stdlib part of a pin is then loaded whatever
-# the interpreter's start-up loads (3.11's site hooks bring in random and
-# shutil, a clean 3.10 or 3.12 start does not), and the call may add only
-# the pinned combinlab modules: a new stdlib import on the path, such as
-# dataclasses, still shows.
-PRELOADED_CALL = """
-import contextlib, importlib, io, json, sys
-for name in sys.argv[1].split(","):
-    importlib.import_module(name)
-before = set(sys.modules)
-from combinlab.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[2:])
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
-"""
-
 
 @pytest.mark.parametrize("call", NP_CALLS)
 def test_np_commands_import_complexity_without_dataclasses(tmp_path, call):
@@ -172,9 +157,13 @@ def test_np_commands_import_complexity_without_dataclasses(tmp_path, call):
     (tmp_path / "w.json").write_text("[1, 3]\n")
     (tmp_path / "k.json").write_text('{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5}\n')
     argv = [str(tmp_path / tok) if "." in tok else tok for tok in call.split()]
+    # The pin's stdlib modules are imported before the snapshot, so they are
+    # loaded whatever the interpreter's start-up loads (3.11's site hooks
+    # bring in random and shutil, a clean 3.10 or 3.12 start does not), and
+    # the call may add only the pinned combinlab modules: a new stdlib import
+    # on the path, such as dataclasses, still shows.
     own = {m for m in NP_CALLS[call] if m.partition(".")[0] == "combinlab"}
-    stdlib = ",".join(sorted(NP_CALLS[call] - own))
-    code, added = child(PRELOADED_CALL, stdlib, *argv)
+    code, added = child(CALL, ",".join(sorted(NP_CALLS[call] - own)), *argv)
     assert code == 0
     assert {m for m in added if not m.startswith("_")} == own  # no dataclasses
 
@@ -182,7 +171,7 @@ def test_np_commands_import_complexity_without_dataclasses(tmp_path, call):
 @pytest.mark.parametrize("call", ["gen metric --n 4", "gen gap --n 5 --eps 1/2", "gen counterexample --n 3"])
 def test_gen_loads_approx_but_not_hashlib(call):
     # approx.digest_of imports hashlib on its first call, which no gen family makes
-    code, added = child(CALL, *call.split())
+    code, added = child(CALL, "", *call.split())
     assert code == 0
     assert "combinlab.approx" in added
     assert "hashlib" not in added

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from fractions import Fraction
 
 from .complexity import _adjacency_bits, _depth_first, _first_cover, _halves, _held_karp
@@ -344,6 +343,8 @@ def tsp_gap_instance(g: Graph, eps) -> list[list[object]]:
 def random_metric_instance(n: int, seed: int, span: int = 50) -> MetricTspInstance:
     """Random integer points under the L1 metric: the triangle inequality
     holds automatically and all arithmetic stays exact."""
+    import random  # here, not at import: the approx commands load approx and never generate
+
     rng = random.Random(seed)
     pts = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)]
     matrix = [
@@ -477,11 +478,9 @@ def tsp_optimum(matrix) -> object:
     first tour within the shortest length, whose length is summed along
     it, so the value and its type are those of trying every tour in
     order."""
-    n = len(matrix)
-    _within_cap(n, "tsp_cities")
+    _within_cap(len(matrix), "tsp_cities")
     refuse_floats((x for row in matrix for x in row), "matrix")
-    tour = _held_karp(matrix, lambda shortest, scale: shortest) if n > 1 else [1]
-    return tour_length(matrix, tour)
+    return tour_length(matrix, _held_karp(matrix))
 
 
 def max_cut_optimum(g: Graph) -> int:
@@ -515,6 +514,8 @@ def knapsack_optimum(values, volumes, capacity) -> int:
     adds item i first at step 2**i and keeps the first step that reaches
     the best value, so the result is a Fraction when a value among the
     items up to the least top of a best subset (see _knapsack_best) is."""
+    if len(values) != len(volumes):
+        raise ValueError("values and volumes must align")
     _within_cap(len(values), "knapsack_items")
     numbers = (*values, *volumes, capacity)
     refuse_floats(numbers, "values, volumes and capacity")

@@ -521,6 +521,8 @@ class KnapsackDecision(Problem):
     goal: int
 
     def _check(self):
+        if len(self.values) != len(self.volumes):
+            raise ValueError("values and volumes must align")
         refuse_floats((*self.values, *self.volumes, self.capacity, self.goal),
                       "values, volumes, capacity and goal")
 
@@ -676,11 +678,8 @@ class Tsp(Problem):
         return length <= self.limit
 
     def search(self):
-        n = len(self.matrix)
-        _within_cap(n, "tsp_cities")
-        if n <= 1:  # the empty tour, or city 1 alone
-            return list(range(1, n + 1)) if 0 <= self.limit else None
-        return _held_karp(self.matrix, lambda shortest, scale: self.limit * scale)
+        _within_cap(len(self.matrix), "tsp_cities")
+        return _held_karp(self.matrix, self.limit)
 
 
 class Ilp(Problem):
@@ -1048,15 +1047,18 @@ def _depth_first(root, children, accept):
     return None
 
 
-def _held_karp(matrix, bound):
-    """The lexicographically first tour from city 1, over n >= 2 cities, of
-    length at most bound(shortest, scale), or None (Held & Karp 1962).
-    Fractions are searched as integers, scaled by their least common
-    denominator `scale`, and so are the bound and `shortest`, a shortest
-    tour's length.  cost[S][k] is the shortest path from city k + 2
-    through the cities S (bit j for city j + 2) back to city 1.  The walk
-    takes the lowest city k whose length + step + cost[left][k] fits.
-    Its callers refuse float entries first."""
+def _held_karp(matrix, limit=None):
+    """The lexicographically first tour from city 1 of length at most
+    `limit`, or of a shortest tour's length when `limit` is None; None if
+    no tour fits (Held & Karp 1962).  With n <= 1 the tour is the empty
+    one or city 1 alone, which fits any limit >= 0.  Fractions are searched as integers,
+    scaled by their least common denominator, and so is the limit.
+    cost[S][k] is the shortest path from city k + 2 through the cities S
+    (bit j for city j + 2) back to city 1.  The walk takes the lowest city
+    k whose length + step + cost[left][k] fits.  Its callers refuse float
+    entries first."""
+    if len(matrix) <= 1:
+        return list(range(1, len(matrix) + 1)) if limit is None or 0 <= limit else None
     weights, scale = matrix, 1
     if not all(type(x) is int for row in matrix for x in row):
         exact = [[Fraction(x) for x in row] for row in matrix]
@@ -1081,7 +1083,7 @@ def _held_karp(matrix, bound):
             row[j] = min([step[k] + sub[k] for k in inside if k != j])
         cost[mask] = row
     tour, length, left, step = [1], 0, (1 << m) - 1, weights[0][1:]
-    limit = bound(min(step[k] + cost[left][k] for k in range(m)), scale)
+    limit = min(step[k] + cost[left][k] for k in range(m)) if limit is None else limit * scale
     while left:
         j = next((k for k in range(m) if left >> k & 1 and length + step[k] + cost[left][k] <= limit), None)
         if j is None:

@@ -2,6 +2,9 @@
 longest common subsequence, matrix-chain ordering, parenthesization
 counting, and optimal polygon triangulation.
 
+The knapsack's Pareto frontier is a sorted list of (volume, -value,
+items) tuples, so native tuple order is its tie rule, and sorted()
+merges the frontier with its extension by each item in linear time.
 The longest common subsequence runs on bit-parallel rows, one big
 integer per row of its length table (Allison & Dix 1986, "A bit-string
 longest-common-subsequence algorithm"; Hyyrö 2004, "Bit-parallel
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import lcm
 
 from .intmath import _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object, refuse_floats
@@ -110,50 +113,6 @@ def allocate(inst: AllocationInstance) -> tuple[int, list[int]]:
     return best[n][k], plan
 
 
-class ParetoEntry:
-    """One state of the sweep: its items as an ascending tuple, with their
-    total value and volume."""
-
-    __slots__ = ("items", "value", "volume")
-
-    def __init__(self, items: tuple[int, ...], value: int, volume: int):
-        self.items = items
-        self.value = value
-        self.volume = volume
-
-
-def _prune(states: list[ParetoEntry], extended: list[ParetoEntry]) -> list[ParetoEntry]:
-    """Merge two lists sorted by (volume, -value) and keep each entry whose
-    value beats every entry before it.  An exact (volume, value) tie goes to
-    the smaller item tuple, the order a full sort by (volume, -value,
-    sorted(items)) gives, as the tuples are ascending; the tied loser is
-    then dropped."""
-    kept: list[ParetoEntry] = []
-    best_value = -1
-    a = b = 0
-    na, nb = len(states), len(extended)
-    while a < na and b < nb:
-        x, y = states[a], extended[b]
-        if x.volume != y.volume:
-            take_x = x.volume < y.volume
-        elif x.value != y.value:
-            take_x = x.value > y.value
-        else:
-            take_x = x.items < y.items
-        if take_x:
-            e, a = x, a + 1
-        else:
-            e, b = y, b + 1
-        if e.value > best_value:
-            kept.append(e)
-            best_value = e.value
-    for e in states[a:] + extended[b:]:  # one of the two is empty
-        if e.value > best_value:
-            kept.append(e)
-            best_value = e.value
-    return kept
-
-
 def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
     """Exact 0/1 knapsack via Pareto-set sweep (Nemhauser and Ullmann).
 
@@ -169,37 +128,30 @@ def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
         raise ValueError("inputs must be non-negative")
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    # Volume and value both rise strictly along the frontier, so adding
-    # item k to every state that still fits keeps it sorted for _prune.
-    # Item k is larger than every item before it, so appending it keeps
-    # each tuple ascending.
-    states = [ParetoEntry((), 0, 0)]
-    for k in range(1, len(values) + 1):
-        value, volume, item = values[k - 1], volumes[k - 1], (k,)
+    # A state is (volume, -value, items), its items an ascending tuple, so
+    # tuple order is the tie rule: volume, then value descending, then the
+    # smaller item tuple.  Volume and value both rise strictly along the
+    # frontier, so adding item k to every state that still fits gives a
+    # second sorted run, and sorted() merges the two in linear time.
+    frontier = [(0, 0, ())]
+    for k, (value, volume) in enumerate(zip(values, volumes), 1):
         room = capacity - volume
-        extended = [
-            ParetoEntry(e.items + item, e.value + value, e.volume + volume)
-            for e in states
-            if e.volume <= room
-        ]
-        states = _prune(states, extended)
-        assert not _has_dominated_pair(states)
-    best = states[-1]  # the largest value, and the only entry with it
-    return set(best.items), best.value
-
-
-def _has_dominated_pair(states) -> bool:
-    """True unless volume and value both rise strictly along `states`.  On a
-    list sorted by volume that is exactly "some entry has no more volume
-    and no less value than another"; an unsorted list also fails."""
-    return any(
-        a.volume >= b.volume or a.value >= b.value for a, b in zip(states, states[1:])
-    )
+        extended = [(v + volume, neg - value, items + (k,)) for v, neg, items in frontier if v <= room]
+        merged, frontier, low = sorted(frontier + extended), [], 1
+        for state in merged:  # keep each state whose value beats every one before it
+            if state[1] < low:
+                frontier.append(state)
+                low = state[1]
+        assert all(v < w and m > n for (v, m, _), (w, n, _) in pairwise(frontier))
+    _, neg, items = frontier[-1]  # the largest value, and the only state with it
+    return set(items), -neg
 
 
 def greedy_knapsack_by_density(values, volumes, capacity) -> tuple[set[int], int]:
     """Value-density greedy; feasible but with no optimality contract."""
     values, volumes = list(values), list(volumes)
+    if len(values) != len(volumes):
+        raise ValueError("values and volumes must align")
     refuse_floats((*values, *volumes, capacity), "values, volumes and capacity")
 
     def density_key(i: int):

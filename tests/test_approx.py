@@ -383,6 +383,9 @@ def test_knapsack_optimum_refuses_floats():
     with pytest.raises(ValueError, match="must be exact ints or fractions"):
         knapsack_optimum([1.5, 2], [1, 2], 3)
     assert knapsack_optimum([Fraction(3, 2), 2], [1, 2], 3) == Fraction(7, 2)
+    for values, volumes in (([5, 6, 7], [1, 2]), ([5], [1, 2])):
+        with pytest.raises(ValueError, match="^values and volumes must align$"):
+            knapsack_optimum(values, volumes, 10)
 
 
 def test_tsp_optimum_refuses_floats():

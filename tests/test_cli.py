@@ -821,6 +821,7 @@ MALFORMED_FILES = {
     "repeat.g": "p 2 2\ne 1 2 5\ne 1 2 7\n",
     "flipped.g": "p 2 2\ne 1 2 5\ne 2 1 7\n",
     "repeat.d": "pd 2 2\na 1 2 5\na 1 2 7\n",
+    "misaligned-kd.json": '{"values": [5, 6, 7], "volumes": [1, 2], "capacity": 10, "goal": 12}',
 }
 
 
@@ -861,6 +862,11 @@ ZERO_DENOMINATOR = {
     "gen gap --n 4 --eps 1/0": "error: bad eps '1/0': zero denominator\n",
 }
 
+# Each item has one value and one volume.
+MISALIGNED = {
+    "verify knapsack-decision misaligned-kd.json [1,1,1]": "error: values and volumes must align\n",
+}
+
 # Euler cycles and connected components are defined on undirected graphs.
 UNDIRECTED_ONLY = {
     "solve euler cyc.d": "error: euler needs an undirected graph\n",
@@ -891,11 +897,12 @@ UNDIRECTED_ONLY = {
         *UNDIRECTED_ONLY,
         *REPEATED_LINK,
         *ZERO_DENOMINATOR,
+        *MISALIGNED,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     err = assert_input_error(tmp_path, capsys, call)
-    expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK, **ZERO_DENOMINATOR}.get(call)
+    expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK, **ZERO_DENOMINATOR, **MISALIGNED}.get(call)
     if expected is not None:
         assert err == expected
 

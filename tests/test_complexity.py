@@ -1267,6 +1267,9 @@ def test_construction_errors():
         Ilp(((1,), (1,)), ("<=",), (1, 1), ((0, 1),))
     with pytest.raises(ValueError, match="^rows, relations and rhs must align$"):
         Ilp(rows=((1,),), relations=("<=",), rhs=(), bounds=((0, 1),))
+    for values, volumes in (((5, 6, 7), (1, 2)), ((5,), (1, 2))):
+        with pytest.raises(ValueError, match="^values and volumes must align$"):
+            KnapsackDecision(values, volumes, 10, 12)
     with pytest.raises(ValueError, match="^row width must match bound count$"):
         Ilp(((1, 1),), ("<=",), (1,), ((0, 1),))
     with pytest.raises(ValueError, match="^bad relation <$"):

@@ -20,6 +20,13 @@ Hamiltonicity) and approx.bin_pack_optimum share one explicit-stack walk,
 `_held_karp`; the graph deciders and approx.vertex_cover_optimum share
 `_most_independent`.
 
+The 2-SAT solver (Aspvall, Plass & Tarjan 1979) reads the implication
+arcs straight off the clauses, two a clause, into heads and tails lists
+indexed by literal vertex, and numbers each literal's strong component
+with graph_core's label-array Kosaraju, `_scc_labels`; no `Digraph` is
+built.  `implication_graph` gives the same arcs, from the same
+generator, as a `Digraph`.
+
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple
 of literals; assignments are lists of booleans indexed from variable 1.
 CNF input/output uses the DIMACS cnf format.  Set systems and ILP ride in
@@ -37,6 +44,7 @@ from fractions import Fraction
 from .graph_core import (
     Digraph,
     Graph,
+    _scc_labels,
     exact_fraction,
     format_graph_text,
     parse_graph_text,
@@ -1777,38 +1785,48 @@ class TwoSatResult(_Record):
     conflict_var: int | None
 
 
-def implication_graph(f: CnfFormula) -> Digraph:
-    """Literal digraph: vertex i is not-x_i, vertex n+i is x_i; every
-    clause (a or b) contributes arcs not-a -> b and not-b -> a, in clause
-    order with a repeated arc kept at its first occurrence."""
+def _implications(f: CnfFormula):
+    """The (tail, head) arcs of the literal digraph, in clause order:
+    vertex i is not-x_i, vertex n+i is x_i, and every clause (a or b)
+    gives not-a -> b and not-b -> a, a unit clause (a) the arc not-a -> a
+    twice."""
     n = f.num_vars
     node = [*range(n, 0, -1), 0, *range(n + 1, 2 * n + 1)]  # literal l at index n + l
-    arcs = []
     for clause in f.clauses:
         if len(clause) > 2:
             raise ValueError("clause with more than 2 literals")
         a, b = clause[0], clause[-1]
         if a != -b:  # (x or not x) would give two self-loops
-            arcs.append((node[n - a], node[n + b]))
-            arcs.append((node[n - b], node[n + a]))
-    return Digraph(2 * n, arcs)
+            yield node[n - a], node[n + b]
+            yield node[n - b], node[n + a]
+
+
+def implication_graph(f: CnfFormula) -> Digraph:
+    """The literal digraph of `_implications`, its arcs in clause order
+    with a repeated arc kept at its first occurrence."""
+    return Digraph(2 * f.num_vars, _implications(f))
 
 
 def twosat_solve(f: CnfFormula) -> TwoSatResult:
-    """Decide a <=2-CNF formula via strong components of the implication
-    graph; UNSAT certificates name a variable co-located with its
-    negation (checkable by scc_kosaraju)."""
+    """Decide a <=2-CNF formula by the strong components of its implication
+    graph (Aspvall, Plass & Tarjan 1979).  The arcs of `_implications` go
+    straight into heads and tails lists indexed by vertex, and
+    graph_core._scc_labels numbers each literal's component.  An UNSAT
+    certificate names the lowest variable in one component with its
+    negation (checkable by scc_kosaraju on implication_graph)."""
     n = f.num_vars
-    g = implication_graph(f)
-    comps = scc_kosaraju(g)
-    comp_index = {}
-    for idx, block in enumerate(comps):
-        for v in block:
-            comp_index[v] = idx
+    heads: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    tails: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    for u, v in _implications(f):
+        heads[u].append(v)
+        tails[v].append(u)
+    for vs in heads:
+        vs.sort()
+    label, _ = _scc_labels(heads, tails, 2 * n)
     for x in range(1, n + 1):
-        if comp_index[n + x] == comp_index[x]:
+        if label[n + x] == label[x]:
             return TwoSatResult(False, None, x)
-    # Components are emitted sources-first, so "later" means closer to a
-    # sink; a literal is true when its component follows its negation's.
-    assignment = [comp_index[n + x] > comp_index[x] for x in range(1, n + 1)]
+    # Labels run sources-first, so "later" means closer to a sink; a
+    # literal is true when its component follows its negation's.
+    assignment = [label[n + x] > label[x] for x in range(1, n + 1)]
     return TwoSatResult(True, assignment, None)

@@ -159,17 +159,6 @@ class Digraph:
         return mat
 
 
-def _reversed_heads(adj: dict) -> dict[int, list[int]]:
-    """For each vertex of a digraph's adjacency `adj`, the tails of the arcs
-    into it; scanning the tails in increasing order leaves each list
-    sorted."""
-    tails: dict[int, list[int]] = {v: [] for v in adj}
-    for u, ws in adj.items():
-        for w in ws:
-            tails[w].append(u)
-    return tails
-
-
 class BfsForest:
     """Breadth-first forest: one (root, tree edges) entry per component,
     plus the global visitation order."""
@@ -328,13 +317,15 @@ class DfsRecord:
 
 
 def _walk(adj, order) -> tuple[list[int], dict[int, int | None]]:
-    """The depth-first walk behind dfs and scc_kosaraju.  Each vertex of
-    `order` not yet seen roots a tree, whose vertices are entered in the
-    order of the adjacency lists `adj[v]`.  Returns the events in time
-    order, +v on entering v and -v on leaving it, and each seen vertex's
-    parent (None for a root) in the order the vertices were entered.  The
-    walk keeps an explicit stack of (vertex, neighbour iterator) pairs, so
-    its Python recursion depth does not grow with the graph."""
+    """The depth-first walk behind dfs, Fleury's bridge test and the first
+    pass of _scc_labels (scc_kosaraju, complexity.twosat_solve).  Each
+    vertex of `order` not yet seen roots a tree, whose vertices are
+    entered in the order of the adjacency lists `adj[v]` (`adj` a dict or
+    a list indexed by vertex).  Returns the events in time order, +v on
+    entering v and -v on leaving it, and each seen vertex's parent (None
+    for a root) in the order the vertices were entered.  The walk keeps an
+    explicit stack of (vertex, neighbour iterator) pairs, so its Python
+    recursion depth does not grow with the graph."""
     parent: dict[int, int | None] = {}
     stamps: list[int] = []
     for root in order:
@@ -384,23 +375,50 @@ def dfs(g, order=None) -> DfsRecord:
     )
 
 
-def scc_kosaraju(g: Digraph) -> list[list[int]]:
-    """Strongly connected components via two depth-first walks.
+def _scc_labels(adj, tails, n: int) -> tuple[list[int], int]:
+    """Kosaraju's two passes (Sharir 1981) over vertices 1..n: label[v] is
+    the index of v's strong component, sources of the condensation first,
+    and the count of components comes with it.
 
-    The second walk scans vertices by decreasing first-walk finish time on
-    the transposed graph, and each of its trees is one component;
-    components come out in condensation order (sources of the
-    condensation first).
+    `adj[v]` lists v's heads in ascending order and `tails[v]` the tails of
+    the arcs into v, in any order; a repeated arc may appear in both.  The
+    first pass is the depth-first _walk in vertex order, whose finish order
+    fixes the labels.  The second floods `tails` from each unlabelled
+    vertex in decreasing finish order; each flood is exactly one component,
+    whatever order it reaches its vertices in.
     """
-    stamps, _ = _walk(g.adj, range(1, g.n + 1))
-    by_finish = [-v for v in reversed(stamps) if v < 0]
-    _, parent = _walk(_reversed_heads(g.adj), by_finish)  # the transpose
-    blocks: list[list[int]] = []
-    for v, u in parent.items():  # entered tree by tree
-        if u is None:
-            blocks.append([])
-        blocks[-1].append(v)
-    return [sorted(block) for block in blocks]
+    stamps, _ = _walk(adj, range(1, n + 1))
+    label = [-1] * (n + 1)
+    count = 0
+    for root in reversed(stamps):
+        if root > 0 or label[-root] >= 0:
+            continue
+        label[-root] = count
+        flood = [-root]
+        for v in flood:  # also floods what the loop appends
+            for u in tails[v]:
+                if label[u] < 0:
+                    label[u] = count
+                    flood.append(u)
+        count += 1
+    return label, count
+
+
+def scc_kosaraju(g: Digraph) -> list[list[int]]:
+    """Strongly connected components by Kosaraju's two passes, in
+    condensation order (sources of the condensation first), each block in
+    increasing vertex order: the vertices 1..n bucketed by their
+    _scc_labels label."""
+    n = g.n
+    tails: list[list[int]] = [[] for _ in range(n + 1)]  # the transpose
+    for u, heads in g.adj.items():
+        for v in heads:
+            tails[v].append(u)
+    label, count = _scc_labels(g.adj, tails, n)
+    blocks: list[list[int]] = [[] for _ in range(count)]
+    for v in range(1, n + 1):
+        blocks[label[v]].append(v)
+    return blocks
 
 
 # --- shared text format -------------------------------------------------

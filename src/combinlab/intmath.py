@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -220,6 +219,8 @@ def exact_int_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
 
 
 def refuse_floats(numbers, what: str) -> None:
-    """Refuse a float among numbers, which exact arithmetic cannot take."""
-    if any(map(isinstance, numbers, repeat(float))):
+    """Refuse a float among numbers, which exact arithmetic cannot take.
+    Only the set of the numbers' types is scanned, so a long row of ints
+    costs one subclass test."""
+    if any(issubclass(t, float) for t in {*map(type, numbers)}):
         raise ValueError(f"{what} must be exact ints or fractions")

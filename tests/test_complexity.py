@@ -47,7 +47,7 @@ from combinlab.complexity import (
 )
 from combinlab.complexity import _depth_first
 from combinlab.approx import random_metric_instance, tsp_optimum
-from combinlab.graph_core import Digraph, Graph
+from combinlab.graph_core import Digraph, Graph, _scc_labels, _walk
 
 
 def complete_graph(n):
@@ -532,6 +532,94 @@ def test_implication_graph_matches_the_checking_constructor():
 def test_twosat_rejects_wide_clause():
     with pytest.raises(ValueError):
         twosat_solve(cnf(3, [(1, 2, 3)]))
+
+
+def reference_scc(g):
+    """scc_kosaraju as it was before _scc_labels: a second _walk over the
+    transpose's sorted tails in decreasing finish order, one block a tree."""
+    stamps, _ = _walk(g.adj, range(1, g.n + 1))
+    by_finish = [-v for v in reversed(stamps) if v < 0]
+    tails = {v: [] for v in g.adj}
+    for u, heads in g.adj.items():
+        for v in heads:
+            tails[v].append(u)
+    _, parent = _walk(tails, by_finish)
+    blocks = []
+    for v, u in parent.items():  # entered tree by tree
+        if u is None:
+            blocks.append([])
+        blocks[-1].append(v)
+    return [sorted(block) for block in blocks]
+
+
+def reference_twosat(f):
+    """twosat_solve as it was before _scc_labels: reference_scc on the
+    implication_graph Digraph, read through a component-index dict."""
+    n = f.num_vars
+    comp_index = {v: i for i, block in enumerate(reference_scc(implication_graph(f)))
+                  for v in block}
+    for x in range(1, n + 1):
+        if comp_index[n + x] == comp_index[x]:
+            return TwoSatResult(False, None, x)
+    return TwoSatResult(True, [comp_index[n + x] > comp_index[x] for x in range(1, n + 1)], None)
+
+
+def test_twosat_matches_the_digraph_reference():
+    rng = random.Random(2601)
+    formulas = []
+    for n in range(13):
+        literals = [s * x for x in range(1, n + 1) for s in (1, -1)]
+        for _ in range(60 if n else 1):
+            clauses = []
+            for _ in range(rng.randint(0, 3 * n)):
+                a, b = rng.choice(literals), rng.choice(literals)
+                kind = rng.random()  # units, (a, a) and (a, -a) clauses too
+                clauses.append((a,) if kind < 0.1 else (a, a) if kind < 0.2
+                               else (a, -a) if kind < 0.3 else (a, b))
+            clauses += rng.sample(clauses, len(clauses) // 4)  # repeated clauses
+            rng.shuffle(clauses)
+            formulas.append(cnf(n, clauses))
+    for i in range(20):  # graph-dp's sizes and clause ratios
+        n = rng.randint(500, 4000)
+        literals = [s * x for x in range(1, n + 1) for s in (1, -1)]
+        formulas.append(cnf(n, [(rng.choice(literals), rng.choice(literals))
+                                for _ in range((1 + i % 2) * n)]))
+    results = [twosat_solve(f) for f in formulas]
+    assert results == [reference_twosat(f) for f in formulas]
+    assert {r.satisfiable for r in results} == {True, False}
+
+
+def test_scc_kosaraju_matches_the_two_walk_reference():
+    rng = random.Random(2602)
+    cases = []
+    for n in range(5):  # every digraph with n <= 4
+        pairs = list(itertools.permutations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            cases.append((n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]))
+    for _ in range(300):
+        n = rng.randint(5, 300)
+        arcs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3 * n))]
+        arcs = [(u, v) for u, v in arcs if u != v]
+        arcs += rng.choices(arcs, k=len(arcs) // 3) if arcs else []  # repeated arcs
+        rng.shuffle(arcs)
+        cases.append((n, arcs))
+    for n, arcs in cases:
+        g = Digraph(n, arcs)
+        want = reference_scc(g)
+        assert scc_kosaraju(g) == want
+        # _scc_labels itself, as twosat_solve calls it: repeated heads,
+        # sorted, and the tails with repeats in any order.
+        heads, tails = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+        for u, v in arcs:
+            heads[u].append(v)
+            tails[v].append(u)
+        for vs in heads:
+            vs.sort()
+        for vs in tails:
+            rng.shuffle(vs)
+        label, count = _scc_labels(heads, tails, n)
+        assert count == len(want)
+        assert all(label[v] == i for i, block in enumerate(want) for v in block)
 
 
 def test_dimacs_roundtrip():

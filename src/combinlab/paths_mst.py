@@ -7,6 +7,7 @@ exact, addition saturates), never a large surrogate number.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .graph_core import Digraph, Graph
@@ -77,12 +78,18 @@ class DijkstraResult:
 
 
 def dijkstra(g: WeightedDigraph, source: int, target: int | None = None) -> DijkstraResult:
-    """Single-source shortest paths, array version.
+    """Single-source shortest paths, with a binary heap of temporary labels.
 
     Temporary labels shrink via min(l(x), l(p) + d(p, x)); the smallest
     temporary label (ties to the smallest vertex) becomes permanent each
-    round.  All weights must be >= 0.
+    round.  All weights must be >= 0.  Each strict decrease pushes the
+    pair (label, vertex); a pair whose vertex is already permanent is
+    stale and skipped (lazy deletion).  A vertex's live pair sorts before
+    its stale ones, so the pair popped is the array version's least
+    (label, vertex).
     """
+    from heapq import heappop, heappush  # here, not at import: approx loads paths_mst
+
     if any(w < 0 for w in g.weight.values()):
         raise ValueError("Dijkstra requires non-negative weights")
     if not 1 <= exact_int(source, "source") <= g.n:
@@ -92,23 +99,24 @@ def dijkstra(g: WeightedDigraph, source: int, target: int | None = None) -> Dijk
     dist = {v: INF for v in range(1, g.n + 1)}
     pred: dict[int, int | None] = {v: None for v in range(1, g.n + 1)}
     dist[source] = 0
+    weight = g.weight
     permanent = set()
-    current = source
-    while True:
+    heap = [(0, source)]
+    while heap:
+        label, current = heappop(heap)
+        if current in permanent:
+            continue
         permanent.add(current)
         if target is not None and current == target:
             break
-        for v in g.neighbors(current):
+        for v in g.adj[current]:
             if v in permanent:
                 continue
-            cand = dist[current] + g.weight[(current, v)]
+            cand = label + weight[(current, v)]
             if cand < dist[v]:
                 dist[v] = cand
                 pred[v] = current
-        pending = [v for v in range(1, g.n + 1) if v not in permanent and dist[v] != INF]
-        if not pending:
-            break
-        current = min(pending, key=lambda v: (dist[v], v))
+                heappush(heap, (cand, v))
     return DijkstraResult(source, dist, pred)
 
 
@@ -180,7 +188,8 @@ def _floyd_packed(g: WeightedDigraph) -> FloydTables:
     row k at once, with the guard bits set; subtracting row i clears the
     guard exactly where the candidate is strictly smaller, and those
     fields of row i take the candidate and of its successor row succ(i,k).
-    Row k is the snapshot, as in the list loop: an int does not change."""
+    Row k is the snapshot, as in the list loop: an int does not change.
+    The finished rows are read back field by field by `_field_reader`."""
     n = g.n
     far = max(max(g.weight.values(), default=0), 1) * n + 1  # above every distance and vertex
     w = far.bit_length() + 2
@@ -211,10 +220,53 @@ def _floyd_packed(g: WeightedDigraph) -> FloydTables:
                 rows[i] = ri ^ (ri ^ cand) & mask
                 si = succ_rows[i]
                 succ_rows[i] = si ^ (si ^ fill[si >> at & field]) & mask
-    shifts = range(0, (n + 1) * w, w)
-    dist = [[INF if (d := r >> s & field) == far else d for s in shifts] for r in rows]
-    succ = [[r >> s & field for s in shifts] for r in succ_rows]
+    read = _field_reader(n + 1, w)
+    dist = [[INF if d == far else d for d in read(r)] for r in rows]
+    succ = [read(r) for r in succ_rows]
     return FloydTables(n, dist, succ, set())
+
+
+def _field_reader(count: int, w: int):
+    """A function that lists the `count` w-bit fields of an int, field 0
+    first.
+
+    The fields are first spread to width W: 32 bits, 64 when w > 32, and
+    whole bytes when w > 64.  Field j moves up by j * (W - w) bits, one
+    bit of j at a time, the highest first: the step for bit b shifts the
+    fields whose index has bit b set by 2^b * (W - w).  Before that step
+    the fields lie in blocks of 2^(b+1) adjacent w-bit fields, the block
+    from field h on starting at bit h * W; the step moves the upper half
+    of each block up to bit (h + 2^b) * W, so no two fields overlap.  The spread row is then read as one array of
+    W-bit cells, or, past 64 bits, cell by cell with int.from_bytes."""
+    width = 32 if w <= 32 else 64 if w <= 64 else -(-w // 8) * 8
+    size = count * width // 8
+    steps = []
+    if width > w:
+        for b in reversed(range((count - 1).bit_length())):
+            half = 1 << b
+            period = 2 * half * width
+            blocks = -(-count // (2 * half))
+            repeat = ((1 << period * blocks) - 1) // ((1 << period) - 1)  # 1 at each block
+            steps.append(((((1 << half * w) - 1) << half * w) * repeat, half * (width - w)))
+
+    def spread(r: int) -> int:
+        for mask, shift in steps:
+            high = r & mask
+            r = (r ^ high) | (high << shift)
+        return r
+
+    if width > 64:
+        step = width // 8
+
+        def read(r: int) -> list[int]:
+            row = memoryview(spread(r).to_bytes(size, "little"))
+            return [int.from_bytes(row[s:s + step], "little") for s in range(0, size, step)]
+
+        return read
+    fmt = "I" if width == 32 else "Q"
+    if sys.byteorder == "little":
+        return lambda r: memoryview(spread(r).to_bytes(size, "little")).cast(fmt).tolist()
+    return lambda r: memoryview(spread(r).to_bytes(size, "big")).cast(fmt).tolist()[::-1]
 
 
 def reconstruct_path(t: FloydTables, i: int, j: int) -> list[int]:
@@ -293,14 +345,19 @@ def prim(g: WeightedGraph) -> MstResult:
 
     After a vertex v joins the tree, each outside neighbour u of v
     refreshes its label via: if beta(u) > d(u, v) then beta(u) = d(u, v),
-    anchor = v; no other label can change.
+    anchor = v; no other label can change.  Each such drop pushes (beta(u),
+    u) on a binary heap (Johnson 1977); pairs of vertices already in the
+    tree are skipped, so the pair picked is the least (beta(u), u) outside.
     """
+    from heapq import heappop, heappush  # here, not at import: approx loads paths_mst
+
     n = g.n
     if n == 0:
         raise ValueError("graph not connected")
     weight = g.weight
     beta: dict[int, object] = {u: INF for u in range(2, n + 1)}  # the outside vertices
-    anchor: dict[int, int | None] = {u: None for u in range(2, n + 1)}
+    anchor: dict[int, int] = {}
+    heap = []
     edges = []
     total = 0
     trace = [(1, None, 0)]
@@ -312,12 +369,16 @@ def prim(g: WeightedGraph) -> MstResult:
                 if w < beta[u]:  # INF exceeds every exact weight
                     beta[u] = w
                     anchor[u] = pick
+                    heappush(heap, (w, u))
         if not beta:
             return MstResult(edges, total, trace)
-        pick = min(beta, key=lambda u: (beta[u], u))
+        while True:
+            if not heap:  # every outside label is INF
+                raise ValueError("graph not connected")
+            pick = heappop(heap)[1]
+            if pick in beta:
+                break
         best = beta.pop(pick)
-        if best == INF:
-            raise ValueError("graph not connected")
         near = anchor[pick]
         edges.append((min(pick, near), max(pick, near)))
         total = total + best
@@ -327,6 +388,17 @@ def prim(g: WeightedGraph) -> MstResult:
 def kruskal(g: WeightedGraph) -> MstResult:
     """Minimum spanning tree by edges in stable (weight, u, v) order with
     union-find (path halving) for the cycle test."""
+    return _kruskal(g, sorted(g.edges, key=lambda e: (g.weight[e], e)))
+
+
+def max_spanning_tree(g: WeightedGraph) -> MstResult:
+    """Maximum spanning tree: Kruskal over the edges in (-weight, u, v)
+    order, the order of the weight-negated graph."""
+    return _kruskal(g, sorted(g.edges, key=lambda e: (-g.weight[e], e)))
+
+
+def _kruskal(g: WeightedGraph, ordered) -> MstResult:
+    """Kruskal's loop over the edges of g in the given order."""
     if g.n == 0:
         raise ValueError("graph not connected")
     parent = list(range(g.n + 1))
@@ -337,7 +409,6 @@ def kruskal(g: WeightedGraph) -> MstResult:
             x = parent[x]
         return x
 
-    ordered = sorted(g.edges, key=lambda e: (g.weight[e], e))
     edges = []
     total = 0
     for u, v in ordered:
@@ -350,11 +421,3 @@ def kruskal(g: WeightedGraph) -> MstResult:
     if len(edges) != g.n - 1:
         raise ValueError("graph not connected")
     return MstResult(edges, total)
-
-
-def max_spanning_tree(g: WeightedGraph) -> MstResult:
-    """Maximum spanning tree via weight negation."""
-    negated = WeightedGraph(g.n, {e: -w for e, w in g.weight.items()})
-    res = kruskal(negated)
-    total = sum(g.weight[e] for e in res.edges)
-    return MstResult(res.edges, total)

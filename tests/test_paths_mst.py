@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from combinlab.approx import _complete_weighted_graph, random_metric_instance
 from combinlab.graph_core import Digraph, Graph, dfs
 from combinlab.paths_mst import (
     INF,
@@ -285,6 +286,155 @@ def test_prim_matches_all_outside_reference():
     assert 50 < disconnected < len(cases) - 300
 
 
+def array_dijkstra(g: WeightedDigraph, source: int, target=None):
+    """dijkstra as it was before its heap: every round rescans all
+    vertices for the least temporary label."""
+    dist = {v: INF for v in range(1, g.n + 1)}
+    pred = {v: None for v in range(1, g.n + 1)}
+    dist[source] = 0
+    permanent = set()
+    current = source
+    while True:
+        permanent.add(current)
+        if target is not None and current == target:
+            break
+        for v in g.neighbors(current):
+            if v in permanent:
+                continue
+            cand = dist[current] + g.weight[(current, v)]
+            if cand < dist[v]:
+                dist[v] = cand
+                pred[v] = current
+        pending = [v for v in range(1, g.n + 1) if v not in permanent and dist[v] != INF]
+        if not pending:
+            break
+        current = min(pending, key=lambda v: (dist[v], v))
+    return dist, pred
+
+
+def array_prim(g: WeightedGraph):
+    """prim as it was before its heap: each pick takes the least (beta, u)
+    over every outside vertex."""
+    n = g.n
+    if n == 0:
+        raise ValueError("graph not connected")
+    beta = {u: INF for u in range(2, n + 1)}
+    anchor = {u: None for u in range(2, n + 1)}
+    edges, total, trace = [], 0, [(1, None, 0)]
+    pick = 1
+    while True:
+        for u in g.adj[pick]:
+            if u in beta:
+                w = g.weight[(u, pick) if u < pick else (pick, u)]
+                if w < beta[u]:
+                    beta[u] = w
+                    anchor[u] = pick
+        if not beta:
+            return edges, total, trace
+        pick = min(beta, key=lambda u: (beta[u], u))
+        best = beta.pop(pick)
+        if best == INF:
+            raise ValueError("graph not connected")
+        near = anchor[pick]
+        edges.append((min(pick, near), max(pick, near)))
+        total = total + best
+        trace.append((pick, near, best))
+
+
+def sweep_weight(rng, kind):
+    if kind == "ties":
+        return rng.randint(0, 2)  # zero arcs and many equal labels
+    if kind == "huge":
+        return rng.randint(0, 10**12)
+    return rng.choice((0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2), Fraction(4, 2)))
+
+
+def sweep_cases(rng, link):
+    """Seeded weighted (di)graphs with n = 1..14 for the heap sweeps:
+    `link(n)` lists the candidate links, each kept with a drawn density."""
+    for n in range(1, 15):
+        for kind in ("ties", "huge", "fraction"):
+            for p in (0.15, 0.4, 0.9):
+                yield n, {e: sweep_weight(rng, kind) for e in link(n) if rng.random() < p}
+
+
+def graph_dp_sized(rng, n, links, connected):
+    """A graph-dp-sized instance: `links` random links on 1..n, the path
+    1-2-...-n first when `connected`, weights 1..1000."""
+    chosen = {(u, u + 1) for u in range(1, n)} if connected else set()
+    while len(chosen) < links:
+        u, v = rng.sample(range(1, n + 1), 2)
+        chosen.add((min(u, v), max(u, v)) if connected else (u, v))
+    return n, {e: rng.randint(1, 1000) for e in sorted(chosen)}
+
+
+def test_dijkstra_heap_matches_array_reference():
+    rng = random.Random(27)
+
+    def arcs(n):
+        return [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+
+    unreachable = 0
+    for n, weights in sweep_cases(rng, arcs):
+        g = WeightedDigraph(n, weights)
+        for s in range(1, n + 1):
+            for t in (None, *range(1, n + 1)):
+                res = dijkstra(g, s, t)
+                want = array_dijkstra(g, s, t)
+                assert repr((res.dist, res.pred)) == repr(want)
+            unreachable += INF in res.dist.values()
+    assert unreachable > 100
+    for n in (100, 200, 300):
+        g = WeightedDigraph(*graph_dp_sized(rng, n, 4 * n, False))
+        for s in (1, n // 2, n):
+            for t in (None, 1, n // 3, n):
+                res = dijkstra(g, s, t)
+                assert repr((res.dist, res.pred)) == repr(array_dijkstra(g, s, t))
+
+
+def prim_cases(rng):
+    for n, weights in sweep_cases(rng, lambda n: itertools.combinations(range(1, n + 1), 2)):
+        yield WeightedGraph(n, weights)
+    yield WeightedGraph(0, {})
+    for n in (100, 200, 300):
+        yield WeightedGraph(*graph_dp_sized(rng, n, 3 * n, True))
+        n, weights = graph_dp_sized(rng, n, 3 * n, True)
+        del weights[(n // 2, n // 2 + 1)]  # two halves, unless a random edge joins them
+        yield WeightedGraph(n, weights)
+    for n in range(3, 17):  # the complete graphs of double tree and Christofides
+        for seed in range(3):
+            yield _complete_weighted_graph(random_metric_instance(n, seed).matrix)
+
+
+def test_prim_heap_matches_array_reference():
+    disconnected = 0
+    for g in prim_cases(random.Random(28)):
+        try:
+            want = array_prim(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                prim(g)
+            disconnected += 1
+            continue
+        got = prim(g)
+        assert repr((got.edges, got.total_weight, got.prim_trace)) == repr(want)
+    assert 30 < disconnected < 100
+
+
+def test_max_spanning_tree_matches_the_negated_graph():
+    # Kruskal over (-w, e) order is Kruskal on the weight-negated graph.
+    for g in prim_cases(random.Random(29)):
+        try:
+            neg = kruskal(WeightedGraph(g.n, {e: -w for e, w in g.weight.items()}))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                max_spanning_tree(g)
+            continue
+        got = max_spanning_tree(g)
+        want_total = sum(g.weight[e] for e in neg.edges)
+        assert repr((got.edges, got.total_weight)) == repr((neg.edges, want_total))
+
+
 def test_float_weights_rejected():
     for build in (WeightedGraph, WeightedDigraph):
         with pytest.raises(ValueError, match="^weights must be exact ints or fractions$"):
@@ -366,6 +516,44 @@ def test_floyd_packed_rows_match_full_snapshot_reference():
         assert type(t.negative_cycle_vertices) is set
         unreachable += any(d is INF for row in t.dist[1:] for d in row[1:])
     assert 20 < unreachable < len(cases)  # sparse and strongly connected digraphs
+
+
+def width_digraph(rng, n, w, blocks):
+    """Int weights >= 0 whose packed fields are w bits wide: the heaviest
+    arc is M, with (M * n + 1).bit_length() == w - 2.  With `blocks`,
+    arcs stay inside runs of 10 vertices, each a path plus random chords,
+    so the list loop stays cheap at n = 300."""
+    heavy = (1 << w - 3) // n + 1
+    arcs = {}
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            near = (u - 1) // 10 == (v - 1) // 10
+            if u != v and (not blocks or near) and (v == u + 1 or rng.random() < 0.3):
+                arcs[(u, v)] = rng.randint(heavy // 2, heavy)
+    arcs[(1, 2)] = heavy
+    assert (max(arcs.values()) * n + 1).bit_length() + 2 == w
+    return arcs
+
+
+@pytest.mark.parametrize("w", (32, 33, 64, 65))
+def test_floyd_field_widths_match_the_list_loop(w):
+    # Fields of exactly 32 and 64 bits need no spread; 33 spreads to 64,
+    # and 65 to whole bytes, read with int.from_bytes.  One weight made an
+    # equal Fraction sends the same digraph to the list loop.
+    rng = random.Random(w)
+    for n, blocks in ((2, False), (3, False), (17, False), (40, False), (300, True)):
+        arcs = width_digraph(rng, n, w, blocks)
+        t = floyd_warshall(WeightedDigraph(n, arcs))
+        arcs[(1, 2)] = Fraction(arcs[(1, 2)])
+        want = floyd_warshall(WeightedDigraph(n, arcs))
+        assert (t.dist, t.succ, t.negative_cycle_vertices) == (want.dist, want.succ, set())
+        assert all(type(d) is int or d is INF for row in t.dist for d in row)
+        assert all(type(s) is int for row in t.succ for s in row)
+        assert any(type(d) is Fraction for row in want.dist for d in row)
+    for n in (0, 1):
+        t = floyd_warshall(WeightedDigraph(n, {}))
+        assert repr((t.dist, t.succ, t.negative_cycle_vertices)) == repr(
+            reference_floyd_warshall(WeightedDigraph(n, {})))
 
 
 def test_floyd_scales():

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .intmath import InstanceTooLargeError, ceil_log2, ceil_log3, harmonic, parse_numbers
+from .intmath import InstanceTooLargeError, _json_value, ceil_log2, ceil_log3, harmonic, parse_numbers
 
 OK, NEGATIVE, INPUT_ERROR, TOO_LARGE = 0, 1, 2, 3
 
@@ -249,7 +249,7 @@ def cmd_reduce(args):
     red = run(source.load(_read(args.file), args.k, args.limit))
     payload = {"kind": args.kind, "target": red.target.describe()}
     if args.witness:
-        w = red.source.witness(json.loads(_read(args.witness)))
+        w = red.source.witness(_json_value(_read(args.witness)))
         cx.verify_witness(red.source, w)  # a malformed witness raises here
         moved = red.forward(w)
         payload["witness"] = {
@@ -296,7 +296,7 @@ def cmd_verify(args):
     if args.problem not in cx.PROBLEMS:
         raise ValueError(f"unknown problem kind {args.problem!r}")
     problem = cx.PROBLEMS[args.problem].load(_read(args.instance), args.k, args.limit)
-    w = json.loads(_read(args.witness))
+    w = _json_value(_read(args.witness))
     try:
         accepted = cx.verify_witness(problem, problem.witness(w))
     except cx.WitnessFormatError as exc:

@@ -290,7 +290,7 @@ class Clique(_GraphK):
     __slots__ = ()
 
     def verify(self, w):
-        vs = _as_vertex_set(w, self.graph.n)
+        vs = _member_set(w, "vertex", self.graph.n)
         if len(vs) < self.k:
             return False
         return all(
@@ -309,7 +309,7 @@ class IndependentSet(_GraphK):
     __slots__ = ()
 
     def verify(self, w):
-        vs = _as_vertex_set(w, self.graph.n)
+        vs = _member_set(w, "vertex", self.graph.n)
         if len(vs) < self.k:
             return False
         return not any(
@@ -329,7 +329,7 @@ class VertexCover(_GraphK):
     __slots__ = ()
 
     def verify(self, w):
-        vs = _as_vertex_set(w, self.graph.n)
+        vs = _member_set(w, "vertex", self.graph.n)
         if len(vs) > self.k:
             return False
         return all(u in vs or v in vs for u, v in self.graph.edges)
@@ -406,7 +406,7 @@ class ExactCover(_SetFamily):
 
     def verify(self, w):
         covered: list = []
-        for i in _indices(w, len(self.family)):
+        for i in _member_set(w, "index", len(self.family)):
             covered.extend(self.family[i - 1])
         return len(covered) == len(set(covered)) and set(covered) == set(self.universe)
 
@@ -438,11 +438,7 @@ class Representatives(_SetFamily):
     __slots__ = ()
 
     def verify(self, w):
-        if not isinstance(w, (set, frozenset, list, tuple)):
-            raise WitnessFormatError("expected an element collection")
-        ws = set(w)
-        if ws - set(self.universe):
-            raise WitnessFormatError("representative outside the universe")
+        ws = _member_set(w, "element", self.universe)
         return all(len(ws & s) == 1 for s in self.family)
 
     def search(self):
@@ -472,7 +468,7 @@ class SetCover(_SetFamily):
         return {**super().describe(), "k": self.k}
 
     def verify(self, w):
-        idxs = _indices(w, len(self.family))
+        idxs = _member_set(w, "index", len(self.family))
         if len(idxs) > self.k:
             return False
         covered = set().union(*(self.family[i - 1] for i in idxs)) if idxs else set()
@@ -583,7 +579,7 @@ class Partition(_SetWitness):
         return {"numbers": list(self.numbers)}
 
     def verify(self, w):
-        inside = sum(self.numbers[i - 1] for i in _indices(w, len(self.numbers)))
+        inside = sum(self.numbers[i - 1] for i in _member_set(w, "index", len(self.numbers)))
         return 2 * inside == sum(self.numbers)
 
     def search(self):
@@ -822,13 +818,32 @@ def _as_assignment(w, num_vars: int) -> list[bool]:
     return [bool(b) for b in w]
 
 
-def _as_vertex_set(w, n: int) -> set[int]:
+# set-shaped witness kind -> (what it must be, the error for a member outside)
+_MEMBER_KINDS = {
+    "vertex": ("a vertex collection", "vertex out of range"),
+    "index": ("a collection of indices", "index out of range"),
+    "element": ("an element collection", "representative outside the universe"),
+}
+
+
+def _member_set(w, kind: str, within) -> set:
+    """The members of a set-shaped witness: a set, list or tuple of
+    vertices or indices, ints in 1..within, or of elements of the universe
+    `within`.  Another shape, or a member outside (an unhashable one is
+    outside every instance), raises WitnessFormatError."""
+    shape, outside = _MEMBER_KINDS[kind]
     if not isinstance(w, (set, frozenset, list, tuple)):
-        raise WitnessFormatError("expected a vertex collection")
-    vs = set(w)
-    if not all(isinstance(v, int) and 1 <= v <= n for v in vs):
-        raise WitnessFormatError("vertex out of range")
-    return vs
+        raise WitnessFormatError(f"expected {shape}")
+    try:
+        ws = set(w)
+    except TypeError:
+        raise WitnessFormatError(outside) from None
+    if kind == "element":
+        if ws - set(within):
+            raise WitnessFormatError(outside)
+    elif not all(isinstance(x, int) and 1 <= x <= within for x in ws):
+        raise WitnessFormatError(outside)
+    return ws
 
 
 def verify_witness(problem, w) -> bool:
@@ -837,15 +852,6 @@ def verify_witness(problem, w) -> bool:
     if not isinstance(problem, Problem):
         raise TypeError(f"unknown problem type {type(problem)!r}")
     return problem.verify(w)
-
-
-def _indices(w, m: int) -> set[int]:
-    if not isinstance(w, (set, frozenset, list, tuple)):
-        raise WitnessFormatError("expected a collection of indices")
-    idxs = set(w)
-    if not all(isinstance(i, int) and 1 <= i <= m for i in idxs):
-        raise WitnessFormatError("index out of range")
-    return idxs
 
 
 def _as_permutation(w, n: int) -> list[int]:
@@ -1135,60 +1141,35 @@ class ReductionOutput(_Record):
 
 
 def sat_to_3sat(f: CnfFormula) -> ReductionOutput:
-    """Equisatisfiable exact-3-CNF via unit/pair padding and chain splits."""
+    """Equisatisfiable exact-3-CNF.  A clause of w <= 3 literals is padded
+    with each sign pattern of 3 - w fresh variables, in product order; a
+    longer one is split into a chain of triples, each fresh variable
+    linking the clause's first literals to the rest."""
     if not f.clauses:
         raise ValueError("needs at least one clause")
-    clauses: list[tuple[int, int, int]] = []
+    clauses: list[tuple[int, ...]] = []
     next_var = f.num_vars + 1
-    plans: list[dict] = []
-    for clause in f.clauses:
-        lits = list(clause)
-        if len(lits) == 1:
-            z, w = next_var, next_var + 1
-            next_var += 2
-            x = lits[0]
-            clauses.extend(
-                [(x, z, w), (x, z, -w), (x, -z, w), (x, -z, -w)]
-            )
-            plans.append({"kind": "unit", "fresh": [z, w]})
-        elif len(lits) == 2:
-            w = next_var
-            next_var += 1
-            x, y = lits
-            clauses.extend([(x, y, w), (x, y, -w)])
-            plans.append({"kind": "pair", "fresh": [w]})
-        elif len(lits) == 3:
-            clauses.append(tuple(lits))
-            plans.append({"kind": "triple", "fresh": []})
+    plans: list[tuple[range, tuple | None]] = []  # (fresh variables, chain literals or None)
+    for clause in map(tuple, f.clauses):
+        fresh = range(next_var, next_var + abs(len(clause) - 3))
+        next_var = fresh.stop
+        if len(clause) > 3:  # (l1, l2, y1), (-y1, l3, y2), ..., (-y_last, l_w-1, l_w)
+            clauses += zip((clause[0], *[-v for v in fresh]), clause[1:], (*fresh, clause[-1]))
+            plans.append((fresh, clause))
         else:
-            chain = []
-            rest = lits
-            while len(rest) > 3:
-                w = next_var
-                next_var += 1
-                clauses.append((rest[0], rest[1], w))
-                chain.append(w)
-                rest = [-w] + rest[2:]
-            clauses.append(tuple(rest))
-            plans.append({"kind": "chain", "fresh": chain, "lits": lits})
+            clauses += [clause + signs for signs in itertools.product(*[(v, -v) for v in fresh])]
+            plans.append((fresh, None))
     target = CnfFormula(next_var - 1, tuple(clauses))
 
     def forward(assignment):
         alpha = _as_assignment(assignment, f.num_vars)
         ext = list(alpha)
-
-        def sat_lit(l):
-            return ext[abs(l) - 1] == (l > 0)
-
-        for plan in plans:
-            if plan["kind"] in ("unit", "pair"):
-                ext.extend([False] * len(plan["fresh"]))
-            elif plan["kind"] == "chain":
-                # Chain var true exactly when the remaining suffix must
-                # carry the satisfaction.
-                lits = plan["lits"]
-                for pos in range(len(plan["fresh"])):
-                    ext.append(not any(sat_lit(l) for l in lits[: 2 + pos]))
+        for fresh, lits in plans:
+            if lits is None:
+                ext += [False] * len(fresh)
+            else:  # a chain variable is true exactly when the literals after it must satisfy the clause
+                ext += [not any(alpha[abs(l) - 1] == (l > 0) for l in lits[: 2 + pos])
+                        for pos in range(len(fresh))]
         return ext
 
     def backward(assignment):
@@ -1312,7 +1293,7 @@ def exact_cover_to_knapsack01(problem: ExactCover) -> ReductionOutput:
     target = Knapsack01(numbers, total)
 
     def forward(subfamily):
-        idxs = _indices(subfamily, m)
+        idxs = _member_set(subfamily, "index", m)
         return [1 if i in idxs else 0 for i in range(1, m + 1)]
 
     def backward(x):
@@ -1374,7 +1355,7 @@ def vc_to_ham_circuit(problem: VertexCover) -> ReductionOutput:
     names = {num: key for key, num in ids.items()}
 
     def forward(cover):
-        vs = _as_vertex_set(cover, g.n)
+        vs = _member_set(cover, "vertex", g.n)
         chosen = sorted(v for v in vs if g.degree(v))
         for v in sorted(positive):
             if len(chosen) >= k_eff:
@@ -1427,10 +1408,10 @@ def _is_to_vc(problem: IndependentSet) -> ReductionOutput:
     target = VertexCover(g, g.n - k)
 
     def forward(ind_set):
-        return set(range(1, g.n + 1)) - _as_vertex_set(ind_set, g.n)
+        return set(range(1, g.n + 1)) - _member_set(ind_set, "vertex", g.n)
 
     def backward(cover):
-        return set(range(1, g.n + 1)) - _as_vertex_set(cover, g.n)
+        return set(range(1, g.n + 1)) - _member_set(cover, "vertex", g.n)
 
     return ReductionOutput(problem, target, forward, backward)
 
@@ -1441,44 +1422,27 @@ def _coloring_to_exact_cover(problem: Coloring) -> ReductionOutput:
         [("v", v) for v in range(1, g.n + 1)]
         + [("slot", i, e) for i in range(1, k + 1) for e in g.edges]
     )
-    family = []
-    labels = []
-    for v in range(1, g.n + 1):
-        for i in range(1, k + 1):
-            members = {("v", v)} | {
-                ("slot", i, e) for e in g.edges if v in e
-            }
-            family.append(frozenset(members))
-            labels.append(("S", v, i))
-    for e in g.edges:
-        for i in range(1, k + 1):
-            family.append(frozenset({("slot", i, e)}))
-            labels.append(("T", e, i))
-    target = ExactCover(universe, tuple(family))
-    index_of = {lab: idx + 1 for idx, lab in enumerate(labels)}
+    # ("S", v, i): v takes colour i; ("T", e, i): neither end of e does
+    sets = {
+        ("S", v, i): frozenset({("v", v)} | {("slot", i, e) for e in g.edges if v in e})
+        for v in range(1, g.n + 1) for i in range(1, k + 1)
+    }
+    sets.update({("T", e, i): frozenset({("slot", i, e)}) for e in g.edges for i in range(1, k + 1)})
+    target = ExactCover(universe, tuple(sets.values()))
+    labels = list(sets)
+    index_of = {lab: idx for idx, lab in enumerate(labels, 1)}
 
     def forward(coloring):
         if not all(isinstance(c, int) and 1 <= c <= k for c in coloring.values()):
             raise ValueError(f"colours must be integers in 1..{k}")
         chosen = {index_of[("S", v, coloring[v])] for v in range(1, g.n + 1)}
-        covered = set()
-        for idx in chosen:
-            covered |= target.family[idx - 1]
-        for e in g.edges:
-            for i in range(1, k + 1):
-                if ("slot", i, e) not in covered:
-                    chosen.add(index_of[("T", e, i)])
+        chosen.update(index_of[("T", e, i)] for e in g.edges for i in range(1, k + 1)
+                      if i not in (coloring[e[0]], coloring[e[1]]))
         return chosen
 
     def backward(subfamily):
-        idxs = _indices(subfamily, len(family))
-        colors = {}
-        for idx in idxs:
-            lab = labels[idx - 1]
-            if lab[0] == "S":
-                _, v, i = lab
-                colors[v] = i
-        return colors
+        picked = (labels[idx - 1] for idx in _member_set(subfamily, "index", len(labels)))
+        return {v: i for kind, v, i in picked if kind == "S"}
 
     return ReductionOutput(problem, target, forward, backward)
 
@@ -1493,7 +1457,7 @@ def _exact_cover_to_representatives(problem: ExactCover) -> ReductionOutput:
     target = Representatives(universe, family)
 
     def forward(subfamily):
-        return set(_indices(subfamily, m))
+        return _member_set(subfamily, "index", m)
 
     def backward(w):
         return set(w)
@@ -1530,10 +1494,10 @@ def _vc_to_set_cover(problem: VertexCover) -> ReductionOutput:
     target = SetCover(universe, family, min(k, g.n))
 
     def forward(cover):
-        return set(_as_vertex_set(cover, g.n))
+        return _member_set(cover, "vertex", g.n)
 
     def backward(idxs):
-        return set(_indices(idxs, g.n))
+        return _member_set(idxs, "index", g.n)
 
     return ReductionOutput(problem, target, forward, backward)
 
@@ -1600,18 +1564,20 @@ def _ham_cycle_to_tsp(problem: HamCycle) -> ReductionOutput:
     return ReductionOutput(problem, target, forward, backward)
 
 
+def _ilp(constraints, bounds) -> Ilp:
+    """The Ilp of a list of (row, relation, rhs) triples over `bounds`."""
+    return Ilp(*zip(*constraints), tuple(bounds))
+
+
+def _at_most_one(count: int, width: int) -> list:
+    """The constraints x_i <= 1 on the first `count` of `width` columns."""
+    zeros = (0,) * width
+    return [(zeros[:i] + (1,) + zeros[i + 1:], "<=", 1) for i in range(count)]
+
+
 def _knapsack01_to_ilp(problem: Knapsack01) -> ReductionOutput:
     n = len(problem.numbers)
-    rows = [tuple(problem.numbers)]
-    relations = ["=="]
-    rhs = [problem.target]
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        rows.append(tuple(unit))
-        relations.append("<=")
-        rhs.append(1)
-    target = Ilp(tuple(rows), tuple(relations), tuple(rhs), tuple((0, 1) for _ in range(n)))
+    target = _ilp([(tuple(problem.numbers), "==", problem.target), *_at_most_one(n, n)], ((0, 1),) * n)
 
     def forward(x):
         return [int(b) for b in _as_assignment(x, n)]
@@ -1625,26 +1591,15 @@ def _knapsack01_to_ilp(problem: Knapsack01) -> ReductionOutput:
 def _set_cover_to_ilp(problem: SetCover) -> ReductionOutput:
     m = len(problem.family)
     k_eff = min(problem.k, m)
-    rows = []
-    relations = []
-    rhs = []
-    for a in problem.universe:
-        rows.append(tuple(1 if a in s else 0 for s in problem.family))
-        relations.append(">=")
-        rhs.append(1)
-    rows.append(tuple([1] * m))
-    relations.append("==")
-    rhs.append(k_eff)
-    for i in range(m):
-        unit = [0] * m
-        unit[i] = 1
-        rows.append(tuple(unit))
-        relations.append("<=")
-        rhs.append(1)
-    target = Ilp(tuple(rows), tuple(relations), tuple(rhs), tuple((0, 1) for _ in range(m)))
+    target = _ilp(
+        [*((tuple(1 if a in s else 0 for s in problem.family), ">=", 1) for a in problem.universe),
+         ((1,) * m, "==", k_eff),
+         *_at_most_one(m, m)],
+        ((0, 1),) * m,
+    )
 
     def forward(idxs):
-        chosen = set(_indices(idxs, m))
+        chosen = _member_set(idxs, "index", m)
         for i in range(1, m + 1):
             if len(chosen) >= k_eff:
                 break
@@ -1658,17 +1613,15 @@ def _set_cover_to_ilp(problem: SetCover) -> ReductionOutput:
 
 
 def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
+    """Miller-Tucker-Zemlin: an arc column x_ij per ordered pair, then a
+    rank column u_i per city i >= 2."""
     n = len(problem.matrix)
-    arc_vars = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    u_vars = list(range(2, n + 1))
+    cities = range(1, n + 1)
+    arc_vars = [(i, j) for i in cities for j in cities if i != j]
+    u_vars = range(2, n + 1)
     width = len(arc_vars) + len(u_vars)
     col = {("x", i, j): idx for idx, (i, j) in enumerate(arc_vars)}
-    for idx, i in enumerate(u_vars):
-        col[("u", i)] = len(arc_vars) + idx
-
-    rows = []
-    relations = []
-    rhs = []
+    col.update({("u", i): idx for idx, i in enumerate(u_vars, len(arc_vars))})
 
     def row_of(entries):
         r = [0] * width
@@ -1676,35 +1629,15 @@ def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
             r[col[key]] = coef
         return tuple(r)
 
-    length_row = [
-        (("x", i, j), problem.matrix[i - 1][j - 1]) for (i, j) in arc_vars
-    ]
-    rows.append(row_of(length_row))
-    relations.append("<=")
-    rhs.append(problem.limit)
-    for i in range(1, n + 1):
-        rows.append(row_of([(("x", i, j), 1) for j in range(1, n + 1) if j != i]))
-        relations.append("==")
-        rhs.append(1)
-    for j in range(1, n + 1):
-        rows.append(row_of([(("x", i, j), 1) for i in range(1, n + 1) if i != j]))
-        relations.append("==")
-        rhs.append(1)
-    for i in range(2, n + 1):
-        for j in range(2, n + 1):
-            if i == j:
-                continue
-            rows.append(
-                row_of([(("u", i), 1), (("u", j), -1), (("x", i, j), n)])
-            )
-            relations.append("<=")
-            rhs.append(n - 1)
-    for (i, j) in arc_vars:
-        rows.append(row_of([(("x", i, j), 1)]))
-        relations.append("<=")
-        rhs.append(1)
-    bounds = tuple([(0, 1)] * len(arc_vars) + [(0, n - 1)] * len(u_vars))
-    target = Ilp(tuple(rows), tuple(relations), tuple(rhs), bounds)
+    target = _ilp(
+        [(row_of([(("x", i, j), problem.matrix[i - 1][j - 1]) for i, j in arc_vars]), "<=", problem.limit),
+         *((row_of([(("x", i, j), 1) for j in cities if j != i]), "==", 1) for i in cities),
+         *((row_of([(("x", i, j), 1) for i in cities if i != j]), "==", 1) for j in cities),
+         *((row_of([(("u", i), 1), (("u", j), -1), (("x", i, j), n)]), "<=", n - 1)
+           for i, j in arc_vars if i > 1 and j > 1),
+         *_at_most_one(len(arc_vars), width)],
+        ((0, 1),) * len(arc_vars) + ((0, n - 1),) * len(u_vars),
+    )
 
     def forward(tour):
         seq = list(tour)
@@ -1719,10 +1652,7 @@ def _tsp_to_ilp(problem: Tsp) -> ReductionOutput:
         return x
 
     def backward(x):
-        succ = {}
-        for (i, j) in arc_vars:
-            if x[col[("x", i, j)]]:
-                succ[i] = j
+        succ = {i: j for idx, (i, j) in enumerate(arc_vars) if x[idx]}
         tour = [1] if n else []
         while len(tour) < n:
             tour.append(succ[tour[-1]])

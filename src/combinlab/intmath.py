@@ -192,9 +192,18 @@ class _JsonInstance(dict):
         raise ValueError(f"instance is missing the key {key!r}")
 
 
+def _json_value(text: str):
+    """The JSON value of a file's text.  Nesting deeper than json's
+    decoder recurses is bad input like any other: a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def json_object(text: str) -> dict:
     """Parse an instance file that must hold a JSON object."""
-    data = json.loads(text)
+    data = _json_value(text)
     if not isinstance(data, dict):
         raise ValueError("instance must be a JSON object")
     return _JsonInstance(data)

@@ -822,6 +822,7 @@ MALFORMED_FILES = {
     "flipped.g": "p 2 2\ne 1 2 5\ne 2 1 7\n",
     "repeat.d": "pd 2 2\na 1 2 5\na 1 2 7\n",
     "misaligned-kd.json": '{"values": [5, 6, 7], "volumes": [1, 2], "capacity": 10, "goal": 12}',
+    "deep.json": "[" * 10**5 + "]" * 10**5,
 }
 
 
@@ -867,6 +868,13 @@ MISALIGNED = {
     "verify knapsack-decision misaligned-kd.json [1,1,1]": "error: values and volumes must align\n",
 }
 
+# JSON nested deeper than json's decoder recurses, as an instance or a witness.
+TOO_DEEP = {
+    "verify sat f.cnf deep.json": "error: JSON nested too deeply\n",
+    "solve knapsack deep.json": "error: JSON nested too deeply\n",
+    "reduce is-vc tri.g --k 1 --witness deep.json": "error: JSON nested too deeply\n",
+}
+
 # Euler cycles and connected components are defined on undirected graphs.
 UNDIRECTED_ONLY = {
     "solve euler cyc.d": "error: euler needs an undirected graph\n",
@@ -898,11 +906,13 @@ UNDIRECTED_ONLY = {
         *REPEATED_LINK,
         *ZERO_DENOMINATOR,
         *MISALIGNED,
+        *TOO_DEEP,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     err = assert_input_error(tmp_path, capsys, call)
-    expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK, **ZERO_DENOMINATOR, **MISALIGNED}.get(call)
+    expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK, **ZERO_DENOMINATOR, **MISALIGNED,
+                **TOO_DEEP}.get(call)
     if expected is not None:
         assert err == expected
 

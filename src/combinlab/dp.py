@@ -2,7 +2,14 @@
 longest common subsequence, matrix-chain ordering, parenthesization
 counting, and optimal polygon triangulation.
 
-The knapsack's Pareto frontier is a sorted list of (volume, -value,
+The 0/1 knapsack has two paths with one answer: the largest value, at
+the least volume, and among the item sets with no (0, 0) item that reach
+both, the first ascending item tuple.  When every value, volume and the
+capacity is an int and a cost model finds the capacity table at most
+half as dear as the sweep, the table is filled by packed rows, one int
+per item with a byte-aligned field per volume.  Every other input
+(fractions, Decimals, bools, a capacity such as 10**20) takes the
+Pareto-set sweep, whose frontier is a sorted list of (volume, -value,
 items) tuples, so native tuple order is its tie rule, and sorted()
 merges the frontier with its extension by each item in linear time.
 The longest common subsequence runs on bit-parallel rows, one big
@@ -20,9 +27,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from math import lcm
+from math import gcd, isqrt, lcm
 
-from .intmath import _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object, refuse_floats
+from .intmath import (
+    _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object, read_cells, refuse_floats,
+)
 
 DIAG, UP, LEFT = "Diag", "Up", "Left"
 
@@ -114,12 +123,28 @@ def allocate(inst: AllocationInstance) -> tuple[int, list[int]]:
 
 
 def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
-    """Exact 0/1 knapsack via Pareto-set sweep (Nemhauser and Ullmann).
+    """Exact 0/1 knapsack.  Items are numbered from 1.  Returns (chosen
+    item set, total value): the largest value that fits, at the least
+    volume that holds it, and among the item sets with no item of value 0
+    and volume 0 that reach both, the one whose ascending item tuple comes
+    first.
 
-    Items are numbered from 1.  Among equal-value states the smaller
-    volume survives; among fully equal states the lexicographically
-    smallest item set does.  Returns (chosen item set, total value).
+    When every value, every volume and the capacity is an int (not a
+    bool) and the capacity table is small enough to beat the sweep (see
+    `_table_fits`), `_knapsack_table` fills it by packed rows.  Every
+    other input, such as fractions, Decimals, bools or a huge capacity,
+    goes to `_knapsack_sweep`, the Pareto-set sweep of Nemhauser and
+    Ullmann.  Both give the same answer.
     """
+    values, volumes = _knapsack_lists(values, volumes, capacity)
+    if _table_fits(values, volumes, capacity):
+        return _knapsack_table(values, volumes, capacity)
+    return _knapsack_sweep(values, volumes, capacity)
+
+
+def _knapsack_lists(values, volumes, capacity) -> tuple[list, list]:
+    """values and volumes as lists, checked as both knapsack entry points
+    take them: aligned, exact, non-negative, and a capacity >= 0."""
     values, volumes = list(values), list(volumes)
     if len(values) != len(volumes):
         raise ValueError("values and volumes must align")
@@ -128,6 +153,14 @@ def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
         raise ValueError("inputs must be non-negative")
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
+    return values, volumes
+
+
+def _knapsack_sweep(values, volumes, capacity) -> tuple[set[int], int]:
+    """knapsack_pareto by a Pareto-set sweep (Nemhauser and Ullmann), for
+    any exact numbers.  Among equal-value states the smaller volume
+    survives; among fully equal states the smaller item tuple does, so an
+    item of value 0 and volume 0 never joins one."""
     # A state is (volume, -value, items), its items an ascending tuple, so
     # tuple order is the tie rule: volume, then value descending, then the
     # smaller item tuple.  Volume and value both rise strictly along the
@@ -147,12 +180,112 @@ def knapsack_pareto(values, volumes, capacity) -> tuple[set[int], int]:
     return set(items), -neg
 
 
+def _cell_width(top: int) -> int:
+    """Bits per field for values up to `top` and a guard bit above them:
+    8, 16, 32 or 64, or whole bytes past 64."""
+    w = top.bit_length() + 1
+    return 8 << max(0, (w - 1).bit_length() - 3) if w <= 64 else -(-w // 8) * 8
+
+
+def _table_fits(values, volumes, capacity) -> bool:
+    """Whether knapsack_pareto takes `_knapsack_table`: all ints, and a
+    table that costs at most half the sweep by the cost model of
+    `_table_cost` and `_sweep_cost`.  The half is the margin for the
+    error of the sweep's estimate."""
+    if type(capacity) is not int:
+        return False
+    n, cols = len(values), capacity + 1
+    if 2 * _table_cost(n, cols, 8) > _sweep_cost(n, cols):
+        return False  # too dear whatever the values
+    if {*map(type, values), *map(type, volumes)} - {int}:
+        return False
+    value_sum = sum(values)
+    w = _cell_width(value_sum + 1)
+    if (n + 1) * cols * w > TABLE_BITS:
+        return False
+    reach = min(value_sum // (gcd(*values) or 1), min(sum(volumes), capacity) // (gcd(*volumes) or 1)) + 1
+    return 2 * _table_cost(n, cols, w) <= _sweep_cost(n, reach)
+
+
+# The cost model's constants, in the time to fill one bit of a table row
+# (about 0.3 ns on the host of CHANGES.md), fitted to timings of both
+# paths; and the largest table, in bits.
+TABLE_CALL, TABLE_COLUMN, TABLE_ITEM = 12000, 100, 4300
+SWEEP_CALL, SWEEP_ITEM, SWEEP_STATE = 9600, 1500, 1350
+TABLE_BITS = 1 << 27
+
+
+def _table_cost(n: int, cols: int, w: int) -> int:
+    """The table's cost: a call, each column read back, and per item a
+    fixed part and its row of cols w-bit fields."""
+    return TABLE_CALL + cols * (TABLE_COLUMN + n * w) + n * TABLE_ITEM
+
+
+def _sweep_cost(n: int, reach: int) -> int:
+    """The sweep's estimated cost: a call, per item, and per state.  The
+    frontier after k items is estimated at k^2 / 4 + 1 states, as on
+    random instances, but no more than `reach`, the count of values or
+    of volumes it can reach."""
+    rising = min(n, 2 * isqrt(reach))  # k^2 / 4 + 1 stays below reach up to about here
+    states = rising * (rising + 1) * (2 * rising + 1) // 24 + rising + (n - rising) * reach
+    return SWEEP_CALL + SWEEP_ITEM * n + SWEEP_STATE * states
+
+
+def _knapsack_table(values, volumes, capacity) -> tuple[set[int], int]:
+    """knapsack_pareto for int inputs, on packed rows (Bellman 1957;
+    broadword arithmetic, Knuth TAOCP 4A 7.1.3).
+
+    Row g_k is one int with a w-bit field per volume c = 0..capacity, at
+    bit c * w: 1 + the best value of a subset of items k..n whose volume
+    is exactly c, or 0 where no subset has that volume.  Only items that
+    can be in a best set count: those of value c_k > 0 and volume v_k
+    within the capacity.  g_{n+1} = 1, and for such an item g_k is the
+    field-wise max of g_{k+1} and g_{k+1} shifted up by v_k fields with
+    c_k added to its nonzero fields; for the others g_k = g_{k+1}.  The
+    fields are whole bytes (`_cell_width`) and hold at most sum(values)
+    + 1, below the guard (top) bit, so the max is one subtraction with
+    the guard bits set, as in `matrix_chain`.
+
+    g_1 is read once: V is its largest field and W the first volume
+    holding it, the least volume at the best value.  The walk over
+    k = 1..n takes item k exactly when it is not (0, 0) and g_{k+1} holds
+    V - c_k at W - v_k, that is, when some best set at (W, V) that agrees
+    with the walk so far holds it, and then goes on from (W - v_k,
+    V - c_k).  Taking each item it can, the walk ends at the first
+    ascending tuple.  A value-0 item of volume > 0 never passes the
+    test, as no set reaches V at less volume than W."""
+    w = _cell_width(sum(values) + 1)
+    top = w - 1
+    cols = capacity + 1
+    full = (1 << cols * w) - 1
+    ones = full // ((1 << w) - 1)  # 1 in every field
+    guard = ones << top
+    row, rows = 1, [1]  # rows ends as g_{n+1}, g_n, ..., g_1
+    for value, volume in zip(reversed(values), reversed(volumes)):
+        if value and volume <= capacity:
+            cand = row << volume * w & full
+            cand += value * (((cand | guard) - ones & guard) >> top)
+            kept = (cand | guard) - row & guard  # the guard bits of fields where cand >= row
+            row ^= (row ^ cand) & kept - (kept >> top)
+        rows.append(row)
+    rows.reverse()
+    cells = read_cells(row, cols, w)
+    best = max(cells)
+    room, want, field = cells.index(best), best, (1 << w) - 1
+    chosen = []
+    for k, (value, volume) in enumerate(zip(values, volumes), 1):
+        # rows[k] is g_{k+1}, and want - value is 1 + (V - c_k) as it holds it.
+        if (value or volume) and volume <= room and rows[k] >> (room - volume) * w & field == want - value:
+            chosen.append(k)
+            room -= volume
+            want -= value
+    assert (room, want) == (0, 1)
+    return set(chosen), best - 1
+
+
 def greedy_knapsack_by_density(values, volumes, capacity) -> tuple[set[int], int]:
     """Value-density greedy; feasible but with no optimality contract."""
-    values, volumes = list(values), list(volumes)
-    if len(values) != len(volumes):
-        raise ValueError("values and volumes must align")
-    refuse_floats((*values, *volumes, capacity), "values, volumes and capacity")
+    values, volumes = _knapsack_lists(values, volumes, capacity)
 
     def density_key(i: int):
         c, v = values[i - 1], volumes[i - 1]

@@ -8,13 +8,16 @@ that also take fractions refuse floats through `refuse_floats`.  The
 number-list parser, the size-cap error and the value-record bases live
 here too, so that the sorting and selection commands need nothing from
 `complexity` (which re-exports the first two) and `search_games` and `dp`
-share its records.
+share its records.  So do the readers of packed rows, one int with a
+fixed-width field per cell, that `paths_mst` and `dp` fill by broadword
+arithmetic.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -180,6 +183,57 @@ class _FrozenRecord(_Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+# --- packed rows ---------------------------------------------------------------
+
+_CELL_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def read_cells(r: int, count: int, width: int) -> list[int]:
+    """The `count` cells of `width` bits of r, cell 0 (the lowest) first,
+    for a width that is a whole number of bytes.  One to_bytes reads the
+    row; cells of 8, 16, 32 or 64 bits come out of one memoryview cast,
+    wider ones cell by cell with int.from_bytes."""
+    size = count * width // 8
+    if width > 64:
+        step = width // 8
+        row = memoryview(r.to_bytes(size, "little"))
+        return [int.from_bytes(row[s:s + step], "little") for s in range(0, size, step)]
+    if sys.byteorder == "little":
+        return memoryview(r.to_bytes(size, "little")).cast(_CELL_FORMATS[width]).tolist()
+    return memoryview(r.to_bytes(size, "big")).cast(_CELL_FORMATS[width]).tolist()[::-1]
+
+
+def field_reader(count: int, w: int):
+    """A function that lists the `count` w-bit fields of an int, field 0
+    first.
+
+    The fields are first spread to width W: 32 bits, 64 when w > 32, and
+    whole bytes when w > 64.  Field j moves up by j * (W - w) bits, one
+    bit of j at a time, the highest first: the step for bit b shifts the
+    fields whose index has bit b set by 2^b * (W - w).  Before that step
+    the fields lie in blocks of 2^(b+1) adjacent w-bit fields, the block
+    from field h on starting at bit h * W; the step moves the upper half
+    of each block up to bit (h + 2^b) * W, so no two fields overlap.  The
+    spread row is then read by `read_cells`."""
+    width = 32 if w <= 32 else 64 if w <= 64 else -(-w // 8) * 8
+    steps = []
+    if width > w:
+        for b in reversed(range((count - 1).bit_length())):
+            half = 1 << b
+            period = 2 * half * width
+            blocks = -(-count // (2 * half))
+            repeat = ((1 << period * blocks) - 1) // ((1 << period) - 1)  # 1 at each block
+            steps.append(((((1 << half * w) - 1) << half * w) * repeat, half * (width - w)))
+
+    def read(r: int) -> list[int]:
+        for mask, shift in steps:
+            high = r & mask
+            r = (r ^ high) | (high << shift)
+        return read_cells(r, count, width)
+
+    return read
 
 
 # --- input checks: JSON instances, then floats ---------------------------------

@@ -7,11 +7,10 @@ exact, addition saturates), never a large surrogate number.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .graph_core import Digraph, Graph
-from .intmath import exact_int, refuse_floats
+from .intmath import exact_int, field_reader, refuse_floats
 
 INF = float("inf")
 
@@ -189,7 +188,7 @@ def _floyd_packed(g: WeightedDigraph) -> FloydTables:
     guard exactly where the candidate is strictly smaller, and those
     fields of row i take the candidate and of its successor row succ(i,k).
     Row k is the snapshot, as in the list loop: an int does not change.
-    The finished rows are read back field by field by `_field_reader`."""
+    The finished rows are read back field by field by `field_reader`."""
     n = g.n
     far = max(max(g.weight.values(), default=0), 1) * n + 1  # above every distance and vertex
     w = far.bit_length() + 2
@@ -220,53 +219,10 @@ def _floyd_packed(g: WeightedDigraph) -> FloydTables:
                 rows[i] = ri ^ (ri ^ cand) & mask
                 si = succ_rows[i]
                 succ_rows[i] = si ^ (si ^ fill[si >> at & field]) & mask
-    read = _field_reader(n + 1, w)
+    read = field_reader(n + 1, w)
     dist = [[INF if d == far else d for d in read(r)] for r in rows]
     succ = [read(r) for r in succ_rows]
     return FloydTables(n, dist, succ, set())
-
-
-def _field_reader(count: int, w: int):
-    """A function that lists the `count` w-bit fields of an int, field 0
-    first.
-
-    The fields are first spread to width W: 32 bits, 64 when w > 32, and
-    whole bytes when w > 64.  Field j moves up by j * (W - w) bits, one
-    bit of j at a time, the highest first: the step for bit b shifts the
-    fields whose index has bit b set by 2^b * (W - w).  Before that step
-    the fields lie in blocks of 2^(b+1) adjacent w-bit fields, the block
-    from field h on starting at bit h * W; the step moves the upper half
-    of each block up to bit (h + 2^b) * W, so no two fields overlap.  The spread row is then read as one array of
-    W-bit cells, or, past 64 bits, cell by cell with int.from_bytes."""
-    width = 32 if w <= 32 else 64 if w <= 64 else -(-w // 8) * 8
-    size = count * width // 8
-    steps = []
-    if width > w:
-        for b in reversed(range((count - 1).bit_length())):
-            half = 1 << b
-            period = 2 * half * width
-            blocks = -(-count // (2 * half))
-            repeat = ((1 << period * blocks) - 1) // ((1 << period) - 1)  # 1 at each block
-            steps.append(((((1 << half * w) - 1) << half * w) * repeat, half * (width - w)))
-
-    def spread(r: int) -> int:
-        for mask, shift in steps:
-            high = r & mask
-            r = (r ^ high) | (high << shift)
-        return r
-
-    if width > 64:
-        step = width // 8
-
-        def read(r: int) -> list[int]:
-            row = memoryview(spread(r).to_bytes(size, "little"))
-            return [int.from_bytes(row[s:s + step], "little") for s in range(0, size, step)]
-
-        return read
-    fmt = "I" if width == 32 else "Q"
-    if sys.byteorder == "little":
-        return lambda r: memoryview(spread(r).to_bytes(size, "little")).cast(fmt).tolist()
-    return lambda r: memoryview(spread(r).to_bytes(size, "big")).cast(fmt).tolist()[::-1]
 
 
 def reconstruct_path(t: FloydTables, i: int, j: int) -> list[int]:

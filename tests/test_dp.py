@@ -8,11 +8,16 @@ import random
 import sys
 import time
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import combinlab.dp as dp
 from combinlab.dp import (
+    _cell_width,
+    _knapsack_sweep,
+    _knapsack_table,
     AllocationInstance,
     allocate,
     count_parenthesizations,
@@ -254,17 +259,23 @@ def test_knapsack_pareto_scales():
     # about 1.25 s of process CPU on a 2-CPU Linux host under Python 3.11,
     # with the consecutive-pair check and a hand-written merge of state
     # records about 0.11 s (0.023 s on a later, quieter run), and with the
-    # states as tuples that sorted() merges 0.014 s (least of 5 calls).
+    # states as tuples that sorted() merges 0.014 s (least of 5 calls).  The
+    # int instance now runs on the packed table, 0.0003 s; the same instance
+    # with a Fraction capacity keeps the sweep, 0.021 s (least of 5 calls).
     rng = random.Random(60)
     volumes = [rng.randint(1, 50) for _ in range(60)]
     values = [16 * v + rng.randint(0, 15) for v in volumes]
     capacity = sum(volumes) // 2
-    start = time.process_time()
-    chosen, value = knapsack_pareto(values, volumes, capacity)
-    elapsed = time.process_time() - start
-    assert sum(volumes[i - 1] for i in chosen) <= capacity
-    assert sum(values[i - 1] for i in chosen) == value == 11373
-    assert elapsed < 0.5
+    answers = []
+    for cap in (capacity, Fraction(capacity)):
+        start = time.process_time()
+        chosen, value = knapsack_pareto(values, volumes, cap)
+        elapsed = time.process_time() - start
+        assert sum(volumes[i - 1] for i in chosen) <= capacity
+        assert sum(values[i - 1] for i in chosen) == value == 11373
+        assert elapsed < 0.5
+        answers.append((chosen, value))
+    assert answers[0] == answers[1]
 
 
 def brute_lcs(x, y):
@@ -497,6 +508,19 @@ def test_knapsack_pareto_refuses_floats():
             knapsack_pareto(values, volumes, 10)
 
 
+def test_knapsack_entry_points_refuse_the_same_inputs():
+    for values, volumes, capacity, message in (
+        ([5], [-1], 1, "^inputs must be non-negative$"),
+        ([-5], [1], 1, "^inputs must be non-negative$"),
+        ([5], [1], -1, "^capacity must be >= 0$"),
+        ([5], [1, 2], 1, "^values and volumes must align$"),
+        ([5], [1.0], 1, "must be exact ints or fractions$"),
+    ):
+        for solve in (knapsack_pareto, greedy_knapsack_by_density):
+            with pytest.raises(ValueError, match=message):
+                solve(values, volumes, capacity)
+
+
 def test_greedy_knapsack_by_density_refuses_floats():
     for values, volumes, capacity in (([1.5, 2], [1, 2], 3), ([1, 2], [1, 2.0], 3), ([1, 2], [1, 0], 3.5)):
         with pytest.raises(ValueError, match="must be exact ints or fractions"):
@@ -685,3 +709,80 @@ def test_knapsack_choices_pinned(kind):
         chosen, value = knapsack_pareto(values, volumes, capacity)
         choices.append((sorted(chosen), value))
     assert pin_digest(choices) == KNAPSACK_CHOICES[kind]
+
+
+def tie_heavy_knapsacks(rng, count):
+    """Seeded instances of 0..14 items with many (0, 0) items, many items
+    heavier than the capacity, and many capacities of 0."""
+    out = [([], [], 0), ([], [], 5), ([4, 0, 2], [1, 0, 3], 0)]
+    for _ in range(count):
+        n = rng.randint(0, 14)
+        values = [rng.choice((0, 0, 1, 2, 5, rng.randint(0, 40))) for _ in range(n)]
+        volumes = [rng.choice((0, 0, 1, 3, rng.randint(0, 30))) for _ in range(n)]
+        out.append((values, volumes, rng.choice((0, rng.randint(0, sum(volumes) // 2 + 1)))))
+    return out
+
+
+def assert_table_matches_sweep(values, volumes, capacity):
+    want = _knapsack_sweep(values, volumes, capacity)
+    assert _knapsack_table(values, volumes, capacity) == want
+    assert knapsack_pareto(values, volumes, capacity) == want
+
+
+@pytest.mark.parametrize("kind", sorted(KNAPSACK_CHOICES))
+def test_knapsack_table_matches_the_sweep_on_the_pinned_kinds(kind):
+    for values, volumes, capacity in pin_knapsacks(kind):
+        assert_table_matches_sweep(values, volumes, capacity)
+
+
+def test_knapsack_table_matches_the_sweep_on_zero_and_heavy_items():
+    instances = tie_heavy_knapsacks(random.Random(43), 1500)
+    for values, volumes, capacity in instances:
+        assert_table_matches_sweep(values, volumes, capacity)
+    zero = sum(c == v == 0 for values, volumes, _ in instances for c, v in zip(values, volumes))
+    heavy = sum(v > cap for values, volumes, cap in instances for v in volumes)
+    assert zero > 1000 and heavy > 1000
+    assert sum(not values for values, _, _ in instances) > 50
+    assert sum(cap == 0 for _, _, cap in instances) > 500
+
+
+@pytest.mark.parametrize("width", (16, 32, 64, 72))
+def test_knapsack_table_matches_the_sweep_at_each_field_width(width):
+    # Each value is a digit 0..9 shifted up, so ties stay as common as
+    # with the digits, plus a little noise; one item of 2^(width - 3)
+    # lifts the value sum past the next narrower width.
+    rng = random.Random(width)
+    for values, volumes, capacity in tie_heavy_knapsacks(rng, 150):
+        values = [(c % 10 << width - 9) + rng.randint(0, 3) * (c > 5) for c in values] + [1 << width - 3]
+        volumes = volumes + [rng.randint(0, 4)]
+        assert _cell_width(sum(values) + 1) == width
+        assert_table_matches_sweep(values, volumes, capacity)
+
+
+def test_knapsack_pareto_takes_the_table_only_for_small_int_tables(monkeypatch):
+    ran = []
+    for name in ("_knapsack_table", "_knapsack_sweep"):
+        path = getattr(dp, name)
+        monkeypatch.setattr(dp, name, lambda *args, path=path: ran.append(path.__name__) or path(*args))
+    rng = random.Random(45)
+    volumes = [rng.randint(1, 50) for _ in range(40)]
+    values = [rng.randint(1, 300) for _ in range(40)]
+    capacity = sum(volumes) // 2
+    want = knapsack_pareto(values, volumes, capacity)
+    assert ran == ["_knapsack_table"]
+    everything = (set(range(1, 41)), sum(values))
+    for args, answer in (
+        ((values, volumes, Fraction(capacity)), want),
+        (([Fraction(c) for c in values], volumes, capacity), want),
+        ((values, [Decimal(v) for v in volumes], capacity), want),
+        (([True] * 40, volumes, capacity), None),
+        ((values, volumes, 10**20), everything),
+    ):
+        ran.clear()
+        got = knapsack_pareto(*args)
+        assert ran == ["_knapsack_sweep"]
+        assert answer is None or got == answer
+    ran.clear()
+    assert knapsack_pareto([True] * 40, volumes, capacity) == knapsack_pareto([1] * 40, volumes, capacity)
+    assert ran == ["_knapsack_sweep", "_knapsack_table"]
+

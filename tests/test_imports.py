@@ -178,3 +178,14 @@ def test_gen_loads_approx_but_not_hashlib(call):
     assert code == 0
     assert {"combinlab.approx", "random"} <= set(added)
     assert "hashlib" not in added
+
+
+def test_solve_knapsack_loads_neither_graph_core_nor_paths_mst(tmp_path):
+    # The knapsack table reads its packed row with intmath's cell reader,
+    # which Floyd-Warshall shares, so solving a knapsack needs no graph code.
+    (tmp_path / "k.json").write_text('{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5}\n')
+    stdlib = "argparse,decimal,fractions,gettext,json,locale,numbers,shutil"
+    code, added = child(CALL, stdlib, "solve", "knapsack", str(tmp_path / "k.json"))
+    assert code == 0
+    assert {m for m in added if not m.startswith("_")} == {
+        "combinlab", "combinlab.cli", "combinlab.dp", "combinlab.intmath"}

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, count, pairwise
 from math import gcd, isqrt, lcm
 
 from .intmath import (
@@ -192,9 +192,10 @@ def _table_fits(values, volumes, capacity) -> bool:
     table that costs at most half the sweep by the cost model of
     `_table_cost` and `_sweep_cost`.  The half is the margin for the
     error of the sweep's estimate."""
-    if type(capacity) is not int:
+    n = len(values)
+    if n < TABLE_MIN_ITEMS or type(capacity) is not int:
         return False
-    n, cols = len(values), capacity + 1
+    cols = capacity + 1
     if 2 * _table_cost(n, cols, 8) > _sweep_cost(n, cols):
         return False  # too dear whatever the values
     if {*map(type, values), *map(type, volumes)} - {int}:
@@ -229,6 +230,11 @@ def _sweep_cost(n: int, reach: int) -> int:
     rising = min(n, 2 * isqrt(reach))  # k^2 / 4 + 1 stays below reach up to about here
     states = rising * (rising + 1) * (2 * rising + 1) // 24 + rising + (n - rising) * reach
     return SWEEP_CALL + SWEEP_ITEM * n + SWEEP_STATE * states
+
+
+# The fewest items for which the table can pass: one column and 8-bit
+# fields against the sweep's largest estimate.
+TABLE_MIN_ITEMS = next(n for n in count(1) if 2 * _table_cost(n, 1, 8) <= _sweep_cost(n, n * n))
 
 
 def _knapsack_table(values, volumes, capacity) -> tuple[set[int], int]:

@@ -32,16 +32,6 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def ceil_log2_ratio(p: int, q: int) -> int:
-    """Smallest c >= 0 with 2**c >= p/q, for p, q >= 1."""
-    if p < 1 or q < 1:
-        raise ValueError("ceil_log2_ratio needs positive integers")
-    c = 0
-    while (q << c) < p:
-        c += 1
-    return c
-
-
 def ceil_log3(n: int) -> int:
     """Smallest c >= 0 with 3**c >= n, for n >= 1."""
     if n < 1:

@@ -135,6 +135,11 @@ class AdversarySetEquality(CostedOracle):
     admissible cells (a perfect matching); otherwise it answers "yes".  The
     forced branch corresponds to equal sets.  Repeated probes are answered
     from the table without recounting.
+
+    One such matching is kept, starting as the identity, so a probe outside
+    it is a "no" at once.  A probe inside it is a "no" exactly when the
+    matching, less that cell, grows back by one augmenting path from row i
+    to column j that avoids the cell (Berge 1957).
     """
 
     def __init__(self, n: int):
@@ -144,53 +149,64 @@ class AdversarySetEquality(CostedOracle):
         self.n = n
         self.no_cells: set[tuple[int, int]] = set()
         self.yes_cells: set[tuple[int, int]] = set()
+        self._row_of_col = {c: c for c in range(1, n + 1)}
 
-    def _matching(
-        self, extra_no: tuple[int, int] | None = None
-    ) -> dict[int, int] | None:
-        """A perfect row -> column matching avoiding every "no" cell (and
-        extra_no), found by Kuhn's augmenting paths; None when none exists.
+    def _augment(self, root: int, row_of_col: dict[int, int]) -> bool:
+        """Grow the column -> row matching by one path from the free row
+        root to a free column over cells that are not "no"; False, leaving
+        it as it was, when no such path exists.
 
-        Each search runs depth first on an explicit stack of [row, column
+        The search runs depth first on an explicit stack of [row, column
         iterator, chosen column] frames, trying columns in increasing order.
         """
         n = self.n
-        blocked = self.no_cells if extra_no is None else self.no_cells | {extra_no}
-        match_of_col: dict[int, int] = {}
-        for root in range(1, n + 1):
-            seen: set[int] = set()
-            stack = [[root, iter(range(1, n + 1)), None]]
-            while stack:
-                frame = stack[-1]
-                i = frame[0]
-                free = (c for c in frame[1] if (i, c) not in blocked and c not in seen)
-                j = frame[2] = next(free, None)
-                if j is None:
-                    stack.pop()
-                    continue
-                seen.add(j)
-                if j in match_of_col:
-                    stack.append([match_of_col[j], iter(range(1, n + 1)), None])
-                    continue
-                for row, _, col in stack:  # augment along the path
-                    match_of_col[col] = row
-                break
-            else:
+        blocked = self.no_cells
+        seen: set[int] = set()
+        stack = [[root, iter(range(1, n + 1)), None]]
+        while stack:
+            frame = stack[-1]
+            i = frame[0]
+            free = (c for c in frame[1] if (i, c) not in blocked and c not in seen)
+            j = frame[2] = next(free, None)
+            if j is None:
+                stack.pop()
+                continue
+            seen.add(j)
+            if j in row_of_col:
+                stack.append([row_of_col[j], iter(range(1, n + 1)), None])
+                continue
+            for row, _, col in stack:  # augment along the path
+                row_of_col[col] = row
+            return True
+        return False
+
+    def _matching(self) -> dict[int, int] | None:
+        """A perfect row -> column matching avoiding every "no" cell, built
+        from scratch by Kuhn's augmenting paths; None when none exists."""
+        row_of_col: dict[int, int] = {}
+        for root in range(1, self.n + 1):
+            if not self._augment(root, row_of_col):
                 return None
-        return {i: j for j, i in match_of_col.items()}
+        return {i: j for j, i in row_of_col.items()}
 
     def probe(self, i: int, j: int) -> bool:
         """Answer "is a_i equal to b_j?"; True means yes."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+        if not (1 <= exact_int(i, "i") <= self.n and 1 <= exact_int(j, "j") <= self.n):
             raise ValueError("probe out of range")
         if (i, j) in self.no_cells:
             return False
         if (i, j) in self.yes_cells:
             return True
         self.counter.tick()
-        if self._matching((i, j)) is not None:
-            self.no_cells.add((i, j))
+        self.no_cells.add((i, j))
+        row_of_col = self._row_of_col
+        if row_of_col[j] != i:
             return False
+        del row_of_col[j]
+        if self._augment(i, row_of_col):
+            return False
+        row_of_col[j] = i
+        self.no_cells.remove((i, j))
         self.yes_cells.add((i, j))
         return True
 

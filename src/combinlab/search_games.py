@@ -80,11 +80,6 @@ class BalanceOracle(CostedOracle):
         self.n = n
         self.verdict = verdict
 
-    def _weight(self, coin: int) -> int:
-        if self.verdict.all_genuine or coin != self.verdict.index:
-            return 0
-        return 1 if self.verdict.bias == HEAVIER else -1
-
     def weigh(self, left, right) -> str:
         left, right = list(left), list(right)
         if len(left) != len(right):
@@ -92,7 +87,13 @@ class BalanceOracle(CostedOracle):
         if set(left) & set(right):
             raise ValueError("a coin cannot sit on both pans")
         self.counter.tick()
-        d = sum(self._weight(c) for c in left) - sum(self._weight(c) for c in right)
+        coin = self.verdict.index
+        if coin is None:
+            return EQUAL
+        # Only the counterfeit weighs anything: +1 if heavy, -1 otherwise.
+        d = left.count(coin) - right.count(coin)
+        if self.verdict.bias != HEAVIER:
+            d = -d
         return LEFT if d > 0 else RIGHT if d < 0 else EQUAL
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 
-from .intmath import ceil_log2, ceil_log2_factorial, ceil_log2_ratio, exact_int
+from .intmath import ceil_log2, ceil_log2_factorial, exact_int
 from .oracles import counting_comparator
 
 
@@ -167,8 +167,16 @@ def merge_sort_grouped(items, cmp=None) -> list:
 
 def grouped_merge_budget(n: int) -> int:
     """Worst-case comparisons of merge_sort_grouped: every scheduled merge
-    of runs sized p and q costs p + q - 1."""
-    return sum(size - 1 for _, _, size in _shortest_merges(n))
+    of runs sized p and q costs p + q - 1.
+
+    Merging the two shortest runs builds an optimal (Huffman 1952) merge
+    tree, whose total cost over n unit runs is n(k + 1) - 2**(k + 1) + 1
+    with k = floor(log2 n).
+    """
+    if n < 2:
+        return 0
+    k = n.bit_length() - 1
+    return n * (k + 1) - 2 ** (k + 1) + 1
 
 
 def merge_insertion_sort(items, cmp=None) -> list:
@@ -241,5 +249,15 @@ def sort_budgets(n: int) -> SortBudget:
     info = ceil_log2_factorial(n)
     c = ceil_log2(n)
     a_n = n * c - 2**c + 1
-    f_n = sum(ceil_log2_ratio(3 * k, 4) for k in range(2, n + 1))
-    return SortBudget(n, info, a_n, grouped_merge_budget(n), f_n)
+    return SortBudget(n, info, a_n, grouped_merge_budget(n), _merge_insertion_budget(n))
+
+
+def _merge_insertion_budget(n: int) -> int:
+    """F(n) = sum_{j=2..n} ceil(log2 3j/4) in O(log n) blocks: the summand
+    is c exactly when 2**(c+1) < 3j <= 2**(c+2)."""
+    total, c, lo = 0, 1, 2
+    while lo <= n:
+        hi = min(n, (1 << (c + 2)) // 3)
+        total += c * (hi - lo + 1)
+        c, lo = c + 1, hi + 1
+    return total

@@ -182,11 +182,21 @@ class _Bracket:
         node[v] = new
         if new is not None:
             self.leaf_of[new] = v
-        v //= 2
-        while v:
-            a, b = node[2 * v], node[2 * v + 1]
-            node[v] = b if a is None else a if b is None else b if less(a, b) else a
+        # Replay the path to the root; at each level only the sibling is
+        # read, and less still takes (left, right).
+        winner = new
+        while v > 1:
+            rival = node[v ^ 1]
+            if rival is not None:
+                if winner is None:
+                    winner = rival
+                elif v & 1:
+                    if not less(rival, winner):
+                        winner = rival
+                elif less(winner, rival):
+                    winner = rival
             v //= 2
+            node[v] = winner
 
 
 def select_t_tournament(items, t: int, cmp=None) -> int:

@@ -94,13 +94,34 @@ def test_adversary_set_equality_forces_triangle_bound():
         assert sorted(pairing.values()) == list(range(1, n + 1))
 
 
-class RecursiveSetEquality(AdversarySetEquality):
-    """Reference: the set-equality adversary with Kuhn's matching written as
-    the recursive try_row that the explicit-stack search replaced."""
+class ScratchSetEquality(AdversarySetEquality):
+    """Reference: the probe rule as first written, which rebuilds a whole
+    perfect matching that also avoids the probed cell on every charged
+    probe, instead of repairing the one matching kept."""
 
-    def _matching(self, extra_no=None):
+    def probe(self, i, j):
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError("probe out of range")
+        if (i, j) in self.no_cells:
+            return False
+        if (i, j) in self.yes_cells:
+            return True
+        self.counter.tick()
+        self.no_cells.add((i, j))
+        if self._matching() is not None:
+            return False
+        self.no_cells.remove((i, j))
+        self.yes_cells.add((i, j))
+        return True
+
+
+class RecursiveSetEquality(ScratchSetEquality):
+    """Reference: the from-scratch adversary with Kuhn's matching written
+    as the recursive try_row that the explicit-stack search replaced."""
+
+    def _matching(self):
         n = self.n
-        blocked = self.no_cells if extra_no is None else self.no_cells | {extra_no}
+        blocked = self.no_cells
         match_of_col = {}
 
         def try_row(i, seen):
@@ -119,6 +140,12 @@ class RecursiveSetEquality(AdversarySetEquality):
         return {i: j for j, i in match_of_col.items()}
 
 
+def with_no_cells(cls, n, cells):
+    adv = cls(n)
+    adv.no_cells = set(cells)
+    return adv
+
+
 def test_set_equality_matching_matches_recursive_reference():
     for n in range(1, 15):
         for seed in range(3 if n <= 10 else 1):
@@ -133,7 +160,38 @@ def test_set_equality_matching_matches_recursive_reference():
                     assert list(adv.certify().items()) == list(ref.certify().items()), (n, step)
             assert adv.count == ref.count
             for extra in cells[:20]:  # one more "no" cell, which may leave no matching
-                assert adv._matching(extra) == ref._matching(extra)
+                blocked = adv.no_cells | {extra}
+                assert (with_no_cells(AdversarySetEquality, n, blocked)._matching()
+                        == with_no_cells(RecursiveSetEquality, n, blocked)._matching())
+
+
+def test_repaired_adversary_matches_from_scratch_rule():
+    # Seeded probe sequences, repeats included, some cut short; sets_equal's
+    # own probe order runs too.
+    for n in range(1, 9):
+        cells = list(itertools.product(range(1, n + 1), repeat=2))
+        for seed in range(60):
+            rng = random.Random(100 * n + seed)
+            seq = [rng.choice(cells) for _ in range(rng.randint(1, 3 * n * n))]
+            adv, ref = AdversarySetEquality(n), ScratchSetEquality(n)
+            for step, (i, j) in enumerate(seq):
+                assert adv.probe(i, j) is ref.probe(i, j), (n, seed, step)
+                assert adv.count == ref.count
+            assert (adv.no_cells, adv.yes_cells) == (ref.no_cells, ref.yes_cells)
+            assert list(adv.certify().items()) == list(ref.certify().items())
+        adv, ref = AdversarySetEquality(n), ScratchSetEquality(n)
+        assert sets_equal(n, adv.probe) is sets_equal(n, ref.probe) is True
+        assert (adv.count, adv.no_cells, adv.yes_cells) == (ref.count, ref.no_cells, ref.yes_cells)
+        assert adv.certify() == ref.certify()
+
+
+@pytest.mark.parametrize("i, j", [(1.5, 2), (True, 1), (1, True), (2, 2.0), ("1", 1),
+                                  (0, 1), (1, 4), (-1, 2)])
+def test_set_equality_probe_refuses_non_members(i, j):
+    adv = adversary_set_equality(3)
+    with pytest.raises(ValueError):
+        adv.probe(i, j)
+    assert adv.count == 0 and adv.no_cells == adv.yes_cells == set()
 
 
 def test_adversary_whoiswho_first_answer_no():

@@ -117,6 +117,50 @@ def test_counterfeit_tightness_at_pool_sizes():
         assert max(counts) == levels
 
 
+class PerCoinBalance(BalanceOracle):
+    """Reference: the scale as first written, summing one weight per coin
+    on each pan."""
+
+    def _weight(self, coin):
+        if self.verdict.all_genuine or coin != self.verdict.index:
+            return 0
+        return 1 if self.verdict.bias == HEAVIER else -1
+
+    def weigh(self, left, right):
+        left, right = list(left), list(right)
+        if len(left) != len(right):
+            raise ValueError("pans must hold equally many coins")
+        if set(left) & set(right):
+            raise ValueError("a coin cannot sit on both pans")
+        self.counter.tick()
+        d = sum(self._weight(c) for c in left) - sum(self._weight(c) for c in right)
+        return "Left" if d > 0 else "Right" if d < 0 else "Equal"
+
+
+def test_counted_weighing_matches_per_coin_reference():
+    rng = random.Random(29)
+    for n in range(1, 31):
+        coins = list(range(n + 1))  # coin 0 is the known-genuine coin
+        pans = [([0], [1]), ([1], [0]), ([], [])]
+        for _ in range(12):
+            size = rng.randint(1, (n + 1) // 2)
+            picked = rng.sample(coins, 2 * size)
+            left, right = picked[:size], picked[size:]
+            pans.append((left, right))
+            # a pan may hold one coin several times
+            pans.append((left + left[:1], right + right[-1:]))
+        for world in all_worlds(n):
+            fast, ref = BalanceOracle(n, world), PerCoinBalance(n, world)
+            for left, right in pans:
+                assert fast.weigh(iter(left), tuple(right)) == ref.weigh(left, right), (world, left, right)
+            assert find_counterfeit(n, fast.weigh) == find_counterfeit(n, ref.weigh) == world
+            assert fast.count == ref.count
+            for left, right in (([1], [1]), ([0, 1], [2])):
+                with pytest.raises(ValueError):
+                    fast.weigh(left, right)
+            assert fast.count == ref.count
+
+
 def test_counterfeit_inconsistent_oracle_raises():
     # For n = 9 the answers Right, Left, Left walk the solver into a state
     # where a lone light suspect outweighs the genuine coin: impossible.

@@ -9,6 +9,7 @@ from combinlab.intmath import ceil_log2, ceil_log2_factorial, insertion_batch_bo
 from combinlab.oracles import counting_comparator
 from combinlab.sorting import (
     _merge_insertion,
+    _shortest_merges,
     binary_insert,
     grouped_merge_budget,
     insertion_sort,
@@ -171,6 +172,27 @@ def test_schedule_and_budgets_scale():
     elapsed = time.process_time() - start
     assert len(plan) == 19999 and budgets.b_n == grouped_merge_budget(10**4)
     assert elapsed < 1
+
+
+def loop_budgets(n: int) -> tuple[int, int]:
+    """Reference: B(n) and F(n) as sort_budgets first computed them, by
+    replaying the merge schedule and by one ceil(log2 3k/4) loop per k."""
+    b_n = sum(size - 1 for _, _, size in _shortest_merges(n))
+    f_n = 0
+    for k in range(2, n + 1):
+        c = 0
+        while (4 << c) < 3 * k:
+            c += 1
+        f_n += c
+    return b_n, f_n
+
+
+def test_closed_form_budgets_match_loops():
+    for n in [*range(1, 2001), 4095, 4096, 4097, 8191, 8192, 10**4]:
+        b = sort_budgets(n)
+        assert (b.b_n, b.f_n) == loop_budgets(n), n
+        assert grouped_merge_budget(n) == b.b_n
+    assert grouped_merge_budget(0) == 0
 
 
 def test_merge_insertion_pinned_f_values():

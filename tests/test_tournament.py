@@ -249,6 +249,38 @@ def test_selection_transcripts_pinned(case):
     assert select_transcript(SELECTORS[name], n) == SELECT_TRANSCRIPTS[case]
 
 
+class FullReadBracket(tournament._Bracket):
+    """Reference: leaf replacement as first written, reading both children
+    of every node on the path to the root."""
+
+    def replace(self, old, new):
+        node = self.node
+        less = self.cmp.less
+        v = self.leaf_of.pop(old)
+        node[v] = new
+        if new is not None:
+            self.leaf_of[new] = v
+        v //= 2
+        while v:
+            a, b = node[2 * v], node[2 * v + 1]
+            node[v] = b if a is None else a if b is None else b if less(a, b) else a
+            v //= 2
+
+
+def test_bracket_replace_matches_full_read_reference(monkeypatch):
+    cases = [(n, t) for n in range(1, 34) for t in range(1, n + 1)]
+    cases += [(100, 50), (1000, 3), (1000, 998), (3000, 1500), (4097, 2049)]
+    brackets = (tournament._Bracket, FullReadBracket)
+    for n, t in cases:
+        items = random.Random(n * 7 + t).sample(range(10 * n), n)
+        runs = []
+        for bracket in brackets:
+            monkeypatch.setattr(tournament, "_Bracket", bracket)
+            cmp = RecordingComparator(items)
+            runs.append((select_t_tournament(items, t, cmp), cmp.calls))
+        assert runs[0] == runs[1], (n, t)
+
+
 def group_cases():
     """Every order of 7 items, and of 7 - k items followed by k pads."""
     for pads in range(7):

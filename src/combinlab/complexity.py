@@ -101,33 +101,67 @@ def cnf(num_vars: int, clauses) -> CnfFormula:
     return CnfFormula(num_vars, tuple(tuple(c) for c in clauses))
 
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """The formula of a DIMACS CNF text.  Lines starting with c or % are
-    skipped.  A clause ends at a 0 and may span lines."""
+def _dimacs_header(line: str) -> int:
+    """The variable count of a `p cnf <vars> <clauses>` line, whose clause
+    count must be an int >= 0 (it need not match the clauses read)."""
+    parts = line.split()
+    if len(parts) == 4 and parts[1] == "cnf":
+        num_vars = int(parts[2])
+        try:
+            if int(parts[3]) >= 0:
+                return num_vars
+        except ValueError:
+            pass
+    raise ValueError(f"bad DIMACS header: {line}")
+
+
+def _dimacs_lines(text: str) -> tuple[int | None, str]:
+    """The last header's variable count (None without one) and the other
+    lines of `text` joined by spaces, skipping blank, c and % lines."""
     num_vars = None
     body = []
     for line in map(str.strip, text.splitlines()):
         if not line or line.startswith(("c", "%")):
             continue
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line}")
-            num_vars = int(parts[2])
+            num_vars = _dimacs_header(line)
         else:
             body.append(line)
-    lits = list(map(int, " ".join(body).split()))
+    return num_vars, " ".join(body)
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """The formula of a DIMACS CNF text.
+
+    Lines (`str.splitlines`, each stripped) that are blank or start with c
+    or % are skipped.  A line starting with p is a header, `p cnf <vars>
+    <clauses>`: four tokens, <vars> read by `int()` and <clauses> an int
+    >= 0, else `bad DIMACS header: <line>`.  The clause count is not held
+    to the clauses read.  A header may come anywhere, and the last one
+    sets the variable count; a text without one is refused.  Every other
+    token is a literal, read by `int()`; a clause ends at a 0 and may span
+    lines, and the last one must end.
+
+    When only the first line can be a header or a comment (no c, % or p
+    after it), the rest is read as one token stream."""
+    head, _, rest = text.partition("\n")
+    if "c" in rest or "%" in rest or "p" in rest:
+        num_vars, body = _dimacs_lines(text)
+    else:
+        num_vars, body = _dimacs_lines(head)
+        body = f"{body} {rest}"
+    lits = list(map(int, body.split()))
     if num_vars is None:
         raise ValueError("missing DIMACS header")
     if lits and lits[-1] != 0:
         raise ValueError("clause not 0-terminated")
-    clauses = []
-    start = 0
-    for _ in range(lits.count(0)):
-        end = lits.index(0, start)
-        clauses.append(tuple(lits[start:end]))
-        start = end + 1
-    return CnfFormula(num_vars, tuple(clauses))
+    clauses = lits.count(0)
+    width = lits.index(0) if lits else 0
+    if width and len(lits) == clauses * (width + 1) and lits[width::width + 1].count(0) == clauses:
+        # every clause has `width` literals: read them as columns
+        return CnfFormula(num_vars, tuple(zip(*[lits[i::width + 1] for i in range(width)])))
+    it = iter(lits)
+    return CnfFormula(num_vars, tuple([tuple(iter(it.__next__, 0)) for _ in range(clauses)]))
 
 
 def format_dimacs(f: CnfFormula) -> str:

@@ -13,7 +13,23 @@ The shared text format is::
     a <u> <v> [w]
 
 with 1-based vertices, '#' comments, and weights as exact decimal
-integers or p/q rationals.
+integers or p/q rationals.  In full:
+
+* Lines are those of `str.splitlines` (so "\\r\\n", "\\x0b" and "\\x0c" end
+  a line too), each stripped of whitespace.  Blank lines and lines whose
+  first character is then '#' are skipped, before the header as well as
+  after it; a '#' later in a line is part of a token.
+* Tokens are the runs between whitespace, as `str.split` cuts them.
+* The first line left is the header: exactly three tokens, `p` or `pd`,
+  then n and m as `int()` reads them (a sign, '_' between digits and
+  Unicode digits are accepted).
+* Every later line is the tag (`e` after `p`, `a` after `pd`), u and v
+  as `int()` reads them, and an optional weight w: a token with a '/' is
+  a p/q rational (`fractions.Fraction`, a zero denominator refused), any
+  other an int.
+* Either every line carries a weight or none does; a weighted body gives
+  WeightedGraph or WeightedDigraph, in which a link may not repeat.
+* There must be exactly m lines after the header.
 """
 
 from __future__ import annotations
@@ -439,14 +455,55 @@ def _parse_weight(tok: str):
     return exact_fraction(tok, "weight") if "/" in tok else int(tok)
 
 
+def _columns(body: str, tag: str, count: int):
+    """(links, weights or None) of a body of `count` lines, each led by a
+    newline and holding the same number `width` of tokens, 3 or 4, the tag
+    first; None if a line does not, or if a token does not read.
+
+    The checks suffice without a split per line: once every token outside
+    column 0 has read as a number, none of them starts with a letter,
+    while each of the `count` lines starts with the tag's.  So every
+    line's first token lies in column 0, at one of the `count` multiples
+    of `width` below `width * count`, and each line holds `width` tokens."""
+    tokens = body.split()
+    width = len(tokens) // count if count else 3
+    if (width not in (3, 4) or len(tokens) != width * count
+            or body.count("\n" + tag) != count or tokens[::width].count(tag) != count):
+        return None
+    try:
+        links = list(zip(map(int, tokens[1::width]), map(int, tokens[2::width])))
+        if width == 3:
+            return links, None
+        return links, list(map(_parse_weight if "/" in body else int, tokens[3::4]))
+    except ValueError:
+        return None
+
+
+def _raise_first_error(lines, tag: str, m: int):
+    """Raise the first error a line-by-line reading meets: per line its
+    tag, its width, its vertices and its weight, then the edge count, then
+    mixed weights.  Called only on a body `_columns` refused, so when
+    every line reads on its own, the lines differ in width."""
+    for ln in lines:
+        parts = ln.split()
+        if parts[0] != tag:
+            raise ValueError(f"expected '{tag}' line, got: {ln}")
+        if len(parts) not in (3, 4):
+            raise ValueError(f"bad edge line: {ln}")
+        int(parts[1]), int(parts[2])
+        if len(parts) == 4:
+            _parse_weight(parts[3])
+    if len(lines) != m:
+        raise ValueError(f"header promises {m} edges, found {len(lines)}")
+    raise ValueError("either all or no edges may carry weights")
+
+
 def parse_graph_text(text: str):
     """Parse the shared text format; returns Graph, Digraph,
-    WeightedGraph or WeightedDigraph depending on header and weights."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    WeightedGraph or WeightedDigraph depending on header and weights.  The
+    body is read as token columns; a body that does not read that way goes
+    through `_raise_first_error`."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise ValueError("empty graph text")
     header = lines[0].split()
@@ -455,23 +512,14 @@ def parse_graph_text(text: str):
     directed = header[0] == "pd"
     n, m = int(header[1]), int(header[2])
     tag = "a" if directed else "e"
-    edges = []
-    weights = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != tag:
-            raise ValueError(f"expected '{tag}' line, got: {ln}")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"bad edge line: {ln}")
-        u, v = int(parts[1]), int(parts[2])
-        edges.append((u, v))
-        weights.append(_parse_weight(parts[3]) if len(parts) == 4 else None)
+    lines[0] = ""  # so the join puts a newline before every body line
+    columns = _columns("\n".join(lines), tag, len(lines) - 1)
+    if columns is None:
+        _raise_first_error(lines[1:], tag, m)
+    edges, weights = columns
     if len(edges) != m:
         raise ValueError(f"header promises {m} edges, found {len(edges)}")
-    has_weights = [w is not None for w in weights]
-    if any(has_weights) and not all(has_weights):
-        raise ValueError("either all or no edges may carry weights")
-    if all(has_weights) and edges:
+    if weights is not None:
         from .paths_mst import WeightedDigraph, WeightedGraph
 
         pairs = dict(zip(edges, weights))

@@ -823,6 +823,8 @@ MALFORMED_FILES = {
     "repeat.d": "pd 2 2\na 1 2 5\na 1 2 7\n",
     "misaligned-kd.json": '{"values": [5, 6, 7], "volumes": [1, 2], "capacity": 10, "goal": 12}',
     "deep.json": "[" * 10**5 + "]" * 10**5,
+    "banana.cnf": "p cnf 2 banana\n1 -2 0\n",
+    "negative-count.cnf": "p cnf 2 -1\n1 -2 0\n",
 }
 
 
@@ -875,6 +877,12 @@ TOO_DEEP = {
     "reduce is-vc tri.g --k 1 --witness deep.json": "error: JSON nested too deeply\n",
 }
 
+# A DIMACS header's clause count must be an int >= 0 (it need not match).
+BAD_CLAUSE_COUNT = {
+    "twosat banana.cnf": "error: bad DIMACS header: p cnf 2 banana\n",
+    "reduce sat-3sat negative-count.cnf": "error: bad DIMACS header: p cnf 2 -1\n",
+}
+
 # Euler cycles and connected components are defined on undirected graphs.
 UNDIRECTED_ONLY = {
     "solve euler cyc.d": "error: euler needs an undirected graph\n",
@@ -907,12 +915,13 @@ UNDIRECTED_ONLY = {
         *ZERO_DENOMINATOR,
         *MISALIGNED,
         *TOO_DEEP,
+        *BAD_CLAUSE_COUNT,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     err = assert_input_error(tmp_path, capsys, call)
     expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK, **ZERO_DENOMINATOR, **MISALIGNED,
-                **TOO_DEEP}.get(call)
+                **TOO_DEEP, **BAD_CLAUSE_COUNT}.get(call)
     if expected is not None:
         assert err == expected
 

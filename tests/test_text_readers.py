@@ -2,8 +2,8 @@
 
 `reference_parse_graph_text` and `reference_parse_dimacs` are the readers
 as they were before the body was read as token columns, kept verbatim but
-for the DIMACS header's clause count, which the reference checks with the
-current rule (marked).  The fuzz below requires the same graph or
+for the weight helper's name and the DIMACS header's clause count, which
+the reference checks with the current rule (marked).  The fuzz below requires the same graph or
 formula, or the same exception type and message, on seeded random texts.
 """
 
@@ -108,9 +108,9 @@ def outcome(parse, text):
     return ("ok", type(got), repr(got), got)
 
 
-# Separators within a line, line ends, and lines that are skipped or
-# read as comments.  \x0b and \x0c end a line for str.splitlines, so as a
-# separator they cut it, and a space as a line end joins two lines.
+# The odd separators, line ends and line padding a noisy text draws.
+# \x0b and \x0c end a line for str.splitlines, so as a separator they cut
+# it, and a space as a line end joins two lines.
 SEPARATORS = ["\t", "  ", "\x0b", "\x0c", "\xa0", "\u2003", "\x1f", " \t"]
 LINE_ENDS = ["\r\n", "\r", "\x0c", "\x0b", "\x85", " "]
 PADDING = [" ", "\t", " \t ", "\xa0"]

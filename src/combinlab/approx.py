@@ -1,6 +1,5 @@
-"""Approximation algorithms with checked ratio guarantees, the instance
-generators that expose their failure modes, and desk-scale exact optima
-for ratio harnesses.
+"""Approximation algorithms with checked ratio guarantees and the
+instance generators that expose their failure modes.
 
 Guarantees implemented here:
 
@@ -15,31 +14,17 @@ Guarantees implemented here:
 vc_degree_greedy has no guarantee; vc_greedy_counterexample builds the
 family on which its ratio grows like H(n) - 1.
 
-Exact optima for the ratio checks, in exact arithmetic and without
-recursion.  Each raises complexity.InstanceTooLargeError above its cap in
-complexity._DEFAULT_CAPS, which COMBINLAB_ORACLE_LIMIT overrides:
-
-* vertex_cover_optimum  complexity._most_independent, the graph deciders'
-                        maximum-independent-set search (vertex_cover_vertices 44)
-* set_cover_optimum     complexity._first_cover, the set-cover decider's walk
-                        over subfamilies as bit masks (set_cover_sets 21)
-* tsp_optimum           complexity._held_karp, the TSP decider's table over
-                        subsets of cities 2..n (tsp_cities 16)
-* max_cut_optimum       Gray-code walk over 2-colourings (max_cut_vertices 20)
-* knapsack_optimum      meet in the middle over complexity._halves, the
-                        knapsack deciders' half sums (knapsack_items 20)
-* bin_pack_optimum      complexity._depth_first over bin choices, stopped
-                        at ceil(sum of sizes) (no cap)
+The exact optima the ratios are checked against live in `exact`, with
+their caps; this module re-exports them, as `approx.*_optimum`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
-from .complexity import _adjacency_bits, _depth_first, _first_cover, _halves, _held_karp
-from .complexity import _most_fitting, _most_independent, _within_cap
+from .exact import bin_pack_optimum, knapsack_optimum, max_cut_optimum, set_cover_optimum
+from .exact import tour_length, tsp_optimum, vertex_cover_optimum  # the optima are re-exported
 from .graph_core import Graph, exact_fraction
 from .intmath import exact_int, refuse_floats
 from .paths_mst import WeightedGraph, prim
@@ -184,11 +169,6 @@ class MetricTspInstance:
 
     def tour_length(self, tour) -> object:
         return tour_length(self.matrix, tour)
-
-
-def tour_length(matrix, tour) -> object:
-    n = len(matrix)
-    return sum(matrix[tour[i] - 1][tour[(i + 1) % n] - 1] for i in range(n))
 
 
 def _complete_weighted_graph(matrix) -> WeightedGraph:
@@ -453,136 +433,3 @@ def bin_pack_first_fit(sizes) -> list[int]:
         rooms[placed] -= s
         assignment.append(placed + 1)
     return assignment
-
-
-# --- desk-scale optima for ratio checks (listed with their caps above) -------
-
-
-def vertex_cover_optimum(g: Graph) -> int:
-    """Fewest vertices touching every edge: n less the most independent."""
-    _within_cap(g.n, "vertex_cover_vertices")
-    return g.n - _most_independent(_adjacency_bits(g), (1 << g.n) - 1)
-
-
-def set_cover_optimum(universe, family) -> int:
-    """Fewest sets covering the universe: the size of the first cover
-    complexity._first_cover finds, by increasing size."""
-    cover = _first_cover(universe, family, len(family))
-    if cover is None:
-        raise ValueError("family does not cover the universe")
-    return len(cover)
-
-
-def tsp_optimum(matrix) -> object:
-    """Shortest tour from city 1: complexity._held_karp's lexicographically
-    first tour within the shortest length, whose length is summed along
-    it, so the value and its type are those of trying every tour in
-    order."""
-    _within_cap(len(matrix), "tsp_cities")
-    refuse_floats((x for row in matrix for x in row), "matrix")
-    return tour_length(matrix, _held_karp(matrix))
-
-
-def max_cut_optimum(g: Graph) -> int:
-    """Most edges across a 2-colouring.  Vertex n keeps side 0 and a
-    Gray-code walk visits every colouring of the others, flipping one
-    vertex a step; the cut changes by its degree less twice the
-    neighbours it had across."""
-    _within_cap(g.n, "max_cut_vertices")
-    adj = _adjacency_bits(g)
-    degree = [a.bit_count() for a in adj]
-    side = cut = best = 0
-    for step in range(1, 1 << max(g.n - 1, 0)):
-        low = step & -step
-        v = low.bit_length() - 1
-        across = (adj[v] & side).bit_count()
-        if side & low:
-            across = degree[v] - across
-        cut += degree[v] - 2 * across
-        side ^= low
-        if cut > best:
-            best = cut
-    return best
-
-
-def knapsack_optimum(values, volumes, capacity) -> int:
-    """Largest value of a subset within the capacity, 0 if none fits, by
-    meet in the middle over complexity._halves.  Fractions are searched
-    as integers: the values scaled by their least common denominator, the
-    volumes and the capacity by theirs.  The result has the type the
-    Gray-code walk over every subset this search replaced gave.  That walk
-    adds item i first at step 2**i and keeps the first step that reaches
-    the best value, so the result is a Fraction when a value among the
-    items up to the least top of a best subset (see _knapsack_best) is."""
-    if len(values) != len(volumes):
-        raise ValueError("values and volumes must align")
-    _within_cap(len(values), "knapsack_items")
-    numbers = (*values, *volumes, capacity)
-    refuse_floats(numbers, "values, volumes and capacity")
-    if not any(isinstance(x, Fraction) for x in numbers) or not all(
-            isinstance(x, (int, Fraction)) for x in numbers):
-        return _knapsack_best(values, volumes, capacity)[0]
-    value_scale = math.lcm(*(Fraction(x).denominator for x in values))
-    room_scale = math.lcm(*(Fraction(x).denominator for x in (*volumes, capacity)))
-    best, top = _knapsack_best([int(x * value_scale) for x in values],
-                               [int(x * room_scale) for x in volumes],
-                               int(capacity * room_scale))
-    if not top:
-        return 0
-    if any(isinstance(x, Fraction) for x in values[:top]):
-        return Fraction(best, value_scale)
-    return best // value_scale
-
-
-def _knapsack_best(values, volumes, capacity) -> tuple:
-    """(value, top): the best value above 0 of a subset within the
-    capacity, and the least top of the subsets that reach it, where a
-    subset's top is one past its highest item; (0, 0) when no subset beats
-    0.  Each first-half subset takes, of the second-half subsets that fit
-    the room it leaves, the one with the largest (value, -top), the empty
-    one's top being 0, so ties go to the lower top."""
-    n, h = len(values), len(values) // 2
-    (vol1, vol2), (val1, val2) = _halves(volumes), _halves(values)
-    # in product order the first item is the high bit, so the lowest set bit is the top item
-    keys = [(v, (b & -b).bit_length() - 1 - n if b else 0) for b, v in enumerate(val2)]
-    best, top = 0, 0
-    for a, fit in enumerate(_most_fitting([capacity - w for w in vol1], vol2, keys)):
-        if fit is not None:
-            value, last = fit[0] + val1[a], -fit[1] or (h + 1 - (a & -a).bit_length() if a else 0)
-            if (value, -last) > (best, -top):
-                best, top = value, last
-    return best, top
-
-
-def bin_pack_optimum(sizes) -> int:
-    """Fewest unit bins, by depth-first search over the bin each item
-    joins: each open bin it fits, one bin per distinct room left, then a
-    new bin; a branch stops once it holds as many bins as the best found,
-    and the search ends once the best meets the lower bound ceil(sum of
-    sizes), at least one bin for any item.  The walk is
-    complexity._depth_first, so its depth is not the interpreter's."""
-    refuse_floats(sizes, "sizes")
-    sizes = [exact_fraction(s, "size") for s in sizes]
-    best = len(sizes)
-    lower = max(1, math.ceil(sum(sizes))) if sizes else 0
-
-    def children(state):  # the items placed and the room left in each open bin
-        placed, bins = state
-        if len(bins) >= best or placed == len(sizes):
-            return ()
-        s, seen, out = sizes[placed], set(), []
-        for idx, room in enumerate(bins):
-            if s <= room and room not in seen:
-                seen.add(room)
-                out.append((placed + 1, bins[:idx] + (room - s,) + bins[idx + 1:]))
-        return out + [(placed + 1, bins + (1 - s,))]
-
-    def accept(state):  # records a better leaf; done once the best meets the bound
-        nonlocal best
-        placed, bins = state
-        if placed == len(sizes) and len(bins) < best:
-            best = len(bins)
-        return best <= lower
-
-    _depth_first((0, ()), children, accept)
-    return best

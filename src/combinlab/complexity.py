@@ -1,24 +1,7 @@
 """NP problems, one `Problem` class each (loader, description, witness
-decoder, verifier and desk-scale brute-force oracle), a reduction compiler
-with bidirectional witness maps registered in `REDUCTIONS`, and the
-polynomial 2-SAT solver.
-
-SAT, 3-SAT, both knapsacks and partition return the first witness of an
-enumeration without trying each candidate.  SAT and 3-SAT AND the
-clauses' truth tables, held as big integers over the last <= 16
-variables, in itertools.product order.  The knapsacks, partition and
-approx.knapsack_optimum meet in the middle over `_halves`, the subset
-sums of each half of the items in product order; knapsack decision and
-the optimum pair each first-half subset with the second halves that fit
-it in one sweep, `_most_fitting`.  `_first_subset` (subsets by size, then
-in combinations order) serves set cover (`_first_cover`'s bit-mask union,
-shared with approx.set_cover_optimum) and representatives (`verify`).
-The searches with predicates of their own check their witness once with
-`verify`.  The backtracking oracles (coloring, exact cover, ILP,
-Hamiltonicity) and approx.bin_pack_optimum share one explicit-stack walk,
-`_depth_first`, over immutable states.  TSP and approx.tsp_optimum share
-`_held_karp`; the graph deciders and approx.vertex_cover_optimum share
-`_most_independent`.
+decoder, verifier, and a desk-scale brute-force oracle over a capped
+search from `exact`), a reduction compiler with bidirectional witness
+maps registered in `REDUCTIONS`, and the polynomial 2-SAT solver.
 
 The 2-SAT solver (Aspvall, Plass & Tarjan 1979) reads the implication
 arcs straight off the clauses, two a clause, into heads and tails lists
@@ -36,11 +19,11 @@ JSON, graphs in the shared text format.
 from __future__ import annotations
 
 import itertools
-import math
-import os
 from collections.abc import Callable
-from fractions import Fraction
 
+from .exact import _adjacency_bits, _bits, _depth_first, _first_cover, _first_independent
+from .exact import _first_union, _halves, _ham_backtrack, _held_karp, _most_fitting
+from .exact import _most_independent, _within_cap, tour_length
 from .graph_core import (
     Digraph,
     Graph,
@@ -76,7 +59,8 @@ class CnfFormula(_FrozenRecord):
     clauses: tuple[tuple[int, ...], ...]
 
     def _check(self):
-        exact_int(self.num_vars, "num_vars")
+        if exact_int(self.num_vars, "num_vars") < 0:
+            raise ValueError("num_vars must be >= 0")
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
@@ -102,13 +86,13 @@ def cnf(num_vars: int, clauses) -> CnfFormula:
 
 
 def _dimacs_header(line: str) -> int:
-    """The variable count of a `p cnf <vars> <clauses>` line, whose clause
-    count must be an int >= 0 (it need not match the clauses read)."""
+    """The variable count of a `p cnf <vars> <clauses>` line; both counts
+    must be ints >= 0, and the clause count need not match the clauses read."""
     parts = line.split()
     if len(parts) == 4 and parts[1] == "cnf":
         num_vars = int(parts[2])
         try:
-            if int(parts[3]) >= 0:
+            if num_vars >= 0 and int(parts[3]) >= 0:
                 return num_vars
         except ValueError:
             pass
@@ -476,9 +460,13 @@ class Representatives(_SetFamily):
         return all(len(ws & s) == 1 for s in self.family)
 
     def search(self):
+        """The first subset of the entries, by size and then in combinations
+        order, that `verify` takes.  It has no two equal entries (without one
+        it would come sooner), so hits counted per entry agree with `verify`."""
         _within_cap(len(self.universe), "elements")
-        found = _first_subset(self.universe, len(self.universe), lambda c: self.verify(set(c)))
-        return None if found is None else set(found)
+        hits = [sum(1 << j for j, s in enumerate(self.family) if a in s) for a in self.universe]
+        found = _first_union(hits, (1 << len(self.family)) - 1, len(hits), disjoint=True)
+        return None if found is None else {self.universe[i] for i in found}
 
 
 class SetCover(_SetFamily):
@@ -659,7 +647,6 @@ class HamCircuit(Problem):
         return _check_ham_sequence(w, self.digraph)
 
     def search(self):
-        _within_cap(self.digraph.n, "ham_vertices")
         return _ham_backtrack(self.digraph)
 
 
@@ -679,7 +666,6 @@ class HamCycle(Problem):
         return _check_ham_sequence(w, self.graph)
 
     def search(self):
-        _within_cap(self.graph.n, "ham_vertices")
         return _ham_backtrack(self.graph)
 
 
@@ -708,12 +694,8 @@ class Tsp(Problem):
         return {"matrix": [list(r) for r in self.matrix], "limit": self.limit}
 
     def verify(self, w):
-        n = len(self.matrix)
-        _as_permutation(w, n)
-        length = sum(
-            self.matrix[w[i] - 1][w[(i + 1) % n] - 1] for i in range(n)
-        )
-        return length <= self.limit
+        _as_permutation(w, len(self.matrix))
+        return tour_length(self.matrix, w) <= self.limit
 
     def search(self):
         _within_cap(len(self.matrix), "tsp_cities")
@@ -904,155 +886,13 @@ def _check_ham_sequence(w, g) -> bool:
     return True
 
 
-# The subset searches keep the 20-variable / 20-element caps: SAT's truth
-# tables and the knapsacks' and partition's halves decide a no-instance
-# at 20 in a few ms, and the caps stay where they were until a measured
-# family sets new ones.  Backtracking deciders (coloring, hamiltonicity,
-# exact cover) and Held-Karp afford slightly larger instances, which the
-# reduction targets need.
-_DEFAULT_CAPS = {
-    "bool_vars": 20,
-    "coloring_vertices": 24,
-    "ham_vertices": 16,
-    "tsp_cities": 16,  # _held_karp, with approx.tsp_optimum
-    "elements": 20,
-    "exact_cover_sets": 40,
-    "box_width": 3,  # ILP: hi - lo per variable
-    "set_cover_sets": 21,  # _first_cover, for any universe size
-    "vertex_cover_vertices": 44,  # _most_independent: the graph deciders and optimum
-    # approx's other exact optima
-    "max_cut_vertices": 20,
-    "knapsack_items": 20,
-}
-
-
-def _within_cap(size: int, cap_key: str) -> None:
-    override = os.environ.get("COMBINLAB_ORACLE_LIMIT")
-    if size > (int(override) if override else _DEFAULT_CAPS[cap_key]):
-        raise InstanceTooLargeError("instance too large for oracle")
-
-
 def brute_force_decide(problem):
     """Exhaustively search for a verifying witness; None when none exists.
-
-    Desk-scale only: instances beyond the caps raise
-    InstanceTooLargeError.  The env var COMBINLAB_ORACLE_LIMIT overrides
-    every cap with a single integer.
-    """
+    Desk-scale only: above the caps in `exact` (which the env var
+    COMBINLAB_ORACLE_LIMIT overrides) it raises InstanceTooLargeError."""
     if not isinstance(problem, Problem):
         raise TypeError(f"unknown problem type {type(problem)!r}")
     return problem.search()
-
-
-def _adjacency_bits(g: Graph) -> list[int]:
-    """Neighbours of vertex v + 1 as the bit mask at index v."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    return adj
-
-
-def _most_independent(adj, alive: int, goal: int | None = None) -> int:
-    """The size of a largest independent set inside the bit mask `alive`,
-    with adj from _adjacency_bits.  The search keeps its own stack of
-    (alive vertices, set size) nodes.  A node first takes every vertex of
-    degree 0 or 1 into the set (some maximum set holds it) and drops its
-    neighbour; it ends once its set plus all alive vertices cannot beat
-    the best; otherwise it branches on a maximum-degree vertex: left out,
-    or taken with its neighbours dropped (Chen, Kanj & Jia 2001).
-
-    With a `goal` the search only asks whether a `goal`-set exists: it
-    starts as if a (goal - 1)-set were known and returns at the first set
-    larger than that, so the result is >= goal exactly when one exists."""
-    best, stack = (0 if goal is None else goal - 1), [(alive, 0)]
-    while stack:
-        alive, size = stack.pop()
-        taken = True
-        while taken:
-            taken, top, top_degree = False, 0, 0
-            rest = alive
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if alive & low:
-                    near = adj[low.bit_length() - 1] & alive
-                    degree = near.bit_count()
-                    if degree <= 1:
-                        alive &= ~(low | near)
-                        size += 1
-                        taken = True
-                    elif degree > top_degree:
-                        top, top_degree = low, degree
-        if not alive:
-            if size > best:
-                best = size
-                if goal is not None:
-                    return best
-        elif size + alive.bit_count() > best:
-            stack.append((alive & ~top & ~adj[top.bit_length() - 1], size + 1))
-            stack.append((alive & ~top, size))  # left out: tried first
-    return best
-
-
-def _first_independent(adj, alive: int, need: int, take: bool) -> set[int]:
-    """The independent `need`-set inside `alive`, which must hold one, that
-    a walk in vertex order picks by self-reduction (Schnorr 1976): it takes
-    each vertex if `take`, else leaves it out, whenever the vertices left
-    still hold an independent set of the size needed."""
-    chosen = set()
-    while need:
-        low = alive & -alive
-        alive ^= low
-        later = alive & ~adj[low.bit_length() - 1]  # left if the vertex is taken
-        # make the preferred choice if what it leaves can still complete the set
-        left, wanted = (later, need - 1) if take else (alive, need)
-        if (_most_independent(adj, left, wanted) >= wanted) == take:
-            chosen.add(low.bit_length())
-            alive, need = later, need - 1
-    return chosen
-
-
-def _halves(numbers) -> list[list]:
-    """The sums of every subset of numbers[:n // 2] and of numbers[n // 2:],
-    each list indexed by the subset's 0/1 vector read as a binary number
-    whose first item is the most significant bit: itertools.product order
-    (Horowitz & Sahni 1974 split the search this way)."""
-    h, out = len(numbers) // 2, []
-    for half in (numbers[:h], numbers[h:]):
-        sums = [0]
-        for x in half:
-            sums = [t for s in sums for t in (s, s + x)]
-        out.append(sums)
-    return out
-
-
-def _most_fitting(rooms, volumes, keys) -> list:
-    """For each room, the largest key among the items whose volume is at
-    most the room, or None: one sweep over both, sorted by size."""
-    order = sorted(range(len(volumes)), key=volumes.__getitem__)
-    most, best, j = [None] * len(rooms), None, 0
-    for a in sorted(range(len(rooms)), key=rooms.__getitem__):
-        while j < len(order) and volumes[order[j]] <= rooms[a]:
-            key = keys[order[j]]
-            if best is None or key > best:
-                best = key
-            j += 1
-        most[a] = best
-    return most
-
-
-def _bits(x: int, width: int) -> list[int]:
-    """x as a 0/1 list of `width` digits, most significant first."""
-    return [x >> i & 1 for i in range(width - 1, -1, -1)]
-
-
-def _first_subset(items, most, accept):
-    """The first tuple of at most `most` items, by size and then in
-    combinations order, that accept takes, or None."""
-    sizes = range(min(most, len(items)) + 1)
-    subsets = itertools.chain.from_iterable(itertools.combinations(items, r) for r in sizes)
-    return next(filter(accept, subsets), None)
 
 
 def _verified(problem, found):
@@ -1060,105 +900,6 @@ def _verified(problem, found):
     if found is not None and not problem.verify(found):
         raise AssertionError(f"{problem.kind} search found a witness verify refuses")
     return found
-
-
-def _ham_backtrack(g):
-    """The first Hamiltonian cycle from vertex 1, by neighbour order."""
-    n, adj = g.n, g.adj
-    if n == 0:
-        return []
-
-    into_first = {u for u in range(1, n + 1) if 1 in adj[u]}
-
-    def children(path):  # none once no way back to vertex 1 is left open
-        if len(path) < n and into_first.issubset(path):
-            return ()
-        return [path + (v,) for v in adj[path[-1]] if v not in path]
-
-    found = _depth_first(
-        (1,), children, lambda path: len(path) == n and path[0] in adj[path[-1]]
-    )
-    return list(found) if found is not None else None
-
-
-def _depth_first(root, children, accept):
-    """The first state, in depth-first preorder from root, that accept
-    takes, or None.  children(state) lists a state's successors in the
-    order to try them.  The walk keeps its own stack, so its depth is not
-    the interpreter's."""
-    stack = [root]
-    while stack:
-        state = stack.pop()
-        if accept(state):
-            return state
-        stack.extend(reversed(children(state)))
-    return None
-
-
-def _held_karp(matrix, limit=None):
-    """The lexicographically first tour from city 1 of length at most
-    `limit`, or of a shortest tour's length when `limit` is None; None if
-    no tour fits (Held & Karp 1962).  With n <= 1 the tour is the empty
-    one or city 1 alone, which fits any limit >= 0.  Fractions are searched as integers,
-    scaled by their least common denominator, and so is the limit.
-    cost[S][k] is the shortest path from city k + 2 through the cities S
-    (bit j for city j + 2) back to city 1.  The walk takes the lowest city
-    k whose length + step + cost[left][k] fits.  Its callers refuse float
-    entries first."""
-    if len(matrix) <= 1:
-        return list(range(1, len(matrix) + 1)) if limit is None or 0 <= limit else None
-    weights, scale = matrix, 1
-    if not all(type(x) is int for row in matrix for x in row):
-        exact = [[Fraction(x) for x in row] for row in matrix]
-        scale = math.lcm(*(x.denominator for row in exact for x in row))
-        weights = [[int(x * scale) for x in row] for row in exact]
-    m = len(matrix) - 1
-    out = [row[1:] for row in weights[1:]]  # out[j][k]: city j + 2 to city k + 2
-    cost: list[list] = [[]] * (1 << m)
-    members: list[list[int]] = [[]] * (1 << m)  # members[S]: the bits of S, ascending
-    for j in range(m):  # one city left: straight back to city 1
-        cost[1 << j] = [None] * m
-        cost[1 << j][j] = weights[j + 1][0]
-        members[1 << j] = [j]
-    for mask in range(3, 1 << m):
-        rest = mask & (mask - 1)  # mask without its lowest bit
-        if not rest:
-            continue
-        inside = members[mask] = members[mask ^ rest] + members[rest]
-        row = [None] * m
-        for j in inside:
-            sub, step = cost[mask ^ (1 << j)], out[j]
-            row[j] = min([step[k] + sub[k] for k in inside if k != j])
-        cost[mask] = row
-    tour, length, left, step = [1], 0, (1 << m) - 1, weights[0][1:]
-    limit = min(step[k] + cost[left][k] for k in range(m)) if limit is None else limit * scale
-    while left:
-        j = next((k for k in range(m) if left >> k & 1 and length + step[k] + cost[left][k] <= limit), None)
-        if j is None:
-            return None
-        tour.append(j + 2)
-        length, step, left = length + step[j], out[j], left ^ 1 << j
-    return tour
-
-
-def _first_cover(universe, family, most):
-    """The indices, from 1, of the first subfamily of at most `most` sets,
-    by size and then in combinations order, whose union holds the
-    universe; None if none does.  Each set is a bit mask over the
-    universe, so elements outside it are ignored."""
-    _within_cap(len(family), "set_cover_sets")
-    bit = {x: 1 << i for i, x in enumerate(set(universe))}
-    masks = [sum(bit.get(x, 0) for x in set(s)) for s in family]  # distinct bits: the sum is the union
-    full = (1 << len(bit)) - 1
-
-    def covers(combo):
-        covered = 0
-        for i in combo:
-            covered |= masks[i]
-        return covered == full
-
-    found = _first_subset(range(len(masks)), most, covers)
-    return None if found is None else {i + 1 for i in found}
 
 
 # --- reductions --------------------------------------------------------------

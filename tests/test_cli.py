@@ -825,6 +825,7 @@ MALFORMED_FILES = {
     "deep.json": "[" * 10**5 + "]" * 10**5,
     "banana.cnf": "p cnf 2 banana\n1 -2 0\n",
     "negative-count.cnf": "p cnf 2 -1\n1 -2 0\n",
+    "negative-vars.cnf": "p cnf -3 0\n",
 }
 
 
@@ -881,6 +882,7 @@ TOO_DEEP = {
 BAD_CLAUSE_COUNT = {
     "twosat banana.cnf": "error: bad DIMACS header: p cnf 2 banana\n",
     "reduce sat-3sat negative-count.cnf": "error: bad DIMACS header: p cnf 2 -1\n",
+    "twosat negative-vars.cnf": "error: bad DIMACS header: p cnf -3 0\n",
 }
 
 # Euler cycles and connected components are defined on undirected graphs.

@@ -45,7 +45,7 @@ from combinlab.complexity import (
     twosat_solve,
     vc_to_ham_circuit,
 )
-from combinlab.complexity import _depth_first
+from combinlab.exact import _depth_first
 from combinlab.approx import random_metric_instance, tsp_optimum
 from combinlab.graph_core import Digraph, Graph, _scc_labels, _walk
 
@@ -1028,6 +1028,21 @@ def first_verified(problem, items, sizes):
     return None
 
 
+def first_subset(items, most, accept):
+    """complexity._first_subset as it was before the bit-mask walk replaced
+    it: the first tuple of at most `most` items, by size and then in
+    combinations order, that accept takes, or None."""
+    sizes = range(min(most, len(items)) + 1)
+    subsets = itertools.chain.from_iterable(itertools.combinations(items, r) for r in sizes)
+    return next(filter(accept, subsets), None)
+
+
+def reference_representatives(problem):
+    """Representatives.search as it was: `verify` on each subset's set."""
+    found = first_subset(problem.universe, len(problem.universe), lambda c: problem.verify(set(c)))
+    return None if found is None else set(found)
+
+
 def first_product(problem, n, values):
     """The first vector over `values`, in itertools.product order, that
     verify accepts: (False, True) for the CNF problems, (0, 1) for the
@@ -1083,13 +1098,15 @@ def subset_search_cases(rng):
                 yield problem, first_verified(problem, range(1, len(problem.numbers) + 1),
                                               range(len(problem.numbers) + 1))
     for size in range(0, 9):
-        for _ in range(20):
-            universe = tuple(rng.randint(1, size + 2) for _ in range(size))  # duplicate entries
-            pool = [*range(1, size + 3), "x"]  # elements outside the universe
+        for _ in range(40):
+            odd = [True, 1.0, "x"] if rng.random() < 0.3 else []  # True and 1.0 equal 1 in a set
+            universe = tuple(rng.choice([rng.randint(1, size + 2)] * 6 + odd)  # duplicate entries
+                             for _ in range(size))
+            pool = [*range(1, size + 3), "x", *odd[:2]]  # elements outside the universe
             family = tuple(frozenset(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
                            for _ in range(rng.randint(0, 6)))  # sometimes an empty family
             problem = Representatives(universe, family)
-            yield problem, first_verified(problem, universe, range(len(universe) + 1))
+            yield problem, reference_representatives(problem)
 
 
 def test_subset_walks_match_the_enumerations():
@@ -1127,11 +1144,14 @@ def random_three_cnf(rng, n, m):
     KnapsackDecision(tuple(range(1, 21)), tuple(range(1, 21)), 50, 51),
     Partition((*range(4, 80, 4), 2)), Sat(pigeonhole(5, 4)),
     ThreeSat(random_three_cnf(random.Random(20), 20, 120)),
+    # an odd cycle of pairs, which no set of elements hits once each
+    Representatives(tuple(range(1, 21)), tuple(frozenset({i, i % 19 + 1}) for i in range(1, 20))),
 ], ids=["knapsack01", "partition", "knapsack-decision", "partition-even-total", "sat-php-5-4",
-        "3sat-random-20x120"])
+        "3sat-random-20x120", "representatives-odd-cycle"])
 def test_twenty_item_no_instances_decide_quickly(problem):
     # Trying each of the 2**20 vectors or subsets took 0.9-11.6 s of CPU
-    # here; the halves and truth tables take a few ms.
+    # here (representatives: 2.6 s); the halves, truth tables and the
+    # bit-mask walk take a few ms.
     start = time.process_time()
     assert brute_force_decide(problem) is None
     assert time.process_time() - start < 0.25
@@ -1179,7 +1199,7 @@ def test_sat_tables_do_not_grow_with_the_oracle_limit(monkeypatch):
 
 
 def test_independent_set_goal_decides_as_the_optimum_does():
-    from combinlab.complexity import _adjacency_bits, _most_independent
+    from combinlab.exact import _adjacency_bits, _most_independent
 
     rng = random.Random(61)
     for n, p in itertools.product(range(0, 13), [0, 0.3, 0.6, 1]):
@@ -1344,6 +1364,8 @@ def test_construction_errors():
         CnfFormula(2, ((1, 3),))
     with pytest.raises(ValueError, match="^literal 0 out of range$"):
         CnfFormula(num_vars=2, clauses=((0,),))
+    with pytest.raises(ValueError, match="^num_vars must be >= 0$"):  # the search would shift by it
+        cnf(-3, [])
     for lit in (1.0, True, Fraction(1)):  # the 2-SAT graph indexes by literal
         with pytest.raises(ValueError, match=re.escape(f"literal {lit!r} is not an integer")):
             cnf(2, [(2, lit)])

@@ -138,16 +138,20 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
 # What each NP command may load, leaving out the modules whose names start
 # with an underscore (__future__ and the C accelerators, which differ
 # between builds of one Python version), so a new import on the path fails.
-NP_PATH = {"argparse", "combinlab", "combinlab.cli", "combinlab.complexity",
+NP_PATH = {"argparse", "combinlab", "combinlab.cli", "combinlab.complexity", "combinlab.exact",
            "combinlab.graph_core", "combinlab.intmath", "decimal", "fractions", "gettext",
            "locale", "numbers", "shutil"}
-APPROX_PATH = NP_PATH | {"combinlab.approx", "combinlab.paths_mst", "hashlib"}
+# The optima live in exact, so an approx call on a graph, a knapsack or bin
+# sizes loads no NP problem: complexity is not on its path.
+APPROX_PATH = NP_PATH - {"combinlab.complexity"} | {"combinlab.approx", "combinlab.paths_mst", "hashlib"}
 NP_CALLS = {
     "reduce sat-clique f.cnf --oracle": NP_PATH,
     "reduce sat-3sat f.cnf --oracle": NP_PATH,
     "verify vertex-cover g.txt w.json --k 2": NP_PATH,
     "twosat f.cnf": NP_PATH,
     "approx vc-matching g.txt --oracle": APPROX_PATH,
+    "approx maxcut g.txt --oracle": APPROX_PATH,
+    "approx binpack s.txt --oracle": APPROX_PATH,
     "approx knapsack-fptas k.json --oracle": APPROX_PATH | {"combinlab.dp"},
 }
 
@@ -158,6 +162,7 @@ def test_np_commands_import_complexity_without_dataclasses(tmp_path, call):
     (tmp_path / "g.txt").write_text("p 3 2\ne 1 2\ne 2 3\n")
     (tmp_path / "w.json").write_text("[1, 3]\n")
     (tmp_path / "k.json").write_text('{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5}\n')
+    (tmp_path / "s.txt").write_text("1/2 1/3 2/3 1/2\n")
     argv = [str(tmp_path / tok) if "." in tok else tok for tok in call.split()]
     # The pin's stdlib modules are imported before the snapshot, so they are
     # loaded whatever the interpreter's start-up loads (3.11's site hooks

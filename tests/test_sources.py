@@ -1,7 +1,10 @@
 """Checks over the package source itself."""
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 import combinlab
 
@@ -135,8 +138,28 @@ def test_graphs_are_built_only_by_their_constructors():
     assert unchecked_graph_builds() == set()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def floor_version():
+    """(major, minor) of `requires-python = ">=X.Y"` in pyproject.toml,
+    read without tomllib, which the 3.10 floor lacks."""
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(),
+                      re.MULTILINE)
+    return int(found[1]), int(found[2])
+
+
 def test_every_module_parses_at_the_floor_version():
-    # pyproject.toml's floor is Python 3.10, whose grammar has no
-    # `except*`, for one; a module using it would not import there.
-    for path in sorted(Path(combinlab.__file__).parents[1].rglob("*.py")):
-        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    # A newer interpreter parses syntax the floor lacks, such as 3.11's
+    # `except*`, which would not import there.  The package, its tests, the
+    # benchmark and the tools all run on the floor.
+    floor = floor_version()
+    for folder in ("src", "tests", "perfbench", "tools"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_the_floor_check_refuses_newer_syntax():
+    assert floor_version() == (3, 10)  # `except*` came in 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor_version())

@@ -2,8 +2,8 @@
 
 `reference_parse_graph_text` and `reference_parse_dimacs` are the readers
 as they were before the body was read as token columns, kept verbatim but
-for the weight helper's name and the DIMACS header's clause count, which
-the reference checks with the current rule (marked).  The fuzz below requires the same graph or
+for the weight helper's name and the DIMACS header's two counts, which
+the reference checks with the current rules (marked).  The fuzz below requires the same graph or
 formula, or the same exception type and message, on seeded random texts.
 """
 
@@ -80,6 +80,8 @@ def reference_parse_dimacs(text):
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad DIMACS header: {line}")
             num_vars = int(parts[2])
+            if num_vars < 0:  # the variable-count rule, added since
+                raise ValueError(f"bad DIMACS header: {line}")
             if not _valid_count(parts[3]):  # the clause-count rule, added since
                 raise ValueError(f"bad DIMACS header: {line}")
         else:
@@ -276,6 +278,12 @@ def test_dimacs_header_refuses_a_clause_count_that_is_not_an_int_at_least_0():
     # A count that differs from the clauses read is accepted.
     for count in ("0", "5", "+1", "1_0", "٣"):
         assert parse_dimacs(f"p cnf 2 {count}\n1 -2 0\n").clauses == ((1, -2),)
+    # So is the variable count, which must be >= 0 too.
+    for line in ("p cnf -3 0", "p cnf -1 1"):
+        with pytest.raises(ValueError) as raised:
+            parse_dimacs(f"{line}\n")
+        assert str(raised.value) == f"bad DIMACS header: {line}"
+    assert parse_dimacs("p cnf -0 0\n").num_vars == 0
 
 
 # The small texts np-desk's twosat jobs and the CLI calls parse: clause

@@ -278,7 +278,7 @@ def test_dimacs_header_refuses_a_clause_count_that_is_not_an_int_at_least_0():
     # A count that differs from the clauses read is accepted.
     for count in ("0", "5", "+1", "1_0", "٣"):
         assert parse_dimacs(f"p cnf 2 {count}\n1 -2 0\n").clauses == ((1, -2),)
-    # So is the variable count, which must be >= 0 too.
+    # A negative variable count is refused the same way.
     for line in ("p cnf -3 0", "p cnf -1 1"):
         with pytest.raises(ValueError) as raised:
             parse_dimacs(f"{line}\n")

@@ -130,9 +130,7 @@ def set_cover_greedy(universe, family) -> list[int]:
             range(1, len(family) + 1),
             key=lambda i: (len(family[i - 1] & uncovered), -i),
         )
-        gain = family[best - 1] & uncovered
-        if not gain:
-            raise ValueError("family does not cover the universe")
+        gain = family[best - 1] & uncovered  # not empty: the family covers the universe
         chosen.append(best)
         uncovered -= gain
     return chosen

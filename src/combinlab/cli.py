@@ -329,7 +329,7 @@ def _vertex_cover(heuristic, bound):
 
 
 def _set_cover(ax, text, eps):
-    from .complexity import parse_set_system
+    from .intmath import parse_set_system
 
     universe, family, _ = parse_set_system(text)
     chosen = ax.set_cover_greedy(universe, family)
@@ -344,7 +344,7 @@ def _tsp(heuristic, bound):
     def solve(ax, text, eps):
         from fractions import Fraction
 
-        from .complexity import parse_matrix
+        from .graph_core import parse_matrix
 
         inst = ax.MetricTspInstance(parse_matrix(text))
         tour = getattr(ax, heuristic)(inst)

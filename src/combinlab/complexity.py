@@ -28,9 +28,9 @@ from .graph_core import (
     Digraph,
     Graph,
     _scc_labels,
-    exact_fraction,
     format_graph_text,
     parse_graph_text,
+    parse_matrix,
     scc_kosaraju,
 )
 from .intmath import (  # InstanceTooLargeError and parse_numbers are re-exported
@@ -42,6 +42,7 @@ from .intmath import (  # InstanceTooLargeError and parse_numbers are re-exporte
     exact_ints,
     json_object,
     parse_numbers,
+    parse_set_system,
     refuse_floats,
 )
 
@@ -153,33 +154,6 @@ def format_dimacs(f: CnfFormula) -> str:
     for clause in f.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> list[list]:
-    """Square whitespace grid of integers and p/q rationals."""
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    try:
-        matrix = [[exact_fraction(tok, "entry") if "/" in tok else int(tok) for tok in row]
-                  for row in rows]
-    except ValueError as exc:
-        raise ValueError(f"bad matrix: {exc}") from None
-    if any(len(r) != len(matrix) for r in matrix):
-        raise ValueError("matrix must be square")
-    return matrix
-
-
-def parse_set_system(text: str):
-    """(universe, family, k or None) from {"universe", "family", "k"} JSON."""
-    data = json_object(text)
-    universe, family, k = data["universe"], data["family"], data.get("k")
-    sets = [universe, *family] if isinstance(family, list) else [family]
-    if not all(isinstance(s, list) for s in sets):
-        raise ValueError("universe and family sets must be JSON lists")
-    if any(isinstance(a, (list, dict)) for s in sets for a in s):
-        raise ValueError("set elements must be numbers or strings")
-    if k is not None:
-        exact_int(k, "k")
-    return tuple(universe), tuple(frozenset(s) for s in family), k
 
 
 # --- problems ---------------------------------------------------------------

@@ -30,7 +30,8 @@ from itertools import accumulate, count, pairwise
 from math import gcd, isqrt, lcm
 
 from .intmath import (
-    _FrozenRecord, exact_int, exact_int_rows, exact_ints, json_object, read_cells, refuse_floats,
+    _FrozenRecord, _Record, exact_int, exact_int_rows, exact_ints, json_object, read_cells,
+    refuse_floats,
 )
 
 DIAG, UP, LEFT = "Diag", "Up", "Left"
@@ -421,12 +422,8 @@ def lcs(x, y) -> tuple[int, list, LcsTables]:
     return length, out, LcsTables(rows, hits, m)
 
 
-class ChainTables:
-    __slots__ = ("costs", "splits")
-
-    def __init__(self, costs: list[list[object]], splits: list[list[int]]):
-        self.costs = costs  # m[i][j], 1-based upper triangle
-        self.splits = splits  # s[i][j]
+class ChainTables(_Record):
+    __slots__ = ("costs", "splits")  # m[i][j] (1-based upper triangle) and s[i][j]
 
 
 def matrix_chain(dims) -> tuple[int, str, ChainTables]:

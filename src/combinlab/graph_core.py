@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .intmath import _Record
+
 
 class NotEulerianError(ValueError):
     """Graph has no Euler cycle; .reason is 'OddDegree' or 'Disconnected'."""
@@ -175,15 +177,11 @@ class Digraph:
         return mat
 
 
-class BfsForest:
+class BfsForest(_Record):
     """Breadth-first forest: one (root, tree edges) entry per component,
     plus the global visitation order."""
 
     __slots__ = ("trees", "order")
-
-    def __init__(self, trees: list[tuple[int, list[tuple[int, int]]]], order: list[int]):
-        self.trees = trees
-        self.order = order
 
 
 def bfs_forest(g: Graph) -> BfsForest:
@@ -317,19 +315,10 @@ def fleury_euler_cycle(g: Graph) -> list[int]:
     return cycle
 
 
-class DfsRecord:
+class DfsRecord(_Record):
     """Per-vertex discovery/finish stamps, parents, and the DFS forest."""
 
     __slots__ = ("discovery", "finish", "parent", "forest_edges", "roots")
-
-    def __init__(self, discovery: dict[int, int], finish: dict[int, int],
-                 parent: dict[int, int | None], forest_edges: list[tuple[int, int]],
-                 roots: list[int]):
-        self.discovery = discovery
-        self.finish = finish
-        self.parent = parent
-        self.forest_edges = forest_edges
-        self.roots = roots
 
 
 def _walk(adj, order) -> tuple[list[int], dict[int, int | None]]:
@@ -449,6 +438,19 @@ def exact_fraction(value, what: str) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"bad {what} {value!r}: zero denominator") from None
+
+
+def parse_matrix(text: str) -> list[list]:
+    """Square whitespace grid of integers and p/q rationals."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    try:
+        matrix = [[exact_fraction(tok, "entry") if "/" in tok else int(tok) for tok in row]
+                  for row in rows]
+    except ValueError as exc:
+        raise ValueError(f"bad matrix: {exc}") from None
+    if any(len(r) != len(matrix) for r in matrix):
+        raise ValueError("matrix must be square")
+    return matrix
 
 
 def _parse_weight(tok: str):

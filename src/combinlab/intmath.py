@@ -5,12 +5,12 @@ logarithm-style quantities are computed with integer comparisons and big
 integers, never floating point.  The JSON instance loaders use the checks
 at the end to admit only integers, never floats; the library entry points
 that also take fractions refuse floats through `refuse_floats`.  The
-number-list parser, the size-cap error and the value-record bases live
-here too, so that the sorting and selection commands need nothing from
-`complexity` (which re-exports the first two) and `search_games` and `dp`
-share its records.  So do the readers of packed rows, one int with a
-fixed-width field per cell, that `paths_mst` and `dp` fill by broadword
-arithmetic.
+number-list and set-system readers, the size-cap error and the record
+bases live here too, so that the sorting, selection and set-cover commands
+need nothing from `complexity` (which imports all three back) and the
+package's problem, verdict and result records share one base.  So do the
+readers of packed rows, one int with a fixed-width field per cell, that
+`paths_mst` and `dp` fill by broadword arithmetic.
 """
 
 from __future__ import annotations
@@ -251,6 +251,20 @@ def json_object(text: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError("instance must be a JSON object")
     return _JsonInstance(data)
+
+
+def parse_set_system(text: str):
+    """(universe, family, k or None) from {"universe", "family", "k"} JSON."""
+    data = json_object(text)
+    universe, family, k = data["universe"], data["family"], data.get("k")
+    sets = [universe, *family] if isinstance(family, list) else [family]
+    if not all(isinstance(s, list) for s in sets):
+        raise ValueError("universe and family sets must be JSON lists")
+    if any(isinstance(a, (list, dict)) for s in sets for a in s):
+        raise ValueError("set elements must be numbers or strings")
+    if k is not None:
+        exact_int(k, "k")
+    return tuple(universe), tuple(frozenset(s) for s in family), k
 
 
 def exact_int(value, what: str) -> int:

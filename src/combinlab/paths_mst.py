@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph_core import Digraph, Graph
-from .intmath import exact_int, field_reader, refuse_floats
+from .intmath import _Record, exact_int, field_reader, refuse_floats
 
 INF = float("inf")
 
@@ -59,13 +59,8 @@ class WeightedGraph(Graph):
         return WeightedDigraph(self.n, arcs)
 
 
-class DijkstraResult:
-    __slots__ = ("source", "dist", "pred")
-
-    def __init__(self, source: int, dist: dict[int, object], pred: dict[int, int | None]):
-        self.source = source
-        self.dist = dist  # vertex -> exact distance or INF
-        self.pred = pred
+class DijkstraResult(_Record):
+    __slots__ = ("source", "dist", "pred")  # dist: vertex -> exact distance or INF
 
     def path_to(self, v: int) -> list[int]:
         if self.dist[v] is INF or self.dist[v] == INF:
@@ -119,18 +114,12 @@ def dijkstra(g: WeightedDigraph, source: int, target: int | None = None) -> Dijk
     return DijkstraResult(source, dist, pred)
 
 
-class FloydTables:
+class FloydTables(_Record):
     """All-pairs distance matrix, successor matrix (0 = none), and the
     vertices flagged on negative cycles.  Matrices are 1-based maps."""
 
+    # dist is (n+1) x (n+1), row/col 0 unused
     __slots__ = ("n", "dist", "succ", "negative_cycle_vertices")
-
-    def __init__(self, n: int, dist: list[list[object]], succ: list[list[int]],
-                 negative_cycle_vertices: set[int]):
-        self.n = n
-        self.dist = dist  # (n+1) x (n+1), row/col 0 unused
-        self.succ = succ
-        self.negative_cycle_vertices = negative_cycle_vertices
 
     def d(self, i: int, j: int):
         return self.dist[i][j]
@@ -283,14 +272,8 @@ def undirected_shortest_path(g: WeightedGraph, u: int, v: int):
     return res.dist[v], (res.path_to(v) if res.dist[v] != INF else None)
 
 
-class MstResult:
-    __slots__ = ("edges", "total_weight", "prim_trace")
-
-    def __init__(self, edges: list[tuple[int, int]], total_weight,
-                 prim_trace: list[tuple[int, int | None, object]] | None = None):
-        self.edges = edges
-        self.total_weight = total_weight
-        self.prim_trace = prim_trace
+class MstResult(_Record):
+    __slots__ = ("edges", "total_weight", "prim_trace")  # prim_trace: None unless made by prim
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
@@ -376,4 +359,4 @@ def _kruskal(g: WeightedGraph, ordered) -> MstResult:
         total = total + g.weight[(u, v)]
     if len(edges) != g.n - 1:
         raise ValueError("graph not connected")
-    return MstResult(edges, total)
+    return MstResult(edges, total, prim_trace=None)

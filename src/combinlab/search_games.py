@@ -116,12 +116,11 @@ def find_counterfeit(n: int, balance) -> CoinVerdict:
 
 
 def _solve_pool(suspects: list[int], k: int, balance) -> CoinVerdict:
-    """At most one counterfeit among `suspects` (any bias); budget k."""
+    """At most one counterfeit among `suspects` (any bias); budget k, the
+    least with coin_pool_size(k) >= len(suspects), so each round weighs m > 0."""
     while suspects:
         m = len(suspects) - coin_pool_size(k - 1)  # weighed now; the rest wait
         k -= 1
-        if m <= 0:
-            continue
         half = m // 2
         if m % 2 == 0:
             left = suspects[:half]

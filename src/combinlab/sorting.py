@@ -15,21 +15,20 @@ from __future__ import annotations
 
 import heapq
 
-from .intmath import ceil_log2, ceil_log2_factorial, exact_int
+from .intmath import _Record, ceil_log2, ceil_log2_factorial, exact_int
 from .oracles import counting_comparator
 
 
-class SortBudget:
+class SortBudget(_Record):
     """Exact worst-case comparison counts for sorting n keys."""
 
-    __slots__ = ("n", "info_lower", "a_n", "b_n", "f_n")
-
-    def __init__(self, n: int, info_lower: int, a_n: int, b_n: int, f_n: int):
-        self.n = n
-        self.info_lower = info_lower  # ceil(log2 n!)
-        self.a_n = a_n  # binary insertion sort
-        self.b_n = b_n  # grouped merge sort
-        self.f_n = f_n  # merge insertion sort
+    __slots__ = (
+        "n",
+        "info_lower",  # ceil(log2 n!)
+        "a_n",  # binary insertion sort
+        "b_n",  # grouped merge sort
+        "f_n",  # merge insertion sort
+    )
 
 
 def binary_insert(run: list, x, cmp) -> list:

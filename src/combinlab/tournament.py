@@ -28,19 +28,15 @@ compared by the wrapped comparator directly, not through the pad wrapper.
 
 from __future__ import annotations
 
-from .intmath import exact_int
+from .intmath import _Record, exact_int
 from .oracles import counting_comparator
 from .sorting import _merge_insertion
 
 
-class KnockoutTree:
+class KnockoutTree(_Record):
     """Complete pairwise-elimination bracket over item positions."""
 
-    __slots__ = ("champion", "victims")
-
-    def __init__(self, champion: int, victims: dict[int, list[int]]):
-        self.champion = champion
-        self.victims = victims  # winner -> entrants it beat, by round
+    __slots__ = ("champion", "victims")  # victims: winner -> entrants it beat, by round
 
     @property
     def matches(self) -> int:

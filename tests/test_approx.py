@@ -168,6 +168,26 @@ def test_metric_validation():
         MetricTspInstance([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         MetricTspInstance([[0, 10, 1], [10, 0, 1], [1, 1, 0]])
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        MetricTspInstance([[0], [1, 0]])
+    with pytest.raises(ValueError, match="^distances must be non-negative$"):
+        MetricTspInstance([[0, -1], [-1, 0]])
+
+
+@pytest.mark.parametrize("tour", [tsp_double_tree, tsp_christofides])
+def test_tours_need_three_cities(tour):
+    with pytest.raises(ValueError, match="^needs n >= 3$"):
+        tour(MetricTspInstance([[0, 1], [1, 0]]))
+
+
+def test_christofides_refuses_more_than_20_odd_vertices():
+    # A star: the hub is 1 from each of 21 leaves, the leaves 2 apart, so the
+    # spanning tree is the star and all 22 of its vertices have odd degree.
+    n = 22
+    star = [[0 if i == j else 1 if 0 in (i, j) else 2 for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="^odd-degree set larger than 20"):
+        tsp_christofides(MetricTspInstance(star))
+    check_tour(tsp_double_tree(star), n)
 
 
 def test_metric_tsp_instance_refuses_floats():

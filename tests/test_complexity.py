@@ -274,6 +274,16 @@ def test_vc_to_ham_circuit_examples():
     assert brute_force_decide(triangle_k1.target) is None
 
 
+@pytest.mark.parametrize("g, k, message", [
+    (Graph(2, []), 1, "needs at least one edge"),
+    (Graph(2, [(1, 2)]), 3, "k larger than the vertex count"),
+    (Graph(2, [(1, 2)]), 0, "needs k >= 1"),
+])
+def test_vc_to_ham_circuit_refusals(g, k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        vc_to_ham_circuit(VertexCover(g, k))
+
+
 def test_vc_to_ham_circuit_equivalence_small():
     rng = random.Random(3)
     graphs = []

@@ -37,6 +37,7 @@ def test_graph_invariants():
     assert [row[0] for row in g.incidence_matrix()] == [1, 1, 0, 0]
     d = Digraph(3, [(3, 1), (1, 2), [3, 1], (3, 2)])  # a repeat keeps the first
     assert d.arcs == ((3, 1), (1, 2), (3, 2)) and d.adj == {1: (2,), 2: (), 3: (1, 2)}
+    assert d.adjacency_matrix() == [[0, 1, 0], [0, 0, 0], [1, 1, 0]]
     # Each class, on each single-fault input, with the one-line message.
     builders = [
         (Graph, "edge"),

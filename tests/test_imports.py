@@ -94,7 +94,7 @@ def test_importing_the_package_imports_no_module_until_a_name_is_read():
     )
     before, after, star = loaded
     assert before == []
-    assert after == ["combinlab.graph_core"]
+    assert after == ["combinlab.graph_core", "combinlab.intmath"]
     assert set(combinlab.__all__) <= set(star)
 
 
@@ -141,8 +141,9 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
 NP_PATH = {"argparse", "combinlab", "combinlab.cli", "combinlab.complexity", "combinlab.exact",
            "combinlab.graph_core", "combinlab.intmath", "decimal", "fractions", "gettext",
            "locale", "numbers", "shutil"}
-# The optima live in exact, so an approx call on a graph, a knapsack or bin
-# sizes loads no NP problem: complexity is not on its path.
+# The optima live in exact, and the set-system and matrix loaders in intmath
+# and graph_core, so no approx call loads an NP problem: complexity is not on
+# its path.
 APPROX_PATH = NP_PATH - {"combinlab.complexity"} | {"combinlab.approx", "combinlab.paths_mst", "hashlib"}
 NP_CALLS = {
     "reduce sat-clique f.cnf --oracle": NP_PATH,
@@ -153,6 +154,9 @@ NP_CALLS = {
     "approx maxcut g.txt --oracle": APPROX_PATH,
     "approx binpack s.txt --oracle": APPROX_PATH,
     "approx knapsack-fptas k.json --oracle": APPROX_PATH | {"combinlab.dp"},
+    "approx setcover c.json --oracle": APPROX_PATH,
+    # The tours' spanning tree is prim's, which imports heapq when it runs.
+    "approx tsp-christofides m.txt --oracle": APPROX_PATH | {"heapq"},
 }
 
 
@@ -163,6 +167,8 @@ def test_np_commands_import_complexity_without_dataclasses(tmp_path, call):
     (tmp_path / "w.json").write_text("[1, 3]\n")
     (tmp_path / "k.json").write_text('{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5}\n')
     (tmp_path / "s.txt").write_text("1/2 1/3 2/3 1/2\n")
+    (tmp_path / "c.json").write_text('{"universe": [1, 2, 3], "family": [[1, 2], [2, 3], [3]]}\n')
+    (tmp_path / "m.txt").write_text("0 1 1 2\n1 0 2 1\n1 2 0 1\n2 1 1 0\n")
     argv = [str(tmp_path / tok) if "." in tok else tok for tok in call.split()]
     # The pin's stdlib modules are imported before the snapshot, so they are
     # loaded whatever the interpreter's start-up loads (3.11's site hooks

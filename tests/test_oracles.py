@@ -15,6 +15,7 @@ from combinlab.oracles import (
     adversary_whoiswho,
     counting_comparator,
 )
+from combinlab.graph_core import Graph, connected_components
 from combinlab.search_games import classify_group, sets_equal
 from combinlab.sorting import merge_runs
 
@@ -237,6 +238,35 @@ def test_whoiswho_certify_majority_holds_midway():
     adv.ask(4, 3)
     world = adversary_certify(adv)
     assert 2 * sum(world.values()) > 9
+
+
+def test_whoiswho_certifies_phase1_pairs_that_share_members():
+    # classify_group's phase-1 pairs are disjoint.  Here about half of the
+    # pairs reuse a member of an earlier one, so the phase-1 graph's
+    # components merge, and random questions follow.
+    merged = 0
+    for n in range(3, 12):
+        for seed in range(300):
+            rng = random.Random(n * 1000 + seed)
+            adv = adversary_whoiswho(n)
+            members: list[int] = []
+            edges = set()
+            for _ in range(adv.k):
+                a = rng.choice(members) if members and rng.random() < 0.5 else rng.randint(1, n)
+                b = rng.choice([v for v in range(1, n + 1) if v != a])
+                pair = [a, b]
+                rng.shuffle(pair)
+                assert adv.ask(*pair) is False
+                members += pair
+                edges.add((min(pair), max(pair)))
+            for _ in range(rng.randint(0, 3 * n)):
+                adv.ask(*rng.sample(range(1, n + 1), 2))
+            comps = sorted(sorted(c) for c in adv._phase1_components())
+            assert comps == [c for c in connected_components(Graph(n, edges)) if len(c) > 1]
+            merged += len(comps) < adv.k
+            world = adv.certify()
+            assert 2 * sum(world.values()) > n
+    assert merged > 0
 
 
 def test_counter_only_counts_new_queries():

@@ -72,6 +72,19 @@ def test_reconstruct_path_guards():
     neg = floyd_warshall(WeightedDigraph(3, {(1, 2): -2, (2, 1): 1, (2, 3): 1}))
     with pytest.raises(ValueError):
         reconstruct_path(neg, 1, 3)
+    assert reconstruct_path(t, 2, 2) == [2]
+    # 1 <-> 2 is a cycle of weight -1; 4 leads into it and 3 out of it, so
+    # the path 4 -> 1 -> 2 -> 3 runs through it though neither end is flagged
+    neg = floyd_warshall(WeightedDigraph(4, {(1, 2): -2, (2, 1): 1, (2, 3): 1, (4, 1): 1}))
+    assert neg.negative_cycle_vertices == {1, 2}
+    for i, j, message in [
+        (1, 1, "endpoint lies on a negative cycle"),
+        (0, 1, "vertex out of range"),
+        (2, 5, "vertex out of range"),
+        (4, 3, "path range touches a negative cycle"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reconstruct_path(neg, i, j)
 
 
 def random_weighted_digraph(rng, n, lo=0, hi=9):

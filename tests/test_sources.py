@@ -138,6 +138,60 @@ def test_graphs_are_built_only_by_their_constructors():
     assert unchecked_graph_builds() == set()
 
 
+def copied_name(stmt, self_name):
+    """x if the statement is `<self_name>.x = x`, else None."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(stmt.value, ast.Name):
+        target = stmt.targets[0]
+        if (isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == self_name
+                and target.attr == stmt.value.id):
+            return target.attr
+    return None
+
+
+def copying_inits(folder=Path(combinlab.__file__).parent):
+    """module.Class of each class whose `__init__` only copies each of its
+    parameters, in order, to `self.<same name>`: a record, which
+    `intmath._Record` builds from the class's `__slots__` instead."""
+    found = set()
+    for path in sorted(folder.rglob("*.py")):
+        classes = [c for c in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(c, ast.ClassDef)]
+        for cls in classes:
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    args = fn.args
+                    self_name, *params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                    if [copied_name(stmt, self_name) for stmt in fn.body] == params:
+                        found.add(f"{path.stem}.{cls.name}")
+    return found
+
+
+COPYING_INIT = """
+class Pair:
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b  # a comment is not a statement
+
+class Checked:
+    def __init__(self, a, b):
+        self.a = a
+        self.b = int(b)
+
+class Extra:
+    def __init__(self, a):
+        self.a = a
+        self.seen = None
+"""
+
+
+def test_copying_init_check_finds_only_pure_copies(tmp_path):
+    (tmp_path / "mod.py").write_text(COPYING_INIT)
+    assert copying_inits(tmp_path) == {"mod.Pair"}
+
+
+def test_records_build_from_their_slots():
+    assert copying_inits() == set()
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .exact import bin_pack_optimum, knapsack_optimum, max_cut_optimum, set_cover_optimum
 from .exact import tour_length, tsp_optimum, vertex_cover_optimum  # the optima are re-exported
 from .graph_core import Graph, exact_fraction
-from .intmath import exact_int, refuse_floats
+from .intmath import InstanceTooLargeError, exact_int, refuse_floats
 from .paths_mst import WeightedGraph, prim
 
 
@@ -288,9 +288,7 @@ def tsp_christofides(inst) -> list[int]:
         degree[v] += 1
     odd = [v for v in range(1, n + 1) if degree[v] % 2]
     if len(odd) > 20:
-        raise ValueError(
-            "odd-degree set larger than 20; use tsp_double_tree instead"
-        )
+        raise InstanceTooLargeError("odd-degree set larger than 20; use tsp_double_tree instead")
     matching = min_perfect_matching_exact(
         odd, lambda a, b: matrix[a - 1][b - 1]
     )

@@ -86,20 +86,31 @@ _SOLVE_INPUT = {
 _SPANNING_TREES = {"prim": "prim", "kruskal": "kruskal", "maxst": "max_spanning_tree"}
 
 
+def _graph_for(name, text, needs):
+    """The graph in `text`, refused with `<name> needs <description>`
+    unless it is of a class that `needs` names, a (public class names,
+    description) pair as in `_SOLVE_INPUT`."""
+    from .graph_core import parse_graph_text
+
+    g = parse_graph_text(text)
+    names, description = needs
+    package = sys.modules[__package__]
+    if not isinstance(g, tuple(getattr(package, cls) for cls in names)):
+        raise ValueError(f"{name} needs {description}")
+    return g
+
+
 def cmd_solve(args):
     problem = args.problem
     if problem not in _SOLVE_INPUT:
         raise ValueError(f"unknown solve problem {problem!r}")
-    needs, description = _SOLVE_INPUT[problem]
+    needs = _SOLVE_INPUT[problem]
     text = _read(args.file)
-    if needs is None:
+    if needs[0] is None:
         return _solve_dp(problem, text)
     from . import graph_core as gc
 
-    g = gc.parse_graph_text(text)
-    package = sys.modules[__package__]
-    if not isinstance(g, tuple(getattr(package, name) for name in needs)):
-        raise ValueError(f"{problem} needs {description}")
+    g = _graph_for(problem, text, needs)
     if problem == "euler":
         try:
             walk = gc.euler_cycle(g)
@@ -212,8 +223,6 @@ def cmd_select(args):
     from .oracles import counting_comparator
 
     items = _distinct_keys(args.file, "select")
-    if not 1 <= args.t <= len(items):
-        raise ValueError("t out of range")
     cmp = counting_comparator(items)
     fn = trn.select_t_linear if args.algorithm == "linear" else trn.select_t_tournament
     idx = fn(items, args.t, cmp)
@@ -316,11 +325,9 @@ def cmd_twosat(args):
 # --- approx -----------------------------------------------------------------
 
 
-def _vertex_cover(heuristic, bound):
+def _vertex_cover(name, heuristic, bound):
     def solve(ax, text, eps):
-        from .graph_core import parse_graph_text
-
-        g = parse_graph_text(text)
+        g = _graph_for(name, text, _UNDIRECTED)
         cover = getattr(ax, heuristic)(g)
         return (g.n, len(cover), lambda: ax.vertex_cover_optimum(g), bound,
                 {"edges": sorted(g.edges)}, {"cover": sorted(cover)})
@@ -356,9 +363,7 @@ def _tsp(heuristic, bound):
 
 
 def _max_cut(ax, text, eps):
-    from .graph_core import parse_graph_text
-
-    g = parse_graph_text(text)
+    g = _graph_for("maxcut", text, _UNDIRECTED)
     side, cut = ax.max_cut_local_search(g)
     return (g.n, cut, lambda: ax.max_cut_optimum(g), 2,
             {"edges": sorted(g.edges)}, {"cut_side": sorted(side)})
@@ -389,8 +394,8 @@ def _bin_pack(ax, text, eps):
 # the output keys of this algorithm.  Heuristics are named by their
 # function in approx.
 _APPROX = {
-    "vc-matching": ("vc_matching", False, _vertex_cover("vc_matching_2approx", 2)),
-    "vc-greedy": ("vc_greedy", False, _vertex_cover("vc_degree_greedy", None)),
+    "vc-matching": ("vc_matching", False, _vertex_cover("vc-matching", "vc_matching_2approx", 2)),
+    "vc-greedy": ("vc_greedy", False, _vertex_cover("vc-greedy", "vc_degree_greedy", None)),
     "setcover": ("set_cover_greedy", False, _set_cover),
     "tsp-doubletree": ("tsp_doubletree", False, _tsp("tsp_double_tree", 2)),
     "tsp-christofides": ("tsp_christofides", False, _tsp("tsp_christofides", "3/2")),

@@ -177,6 +177,18 @@ class Problem(_FrozenRecord):
         if "kind" in vars(cls):
             PROBLEMS[cls.kind] = cls
 
+    def describe(self):
+        """The instance as JSON values, one key per field: a graph as its
+        text, a tuple (and each tuple inside it) as a list."""
+        out = {}
+        for name, value in zip(self._fields, self._values()):
+            if isinstance(value, (Graph, Digraph)):
+                value = format_graph_text(value)
+            elif isinstance(value, tuple):
+                value = [list(x) if isinstance(x, tuple) else x for x in value]
+            out[name] = value
+        return out
+
     def witness(self, w):
         return w
 
@@ -266,6 +278,8 @@ class _GraphK(_SetWitness):
 
     def _check(self):
         exact_int(self.k, "k")
+        if not isinstance(self.graph, Graph):
+            raise ValueError(f"{self.kind} needs an undirected graph")
 
     @classmethod
     def load(cls, text, k, limit):
@@ -273,8 +287,13 @@ class _GraphK(_SetWitness):
             raise ValueError(f"{cls.kind} needs --k")
         return cls(parse_graph_text(text), k)
 
-    def describe(self):
-        return {"graph": format_graph_text(self.graph), "k": self.k}
+    def _pairwise(self, w, adjacent: bool) -> bool:
+        """Whether w names at least k vertices, each two of them adjacent
+        (or, with adjacent false, none)."""
+        vs = _member_set(w, "vertex", self.graph.n)
+        return len(vs) >= self.k and all(
+            self.graph.has_edge(u, v) is adjacent for u, v in itertools.combinations(vs, 2)
+        )
 
 
 class Clique(_GraphK):
@@ -282,12 +301,7 @@ class Clique(_GraphK):
     __slots__ = ()
 
     def verify(self, w):
-        vs = _member_set(w, "vertex", self.graph.n)
-        if len(vs) < self.k:
-            return False
-        return all(
-            self.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
-        )
+        return self._pairwise(w, True)
 
     def search(self):
         """The first k-clique: an independent set of the complement, which
@@ -301,12 +315,7 @@ class IndependentSet(_GraphK):
     __slots__ = ()
 
     def verify(self, w):
-        vs = _member_set(w, "vertex", self.graph.n)
-        if len(vs) < self.k:
-            return False
-        return not any(
-            self.graph.has_edge(u, v) for u, v in itertools.combinations(vs, 2)
-        )
+        return self._pairwise(w, False)
 
     def search(self):
         """The first independent max(k, 0)-set in combinations order, or None."""
@@ -491,25 +500,14 @@ class Knapsack01(Problem):
             exact_int(data["target"], "target"),
         )
 
-    def describe(self):
-        return {"numbers": list(self.numbers), "target": self.target}
-
     def verify(self, w):
         x = _as_assignment(w, len(self.numbers))
         return sum(a for a, xi in zip(self.numbers, x) if xi) == self.target
 
     def search(self):
-        """The first vector in product order: a dict from each second-half
-        sum to its first vector, then a scan of the first half."""
-        n = len(self.numbers)
-        _within_cap(n, "bool_vars")
-        first, second = _halves(self.numbers)
-        where = dict(zip(reversed(second), range(len(second) - 1, -1, -1)))  # the first vector wins
-        for a, s in enumerate(first):
-            b = where.get(self.target - s)
-            if b is not None:
-                return _verified(self, _bits(a << (n - n // 2) | b, n))
-        return None
+        """The first vector in product order whose sum is the target, that
+        is, at most the target and at least it."""
+        return _verified(self, _first_fitting(self.numbers, self.numbers, self.target, self.target))
 
 
 class KnapsackDecision(Problem):
@@ -543,20 +541,25 @@ class KnapsackDecision(Problem):
         return vol <= self.capacity and val >= self.goal
 
     def search(self):
-        """The first vector in product order: the first first-half vector
-        whose room holds a second-half vector of the value still needed,
-        then the first such second-half vector."""
-        n = len(self.values)
-        _within_cap(n, "bool_vars")
-        (vol1, vol2), (val1, val2) = _halves(self.volumes), _halves(self.values)
-        rooms = [self.capacity - w for w in vol1]
-        most = _most_fitting(rooms, vol2, val2)
-        a = next((a for a, m in enumerate(most) if m is not None and m >= self.goal - val1[a]), None)
-        if a is None:
-            return None
-        need = self.goal - val1[a]
-        b = next(b for b, w in enumerate(vol2) if w <= rooms[a] and val2[b] >= need)
-        return _verified(self, _bits(a << (n - n // 2) | b, n))
+        return _verified(self, _first_fitting(self.values, self.volumes, self.capacity, self.goal))
+
+
+def _first_fitting(values, volumes, capacity, goal):
+    """The first 0/1 vector in product order whose volume is at most
+    capacity and whose value is at least goal, or None: the first
+    first-half vector whose room holds a second-half vector of the value
+    still needed, then the first such second-half vector."""
+    n = len(values)
+    _within_cap(n, "bool_vars")
+    (vol1, vol2), (val1, val2) = _halves(volumes), _halves(values)
+    rooms = [capacity - w for w in vol1]
+    most = _most_fitting(rooms, vol2, val2)
+    a = next((a for a, m in enumerate(most) if m is not None and m >= goal - val1[a]), None)
+    if a is None:
+        return None
+    need = goal - val1[a]
+    b = next(b for b, w in enumerate(vol2) if w <= rooms[a] and val2[b] >= need)
+    return _bits(a << (n - n // 2) | b, n)
 
 
 class Partition(_SetWitness):
@@ -570,9 +573,6 @@ class Partition(_SetWitness):
     @classmethod
     def load(cls, text, k, limit):
         return cls(tuple(parse_numbers(text)))
-
-    def describe(self):
-        return {"numbers": list(self.numbers)}
 
     def verify(self, w):
         inside = sum(self.numbers[i - 1] for i in _member_set(w, "index", len(self.numbers)))
@@ -602,45 +602,40 @@ class Partition(_SetWitness):
         return _verified(self, {i for i in range(1, n + 1) if x >> (n - i) & 1})
 
 
-class HamCircuit(Problem):
-    kind = "ham-circuit"
-    __slots__ = ("digraph",)
-    digraph: Digraph
+class _Hamiltonian(Problem):
+    """A Hamiltonian problem on its one field, a graph of its kind."""
 
-    @classmethod
-    def load(cls, text, k, limit):
-        g = parse_graph_text(text)
-        if not isinstance(g, Digraph):
-            raise ValueError("ham-circuit needs a digraph")
-        return cls(g)
-
-    def describe(self):
-        return {"digraph": format_graph_text(self.digraph)}
-
-    def verify(self, w):
-        return _check_ham_sequence(w, self.digraph)
-
-    def search(self):
-        return _ham_backtrack(self.digraph)
-
-
-class HamCycle(Problem):
-    kind = "ham-cycle"
-    __slots__ = ("graph",)
-    graph: Graph
+    __slots__ = ()
 
     @classmethod
     def load(cls, text, k, limit):
         return cls(parse_graph_text(text))
 
-    def describe(self):
-        return {"graph": format_graph_text(self.graph)}
-
     def verify(self, w):
-        return _check_ham_sequence(w, self.graph)
+        return _check_ham_sequence(w, *self._values())
 
     def search(self):
-        return _ham_backtrack(self.graph)
+        return _ham_backtrack(*self._values())
+
+
+class HamCircuit(_Hamiltonian):
+    kind = "ham-circuit"
+    __slots__ = ("digraph",)
+    digraph: Digraph
+
+    def _check(self):
+        if not isinstance(self.digraph, Digraph):
+            raise ValueError("ham-circuit needs a digraph")
+
+
+class HamCycle(_Hamiltonian):
+    kind = "ham-cycle"
+    __slots__ = ("graph",)
+    graph: Graph
+
+    def _check(self):
+        if not isinstance(self.graph, Graph):
+            raise ValueError("ham-cycle needs an undirected graph")
 
 
 class Tsp(Problem):
@@ -663,9 +658,6 @@ class Tsp(Problem):
         if limit is None:
             raise ValueError("tsp needs --limit")
         return cls(tuple(tuple(r) for r in parse_matrix(text)), limit)
-
-    def describe(self):
-        return {"matrix": [list(r) for r in self.matrix], "limit": self.limit}
 
     def verify(self, w):
         _as_permutation(w, len(self.matrix))
@@ -713,14 +705,6 @@ class Ilp(Problem):
             exact_ints(data["rhs"], "rhs"),
             bounds,
         )
-
-    def describe(self):
-        return {
-            "rows": [list(r) for r in self.rows],
-            "relations": list(self.relations),
-            "rhs": list(self.rhs),
-            "bounds": [list(b) for b in self.bounds],
-        }
 
     def verify(self, w):
         if not isinstance(w, (list, tuple)) or len(w) != len(self.bounds):

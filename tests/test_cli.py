@@ -231,6 +231,15 @@ def test_approx_tsp_oracle_exits_3_above_the_city_cap(tmp_path, capsys):
             assert err == "" and data["optimal"] <= data["heuristic"]
 
 
+def test_approx_christofides_exits_3_above_20_odd_vertices(tmp_path, capsys):
+    _, matrix, _ = run(capsys, ["gen", "metric", "--n", "60", "--seed", "1"])
+    f = tmp_path / "m60.txt"
+    f.write_text(matrix)
+    code, out, err = run(capsys, ["approx", "tsp-christofides", str(f), "--format", "json"])
+    assert (code, out) == (3, "")
+    assert err == "error: odd-degree set larger than 20; use tsp_double_tree instead\n"
+
+
 def test_bench_deterministic(capsys):
     code1, out1, _ = run(
         capsys, ["bench", "sorting", "--n-max", "10", "--seed", "5", "--format", "json"]
@@ -885,10 +894,27 @@ BAD_CLAUSE_COUNT = {
     "twosat negative-vars.cnf": "error: bad DIMACS header: p cnf -3 0\n",
 }
 
-# Euler cycles and connected components are defined on undirected graphs.
+# Euler cycles, connected components, the NP problems on graphs but
+# ham-circuit, and the vertex-cover and max-cut heuristics are defined on
+# undirected graphs; ham-circuit, the other way round, needs a digraph.
 UNDIRECTED_ONLY = {
     "solve euler cyc.d": "error: euler needs an undirected graph\n",
     "solve components cyc.d": "error: components needs an undirected graph\n",
+    "reduce clique-is cyc.d --k 1": "error: clique needs an undirected graph\n",
+    "reduce is-vc cyc.d --k 1": "error: independent-set needs an undirected graph\n",
+    "reduce vc-setcover cyc.d --k 1": "error: vertex-cover needs an undirected graph\n",
+    "reduce vc-hamcircuit cyc.d --k 1": "error: vertex-cover needs an undirected graph\n",
+    "reduce coloring-exactcover cyc.d --k 2": "error: coloring needs an undirected graph\n",
+    "reduce hamcycle-tsp cyc.d": "error: ham-cycle needs an undirected graph\n",
+    "verify clique cyc.d [1] --k 1": "error: clique needs an undirected graph\n",
+    "verify independent-set cyc.d [1] --k 1": "error: independent-set needs an undirected graph\n",
+    "verify vertex-cover cyc.d [1] --k 1": "error: vertex-cover needs an undirected graph\n",
+    'verify coloring cyc.d {"1":1,"2":2,"3":3} --k 3': "error: coloring needs an undirected graph\n",
+    "verify ham-cycle cyc.d [1,2,3]": "error: ham-cycle needs an undirected graph\n",
+    "approx vc-matching cyc.d": "error: vc-matching needs an undirected graph\n",
+    "approx vc-greedy cyc.d": "error: vc-greedy needs an undirected graph\n",
+    "approx maxcut cyc.d": "error: maxcut needs an undirected graph\n",
+    "reduce hamcircuit-hamcycle sq.g": "error: ham-circuit needs a digraph\n",
 }
 
 

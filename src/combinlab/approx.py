@@ -24,6 +24,7 @@ import json
 from fractions import Fraction
 
 from .exact import bin_pack_optimum, knapsack_optimum, max_cut_optimum, set_cover_optimum
+from .exact import _check_square, _unit_sizes
 from .exact import tour_length, tsp_optimum, vertex_cover_optimum  # the optima are re-exported
 from .graph_core import Graph, exact_fraction
 from .intmath import InstanceTooLargeError, exact_int, refuse_floats
@@ -146,10 +147,9 @@ class MetricTspInstance:
     def __init__(self, matrix):
         m = [list(row) for row in matrix]
         refuse_floats((x for row in m for x in row), "matrix")
+        _check_square(m)
         n = len(m)
         for i in range(n):
-            if len(m[i]) != n:
-                raise ValueError("matrix must be square")
             if m[i][i] != 0:
                 raise ValueError("diagonal must be zero")
             for j in range(n):
@@ -204,7 +204,16 @@ def _euler_walk_multigraph(n: int, multi_edges) -> list[int]:
     return walk[::-1]
 
 
-def _shortcut(walk, n) -> list[int]:
+def _tree_tour(inst, added) -> list[int]:
+    """Prim's tree on the complete graph of `inst` plus the edges
+    `added(matrix, tree_edges)` returns, walked as an Euler walk and
+    shortcut to the first visit of each vertex."""
+    matrix = inst.matrix if isinstance(inst, MetricTspInstance) else inst
+    n = len(matrix)
+    if n < 3:
+        raise ValueError("needs n >= 3")
+    tree = list(prim(_complete_weighted_graph(matrix)).edges)
+    walk = _euler_walk_multigraph(n, tree + added(matrix, tree))
     tour = list(dict.fromkeys(walk))  # each vertex where the walk first reaches it
     assert len(tour) == n
     return tour
@@ -213,13 +222,7 @@ def _shortcut(walk, n) -> list[int]:
 def tsp_double_tree(inst) -> list[int]:
     """Double the minimum spanning tree, walk it, shortcut repeats.
     Within 2x optimal on metric instances."""
-    matrix = inst.matrix if isinstance(inst, MetricTspInstance) else inst
-    n = len(matrix)
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    tree = prim(_complete_weighted_graph(matrix))
-    walk = _euler_walk_multigraph(n, list(tree.edges) * 2)
-    return _shortcut(walk, n)
+    return _tree_tour(inst, lambda matrix, tree: tree)
 
 
 def min_perfect_matching_exact(vertices, weight) -> list[tuple[int, int]]:
@@ -277,23 +280,18 @@ def min_perfect_matching_exact(vertices, weight) -> list[tuple[int, int]]:
 def tsp_christofides(inst) -> list[int]:
     """Tree plus minimum matching on its odd-degree vertices, Euler walk,
     shortcut: within 3/2 of optimal on metric instances."""
-    matrix = inst.matrix if isinstance(inst, MetricTspInstance) else inst
-    n = len(matrix)
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    tree = prim(_complete_weighted_graph(matrix))
-    degree = {v: 0 for v in range(1, n + 1)}
-    for u, v in tree.edges:
+    return _tree_tour(inst, _odd_matching)
+
+
+def _odd_matching(matrix, tree) -> list[tuple[int, int]]:
+    degree = {v: 0 for v in range(1, len(matrix) + 1)}
+    for u, v in tree:
         degree[u] += 1
         degree[v] += 1
-    odd = [v for v in range(1, n + 1) if degree[v] % 2]
+    odd = [v for v in degree if degree[v] % 2]
     if len(odd) > 20:
         raise InstanceTooLargeError("odd-degree set larger than 20; use tsp_double_tree instead")
-    matching = min_perfect_matching_exact(
-        odd, lambda a, b: matrix[a - 1][b - 1]
-    )
-    walk = _euler_walk_multigraph(n, list(tree.edges) + matching)
-    return _shortcut(walk, n)
+    return min_perfect_matching_exact(odd, lambda a, b: matrix[a - 1][b - 1])
 
 
 def tsp_gap_instance(g: Graph, eps) -> list[list[object]]:
@@ -316,13 +314,13 @@ def tsp_gap_instance(g: Graph, eps) -> list[list[object]]:
     ]
 
 
-def random_metric_instance(n: int, seed: int, span: int = 50) -> MetricTspInstance:
+def random_metric_instance(n: int, seed: int) -> MetricTspInstance:
     """Random integer points under the L1 metric: the triangle inequality
     holds automatically and all arithmetic stays exact."""
     import random  # here, not at import: the approx commands load approx and never generate
 
     rng = random.Random(seed)
-    pts = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)]
+    pts = [(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(n)]
     matrix = [
         [abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in pts] for a in pts
     ]
@@ -375,12 +373,9 @@ def knapsack_fptas(values, volumes, capacity, eps) -> tuple[set[int], int]:
     refuse_floats((*values, *volumes, capacity, eps), "values, volumes, capacity and eps")
     if not all(isinstance(c, int) for c in values):  # the truncation shifts bits
         raise ValueError("values must be ints")
-    eps = exact_fraction(eps, "eps")
-    if eps <= 0:
-        raise ValueError("needs eps > 0")
     # The bound chain needs c0 <= OPT, so c0 ranges over items that fit.
     fitting = [c for c, v in zip(values, volumes) if v <= capacity]
-    b = fptas_truncation_bits(fitting, eps) if fitting else 0
+    b = fptas_truncation_bits(fitting, eps)
     scaled = [c >> b for c in values]
     chosen, _ = knapsack_pareto(scaled, volumes, capacity)
     return chosen, sum(values[i - 1] for i in chosen)
@@ -411,10 +406,7 @@ def bin_pack_first_fit(sizes) -> list[int]:
     """First-fit packing into unit bins; returns the bin index (1-based)
     per item.  Uses at most ceil(2 * sum sizes) bins and at most twice
     the optimal count."""
-    refuse_floats(sizes, "sizes")
-    sizes = [exact_fraction(s, "size") for s in sizes]
-    if any(s < 0 or s > 1 for s in sizes):
-        raise ValueError("sizes must lie in [0, 1]")
+    sizes = _unit_sizes(sizes)
     rooms: list[Fraction] = []  # remaining capacity per open bin
     assignment = []
     for s in sizes:

@@ -257,15 +257,16 @@ def cmd_reduce(args):
     _, source, run = cx.REDUCTIONS[args.kind]
     red = run(source.load(_read(args.file), args.k, args.limit))
     payload = {"kind": args.kind, "target": red.target.describe()}
+
+    def record(w, move, judge, keys):  # w, move(w) and judge's verdict on move(w)
+        moved = move(w)
+        values = (_encode_witness(w), _encode_witness(moved), cx.verify_witness(judge, moved))
+        return dict(zip(keys, values))
+
     if args.witness:
         w = red.source.witness(_json_value(_read(args.witness)))
         cx.verify_witness(red.source, w)  # a malformed witness raises here
-        moved = red.forward(w)
-        payload["witness"] = {
-            "source": _encode_witness(w),
-            "target": _encode_witness(moved),
-            "target_accepts": cx.verify_witness(red.target, moved),
-        }
+        payload["witness"] = record(w, red.forward, red.target, ("source", "target", "target_accepts"))
     if args.oracle:
         src_w = cx.brute_force_decide(red.source)
         tgt_w = cx.brute_force_decide(red.target)
@@ -274,19 +275,11 @@ def cmd_reduce(args):
             "target_decision": tgt_w is not None,
         }
         if src_w is not None:
-            moved = red.forward(src_w)
-            table["forward"] = {
-                "source_witness": _encode_witness(src_w),
-                "target_witness": _encode_witness(moved),
-                "target_accepts": cx.verify_witness(red.target, moved),
-            }
+            table["forward"] = record(src_w, red.forward, red.target,
+                                      ("source_witness", "target_witness", "target_accepts"))
         if tgt_w is not None:
-            back = red.backward(tgt_w)
-            table["backward"] = {
-                "target_witness": _encode_witness(tgt_w),
-                "source_witness": _encode_witness(back),
-                "source_accepts": cx.verify_witness(red.source, back),
-            }
+            table["backward"] = record(tgt_w, red.backward, red.source,
+                                       ("target_witness", "source_witness", "source_accepts"))
         payload["oracle"] = table
     return payload, OK
 

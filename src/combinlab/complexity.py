@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 
-from .exact import _adjacency_bits, _bits, _depth_first, _first_cover, _first_independent
-from .exact import _first_union, _halves, _ham_backtrack, _held_karp, _most_fitting
-from .exact import _most_independent, _within_cap, tour_length
+from .exact import _adjacency_bits, _bits, _check_square, _depth_first, _first_cover
+from .exact import _first_independent, _first_union, _halves, _ham_backtrack, _held_karp
+from .exact import _most_fitting, _most_independent, _within_cap, tour_length
 from .graph_core import (
     Digraph,
     Graph,
@@ -645,12 +645,9 @@ class Tsp(Problem):
     limit: object
 
     def _check(self):
-        n = len(self.matrix)
-        for i, row in enumerate(self.matrix):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            if row[i] != 0:
-                raise ValueError("diagonal must be zero")
+        _check_square(self.matrix)
+        if any(row[i] != 0 for i, row in enumerate(self.matrix)):
+            raise ValueError("diagonal must be zero")
         refuse_floats((self.limit, *itertools.chain.from_iterable(self.matrix)), "matrix and limit")
 
     @classmethod

@@ -275,6 +275,12 @@ def _held_karp(matrix, limit=None):
     return tour
 
 
+def _check_square(matrix) -> None:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+
+
 def tour_length(matrix, tour) -> object:
     n = len(matrix)
     return sum(matrix[tour[i] - 1][tour[(i + 1) % n] - 1] for i in range(n))
@@ -304,6 +310,7 @@ def tsp_optimum(matrix) -> object:
     the value and its type are those of trying every tour in order."""
     _within_cap(len(matrix), "tsp_cities")
     refuse_floats((x for row in matrix for x in row), "matrix")
+    _check_square(matrix)
     return tour_length(matrix, _held_karp(matrix))
 
 
@@ -378,6 +385,15 @@ def _knapsack_best(values, volumes, capacity) -> tuple:
     return best, top
 
 
+def _unit_sizes(sizes) -> list[Fraction]:
+    """The item sizes as Fractions, each checked to lie in [0, 1]."""
+    refuse_floats(sizes, "sizes")
+    sizes = [exact_fraction(s, "size") for s in sizes]
+    if any(s < 0 or s > 1 for s in sizes):
+        raise ValueError("sizes must lie in [0, 1]")
+    return sizes
+
+
 def bin_pack_optimum(sizes) -> int:
     """Fewest unit bins, by depth-first search over the bin each item
     joins: each open bin it fits, one bin per distinct room left, then a
@@ -385,8 +401,7 @@ def bin_pack_optimum(sizes) -> int:
     and the search ends once the best meets the lower bound ceil(sum of
     sizes), at least one bin for any item.  The walk is _depth_first, so
     its depth is not the interpreter's."""
-    refuse_floats(sizes, "sizes")
-    sizes = [exact_fraction(s, "size") for s in sizes]
+    sizes = _unit_sizes(sizes)
     best = len(sizes)
     lower = max(1, math.ceil(sum(sizes))) if sizes else 0
 

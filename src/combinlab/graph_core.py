@@ -81,7 +81,34 @@ def _first_repeat(items):
         seen.add(x)
 
 
-class Graph:
+class _GraphBase:
+    """Value semantics shared by Graph and Digraph: two graphs are equal
+    when they have the same class and the same `_key()`, whose second
+    entry is the edge or arc tuple."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._key()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n}, {list(self._key()[1])!r})"
+
+    def neighbors(self, v: int):
+        return self.adj[v]
+
+    def adjacency_matrix(self) -> list[list[int]]:
+        mat = [[0] * self.n for _ in range(self.n)]
+        for u, heads in self.adj.items():
+            for v in heads:
+                mat[u - 1][v - 1] = 1
+        return mat
+
+
+class Graph(_GraphBase):
     """Undirected simple graph on vertices 1..n."""
 
     def __init__(self, n: int, edges):
@@ -98,31 +125,11 @@ class Graph:
     def _key(self) -> tuple:
         return (self.n, self.edges)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.n}, {list(self.edges)!r})"
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int):
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def adjacency_matrix(self) -> list[list[int]]:
-        mat = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            mat[u - 1][v - 1] = mat[v - 1][u - 1] = 1
-        return mat
 
     def incidence_matrix(self) -> list[list[int]]:
         mat = [[0] * len(self.edges) for _ in range(self.n)]
@@ -140,7 +147,7 @@ class Graph:
         return Graph(self.n, edges)
 
 
-class Digraph:
+class Digraph(_GraphBase):
     """Directed graph on vertices 1..n without self-loops; a repeated arc
     is dropped, the first occurrence kept."""
 
@@ -157,24 +164,9 @@ class Digraph:
     def _key(self) -> tuple:
         return (self.n, self.arcs)
 
-    __eq__ = Graph.__eq__
-    __hash__ = Graph.__hash__
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.n}, {list(self.arcs)!r})"
-
-    def neighbors(self, v: int):
-        return self.adj[v]
-
     def transpose(self) -> "Digraph":
         """Every arc reversed, in the same arc order."""
         return Digraph(self.n, [(v, u) for u, v in self.arcs])
-
-    def adjacency_matrix(self) -> list[list[int]]:
-        mat = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.arcs:
-            mat[u - 1][v - 1] = 1
-        return mat
 
 
 class BfsForest(_Record):

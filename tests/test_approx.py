@@ -436,6 +436,23 @@ def test_bin_packing_refuses_float_sizes(pack):
     assert pack([Fraction(1, 2), Fraction(1, 4), "1/4"]) == pack(["1/2", "1/4", "1/4"])
 
 
+@pytest.mark.parametrize("pack", [bin_pack_first_fit, bin_pack_optimum])
+def test_bin_packing_refuses_sizes_outside_the_unit_interval(pack):
+    for sizes in ([2], [Fraction(1, 2), Fraction(3, 2)], ["-1/4"]):
+        with pytest.raises(ValueError, match=r"^sizes must lie in \[0, 1\]$"):
+            pack(sizes)
+
+
+def test_distance_matrices_must_be_square():
+    for matrix in ([[0, 1, 2], [1, 0, 1]], [[0, 1], [1, 0, 5]]):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            tsp_optimum(matrix)
+    # the symmetry loop would read the short last row past its end
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        MetricTspInstance([[0, 1, 5], [1, 0, 1], [5]])
+    assert tsp_optimum([[Fraction(3, 2)]]) == Fraction(3, 2)
+
+
 def recursive_bin_pack_optimum(sizes) -> int:
     """The recursive search that bin_pack_optimum replaced, kept as the
     reference: same branching order and pruning."""

@@ -615,6 +615,8 @@ GOLDEN = {
     "approx binpack sizes.txt --oracle --format text": (0, "e0816077cbc51854def1dff3e02e1bb43c64529d0a5e5a449d5d410b7dcce10f"),
     "approx knapsack-fptas ks.json --eps 1/10 --oracle --format json": (0, "38302e0916c651814b812e7124d4d2373e58d34c64ff40a13f3f6b16393e5d3b"),
     "bench approx --seed 3 --format json": (0, "322432cde1895d3abf9b1ea652d2365c21a6fa0d1478d41b6565801a7a31ceaf"),
+    # bench approx ignores --n-max: the same bytes as without it
+    "bench approx --seed 3 --n-max 40 --format json": (0, "322432cde1895d3abf9b1ea652d2365c21a6fa0d1478d41b6565801a7a31ceaf"),
     "approx knapsack-fptas ks.json --eps 1/10 --oracle --format text": (0, "d476d823c5205c26b468bd7cebe38b88bec570ba708ef2fc30e55c6879d91ba6"),
     "bench approx --seed 3 --format text": (0, "7aee8b8225fea8efc4c6dcb89f4e7ac4398d0b8f7d766af76611202594380260"),
     "approx vc-matching tri.g --eps abc --format json": (0, "550991f4c74c0c3ee70b1ff32eb6e373a7e835f1bccc09dfff91c21945ebf23d", ""),

@@ -11,14 +11,17 @@ ILP in JSON, TSP matrices as whitespace grids).
 
 Each command imports the modules it runs when it runs, and no table here
 refers into another module, so a call pays the import of its own layers
-only: `sort` never loads the NP layer.
+only: `sort` never loads the NP layer.  Every call loads this module,
+`intmath` and `json`.  The grammar is written once, in `_GRAMMAR`; a plain
+argv is parsed by `_parse_plain`, and `argparse` (with `gettext`) is
+imported only to print help or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .intmath import InstanceTooLargeError, _json_value, ceil_log2, ceil_log3, harmonic, parse_numbers
 
@@ -603,110 +606,138 @@ def cmd_gen(args):
 # --- argument parsing ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(type=str, default=None, choices=None, required=False, help=None):
+    """One option of the grammar; type bool marks a store_true flag."""
+    return type, default, choices, required, help
+
+
+_FLAG = _option(bool, False)
+_FORMAT = {"--format": _option(choices=("text", "json"), default="text")}
+
+# subcommand -> (help line, handler, positionals, options): the whole
+# grammar, which build_parser and _parse_plain both read.  A positional is
+# (name, choices or None); options map each name to an _option, in the
+# order the help lists them.
+_GRAMMAR = {
+    "solve": ("run a graph/DP/search solver on a file", cmd_solve,
+              (("problem", None), ("file", None)),
+              {"--source": _option(int, 1), "--target": _option(int), **_FORMAT}),
+    "sort": ("sort a number file with a counted algorithm", cmd_sort,
+             (("algorithm", sorted(_SORTERS)), ("file", None)),
+             {"--count": _FLAG, **_FORMAT}),
+    "select": ("select the t-th largest", cmd_select,
+               (("file", None),),
+               {"--t": _option(int, required=True),
+                "--algorithm": _option(default="tournament", choices=("tournament", "linear")),
+                "--count": _FLAG, **_FORMAT}),
+    "reduce": ("compile an instance into another problem", cmd_reduce,
+               (("kind", _ReductionKinds()), ("file", None)),
+               {"--k": _option(int), "--limit": _option(int),
+                "--witness": _option(help="JSON witness to transport"),
+                "--oracle": _FLAG, **_FORMAT}),
+    "verify": ("check a witness against an instance", cmd_verify,
+               (("problem", None), ("instance", None), ("witness", None)),
+               {"--k": _option(int), "--limit": _option(int), **_FORMAT}),
+    "twosat": ("solve a DIMACS 2-CNF file", cmd_twosat,
+               (("file", None),),
+               _FORMAT),
+    "approx": ("run an approximation algorithm", cmd_approx,
+               (("algorithm", tuple(_APPROX)), ("file", None)),
+               {"--oracle": _FLAG, "--eps": _option(default="1/2"), **_FORMAT}),
+    "bench": ("run a bound-vs-measured suite", cmd_bench,
+              (("suite", sorted(_BENCHES)),),
+              {"--n-max": _option(int, 16), "--trials": _option(int, 8),
+               "--seed": _option(int, 0), **_FORMAT}),
+    "gen": ("generate an instance file", cmd_gen,
+            (("family", ("graph", "digraph", "metric", "gap", "knapsack", "numbers",
+                         "counterexample")),),
+            {"--n": _option(int, required=True), "--seed": _option(int, 0),
+             "--density": _option(float, 0.5), "--eps": _option(default="1"), **_FORMAT}),
+}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def build_parser():
+    """The argparse parser of the grammar, which prints help and usage
+    errors; argparse is imported here, so a call that parses plainly never
+    loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="combinlab",
         description="Combinatorial algorithms laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("solve", help="run a graph/DP/search solver on a file")
-    p.add_argument("problem")
-    p.add_argument("file")
-    p.add_argument("--source", type=int, default=1)
-    p.add_argument("--target", type=int, default=None)
-    add_common(p)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("sort", help="sort a number file with a counted algorithm")
-    p.add_argument("algorithm", choices=sorted(_SORTERS))
-    p.add_argument("file")
-    p.add_argument("--count", action="store_true")
-    add_common(p)
-    p.set_defaults(fn=cmd_sort)
-
-    p = sub.add_parser("select", help="select the t-th largest")
-    p.add_argument("file")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument(
-        "--algorithm", choices=("tournament", "linear"), default="tournament"
-    )
-    p.add_argument("--count", action="store_true")
-    add_common(p)
-    p.set_defaults(fn=cmd_select)
-
-    p = sub.add_parser("reduce", help="compile an instance into another problem")
-    # set after add_argument, which would read the choices at once to check
-    # the metavar
-    p.add_argument("kind").choices = _ReductionKinds()
-    p.add_argument("file")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--witness", default=None, help="JSON witness to transport")
-    p.add_argument("--oracle", action="store_true")
-    add_common(p)
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("verify", help="check a witness against an instance")
-    p.add_argument("problem")
-    p.add_argument("instance")
-    p.add_argument("witness")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("twosat", help="solve a DIMACS 2-CNF file")
-    p.add_argument("file")
-    add_common(p)
-    p.set_defaults(fn=cmd_twosat)
-
-    p = sub.add_parser("approx", help="run an approximation algorithm")
-    p.add_argument("algorithm", choices=tuple(_APPROX))
-    p.add_argument("file")
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--eps", default="1/2")
-    add_common(p)
-    p.set_defaults(fn=cmd_approx)
-
-    p = sub.add_parser("bench", help="run a bound-vs-measured suite")
-    p.add_argument("suite", choices=sorted(_BENCHES))
-    p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument(
-        "family",
-        choices=(
-            "graph",
-            "digraph",
-            "metric",
-            "gap",
-            "knapsack",
-            "numbers",
-            "counterexample",
-        ),
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--eps", default="1")
-    add_common(p)
-    p.set_defaults(fn=cmd_gen)
-
+    for command, (help_line, fn, positionals, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, choices in positionals:
+            # set after add_argument, which would read the choices at once
+            # to check the metavar (reduce's are read lazily)
+            p.add_argument(name).choices = choices
+        for name, (type_, default, choices, required, help_text) in options.items():
+            if type_ is bool:
+                p.add_argument(name, action="store_true")
+            else:
+                p.add_argument(name, type=type_, default=default, choices=choices,
+                               required=required, help=help_text)
+        p.set_defaults(fn=fn)
     return parser
+
+
+def _parse_plain(argv):
+    """The namespace build_parser() would give for argv, or None unless
+    argv is plain: the subcommand, then its positionals in order with
+    options anywhere among them, each option named in full and followed by
+    its value as a separate token that does not start with '-' unless it
+    is a negative integer, which argparse takes as a value too.  Values
+    are converted and checked as argparse does; help, abbreviations,
+    --opt=value, --, a bad value, a missing required option or a wrong
+    positional count give None, and argparse reports them."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, fn, positionals, options = _GRAMMAR[argv[0]]
+    values = {_dest(name): spec[1] for name, spec in options.items()}
+    required = {name for name, spec in options.items() if spec[3]}
+    found = []
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            found.append(tok)
+            continue
+        if tok not in options:
+            return None
+        type_, _, choices, _, _ = options[tok]
+        if type_ is bool:
+            values[_dest(tok)] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-") and not value[1:].isdecimal():
+            return None
+        try:
+            value = type_(value)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[_dest(tok)] = value
+        required.discard(tok)
+    if required or len(found) != len(positionals):
+        return None
+    for (name, choices), value in zip(positionals, found):
+        if choices is not None and value not in choices:
+            return None
+        values[name] = value
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
 
 
 def main(argv=None) -> int:
     """Run one command: the only place that writes its result to stdout
     and maps its errors to exit codes, with one `error:` line on stderr."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         payload, code = args.fn(args)
         _emit(payload, args.format)

@@ -1197,6 +1197,8 @@ def _exact_cover_to_representatives(problem: ExactCover) -> ReductionOutput:
 
 def _knapsack01_to_partition(problem: Knapsack01) -> ReductionOutput:
     a, b = list(problem.numbers), problem.target
+    if b < 0 or any(x < 0 for x in a):  # Karp's map is sound for non-negative sizes only
+        raise ValueError("knapsack-partition needs numbers and target >= 0")
     numbers = tuple(a + [2 * b, sum(a)])
     target = Partition(numbers)
     n = len(a)

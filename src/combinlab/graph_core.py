@@ -22,7 +22,8 @@ integers or p/q rationals.  In full:
 * Tokens are the runs between whitespace, as `str.split` cuts them.
 * The first line left is the header: exactly three tokens, `p` or `pd`,
   then n and m as `int()` reads them (a sign, '_' between digits and
-  Unicode digits are accepted).
+  Unicode digits are accepted).  An n above HEADER_VERTEX_CAP is refused
+  with InstanceTooLargeError before anything is allocated.
 * Every later line is the tag (`e` after `p`, `a` after `pd`), u and v
   as `int()` reads them, and an optional weight w: a token with a '/' is
   a p/q rational (`fractions.Fraction`, a zero denominator refused), any
@@ -36,7 +37,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intmath import _Record
+from .intmath import InstanceTooLargeError, _Record
+
+# The largest vertex count a graph header may declare: the graph allocates a
+# list per vertex before it reads an edge.  perfbench's largest graphs have
+# 300 vertices.
+HEADER_VERTEX_CAP = 10**6
 
 
 class NotEulerianError(ValueError):
@@ -505,6 +511,8 @@ def parse_graph_text(text: str):
         raise ValueError("bad header, expected 'p <n> <m>' or 'pd <n> <m>'")
     directed = header[0] == "pd"
     n, m = int(header[1]), int(header[2])
+    if n > HEADER_VERTEX_CAP:
+        raise InstanceTooLargeError(f"header declares {n} vertices, more than {HEADER_VERTEX_CAP}")
     tag = "a" if directed else "e"
     lines[0] = ""  # so the join puts a newline before every body line
     columns = _columns("\n".join(lines), tag, len(lines) - 1)

@@ -795,6 +795,104 @@ def test_golden_outputs_under_other_hash_seeds(tmp_path, seed):
         assert tuple(got[call][: len(expected)]) == expected, call
 
 
+# --- the plain parser against argparse ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli.build_parser()
+
+
+def plain_agrees(parser, argv):
+    """cli._parse_plain(argv), checked to be None or argparse's namespace."""
+    got = cli._parse_plain(argv)
+    if got is not None:
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which the plain parser took")
+        assert vars(got) == vars(expected), argv
+    return got
+
+
+def argv_variants(rng, argv):
+    """Seeded variants of one call's argv: its options and flags moved
+    among the positionals, an option abbreviated, written --opt=value or
+    given twice, a token dropped or duplicated, a bad value, and -h."""
+    options = cli._GRAMMAR[argv[0]][3]
+    groups, positionals = [], []
+    rest = iter(argv[1:])
+    for tok in rest:
+        if tok in options:
+            groups.append([tok] if options[tok][0] is bool else [tok, next(rest)])
+        else:
+            positionals.append(tok)
+    moved = list(positionals)
+    for group in groups:
+        i = rng.randint(0, len(moved))
+        moved[i:i] = group
+    yield [argv[0], *moved]
+    i = rng.randrange(len(argv))
+    yield argv[:i] + argv[i + 1:]
+    yield argv[:i] + [argv[i]] + argv[i:]
+    yield argv[:i] + ["-h"] + argv[i:]
+    for group in groups:
+        yield [argv[0], *positionals, group[0][:-1], *group[1:]]
+        yield [argv[0], *positionals, *group, *group]
+        if len(group) == 2:
+            yield [argv[0], *positionals, "=".join(group)]
+            yield [argv[0], *positionals, group[0], rng.choice(["x", "1.5", "-", "--", ""])]
+    for j, (name, choices) in enumerate(cli._GRAMMAR[argv[0]][2]):
+        if choices is not None and j < len(positionals):
+            yield [argv[0], *positionals[:j], "bogus", *positionals[j + 1:]]
+
+
+@pytest.mark.parametrize("call", sorted(GOLDEN))
+def test_plain_parser_gives_argparse_namespace_or_none(tmp_path, parser, call):
+    # Every golden call that succeeds parses on the plain path, so the
+    # golden outputs run through it; on its variants the plain parser
+    # agrees with argparse or leaves the argv to it.
+    argv = golden_argv(tmp_path, call)
+    got = plain_agrees(parser, argv)
+    if GOLDEN[call][0] == 0:
+        assert got is not None
+    rng = random.Random(call)
+    for variant in argv_variants(rng, argv):
+        plain_agrees(parser, variant)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["frobnicate"], ["sol", "dfs", "f"], ["gen", "numbers"],
+    ["gen", "numbers", "--n", "5", "--", "x"], ["gen", "numbers", "--n", "-5x"],
+    ["gen", "numbers", "--n", "5", "--density", "-0.5"], ["select", "f", "--t", "1", "--count", "-"],
+    ["select", "f", "--t"], ["reduce", "no-such-kind", "f"], ["sort", "merge", "f", "g"],
+])
+def test_plain_parser_leaves_help_and_usage_errors_to_argparse(argv):
+    assert cli._parse_plain(argv) is None
+
+
+def test_negative_int_values_parse_plainly(parser):
+    got = plain_agrees(parser, ["solve", "dijkstra", "f", "--source", "-2", "--target", "-1"])
+    assert (got.source, got.target) == (-2, -1)
+
+
+@pytest.mark.parametrize("argv, code, stream, last", [
+    (["--help"], 0, "out", "    gen                 generate an instance file\n"),
+    (["solve", "--help"], 0, "out", "  --format {text,json}\n"),
+    (["frobnicate"], 2, "err", "invalid choice: 'frobnicate'"),
+    (["select", "f.txt", "--t", "x"], 2, "err", "combinlab select: error: argument --t: invalid int value: 'x'\n"),
+    (["gen", "numbers"], 2, "err", "combinlab gen: error: the following arguments are required: --n\n"),
+])
+def test_help_and_usage_errors_come_from_argparse(capsys, argv, code, stream, last):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    text = out.out if stream == "out" else out.err
+    assert text.startswith("usage: combinlab")
+    assert last in text
+
+
 @pytest.mark.parametrize("k", ["2", "3"])
 def test_exact_cover_ties_do_not_follow_the_hash_seed(tmp_path, k):
     # The coloring gadget's elements are string-tagged tuples, whose set
@@ -837,6 +935,10 @@ MALFORMED_FILES = {
     "banana.cnf": "p cnf 2 banana\n1 -2 0\n",
     "negative-count.cnf": "p cnf 2 -1\n1 -2 0\n",
     "negative-vars.cnf": "p cnf -3 0\n",
+    "neg-numbers.json": '{"numbers": [-1], "target": 1}',
+    "neg-target.json": '{"numbers": [1], "target": -1}',
+    "huge.g": "p 999999999999 0\n",
+    "over.d": "pd 1000001 0\n",
 }
 
 
@@ -896,6 +998,13 @@ BAD_CLAUSE_COUNT = {
     "twosat negative-vars.cnf": "error: bad DIMACS header: p cnf -3 0\n",
 }
 
+# Karp's subset-sum-to-partition map is sound for non-negative sizes only:
+# {"numbers": [-1], "target": 1} has no witness, but its partition target has.
+NEGATIVE_SIZES = {
+    "reduce knapsack-partition neg-numbers.json --oracle": "error: knapsack-partition needs numbers and target >= 0\n",
+    "reduce knapsack-partition neg-target.json": "error: knapsack-partition needs numbers and target >= 0\n",
+}
+
 # Euler cycles, connected components, the NP problems on graphs but
 # ham-circuit, and the vertex-cover and max-cut heuristics are defined on
 # undirected graphs; ham-circuit, the other way round, needs a digraph.
@@ -946,14 +1055,30 @@ UNDIRECTED_ONLY = {
         *MISALIGNED,
         *TOO_DEEP,
         *BAD_CLAUSE_COUNT,
+        *NEGATIVE_SIZES,
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, call):
     err = assert_input_error(tmp_path, capsys, call)
     expected = {**MISSING_KEY, **UNDIRECTED_ONLY, **REPEATED_LINK, **ZERO_DENOMINATOR, **MISALIGNED,
-                **TOO_DEEP, **BAD_CLAUSE_COUNT}.get(call)
+                **TOO_DEEP, **BAD_CLAUSE_COUNT, **NEGATIVE_SIZES}.get(call)
     if expected is not None:
         assert err == expected
+
+
+@pytest.mark.parametrize("call, n", [
+    ("solve components huge.g", 999999999999),
+    ("reduce clique-is huge.g --k 1", 999999999999),
+    ("approx maxcut huge.g", 999999999999),
+    ("solve scc over.d", 1000001),
+])
+def test_graph_header_over_the_vertex_cap_exits_3(tmp_path, capsys, call, n):
+    # refused before a list per vertex is allocated
+    from combinlab.graph_core import HEADER_VERTEX_CAP
+
+    code, out, err = run(capsys, golden_argv(tmp_path, call, MALFORMED_FILES))
+    assert (code, out) == (3, "")
+    assert err == f"error: header declares {n} vertices, more than {HEADER_VERTEX_CAP}\n"
 
 
 @pytest.mark.parametrize("call", TARGET_OUT_OF_RANGE)

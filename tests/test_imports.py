@@ -131,6 +131,8 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
     assert code == 0
     assert "combinlab.cli" in added
     assert {"combinlab.complexity", "combinlab.approx", "dataclasses"} & set(added) == set()
+    # argparse (with gettext and locale) loads only to print help or a usage error
+    assert {"argparse", "gettext", "locale"} & set(added) == set()
     if not call.startswith("solve "):  # graph_core reads p/q weights with fractions
         assert {"fractions", "decimal"} & set(added) == set()
 
@@ -138,9 +140,8 @@ def test_light_commands_import_neither_the_np_layer_nor_dataclasses(tmp_path, ca
 # What each NP command may load, leaving out the modules whose names start
 # with an underscore (__future__ and the C accelerators, which differ
 # between builds of one Python version), so a new import on the path fails.
-NP_PATH = {"argparse", "combinlab", "combinlab.cli", "combinlab.complexity", "combinlab.exact",
-           "combinlab.graph_core", "combinlab.intmath", "decimal", "fractions", "gettext",
-           "locale", "numbers", "shutil"}
+NP_PATH = {"combinlab", "combinlab.cli", "combinlab.complexity", "combinlab.exact",
+           "combinlab.graph_core", "combinlab.intmath", "decimal", "fractions", "numbers"}
 # The optima live in exact, and the set-system and matrix loaders in intmath
 # and graph_core, so no approx call loads an NP problem: complexity is not on
 # its path.
@@ -171,10 +172,10 @@ def test_np_commands_import_complexity_without_dataclasses(tmp_path, call):
     (tmp_path / "m.txt").write_text("0 1 1 2\n1 0 2 1\n1 2 0 1\n2 1 1 0\n")
     argv = [str(tmp_path / tok) if "." in tok else tok for tok in call.split()]
     # The pin's stdlib modules are imported before the snapshot, so they are
-    # loaded whatever the interpreter's start-up loads (3.11's site hooks
-    # bring in shutil, a clean 3.10 or 3.12 start does not), and the call
+    # loaded whatever the interpreter's start-up loads (site hooks differ
+    # between hosts and Python versions), and the call
     # may add only the pinned combinlab modules: a new stdlib import on the
-    # path, such as dataclasses or random, still shows.
+    # path, such as dataclasses, random or argparse, still shows.
     own = {m for m in NP_CALLS[call] if m.partition(".")[0] == "combinlab"}
     code, added = child(CALL, ",".join(sorted(NP_CALLS[call] - own)), *argv)
     assert code == 0
@@ -195,7 +196,7 @@ def test_solve_knapsack_loads_neither_graph_core_nor_paths_mst(tmp_path):
     # The knapsack table reads its packed row with intmath's cell reader,
     # which Floyd-Warshall shares, so solving a knapsack needs no graph code.
     (tmp_path / "k.json").write_text('{"values": [3, 4, 5], "volumes": [2, 3, 4], "capacity": 5}\n')
-    stdlib = "argparse,decimal,fractions,gettext,json,locale,numbers,shutil"
+    stdlib = "decimal,fractions,json,numbers"
     code, added = child(CALL, stdlib, "solve", "knapsack", str(tmp_path / "k.json"))
     assert code == 0
     assert {m for m in added if not m.startswith("_")} == {

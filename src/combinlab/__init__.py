@@ -56,7 +56,6 @@ _EXPORTS = {
         "connected_components",
         "dfs",
         "euler_cycle",
-        "fleury_euler_cycle",
         "parse_graph_text",
         "scc_kosaraju",
     ),

@@ -573,11 +573,20 @@ def _matrix_text(matrix) -> str:
     return "".join(" ".join(str(x) for x in row) + "\n" for row in matrix)
 
 
+# Largest output `gen` writes: n numbers or knapsack items, or n * n vertex
+# pairs or matrix cells for the other families.  A larger --n exits 3 before
+# anything is allocated; a negative one keeps its family's own exit 2.
+GEN_SIZE_CAP = 10**6
+
+
 def cmd_gen(args):
+    fam, n = args.family, args.n
+    size = n if fam in ("numbers", "knapsack") else max(n, 0) ** 2
+    if size > GEN_SIZE_CAP:
+        raise InstanceTooLargeError(f"gen {fam} --n {n} asks for {size} entries, more than {GEN_SIZE_CAP}")
     import random
 
     rng = random.Random(args.seed)
-    fam, n = args.family, args.n
     if fam == "numbers":
         return " ".join(str(x) for x in rng.sample(range(10 * n), n)) + "\n", OK
     if fam == "knapsack":

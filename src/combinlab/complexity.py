@@ -7,8 +7,7 @@ The 2-SAT solver (Aspvall, Plass & Tarjan 1979) reads the implication
 arcs straight off the clauses, two a clause, into heads and tails lists
 indexed by literal vertex, and numbers each literal's strong component
 with graph_core's label-array Kosaraju, `_scc_labels`; no `Digraph` is
-built.  `implication_graph` gives the same arcs, from the same
-generator, as a `Digraph`.
+built.
 
 Literals are DIMACS-style signed integers (+v / -v); a clause is a tuple
 of literals; assignments are lists of booleans indexed from variable 1.
@@ -1463,19 +1462,13 @@ def _implications(f: CnfFormula):
             yield node[n - b], node[n + a]
 
 
-def implication_graph(f: CnfFormula) -> Digraph:
-    """The literal digraph of `_implications`, its arcs in clause order
-    with a repeated arc kept at its first occurrence."""
-    return Digraph(2 * f.num_vars, _implications(f))
-
-
 def twosat_solve(f: CnfFormula) -> TwoSatResult:
     """Decide a <=2-CNF formula by the strong components of its implication
     graph (Aspvall, Plass & Tarjan 1979).  The arcs of `_implications` go
     straight into heads and tails lists indexed by vertex, and
     graph_core._scc_labels numbers each literal's component.  An UNSAT
     certificate names the lowest variable in one component with its
-    negation (checkable by scc_kosaraju on implication_graph)."""
+    negation (checkable by scc_kosaraju on the Digraph of _implications)."""
     n = f.num_vars
     heads: list[list[int]] = [[] for _ in range(2 * n + 1)]
     tails: list[list[int]] = [[] for _ in range(2 * n + 1)]

@@ -622,14 +622,3 @@ def load_allocation_json(text: str) -> AllocationInstance:
         exact_int_rows(data["profits"], "profits"),
         exact_int(data["budget"], "budget"),
     )
-
-
-def dump_allocation_json(inst: AllocationInstance) -> str:
-    return json.dumps(
-        {
-            "costs": [list(t) for t in inst.costs],
-            "profits": [list(t) for t in inst.profits],
-            "budget": inst.budget,
-        },
-        sort_keys=True,
-    )

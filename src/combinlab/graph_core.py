@@ -267,52 +267,6 @@ def euler_cycle(g: Graph) -> list[int]:
     return cycle
 
 
-def fleury_euler_cycle(g: Graph) -> list[int]:
-    """Euler cycle by Fleury's rule: never cross a bridge of the remaining
-    positive-degree graph unless there is no alternative.  Used as a
-    cross-check for euler_cycle."""
-    _check_eulerian(g)
-    if not g.edges:
-        return []
-
-    adj = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
-
-    def component_count(vertices) -> int:
-        _, parent = _walk(adj, vertices)
-        return sum(1 for u in parent.values() if u is None)
-
-    def is_bridge(u: int, v: int) -> bool:
-        # Vertices already spent are ignored, but an endpoint stranded by
-        # this very removal counts as a component of its own.
-        active = {x for x in adj if adj[x]}
-        before = component_count(active)
-        adj[u].discard(v)
-        adj[v].discard(u)
-        after = component_count(active)
-        adj[u].add(v)
-        adj[v].add(u)
-        return after > before
-
-    v = min(w for w in adj if adj[w])
-    cycle = [v]
-    remaining = len(g.edges)
-    while remaining:
-        choices = sorted(adj[v])
-        nxt = None
-        for w in choices:
-            if len(choices) == 1 or not is_bridge(v, w):
-                nxt = w
-                break
-        if nxt is None:
-            nxt = choices[0]
-        adj[v].discard(nxt)
-        adj[nxt].discard(v)
-        cycle.append(nxt)
-        v = nxt
-        remaining -= 1
-    return cycle
-
-
 class DfsRecord(_Record):
     """Per-vertex discovery/finish stamps, parents, and the DFS forest."""
 
@@ -320,15 +274,15 @@ class DfsRecord(_Record):
 
 
 def _walk(adj, order) -> tuple[list[int], dict[int, int | None]]:
-    """The depth-first walk behind dfs, Fleury's bridge test and the first
-    pass of _scc_labels (scc_kosaraju, complexity.twosat_solve).  Each
-    vertex of `order` not yet seen roots a tree, whose vertices are
-    entered in the order of the adjacency lists `adj[v]` (`adj` a dict or
-    a list indexed by vertex).  Returns the events in time order, +v on
-    entering v and -v on leaving it, and each seen vertex's parent (None
-    for a root) in the order the vertices were entered.  The walk keeps an
-    explicit stack of (vertex, neighbour iterator) pairs, so its Python
-    recursion depth does not grow with the graph."""
+    """The depth-first walk behind dfs and the first pass of _scc_labels
+    (scc_kosaraju, complexity.twosat_solve).  Each vertex of `order` not
+    yet seen roots a tree, whose vertices are entered in the order of the
+    adjacency lists `adj[v]` (`adj` a dict or a list indexed by vertex).
+    Returns the events in time order, +v on entering v and -v on leaving
+    it, and each seen vertex's parent (None for a root) in the order the
+    vertices were entered.  The walk keeps an explicit stack of (vertex,
+    neighbour iterator) pairs, so its Python recursion depth does not grow
+    with the graph."""
     parent: dict[int, int | None] = {}
     stamps: list[int] = []
     for root in order:

@@ -60,30 +60,10 @@ def fib_upto(limit: int) -> list[int]:
     return fib
 
 
-def fib(k: int) -> int:
-    """k-th Fibonacci number under the F[0] = F[1] = 1 convention."""
-    if k < 0:
-        raise ValueError("needs k >= 0")
-    a, b = 1, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
-
-
 def coin_pool_size(levels: int) -> int:
     """Largest suspect-coin pool resolvable with the given number of
     weighings: (3**levels - 1) // 2."""
     return (3 ** levels - 1) // 2
-
-
-def insertion_batch_bound(k: int) -> int:
-    """Boundary of the k-th batched-insertion group: (2**(k+1) + (-1)**k) // 3.
-
-    The boundaries pair up as t(k) + t(k-1) = 2**k with t(0) = t(1) = 1.
-    """
-    if k < 0:
-        raise ValueError("needs k >= 0")
-    return (2 ** (k + 1) + (-1) ** k) // 3
 
 
 def harmonic(n: int) -> Fraction:

@@ -54,14 +54,13 @@ class CountingComparator(CostedOracle):
     """Comparison oracle over the positions of an item sequence.
 
     compare(i, j) answers how items[i] relates to items[j] and charges one
-    query.  Keys must be pairwise distinct unless tie_break is set, in which
-    case equal keys are ordered by position.
+    query.  Keys must be pairwise distinct: comparing equal keys raises
+    NonStrictOrderError.
     """
 
-    def __init__(self, items, tie_break: bool = False):
+    def __init__(self, items):
         super().__init__()
         self.items = list(items)
-        self.tie_break = tie_break
 
     def compare(self, i: int, j: int) -> str:
         return LESS if self.less(i, j) else GREATER
@@ -70,16 +69,12 @@ class CountingComparator(CostedOracle):
         self.counter.count += 1
         a, b = self.items[i], self.items[j]
         if a == b:
-            if i == j or not self.tie_break:
-                raise NonStrictOrderError(
-                    "non-strict order: items[%d] == items[%d]" % (i, j)
-                )
-            return i < j
+            raise NonStrictOrderError("non-strict order: items[%d] == items[%d]" % (i, j))
         return a < b
 
 
-def counting_comparator(items, tie_break: bool = False) -> CountingComparator:
-    return CountingComparator(items, tie_break=tie_break)
+def counting_comparator(items) -> CountingComparator:
+    return CountingComparator(items)
 
 
 class AdversaryMerge(CostedOracle):

@@ -13,14 +13,8 @@ query bound:
 
 from __future__ import annotations
 
-from .intmath import _FrozenRecord, ceil_div, coin_pool_size, exact_int, fib, fib_upto
+from .intmath import _FrozenRecord, ceil_div, coin_pool_size, exact_int, fib_upto
 from .oracles import EQUAL, LEFT, RIGHT, CostedOracle
-
-
-def bitonic_probe_capacity(k: int) -> int:
-    """Longest bitonic sequence whose peak k probes can always pin down:
-    fib(k+1) - 1 under the fib(0) = fib(1) = 1 convention."""
-    return fib(k + 1) - 1
 
 
 class InconsistentBalanceError(ValueError):

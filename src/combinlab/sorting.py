@@ -107,15 +107,6 @@ def _merge(xs: list, ys: list, cmp) -> list:
     return out
 
 
-def merge_lower_bound(m: int, n: int) -> int:
-    """Information lower bound for merging runs of sizes m and n:
-    ceil(log2 C(m+n, n)).  At m = 1 this equals ceil(log2(n+1)), which a
-    linear merge does not reach."""
-    from math import comb
-
-    return ceil_log2(comb(m + n, n))
-
-
 def merge_schedule(n: int) -> list[tuple[int, int]]:
     """Deterministic merge plan: repeatedly merge the two shortest runs.
 
@@ -224,7 +215,7 @@ def _merge_insertion(handles: list, cmp) -> list:
     k = 2
     low = 1  # t(k-1), boundary of the previous batch
     while low < total + 1:
-        high = (1 << k) - low  # t(k) = 2**k - t(k-1), insertion_batch_bound's recurrence
+        high = (1 << k) - low  # t(k) = 2**k - t(k-1) = (2**(k+1) + (-1)**k) // 3
         for idx in range(min(high, total + 1), low, -1):
             cap = caps[idx - 2]
             # b_idx's cap a_idx stood at low + idx - 1 when this batch began, and

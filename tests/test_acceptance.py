@@ -305,7 +305,10 @@ def test_criterion_5_graph_oracles():
         got = sorted(map(tuple, gc.scc_kosaraju(d)))
         assert got == _bitmask_scc_partition(n, arcs)
 
-    # Euler: splicing vs Fleury verdicts on 10^3 random graphs
+    # Euler: euler_cycle's verdict vs Euler's degree-and-component criterion
+    # on 10^3 random graphs
+    from tests.test_graph_core import eulerian_oracle
+
     for trial in range(1000):
         n = rng.randint(1, 8)
         edges = [
@@ -317,16 +320,11 @@ def test_criterion_5_graph_oracles():
         g = gc.Graph(n, edges)
         try:
             walk = gc.euler_cycle(g)
-            ok1 = True
+            ok = True
         except gc.NotEulerianError:
-            ok1 = False
-        try:
-            gc.fleury_euler_cycle(g)
-            ok2 = True
-        except gc.NotEulerianError:
-            ok2 = False
-        assert ok1 == ok2
-        if ok1 and edges:
+            ok = False
+        assert ok == eulerian_oracle(n, edges)
+        if ok and edges:
             used = set()
             for u, v in zip(walk, walk[1:]):
                 key = (min(u, v), max(u, v))
@@ -783,7 +781,7 @@ def test_criterion_9_twosat():
             assert f.evaluate(res.assignment)
         else:
             checked_unsat += 1
-            g = cx.implication_graph(f)
+            g = gc.Digraph(2 * n, cx._implications(f))
             x = res.conflict_var
             pos, neg = n + x, x
             assert neg in _reachable(g, pos) and pos in _reachable(g, neg)

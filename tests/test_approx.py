@@ -271,8 +271,14 @@ def test_fptas_huge_eps_still_feasible():
 
 
 def test_merge_lower_bound_sandwich():
-    from combinlab.sorting import merge_lower_bound, merge_runs
+    from math import comb
+
+    from combinlab.intmath import ceil_log2
+    from combinlab.sorting import merge_runs
     from combinlab.oracles import counting_comparator
+
+    def merge_lower_bound(m, n):  # information bound ceil(log2 C(m+n, n))
+        return ceil_log2(comb(m + n, n))
 
     assert merge_lower_bound(1, 7) == 3  # reported optimum, not reached
     x, y = [2, 4, 6], [1, 3, 5]

@@ -1066,6 +1066,25 @@ def test_graph_header_over_the_vertex_cap_exits_3(tmp_path, capsys, call, n):
     assert err == f"error: header declares {n} vertices, more than {HEADER_VERTEX_CAP}\n"
 
 
+@pytest.mark.parametrize("family, n, size", [
+    ("numbers", 10**12, 10**12),
+    ("knapsack", 10**12, 10**12),
+    ("graph", 10**12, 10**24),
+    ("digraph", 10**12, 10**24),
+    ("metric", 10**12, 10**24),
+    ("gap", 10**12, 10**24),
+    ("counterexample", 10**12, 10**24),
+    ("numbers", cli.GEN_SIZE_CAP + 1, cli.GEN_SIZE_CAP + 1),
+    ("graph", 1001, 1001**2),
+])
+def test_gen_over_the_size_cap_exits_3(capsys, family, n, size):
+    # n items for numbers and knapsack, n * n pairs or cells for the rest;
+    # refused before anything is drawn or allocated
+    code, out, err = run(capsys, ["gen", family, "--n", str(n)])
+    assert (code, out) == (3, "")
+    assert err == f"error: gen {family} --n {n} asks for {size} entries, more than {cli.GEN_SIZE_CAP}\n"
+
+
 @pytest.mark.parametrize("call", TARGET_OUT_OF_RANGE)
 def test_target_out_of_range_is_named(tmp_path, capsys, call):
     code, out, err = run(capsys, golden_argv(tmp_path, call, MALFORMED_FILES))

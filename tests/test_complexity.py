@@ -35,8 +35,8 @@ from combinlab.complexity import (
     brute_force_decide,
     cnf,
     exact_cover_to_knapsack01,
+    _implications,
     format_dimacs,
-    implication_graph,
     parse_dimacs,
     sat_to_3sat,
     sat_to_clique,
@@ -470,6 +470,13 @@ def test_twosat_unsat_certificate_structural():
     x = res.conflict_var
     block = next(b for b in comps if x in b)
     assert f.num_vars + x in block
+
+
+def implication_graph(f):
+    """The literal digraph that twosat_solve decides on, as a checked
+    Digraph: the arcs of _implications in clause order, a repeated arc kept
+    at its first occurrence."""
+    return Digraph(2 * f.num_vars, _implications(f))
 
 
 def all_two_clauses(num_vars):

@@ -83,7 +83,6 @@ EXEMPT = {
     "bfs_forest": GRAPH,
     "connected_components": GRAPH,
     "euler_cycle": GRAPH,
-    "fleury_euler_cycle": GRAPH,
     "scc_kosaraju": GRAPH,
     "floyd_warshall": GRAPH,
     "kruskal": GRAPH,

@@ -31,7 +31,7 @@ PUBLIC = {
     },
     "graph_core": {
         "Digraph", "Graph", "bfs_forest", "connected_components", "dfs", "euler_cycle",
-        "fleury_euler_cycle", "parse_graph_text", "scc_kosaraju",
+        "parse_graph_text", "scc_kosaraju",
     },
     "paths_mst": {
         "WeightedDigraph", "WeightedGraph", "dijkstra", "floyd_warshall", "kruskal",

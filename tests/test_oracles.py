@@ -39,12 +39,6 @@ def test_counting_comparator_rejects_equal_keys():
         cmp.less(0, 1)
 
 
-def test_counting_comparator_tie_break():
-    cmp = counting_comparator([4, 4], tie_break=True)
-    assert cmp.less(0, 1)
-    assert not cmp.less(1, 0)
-
-
 def test_adversary_merge_rule():
     adv = adversary_merge(3, 3)
     # a_1 vs b_1: i >= j, so a_1 > b_1.

@@ -190,16 +190,6 @@ def bitonic_sequence(n, peak):
     return list(range(1, peak + 1)) + list(range(peak - 1, peak - 1 - (n - peak), -1))
 
 
-def test_bitonic_probe_capacity_is_fib_shifted():
-    from combinlab.intmath import fib
-    from combinlab.search_games import bitonic_probe_capacity
-
-    assert [fib(k) for k in range(6)] == [1, 1, 2, 3, 5, 8]
-    assert bitonic_probe_capacity(4) == 7  # lambda_4 = fib(5) - 1
-    for k in range(1, 15):
-        assert bitonic_probe_capacity(k) == fib(k + 1) - 1
-
-
 def test_bitonic_small():
     probe = Probe([7])
     assert bitonic_max(1, probe) == (1, 7)

